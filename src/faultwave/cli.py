@@ -7,6 +7,7 @@ failed while running a detector.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import click
 from . import __version__, dwt, spectral
 from .detect import (
     DetectionReport,
-    EnergyTable,
+    EnergyRow,
     energy_table,
     ica_detect,
     wavelet_detect,
@@ -62,7 +63,7 @@ def run_detector(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport
         return ica_detect(record, config.detector, config.spans, config.ica)
     trace = select_channel(record, config.channel)
     if method == "wavelet":
-        return wavelet_detect(trace, config.detector)
+        return wavelet_detect(trace, config.detector, config.spans)
     return energy_detect(
         trace, method, config.detector, config.spans,
         fundamental_hz=config.waveform.fundamental_hz,
@@ -128,37 +129,34 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
                 [config.fault], cfg=config.detector, waveform=config.waveform,
                 noise=config.noise, spans=config.spans,
             )
-            rows.append((name, table.rows[0]))
+            rows.append(dataclasses.replace(table.rows[0], scenario_name=name))
         except FaultwaveError as exc:
-            rows.append((name, f"{type(exc).__name__}: {exc}"))
+            rows.append(EnergyRow.failed(name, exc))
 
-    lines = [EnergyTable.CSV_HEADER + ",error"]
-    succeeded = 0
-    for name, row in rows:
-        error = row if isinstance(row, str) else row.error
-        if error is not None:
-            lines.append(f"{name},,,,,,,{error}")
+    lines = ["scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error"]
+    for row in rows:
+        if row.error is not None:
+            lines.append(f"{row.scenario_name},,,,,,,{row.error}")
         else:
-            succeeded += 1
             lines.append(
-                f"{name},{row.e_ft:.12g},{row.e_stft:.12g},{row.e_wt:.12g},"
+                f"{row.scenario_name},{row.e_ft:.12g},{row.e_stft:.12g},{row.e_wt:.12g},"
                 f"{row.detected_ft},{row.detected_stft},{row.detected_wt},"
             )
     atomic_write_text(Path(out_path), "\n".join(lines) + "\n")
 
     _echo_table(rows)
-    if rows and succeeded == 0:
+    if rows and all(row.error is not None for row in rows):
         _fail("every scenario in the suite failed", 3)
 
 
-def _echo_table(rows) -> None:
+def _echo_table(rows: list[EnergyRow]) -> None:
     header = f"{'scenario':<12} {'e_ft':>12} {'e_stft':>12} {'e_wt':>12}  detected"
     click.echo(header)
     click.echo("-" * len(header))
-    for name, row in rows:
-        error = row if isinstance(row, str) else row.error
-        if error is not None:
-            click.echo(f"{name:<12} {'error':>12} {'':>12} {'':>12}  {error}")
+    for row in rows:
+        name = row.scenario_name
+        if row.error is not None:
+            click.echo(f"{name:<12} {'error':>12} {'':>12} {'':>12}  {row.error}")
         else:
             flags = "/".join(
                 "y" if f else "n"

@@ -1,16 +1,17 @@
 """Detectors: turn transforms into onset decisions and energy comparisons.
 
-Three families share one decision rule (index series exceeds a threshold for
-``min_consecutive`` successive samples):
+Each detector only builds an index series; one decision core thresholds it:
 
 * wavelet: level-j detail magnitudes aligned to the time axis;
 * ica: the performance index of :mod:`faultwave.ica`;
-* energy: high-band energy of the FT, STFT, or wavelet detail band over an
-  analysis span, compared against a threshold calibrated on fault-free data.
+* energy: high-band energy of the FT, STFT, or wavelet detail band over
+  sliding windows.
 
-Thresholds default to mean + 5 sigma over a calibration span assumed
-fault-free, with a fixed-value override. Detectors report onset only; the
-return to normal after fault clearing is deliberately not claimed.
+The core calibrates the threshold with :func:`calibrate_threshold` on a span
+assumed fault-free (default mean + 5 sigma, with per-method floors), or takes
+a fixed one, and reports the first run of index values above it inside the
+analysis span. Detectors report onset only; the return to normal after fault
+clearing is deliberately not claimed.
 """
 
 from __future__ import annotations
@@ -27,18 +28,6 @@ from .signal_model import add_noise, generate_baseline, inject_fault, select_cha
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
-
-# Published reference energy-content values per fault type (FT, STFT, WT or
-# detail-band order). Documentation metadata for ordering comparison only;
-# they are not expected outputs of this package.
-REFERENCE_ENERGY_CONTENT = {
-    "AG": (1.3672, 1.7863, 2.1663),
-    "BG": (1.4525, 2.2414, 2.7352),
-    "CG": (1.3324, 1.8367, 2.6538),
-    "AB": (2.2341, 2.3532, 3.2514),
-    "BC": (2.6342, 3.1230, 3.8724),
-    "ABC": (3.1302, 3.8225, 4.2431),
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,12 @@ class AdaptiveThreshold:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Knobs shared by every detector."""
+    """Detector knobs.
+
+    ``level`` applies to the wavelet and ``energy_wt`` indices, ``cutoff_hz``
+    to the energy methods, and ``min_consecutive`` to the wavelet and ICA
+    detectors only: an energy onset is the first window above threshold.
+    """
 
     method: str = "wavelet"
     threshold_policy: FixedThreshold | AdaptiveThreshold = AdaptiveThreshold()
@@ -104,7 +98,11 @@ def default_spans(n_samples: int) -> Spans:
 
 @dataclass(eq=False)
 class DetectionReport:
-    """Verdict plus the evidence it was based on."""
+    """Verdict plus the evidence it was based on.
+
+    ``metadata`` holds method-specific details plus ``analysis_index``, the
+    largest index value scanned inside the analysis span.
+    """
 
     method: str
     detected: bool
@@ -138,38 +136,39 @@ class EnergyRow:
     detected_wt: bool
     error: str | None = None
 
+    @classmethod
+    def failed(cls, scenario_name: str, exc: Exception) -> EnergyRow:
+        nan = float("nan")
+        return cls(scenario_name, nan, nan, nan, False, False, False,
+                   error=f"{type(exc).__name__}: {exc}")
+
 
 @dataclass(eq=False)
 class EnergyTable:
     rows: list[EnergyRow]
 
-    CSV_HEADER = "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.scenario_name},{row.e_ft:.12g},{row.e_stft:.12g},"
-                f"{row.e_wt:.12g},{row.detected_ft},{row.detected_stft},{row.detected_wt}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def calibrate_threshold(
-    index_series: np.ndarray, calibration_span: tuple[int, int], k_sigma: float = 5.0
+    values: np.ndarray,
+    k_sigma: float = 5.0,
+    bias: float = 1.0,
+    mean_multiple: float = 0.0,
+    floor: float = 0.0,
 ) -> float:
-    """mean + k_sigma * stddev of the index over an assumed fault-free span.
+    """Threshold from index values taken on fault-free data.
+
+    ``max(bias * (mean + k_sigma * std), bias * mean_multiple * mean, floor)``;
+    with the defaults this is plain mean + k_sigma * std.
 
     Raises:
-        DegenerateInputError: empty span.
+        DegenerateInputError: no calibration values.
     """
-    lo, hi = calibration_span
-    if hi <= lo:
-        raise DegenerateInputError(f"calibration span {calibration_span} is empty")
-    segment = np.asarray(index_series)[lo:hi]
-    if segment.size == 0:
-        raise DegenerateInputError(f"calibration span {calibration_span} selects no samples")
-    return float(segment.mean() + k_sigma * segment.std())
+    values = np.asarray(values)
+    if values.size == 0:
+        raise DegenerateInputError("calibration span contains no usable samples")
+    mean = values.mean()
+    return max(bias * float(mean + k_sigma * values.std()),
+               bias * mean_multiple * float(mean), floor)
 
 
 def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
@@ -182,68 +181,96 @@ def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _resolve_threshold(
-    series: np.ndarray,
-    policy: FixedThreshold | AdaptiveThreshold,
-    default_span: tuple[int, int],
-    valid: np.ndarray | None = None,
-) -> float:
+@dataclass(frozen=True, eq=False)
+class _Index:
+    """An index series as the decision core sees it.
+
+    ``values[i]`` summarizes samples ``[starts[i], starts[i] + width)``;
+    ``valid`` marks the values fit for calibration and scanning, and
+    ``covers`` is the sample range the series describes.
+    """
+
+    starts: np.ndarray
+    values: np.ndarray
+    width: int
+    times_s: np.ndarray
+    covers: tuple[int, int]
+    valid: np.ndarray | bool = True
+
+
+def _decide(
+    method: str,
+    index: _Index,
+    cfg: DetectorConfig,
+    spans: Spans,
+    fs: float,
+    metadata: dict,
+    rule: tuple[float, float, float] = (1.0, 0.0, 0.0),
+    min_consecutive: int | None = None,
+) -> DetectionReport:
+    """Threshold ``index`` and report its first run above threshold.
+
+    ``rule`` is the method's (bias, mean_multiple, floor) for
+    :func:`calibrate_threshold`. Calibration uses the values lying wholly
+    inside the policy's span (else ``spans.calibration``), the scan those
+    inside ``spans.analysis``.
+
+    Raises:
+        DegenerateInputError: the calibration span leaves ``index.covers``,
+            or either span holds no value.
+    """
+    policy = cfg.threshold_policy
+    lo, hi = spans.calibration
+    if isinstance(policy, AdaptiveThreshold) and policy.calibration_span is not None:
+        lo, hi = policy.calibration_span
+    if not index.covers[0] <= lo < hi <= index.covers[1]:
+        raise DegenerateInputError(
+            f"calibration span ({lo}, {hi}) lies outside the index's samples {index.covers}"
+        )
+    ends = index.starts + index.width
+    a_lo, a_hi = spans.analysis
+    in_cal = (index.starts >= lo) & (ends <= hi) & index.valid
+    scan = (index.starts >= a_lo) & (ends <= a_hi) & index.valid
+    if not np.any(in_cal):
+        raise DegenerateInputError(
+            f"calibration span ({lo}, {hi}) is shorter than one window ({index.width})")
+    if not np.any(scan):
+        raise DegenerateInputError(
+            f"analysis span {spans.analysis} is shorter than one window ({index.width})")
     if isinstance(policy, FixedThreshold):
-        return policy.value
-    lo, hi = policy.calibration_span if policy.calibration_span is not None else default_span
-    if hi <= lo:
-        raise DegenerateInputError(f"calibration span ({lo}, {hi}) is empty")
-    segment = np.asarray(series)[lo:hi]
-    if valid is not None:
-        segment = segment[valid[lo:hi]]
-    if segment.size == 0:
-        raise DegenerateInputError("calibration span contains no usable samples")
-    return float(segment.mean() + policy.k_sigma * segment.std())
+        threshold = policy.value
+    else:
+        threshold = calibrate_threshold(index.values[in_cal], policy.k_sigma, *rule)
+    run = _first_run_start((index.values > threshold) & scan,
+                           min_consecutive or cfg.min_consecutive)
+    onset = None if run is None else int(index.starts[run])
+    return DetectionReport(
+        method=method,
+        detected=onset is not None,
+        onset_sample=onset,
+        onset_time_s=None if onset is None else onset / fs,
+        index_series=index.values,
+        index_times_s=index.times_s,
+        threshold_used=threshold,
+        metadata={"analysis_index": float(index.values[scan].max()), **metadata},
+    )
 
 
-def wavelet_detect(trace: Trace, cfg: DetectorConfig = DetectorConfig()) -> DetectionReport:
+def wavelet_detect(
+    trace: Trace, cfg: DetectorConfig = DetectorConfig(), spans: Spans | None = None
+) -> DetectionReport:
     """Onset detection from level-``cfg.level`` detail magnitudes.
 
     Samples whose detail coefficients straddle the periodic record boundary
     are excluded from calibration and scanning: on non-periodic data they
     carry a wrap discontinuity unrelated to any fault.
     """
-    tree = dwt.dwt_decompose(trace, cfg.level)
-    series = dwt.detail_series(tree, cfg.level)
-    valid = ~dwt.boundary_artifact_mask(trace.n_samples, cfg.level)
-
-    default_cal = default_spans(trace.n_samples).calibration
-    threshold = _resolve_threshold(series.samples, cfg.threshold_policy, default_cal, valid)
-
-    above = (series.samples > threshold) & valid
-    onset = _first_run_start(above, cfg.min_consecutive)
-    return _make_report("wavelet", onset, series.samples, series.time_axis(),
-                        threshold, trace.sample_rate_hz,
-                        metadata={"level": cfg.level})
-
-
-def _make_report(
-    method: str,
-    onset: int | None,
-    series: np.ndarray,
-    times: np.ndarray,
-    threshold: float,
-    sample_rate_hz: float,
-    metadata: dict,
-    onset_offset: int = 0,
-) -> DetectionReport:
-    detected = onset is not None
-    onset_sample = None if onset is None else onset + onset_offset
-    return DetectionReport(
-        method=method,
-        detected=detected,
-        onset_sample=onset_sample,
-        onset_time_s=None if onset_sample is None else onset_sample / sample_rate_hz,
-        index_series=series,
-        index_times_s=times,
-        threshold_used=threshold,
-        metadata=metadata,
-    )
+    n = trace.n_samples
+    series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
+    index = _Index(np.arange(n), series.samples, 1, series.time_axis(), (0, n),
+                   valid=~dwt.boundary_artifact_mask(n, cfg.level))
+    return _decide("wavelet", index, cfg, spans or default_spans(n), trace.sample_rate_hz,
+                   {"level": cfg.level})
 
 
 # The performance index lives in whitened-source units, so genuine
@@ -273,36 +300,13 @@ def ica_detect(
     if spans is None:
         spans = default_spans(record.n_samples)
     pi = performance_index(record, spans.prefault, spans.analysis, ica_cfg)
-
-    a_lo = pi.start_sample
-    cal_lo, cal_hi = spans.calibration
-    if isinstance(cfg.threshold_policy, AdaptiveThreshold) and (
-        cfg.threshold_policy.calibration_span is not None
-    ):
-        cal_lo, cal_hi = cfg.threshold_policy.calibration_span
-    rel_lo, rel_hi = cal_lo - a_lo, cal_hi - a_lo
-    if rel_lo < 0 or rel_hi > pi.values.shape[0] or rel_hi <= rel_lo:
-        raise DegenerateInputError(
-            f"calibration span ({cal_lo}, {cal_hi}) lies outside the analysis span"
-        )
-
-    if isinstance(cfg.threshold_policy, FixedThreshold):
-        threshold = cfg.threshold_policy.value
-    else:
-        prefault_cycles = (spans.prefault[1] - spans.prefault[0]) / pi.window_len
-        bias = (prefault_cycles + 1) / (prefault_cycles - 1) if prefault_cycles > 1 else 4.0
-        segment = pi.values[rel_lo:rel_hi]
-        threshold = max(
-            bias * float(segment.mean() + cfg.threshold_policy.k_sigma * segment.std()),
-            bias * 2.5 * float(segment.mean()),
-            PI_DETECTION_FLOOR,
-        )
-
-    onset = _first_run_start(pi.values > threshold, cfg.min_consecutive)
-    return _make_report("ica", onset, pi.values, pi.time_axis(), threshold,
-                        record.sample_rate_hz,
-                        metadata={"contrast": ica_cfg.contrast, "reference": pi.reference},
-                        onset_offset=a_lo)
+    prefault_cycles = (spans.prefault[1] - spans.prefault[0]) / pi.window_len
+    bias = (prefault_cycles + 1) / (prefault_cycles - 1) if prefault_cycles > 1 else 4.0
+    a_lo, a_hi = pi.start_sample, pi.start_sample + pi.values.shape[0]
+    index = _Index(np.arange(a_lo, a_hi), pi.values, 1, pi.time_axis(), (a_lo, a_hi))
+    return _decide("ica", index, cfg, spans, record.sample_rate_hz,
+                   {"contrast": ica_cfg.contrast, "reference": pi.reference},
+                   rule=(bias, 2.5, PI_DETECTION_FLOOR))
 
 
 # Detection thresholds never drop below this fraction of the trace's mean
@@ -317,14 +321,13 @@ ENERGY_DETECTION_FLOOR = 1e-12
 # measure at 8x and above.
 ENERGY_FLOOR_FACTOR = 4.5
 
+# Frame length and hop of the STFT energy index, in samples.
+STFT_WINDOW = 64
+STFT_HOP = 16
+
 
 def _energy_window_series(
-    trace: Trace,
-    method: str,
-    cfg: DetectorConfig,
-    fundamental_hz: float,
-    stft_window: int,
-    stft_hop: int,
+    trace: Trace, method: str, cfg: DetectorConfig, fundamental_hz: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-window index series for one method: (starts, values, window_len).
 
@@ -336,7 +339,7 @@ def _energy_window_series(
     if method == "energy_stft":
         if cfg.cutoff_hz >= fs / 2.0:
             raise ConfigError(f"cutoff {cfg.cutoff_hz} Hz is at or above the Nyquist frequency")
-        gram = spectral.stft(trace, window_len=stft_window, hop=stft_hop)
+        gram = spectral.stft(trace, window_len=STFT_WINDOW, hop=STFT_HOP)
         bins = gram.frequencies() >= cfg.cutoff_hz
         values = np.sum(gram.frames[:, bins] ** 2, axis=1) / gram.window_len
         return gram.frame_starts(), values, gram.window_len
@@ -353,13 +356,11 @@ def _energy_window_series(
             )
             for s in starts
         ])
-    elif method == "energy_wt":
+    else:
         values = np.array([
             dwt.wavelet_energy_index(trace, cfg.level, (s, s + window), include_boundary=False)
             for s in starts
         ])
-    else:
-        raise ConfigError(f"unknown energy method {method!r}")
     return starts, values, window
 
 
@@ -369,8 +370,6 @@ def energy_detect(
     cfg: DetectorConfig = DetectorConfig(method="energy_wt"),
     spans: Spans | None = None,
     fundamental_hz: float = 50.0,
-    stft_window: int = 64,
-    stft_hop: int = 16,
 ) -> DetectionReport:
     """Compare a high-band energy index against a calibrated threshold.
 
@@ -379,10 +378,11 @@ def energy_detect(
     statistics are exchangeable; whole-span transforms would instead be
     dominated by span-edge leakage whenever the span does not hold an integer
     number of cycles. The reported analysis index is the largest window value
-    inside the analysis span; the threshold is mean + k_sigma * stddev over
-    the calibration windows, floored at :data:`ENERGY_FLOOR_FACTOR` times
-    their mean and at :data:`ENERGY_DETECTION_FLOOR` times the trace mean
-    square.
+    inside the analysis span, and the onset is the start of the first window
+    above threshold (``min_consecutive`` does not apply). The threshold is
+    mean + k_sigma * stddev over the calibration windows, floored at
+    :data:`ENERGY_FLOOR_FACTOR` times their mean and at
+    :data:`ENERGY_DETECTION_FLOOR` times the trace mean square.
     """
     if method not in ENERGY_METHODS:
         raise ConfigError(f"method must be one of {ENERGY_METHODS}, got {method!r}")
@@ -390,54 +390,11 @@ def energy_detect(
         spans = default_spans(trace.n_samples)
 
     fs = trace.sample_rate_hz
-    starts, series, window = _energy_window_series(
-        trace, method, cfg, fundamental_hz, stft_window, stft_hop
-    )
-
-    cal_lo, cal_hi = spans.calibration
-    if isinstance(cfg.threshold_policy, AdaptiveThreshold) and (
-        cfg.threshold_policy.calibration_span is not None
-    ):
-        cal_lo, cal_hi = cfg.threshold_policy.calibration_span
-    in_cal = (starts >= cal_lo) & (starts + window <= cal_hi)
-    if not np.any(in_cal):
-        raise DegenerateInputError(
-            f"calibration span ({cal_lo}, {cal_hi}) is shorter than one window ({window})"
-        )
-    cal_values = series[in_cal]
-    if isinstance(cfg.threshold_policy, FixedThreshold):
-        threshold = cfg.threshold_policy.value
-    else:
-        threshold = max(
-            float(cal_values.mean() + cfg.threshold_policy.k_sigma * cal_values.std()),
-            ENERGY_FLOOR_FACTOR * float(cal_values.mean()),
-            ENERGY_DETECTION_FLOOR * float(np.mean(trace.samples**2)),
-        )
-
-    a_lo, a_hi = spans.analysis
-    in_analysis = (starts >= a_lo) & (starts + window <= a_hi)
-    if not np.any(in_analysis):
-        raise DegenerateInputError(
-            f"analysis span {spans.analysis} is shorter than one window ({window})"
-        )
-    analysis_index = float(series[in_analysis].max())
-    detected = analysis_index > threshold
-
-    onset_sample = None
-    if detected:
-        crossing = np.flatnonzero((series > threshold) & in_analysis)
-        onset_sample = int(starts[crossing[0]]) if crossing.size else a_lo
-
-    return DetectionReport(
-        method=method,
-        detected=detected,
-        onset_sample=onset_sample,
-        onset_time_s=None if onset_sample is None else onset_sample / fs,
-        index_series=series,
-        index_times_s=(starts + window / 2.0) / fs,
-        threshold_used=threshold,
-        metadata={"analysis_index": analysis_index, "window": window},
-    )
+    starts, values, window = _energy_window_series(trace, method, cfg, fundamental_hz)
+    index = _Index(starts, values, window, (starts + window / 2.0) / fs, (0, trace.n_samples))
+    floor = ENERGY_DETECTION_FLOOR * float(np.mean(trace.samples**2))
+    return _decide(method, index, cfg, spans, fs, {"window": window},
+                   rule=(1.0, ENERGY_FLOOR_FACTOR, floor), min_consecutive=1)
 
 
 def energy_table(
@@ -461,7 +418,6 @@ def energy_table(
             record = inject_fault(generate_baseline(waveform), fault)
             if noise is not None:
                 record = add_noise(record, noise)
-            run_spans = spans if spans is not None else default_spans(record.n_samples)
             indices = {}
             flags = {}
             for method in ENERGY_METHODS:
@@ -469,7 +425,7 @@ def energy_table(
                 hit = False
                 for phase in "abc":
                     report = energy_detect(
-                        select_channel(record, phase), method, cfg, run_spans,
+                        select_channel(record, phase), method, cfg, spans,
                         fundamental_hz=waveform.fundamental_hz,
                     )
                     best = max(best, report.metadata["analysis_index"])
@@ -488,12 +444,5 @@ def energy_table(
                 )
             )
         except FaultwaveError as exc:  # per-scenario isolation; errors become rows
-            rows.append(
-                EnergyRow(
-                    scenario_name=name,
-                    e_ft=float("nan"), e_stft=float("nan"), e_wt=float("nan"),
-                    detected_ft=False, detected_stft=False, detected_wt=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(EnergyRow.failed(name, exc))
     return EnergyTable(rows=rows)

@@ -13,7 +13,7 @@ round-off. Record lengths must be divisible by 2**levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class DecompositionTree:
     approx: np.ndarray
     original_length: int
     sample_rate_hz: float
-    boundary_mode: str = field(default="periodic")
 
 
 def _analyze_level(a: np.ndarray, h: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,8 +50,7 @@ class IcaModel:
     """Fitted unmixing model.
 
     ``unmixing`` acts on whitened data; ``composite_unmixing`` (unmixing
-    times the whitening projection) acts on raw centered data, and
-    ``mixing_estimate`` is its pseudo-inverse.
+    times the whitening projection) acts on raw centered data.
     """
 
     unmixing: np.ndarray
@@ -61,7 +60,6 @@ class IcaModel:
     converged: bool
     seed: int = 0
     composite_unmixing: np.ndarray | None = None
-    mixing_estimate: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -261,14 +259,13 @@ def fit_ica(
 ) -> tuple[IcaModel, WhiteningModel]:
     """Center, whiten, and unmix a raw data matrix in one step.
 
-    Returns the fitted :class:`IcaModel` with its composite unmixing and
-    mixing estimate filled in, plus the whitening model for later reuse.
+    Returns the fitted :class:`IcaModel` with its composite unmixing filled
+    in, plus the whitening model for later reuse.
     """
     centered, mean = center(matrix)
     z, whitening = whiten(centered, retain=retain, mean=mean)
     model = fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed)
     model.composite_unmixing = model.unmixing @ whitening.projection
-    model.mixing_estimate = np.linalg.pinv(model.composite_unmixing)
     return model, whitening
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import AdaptiveThreshold, DetectorConfig, FixedThreshold, Spans
+from .detect import AdaptiveThreshold, DetectorConfig, FixedThreshold, Spans, default_spans
 from .errors import ConfigError, DegenerateInputError
 from .ica import IcaConfig
 from .signal_model import (
@@ -94,10 +94,15 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
     meta = sidecar_path(path)
     if meta.exists():
         meta_obj = json.loads(meta.read_text())
-        fs = float(meta_obj["sample_rate_hz"])
+        try:
+            fs = float(meta_obj["sample_rate_hz"])
+        except (KeyError, TypeError) as exc:
+            raise DegenerateInputError(f"{meta} has no numeric sample_rate_hz") from exc
         labels = fault_from_dict(meta_obj.get("fault"))
     else:
         t = data[:, 0]
+        if not t[-1] > t[0]:
+            raise DegenerateInputError(f"{path} time column does not increase")
         fs = (len(t) - 1) / (t[-1] - t[0])
     return ThreePhaseRecord(sample_rate_hz=fs, samples=data[:, 1:].T, labels=labels)
 
@@ -136,20 +141,6 @@ def write_spectrogram_csv(path: Path, spectrogram) -> None:
         for f, m in zip(freqs, frame):
             lines.append(f"{FLOAT_FMT.format(t)},{FLOAT_FMT.format(f)},{FLOAT_FMT.format(m)}")
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_ica_model_json(path: Path, model, whitening) -> None:
-    """Model dump: mean, projection, unmixing (row-major), contrast, seed, flag."""
-    payload = {
-        "mean": whitening.mean.tolist(),
-        "projection": whitening.projection.tolist(),
-        "unmixing": model.unmixing.tolist(),
-        "contrast": model.contrast,
-        "seed": model.seed,
-        "converged": bool(model.converged),
-        "iterations_used": int(model.iterations_used),
-    }
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
 
 
 def fault_to_dict(fault: FaultSpec | None) -> dict | None:
@@ -298,11 +289,11 @@ def parse_run_config(obj: dict) -> RunConfig:
     n = waveform.n_samples
     spans_obj = dict(obj.get("spans", {}))
     _check_keys(spans_obj, {"prefault", "calibration", "analysis"}, "spans")
-    head = max(2, int(0.3 * n))
+    default = default_spans(n)
     spans = Spans(
-        prefault=tuple(spans_obj.get("prefault", (0, head))),
-        calibration=tuple(spans_obj.get("calibration", (0, head))),
-        analysis=tuple(spans_obj.get("analysis", (0, n))),
+        prefault=tuple(spans_obj.get("prefault", default.prefault)),
+        calibration=tuple(spans_obj.get("calibration", default.calibration)),
+        analysis=tuple(spans_obj.get("analysis", default.analysis)),
     )
     for name, (lo, hi) in (("prefault", spans.prefault),
                            ("calibration", spans.calibration),

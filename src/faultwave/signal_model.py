@@ -160,6 +160,11 @@ class NoiseSpec:
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
 
 
+def _check_rate(sample_rate_hz: float) -> None:
+    if not 0.0 < sample_rate_hz < np.inf:
+        raise ConfigError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A single sampled channel."""
@@ -171,6 +176,7 @@ class Trace:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ConfigError("trace samples must be one-dimensional")
+        _check_rate(self.sample_rate_hz)
 
     @property
     def n_samples(self) -> int:
@@ -201,6 +207,7 @@ class ThreePhaseRecord:
             raise ConfigError("record must contain at least 2 samples per phase")
         if not np.all(np.isfinite(samples)):
             raise ConfigError("record samples must be finite")
+        _check_rate(self.sample_rate_hz)
 
     @property
     def n_samples(self) -> int:

@@ -7,7 +7,7 @@ for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class Spectrogram:
     frame_times_s: np.ndarray
     bin_hz: float
     sample_rate_hz: float
-    window_fn: str = field(default="hann")
 
     @property
     def n_frames(self) -> int:

@@ -12,9 +12,12 @@ import subprocess
 import sys
 import time
 from math import sqrt
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import faultwave
 from faultwave import (
     DetectorConfig,
     FaultSpec,
@@ -265,9 +268,12 @@ def test_criterion_8_cli_end_to_end(tmp_path):
     plots = tmp_path / "plots"
 
     def run(*args):
+        # run from the directory holding the imported package, so the child
+        # runs the same faultwave whether or not it is installed
         return subprocess.run(
             [sys.executable, "-m", "faultwave", *args],
             capture_output=True, text=True, timeout=120,
+            cwd=Path(faultwave.__file__).parents[1],
         )
 
     generate = run("generate", "--config", str(cfg), "--out", str(trace))

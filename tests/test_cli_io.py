@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from faultwave import FaultType
+from faultwave import FaultType, calibrate_threshold, detail_series, dwt_decompose, select_channel
+from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
 from faultwave.errors import ConfigError
 from faultwave.io import (
@@ -95,25 +96,6 @@ class TestTransformDumps:
         sg_lines = (tmp_path / "sg.csv").read_text().strip().splitlines()
         assert sg_lines[0] == "frame_time_s,bin_hz,magnitude"
         assert len(sg_lines) == 1 + gram.n_frames * gram.frames.shape[1]
-
-    def test_ica_model_dump_fields(self, tmp_path):
-        from faultwave import fit_ica
-        from faultwave.io import write_ica_model_json
-
-        model, whitening = fit_ica(make_record("AG", snr_db=20.0).samples, seed=9)
-        path = tmp_path / "model.json"
-        write_ica_model_json(path, model, whitening)
-        obj = json.loads(path.read_text())
-        assert set(obj) == {
-            "mean", "projection", "unmixing", "contrast", "seed",
-            "converged", "iterations_used",
-        }
-        assert obj["seed"] == 9
-        assert obj["contrast"] == "tanh"
-        assert isinstance(obj["converged"], bool)
-        # noisy three-phase data is full rank: 3 whitened components
-        assert np.asarray(obj["unmixing"]).shape == (3, 3)
-        assert np.asarray(obj["projection"]).shape == (3, 3)
 
 
 class TestRunConfig:
@@ -224,6 +206,43 @@ class TestCmdDetect:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["detected"] is True
         assert out.with_suffix(".csv").read_text().splitlines()[0] == "t,pi"
+
+    def test_wavelet_applies_configured_spans(self, runner, tmp_path):
+        # calibrate after the fault, scan only before it: the 20 dB AG
+        # record is then quiet, which it is not under the default spans
+        config = dict(AG_CONFIG, spans={"calibration": [150, 400], "analysis": [0, 100]})
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        series = detail_series(dwt_decompose(select_channel(read_record_csv(trace), "a"), 1), 1)
+        valid = ~boundary_artifact_mask(400, 1)
+        expected = calibrate_threshold(series.samples[150:400][valid[150:400]])
+        assert report["detected"] is False
+        assert report["threshold"] == expected
+
+    @pytest.mark.parametrize(
+        "sidecar, time_column",
+        [({"fault": None}, None), ([], None), ({"sample_rate_hz": 0}, None),
+         ({"sample_rate_hz": -2000.0}, None), (None, "constant")],
+        ids=["no_rate_key", "not_an_object", "zero_rate", "negative_rate", "constant_time"],
+    )
+    def test_bad_sample_rate_exits_2(self, runner, tmp_path, sidecar, time_column):
+        trace, cfg = self.make_trace(runner, tmp_path)
+        if sidecar is None:
+            sidecar_path(trace).unlink()
+        else:
+            write_json(sidecar_path(trace), sidecar)
+        if time_column == "constant":
+            lines = trace.read_text().splitlines()
+            trace.write_text("\n".join([lines[0]] + ["0" + l[l.index(","):] for l in lines[1:]]))
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "faultwave: error:" in result.output
 
     def test_missing_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultwave import (
     ConfigError,
@@ -22,7 +23,7 @@ from faultwave import (
     select_channel,
     wavelet_detect,
 )
-from faultwave.detect import ENERGY_METHODS, REFERENCE_ENERGY_CONTENT
+from faultwave.detect import ENERGY_METHODS
 from conftest import FAULT_ONSET_SAMPLE, make_record
 
 SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
@@ -31,20 +32,36 @@ SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
 class TestCalibrateThreshold:
     def test_constant_series_returns_the_constant(self):
         series = np.full(100, 4.2)
-        assert calibrate_threshold(series, (0, 100), 5.0) == pytest.approx(4.2)
+        assert calibrate_threshold(series[0:100], 5.0) == pytest.approx(4.2)
 
     def test_standard_normal_lands_near_k(self):
         series = np.random.default_rng(0).standard_normal(10000)
-        threshold = calibrate_threshold(series, (0, 10000), 5.0)
+        threshold = calibrate_threshold(series[0:10000], 5.0)
         assert 4.8 <= threshold <= 5.2
 
     def test_zero_k_returns_mean(self):
         series = np.arange(10.0)
-        assert calibrate_threshold(series, (0, 10), 0.0) == pytest.approx(series.mean())
+        assert calibrate_threshold(series[0:10], 0.0) == pytest.approx(series.mean())
 
     def test_empty_span_rejected(self):
         with pytest.raises(DegenerateInputError):
-            calibrate_threshold(np.ones(10), (5, 5), 5.0)
+            calibrate_threshold(np.ones(10)[5:5], 5.0)
+
+    # values [1, 3]: mean 2, std 1
+    @pytest.mark.parametrize(
+        "k_sigma, bias, mean_multiple, floor, expected",
+        [
+            (5.0, 1.0, 2.5, 1.0, 7.0),    # k-sigma bound: 2 + 5 * 1
+            (1.0, 1.0, 2.5, 1.0, 5.0),    # mean multiple: 2.5 * 2
+            (1.0, 1.0, 2.5, 100.0, 100.0),  # absolute floor
+            (5.0, 2.0, 2.5, 1.0, 14.0),   # bias scales the k-sigma bound
+            (1.0, 2.0, 2.5, 1.0, 10.0),   # ... and the mean multiple
+            (1.0, 2.0, 2.5, 100.0, 100.0),  # ... but not the floor
+        ],
+    )
+    def test_each_bound_can_win(self, k_sigma, bias, mean_multiple, floor, expected):
+        values = np.array([1.0, 3.0])
+        assert calibrate_threshold(values, k_sigma, bias, mean_multiple, floor) == expected
 
 
 class TestWaveletDetect:
@@ -171,7 +188,6 @@ class TestEnergyTable:
     def test_empty_scenario_list(self):
         table = energy_table([])
         assert table.rows == []
-        assert table.to_csv().strip() == table.CSV_HEADER
 
     def test_failing_scenario_becomes_error_row(self):
         scenarios = self.scenarios()[:2] + [
@@ -181,17 +197,26 @@ class TestEnergyTable:
         assert table.rows[2].error is not None
         assert table.rows[0].error is None and table.rows[1].error is None
 
-    def test_reference_values_are_ordering_metadata(self):
-        # transcription sanity: six rows, each ordered FT < STFT < WT
-        assert set(REFERENCE_ENERGY_CONTENT) == set(self.FAULT_NAMES)
-        for ft, stft_, wt in REFERENCE_ENERGY_CONTENT.values():
-            assert ft < stft_ < wt
 
-    def test_csv_layout(self):
-        table = energy_table(self.scenarios()[:1])
-        lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt"
-        assert lines[1].startswith("AG,")
+class TestAmplitudeScaling:
+    """Scaling a trace by c = 2**k (exact in floating point) keeps every
+    decision and scales the threshold by c (wavelet) or c**2 (energy)."""
+
+    DETECTORS = [(wavelet_detect, 1)] + [
+        (lambda trace, m=m: energy_detect(trace, m), 2) for m in ENERGY_METHODS
+    ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-10, 10), seed=st.integers(0, 2**16),
+           fault=st.sampled_from(["AG", "AB", "NONE"]))
+    def test_decision_invariant_threshold_covariant(self, k, seed, fault):
+        c = 2.0**k
+        trace = select_channel(make_record(fault, snr_db=20.0, seed=seed), "a")
+        scaled = Trace(c * trace.samples, trace.sample_rate_hz)
+        for detect, power in self.DETECTORS:
+            base, big = detect(trace), detect(scaled)
+            assert (big.detected, big.onset_sample) == (base.detected, base.onset_sample)
+            assert big.threshold_used == pytest.approx(c**power * base.threshold_used, rel=1e-12)
 
 
 class TestNoFaultSpecificity:

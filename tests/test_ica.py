@@ -254,13 +254,6 @@ class TestUnmix:
         with pytest.raises(ShapeError):
             unmix(model, whitening, np.zeros((3, 10)))
 
-    def test_mixing_estimate_is_pseudo_inverse(self):
-        mixed = random_mixing(61) @ two_sources()
-        model, _ = fit_ica(mixed, seed=7)
-        np.testing.assert_allclose(
-            model.mixing_estimate, np.linalg.pinv(model.composite_unmixing), atol=1e-12
-        )
-
 
 class TestNegentropyProxy:
     def test_gaussian_logcosh_constant_matches_quadrature(self):
