@@ -7,7 +7,6 @@ failed while running a detector.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from . import __version__, dwt, spectral
 from .detect import (
     DetectionReport,
     EnergyRow,
-    energy_table,
+    energy_row,
     ica_detect,
     wavelet_detect,
     energy_detect,
@@ -28,6 +27,7 @@ from .io import (
     RunConfig,
     atomic_write_text,
     build_record,
+    check_spans,
     fault_to_dict,
     load_run_config,
     load_suite,
@@ -96,9 +96,7 @@ def cmd_generate(config_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Report JSON path.")
 def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
     """Run the configured detector; write a report JSON and an index CSV."""
-    config = _load_config(config_path)
-    record = _read_record(in_path)
-    report = _run_or_fail(record, config)
+    config, record, report = _load_and_run(in_path, config_path)
 
     out = Path(out_path)
     payload = report.to_json_dict(config=config.to_dict(), scenario=_scenario_info(record))
@@ -125,11 +123,8 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
     for name, merged in scenarios:
         try:
             config = parse_run_config(merged)
-            table = energy_table(
-                [config.fault], cfg=config.detector, waveform=config.waveform,
-                noise=config.noise, spans=config.spans,
-            )
-            rows.append(dataclasses.replace(table.rows[0], scenario_name=name))
+            rows.append(energy_row(name, build_record(config), config.detector, config.spans,
+                                   config.waveform.fundamental_hz))
         except FaultwaveError as exc:
             rows.append(EnergyRow.failed(name, exc))
 
@@ -173,9 +168,7 @@ def _echo_table(rows: list[EnergyRow]) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
 def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
     """Emit paired CSVs (voltage vs. time, detector index vs. time)."""
-    config = _load_config(config_path)
-    record = _read_record(in_path)
-    report = _run_or_fail(record, config)
+    config, record, report = _load_and_run(in_path, config_path)
 
     out = Path(out_dir)
     write_record_csv(out / "voltage.csv", record)
@@ -202,18 +195,23 @@ def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfi
     return ""
 
 
-def _read_record(in_path: str) -> ThreePhaseRecord:
+def _load_and_run(
+    in_path: str, config_path: str
+) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
+    """Load config and trace, check the config's spans fit the trace, run the detector."""
+    config = _load_config(config_path)
     try:
-        return read_record_csv(Path(in_path))
+        record = read_record_csv(Path(in_path))
     except (FileNotFoundError, OSError) as exc:
         _fail(f"cannot read trace: {exc}", 2)
     except (DegenerateInputError, ConfigError, ValueError) as exc:
         _fail(f"invalid trace file {in_path}: {exc}", 2)
-
-
-def _run_or_fail(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport:
     try:
-        return run_detector(record, config)
+        check_spans(config, record.n_samples)
+    except ConfigError as exc:
+        _fail(f"{in_path}: {exc}", 2)
+    try:
+        return config, record, run_detector(record, config)
     except FaultwaveError as exc:
         _fail(f"{config.detector.method} detector failed: {exc}", 3)
 

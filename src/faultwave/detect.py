@@ -17,6 +17,7 @@ clearing is deliberately not claimed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -75,10 +76,12 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.level < 1:
-            raise ConfigError(f"level must be >= 1, got {self.level}")
-        if self.min_consecutive < 1:
-            raise ConfigError(f"min_consecutive must be >= 1, got {self.min_consecutive}")
+        for name in ("level", "min_consecutive"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.cutoff_hz, Real) or not np.isfinite(self.cutoff_hz):
+            raise ConfigError(f"cutoff_hz must be a finite number, got {self.cutoff_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -331,37 +334,29 @@ def _energy_window_series(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-window index series for one method: (starts, values, window_len).
 
-    FT and wavelet indices are evaluated over one-cycle windows sliding by a
-    quarter cycle; the STFT index is evaluated per frame. Wavelet windows
-    exclude boundary-wrapped coefficients (see ``wavelet_energy_index``).
+    FT and wavelet windows span one cycle and slide by a quarter cycle; STFT
+    windows are its Hann frames. The trace is transformed once: one framed
+    FFT (:func:`spectral.frame_magnitudes`, which ``stft`` wraps), or one
+    decomposition without boundary-wrapped coefficients.
     """
     fs = trace.sample_rate_hz
     if method == "energy_stft":
-        if cfg.cutoff_hz >= fs / 2.0:
-            raise ConfigError(f"cutoff {cfg.cutoff_hz} Hz is at or above the Nyquist frequency")
-        gram = spectral.stft(trace, window_len=STFT_WINDOW, hop=STFT_HOP)
-        bins = gram.frequencies() >= cfg.cutoff_hz
-        values = np.sum(gram.frames[:, bins] ** 2, axis=1) / gram.window_len
-        return gram.frame_starts(), values, gram.window_len
-
-    window = max(2, int(round(fs / fundamental_hz)))
-    hop = max(1, window // 4)
-    starts = np.arange(0, trace.n_samples - window + 1, hop)
-    if method == "energy_ft":
-        values = np.array([
-            spectral.highband_energy_index(
-                spectral.dft(Trace(trace.samples[s : s + window], fs)),
-                cfg.cutoff_hz,
-                (s, s + window),
-            )
-            for s in starts
-        ])
+        window, hop = STFT_WINDOW, STFT_HOP
     else:
-        values = np.array([
-            dwt.wavelet_energy_index(trace, cfg.level, (s, s + window), include_boundary=False)
-            for s in starts
-        ])
-    return starts, values, window
+        window = max(2, int(round(fs / fundamental_hz)))
+        hop = max(1, window // 4)
+    starts = np.arange(0, trace.n_samples - window + 1, hop)
+    if method == "energy_wt":
+        tree = dwt.dwt_decompose(trace, cfg.level)
+        return starts, dwt.window_energies(tree, cfg.level, starts, window, False), window
+    if cfg.cutoff_hz >= fs / 2.0:
+        raise ConfigError(f"cutoff {cfg.cutoff_hz} Hz is at or above the Nyquist frequency")
+    if method == "energy_stft":
+        frames = spectral.stft(trace, window, hop).frames
+    else:
+        frames = spectral.frame_magnitudes(trace.samples, window, hop, np.ones(window))
+    bins = np.arange(frames.shape[1]) * (fs / window) >= cfg.cutoff_hz
+    return starts, np.sum(frames[:, bins] ** 2, axis=1) / window, window
 
 
 def energy_detect(
@@ -377,9 +372,10 @@ def energy_detect(
     cycle for FT/wavelet, one frame for STFT) so the calibration and analysis
     statistics are exchangeable; whole-span transforms would instead be
     dominated by span-edge leakage whenever the span does not hold an integer
-    number of cycles. The reported analysis index is the largest window value
-    inside the analysis span, and the onset is the start of the first window
-    above threshold (``min_consecutive`` does not apply). The threshold is
+    number of cycles. The trace is transformed once for all windows. The
+    reported analysis index is the largest window value inside the analysis
+    span, and the onset is the start of the first window above threshold
+    (``min_consecutive`` does not apply). The threshold is
     mean + k_sigma * stddev over the calibration windows, floored at
     :data:`ENERGY_FLOOR_FACTOR` times their mean and at
     :data:`ENERGY_DETECTION_FLOOR` times the trace mean square.
@@ -397,6 +393,28 @@ def energy_detect(
                    rule=(1.0, ENERGY_FLOOR_FACTOR, floor), min_consecutive=1)
 
 
+def energy_row(
+    name: str,
+    record: ThreePhaseRecord,
+    cfg: DetectorConfig = DetectorConfig(method="energy_wt"),
+    spans: Spans | None = None,
+    fundamental_hz: float = 50.0,
+) -> EnergyRow:
+    """All three energy indices of one record.
+
+    Every phase channel is analyzed and the row reports the largest index
+    per method (detected if any phase crosses its threshold), since
+    single-phase faults leave the other channels untouched.
+    """
+    peaks, hits = [], []
+    for method in ENERGY_METHODS:
+        reports = [energy_detect(select_channel(record, phase), method, cfg, spans, fundamental_hz)
+                   for phase in "abc"]
+        peaks.append(max(report.metadata["analysis_index"] for report in reports))
+        hits.append(any(report.detected for report in reports))
+    return EnergyRow(name, *peaks, *hits)
+
+
 def energy_table(
     scenarios: list[FaultSpec],
     cfg: DetectorConfig = DetectorConfig(method="energy_wt"),
@@ -404,12 +422,9 @@ def energy_table(
     noise: NoiseSpec | None = None,
     spans: Spans | None = None,
 ) -> EnergyTable:
-    """One row per fault scenario with all three indices and detection flags.
+    """One :func:`energy_row` per fault scenario synthesized from ``waveform``.
 
-    Each scenario is synthesized from ``waveform``; every phase channel is
-    analyzed and the row reports the largest index per method (detected if
-    any phase crosses its threshold), since single-phase faults leave the
-    other channels untouched.
+    A scenario that fails becomes an :meth:`EnergyRow.failed` row.
     """
     rows = []
     for fault in scenarios:
@@ -418,31 +433,7 @@ def energy_table(
             record = inject_fault(generate_baseline(waveform), fault)
             if noise is not None:
                 record = add_noise(record, noise)
-            indices = {}
-            flags = {}
-            for method in ENERGY_METHODS:
-                best = -np.inf
-                hit = False
-                for phase in "abc":
-                    report = energy_detect(
-                        select_channel(record, phase), method, cfg, spans,
-                        fundamental_hz=waveform.fundamental_hz,
-                    )
-                    best = max(best, report.metadata["analysis_index"])
-                    hit = hit or report.detected
-                indices[method] = best
-                flags[method] = hit
-            rows.append(
-                EnergyRow(
-                    scenario_name=name,
-                    e_ft=indices["energy_ft"],
-                    e_stft=indices["energy_stft"],
-                    e_wt=indices["energy_wt"],
-                    detected_ft=flags["energy_ft"],
-                    detected_stft=flags["energy_stft"],
-                    detected_wt=flags["energy_wt"],
-                )
-            )
+            rows.append(energy_row(name, record, cfg, spans, waveform.fundamental_hz))
         except FaultwaveError as exc:  # per-scenario isolation; errors become rows
             rows.append(EnergyRow.failed(name, exc))
     return EnergyTable(rows=rows)

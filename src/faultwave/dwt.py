@@ -210,17 +210,29 @@ def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     return mask
 
 
+def window_energies(
+    tree: DecompositionTree, level: int, starts: np.ndarray, width: int,
+    include_boundary: bool = True,
+) -> np.ndarray:
+    """Mean squared level-``level`` detail energy over windows ``[s, s + width)``.
+
+    Sums d_level(k)**2 over the contiguous run of k whose support [2**level * k,
+    2**level * k + support) intersects the window, divided by ``width``.
+    ``include_boundary=False`` drops coefficients whose support runs past the
+    record end; they mix the wrapped record start into the tail.
+    """
+    d2 = tree.details[level - 1] ** 2
+    step, sup, n = 1 << level, _support_length(level), tree.original_length
+    last = d2.shape[0] if include_boundary else (n - sup) // step + 1
+    firsts = np.maximum((starts - sup) // step + 1, 0)
+    stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
+    return np.array([d2[a:b].sum() for a, b in zip(firsts, stops)]) / width
+
+
 def wavelet_energy_index(
     trace: Trace, level: int, span: tuple[int, int], include_boundary: bool = True
 ) -> float:
-    """Mean squared detail energy attributable to a sample span.
-
-    Sums d_level(k)**2 over coefficients whose support [2**level * k,
-    2**level * k + support) intersects ``span = (start, stop)`` (half-open)
-    and divides by the span length. ``include_boundary=False`` drops
-    coefficients whose support runs past the record end; their values mix the
-    wrapped start of the record into the tail and are artifacts on
-    non-periodic data.
+    """:func:`window_energies` of one half-open ``span = (start, stop)`` of ``trace``.
 
     Raises:
         DegenerateInputError: empty span.
@@ -230,13 +242,5 @@ def wavelet_energy_index(
     n = trace.n_samples
     if not 0 <= lo < hi <= n:
         raise DegenerateInputError(f"span {span} is empty or outside the trace (N={n})")
-
     tree = dwt_decompose(trace, level)
-    detail = tree.details[level - 1]
-    step = 1 << level
-    sup = _support_length(level)
-    starts = np.arange(detail.shape[0]) * step
-    hits = (starts < hi) & (starts + sup > lo)
-    if not include_boundary:
-        hits &= starts + sup <= n
-    return float(np.sum(detail[hits] ** 2) / (hi - lo))
+    return float(window_energies(tree, level, np.array([lo]), hi - lo, include_boundary)[0])

@@ -154,13 +154,13 @@ def fault_to_dict(fault: FaultSpec | None) -> dict | None:
 def fault_from_dict(obj: dict | None) -> FaultSpec | None:
     if obj is None:
         return None
-    kwargs = dict(obj)
-    _check_keys(kwargs, {f.name for f in dataclasses.fields(FaultSpec)}, "fault")
+    kwargs = _object(obj, "fault")
     try:
         kwargs["fault_type"] = FaultType(kwargs.get("fault_type", "NONE"))
     except ValueError as exc:
         raise ConfigError(f"invalid fault_type {kwargs.get('fault_type')!r}") from exc
-    return FaultSpec(**kwargs)
+    return _build_section(kwargs, {f.name for f in dataclasses.fields(FaultSpec)}, "fault",
+                          FaultSpec)
 
 
 @dataclass
@@ -206,25 +206,19 @@ class RunConfig:
 _SECTION_KEYS = {"waveform", "fault", "noise", "detector", "ica", "spans", "channel"}
 
 
-def _parse_threshold(det_obj: dict) -> FixedThreshold | AdaptiveThreshold:
-    """Accept a bare number, {"fixed": v}, or adaptive keys (also inline)."""
-    threshold = det_obj.get("threshold")
-    if isinstance(threshold, (int, float)):
-        return FixedThreshold(float(threshold))
+def _detector_config(threshold=None, k_sigma=5.0, calibration_span=None, **knobs) -> DetectorConfig:
+    """Accept a bare number, {"fixed": v}, or adaptive keys (also inline) as the threshold."""
     if isinstance(threshold, dict):
         _check_keys(threshold, {"fixed", "k_sigma", "calibration_span"}, "detector.threshold")
-        if "fixed" in threshold:
-            return FixedThreshold(float(threshold["fixed"]))
-        span = threshold.get("calibration_span")
-        return AdaptiveThreshold(
-            k_sigma=threshold.get("k_sigma", 5.0),
-            calibration_span=tuple(span) if span is not None else None,
-        )
-    span = det_obj.get("calibration_span")
-    return AdaptiveThreshold(
-        k_sigma=det_obj.get("k_sigma", 5.0),
-        calibration_span=tuple(span) if span is not None else None,
-    )
+        k_sigma = threshold.get("k_sigma", 5.0)
+        calibration_span = threshold.get("calibration_span")
+        threshold = threshold.get("fixed")
+    if threshold is not None:
+        policy = FixedThreshold(float(threshold))
+    else:
+        span = None if calibration_span is None else _span(calibration_span, "calibration_span")
+        policy = AdaptiveThreshold(k_sigma=k_sigma, calibration_span=span)
+    return DetectorConfig(threshold_policy=policy, **knobs)
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -233,12 +227,45 @@ def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {context}")
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _span(value, name: str) -> tuple[int, int]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"span {name} must be two integers, got {value!r}")
+    return tuple(value)
+
+
 def _build_section(obj: dict, allowed: set[str], context: str, builder, **extra):
     _check_keys(obj, allowed, context)
     try:
         return builder(**obj, **extra)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context} section: {exc}") from exc
+
+
+def check_spans(config: RunConfig, n_samples: int) -> None:
+    """Require every span of ``config`` to lie inside a record of ``n_samples``.
+
+    Covers the three ``config.spans`` and an adaptive threshold's calibration
+    span override.
+
+    Raises:
+        ConfigError: naming the first span that does not fit.
+    """
+    spans = dataclasses.asdict(config.spans)
+    policy = config.detector.threshold_policy
+    if isinstance(policy, AdaptiveThreshold) and policy.calibration_span is not None:
+        spans["calibration_span"] = policy.calibration_span
+    for name, (lo, hi) in spans.items():
+        if not 0 <= lo < hi <= n_samples:
+            raise ConfigError(f"span {name}=({lo}, {hi}) lies outside the record (N={n_samples})")
 
 
 def parse_run_config(obj: dict) -> RunConfig:
@@ -248,11 +275,10 @@ def parse_run_config(obj: dict) -> RunConfig:
         ConfigError: unknown keys or invalid values (the message names the
             offending key).
     """
-    if not isinstance(obj, dict):
-        raise ConfigError("run config must be a JSON object")
+    obj = _object(obj, "run config")
     _check_keys(obj, _SECTION_KEYS, "run config")
 
-    waveform_obj = dict(obj.get("waveform", {}))
+    waveform_obj = _object(obj.get("waveform", {}), "waveform")
     waveform_obj.setdefault("duration_s", 0.2)
     if "phase_offsets_rad" in waveform_obj:
         waveform_obj["phase_offsets_rad"] = tuple(waveform_obj["phase_offsets_rad"])
@@ -264,21 +290,17 @@ def parse_run_config(obj: dict) -> RunConfig:
 
     fault = fault_from_dict(obj.get("fault")) or FaultSpec.none()
 
-    noise = _build_section(dict(obj.get("noise", {})), {"snr_db", "seed"}, "noise", NoiseSpec)
+    noise = _build_section(_object(obj.get("noise", {}), "noise"), {"snr_db", "seed"},
+                           "noise", NoiseSpec)
 
-    det_obj = dict(obj.get("detector", {}))
-    _check_keys(det_obj, {"method", "threshold", "k_sigma", "calibration_span",
-                          "level", "cutoff_hz", "min_consecutive"}, "detector")
-    policy = _parse_threshold(det_obj)
-    detector = DetectorConfig(
-        method=det_obj.get("method", "wavelet"),
-        threshold_policy=policy,
-        level=det_obj.get("level", 1),
-        cutoff_hz=det_obj.get("cutoff_hz", 150.0),
-        min_consecutive=det_obj.get("min_consecutive", 3),
+    detector = _build_section(
+        _object(obj.get("detector", {}), "detector"),
+        {"method", "threshold", "k_sigma", "calibration_span",
+         "level", "cutoff_hz", "min_consecutive"},
+        "detector", _detector_config,
     )
 
-    ica_obj = dict(obj.get("ica", {}))
+    ica_obj = _object(obj.get("ica", {}), "ica")
     ica_obj.setdefault("fundamental_hz", waveform.fundamental_hz)
     ica = _build_section(
         ica_obj,
@@ -286,27 +308,20 @@ def parse_run_config(obj: dict) -> RunConfig:
         "ica", IcaConfig,
     )
 
-    n = waveform.n_samples
-    spans_obj = dict(obj.get("spans", {}))
-    _check_keys(spans_obj, {"prefault", "calibration", "analysis"}, "spans")
-    default = default_spans(n)
-    spans = Spans(
-        prefault=tuple(spans_obj.get("prefault", default.prefault)),
-        calibration=tuple(spans_obj.get("calibration", default.calibration)),
-        analysis=tuple(spans_obj.get("analysis", default.analysis)),
-    )
-    for name, (lo, hi) in (("prefault", spans.prefault),
-                           ("calibration", spans.calibration),
-                           ("analysis", spans.analysis)):
-        if not (0 <= lo < hi <= n):
-            raise ConfigError(f"span {name}=({lo}, {hi}) lies outside the record (N={n})")
+    spans_obj = _object(obj.get("spans", {}), "spans")
+    default = dataclasses.asdict(default_spans(waveform.n_samples))
+    _check_keys(spans_obj, set(default), "spans")
+    spans = Spans(**{name: _span(spans_obj.get(name, span), name)
+                     for name, span in default.items()})
 
     channel = obj.get("channel", "a")
     if channel not in ("a", "b", "c"):
         raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
 
-    return RunConfig(waveform=waveform, fault=fault, noise=noise,
-                     detector=detector, ica=ica, spans=spans, channel=channel)
+    config = RunConfig(waveform=waveform, fault=fault, noise=noise,
+                       detector=detector, ica=ica, spans=spans, channel=channel)
+    check_spans(config, waveform.n_samples)
+    return config
 
 
 def load_run_config(path: Path) -> RunConfig:

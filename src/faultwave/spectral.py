@@ -76,6 +76,20 @@ def dft(trace: Trace) -> Spectrum:
     )
 
 
+def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int, taper: np.ndarray) -> np.ndarray:
+    """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len).
+
+    Raises:
+        ShapeError: window outside 2..len(samples), or hop < 1.
+    """
+    n = samples.shape[0]
+    if not 2 <= window_len <= n or hop < 1:
+        raise ShapeError(f"need 2 <= window_len <= {n} and hop >= 1, got {window_len}, {hop}")
+    starts = np.arange((n - window_len) // hop + 1) * hop
+    segments = samples[starts[:, None] + np.arange(window_len)[None, :]]
+    return np.abs(np.fft.rfft(segments * taper, axis=1)) / np.sqrt(window_len)
+
+
 def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     """Short-time Fourier transform with a Hann window.
 
@@ -83,21 +97,10 @@ def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     Defaults (64 samples, hop 16) resolve a 10 ms-scale burst at 2 kHz.
 
     Raises:
-        ShapeError: window longer than the trace, or hop < 1.
+        ShapeError: see :func:`frame_magnitudes`.
     """
-    n = trace.n_samples
-    if window_len > n:
-        raise ShapeError(f"window_len {window_len} exceeds trace length {n}")
-    if window_len < 2:
-        raise ShapeError(f"window_len must be >= 2, got {window_len}")
-    if hop < 1:
-        raise ShapeError(f"hop must be >= 1, got {hop}")
-
-    window = np.hanning(window_len)
-    n_frames = (n - window_len) // hop + 1
-    starts = np.arange(n_frames) * hop
-    segments = trace.samples[starts[:, None] + np.arange(window_len)[None, :]]
-    frames = np.abs(np.fft.rfft(segments * window, axis=1)) / np.sqrt(window_len)
+    frames = frame_magnitudes(trace.samples, window_len, hop, np.hanning(window_len))
+    starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(
         window_len=window_len,
         hop=hop,

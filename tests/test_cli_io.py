@@ -118,6 +118,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="analysis"):
             parse_run_config({"spans": {"analysis": [0, 900]}})
 
+    def test_calibration_span_override_outside_record_rejected(self):
+        with pytest.raises(ConfigError, match="calibration_span"):
+            parse_run_config({"detector": {"calibration_span": [0, 900]}})
+
     def test_provenance_dict_round_trips(self):
         config = parse_run_config(AG_CONFIG)
         resolved = config.to_dict()
@@ -243,6 +247,45 @@ class TestCmdDetect:
         )
         assert result.exit_code == 2, result.output
         assert "faultwave: error:" in result.output
+
+    @pytest.mark.parametrize(
+        "sidecar, config",
+        [
+            ({"sample_rate_hz": 2000, "fault": 5}, AG_CONFIG),
+            (None, {"fault": 5}),
+            (None, {"spans": {"calibration": [0]}}),
+            (None, {"spans": {"calibration": ["a", 5]}}),
+            (None, {"detector": {"level": "x"}}),
+            (None, {"detector": {"min_consecutive": 2.5}}),
+            (None, {"detector": {"method": "energy_ft", "cutoff_hz": "x"}}),
+            (None, {"detector": {"threshold": "x"}}),
+            (None, {"detector": 5}),
+        ],
+        ids=["sidecar_fault_not_object", "config_fault_not_object", "span_one_value",
+             "span_not_integers", "level_not_integer", "min_consecutive_not_integer",
+             "cutoff_not_number", "threshold_not_number", "detector_not_object"],
+    )
+    def test_malformed_input_exits_2(self, runner, tmp_path, sidecar, config):
+        trace, _ = self.make_trace(runner, tmp_path)
+        if sidecar is not None:
+            write_json(sidecar_path(trace), sidecar)
+        cfg = write_json(tmp_path / "detect.json", config)
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "faultwave: error:" in result.output
+
+    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
+    def test_span_beyond_loaded_record_exits_2(self, runner, tmp_path, command, out):
+        trace, _ = self.make_trace(runner, tmp_path)  # 400 samples
+        cfg = write_json(tmp_path / "long.json", dict(AG_CONFIG, waveform={"duration_s": 2.0}))
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "(0, 1200)" in result.output and "N=400" in result.output
 
     def test_missing_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)

@@ -12,19 +12,27 @@ from faultwave import (
     DetectorConfig,
     FaultSpec,
     FaultType,
+    FaultwaveError,
     FixedThreshold,
     IcaConfig,
     Spans,
     Trace,
+    WaveformConfig,
     calibrate_threshold,
+    dft,
     energy_detect,
     energy_table,
+    generate_baseline,
+    highband_energy_index,
     ica_detect,
+    inject_fault,
     select_channel,
+    stft,
     wavelet_detect,
+    wavelet_energy_index,
 )
-from faultwave.detect import ENERGY_METHODS
-from conftest import FAULT_ONSET_SAMPLE, make_record
+from faultwave.detect import ENERGY_METHODS, STFT_HOP, STFT_WINDOW, energy_row
+from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
 
 SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
 
@@ -169,6 +177,63 @@ class TestEnergyDetect:
             energy_detect(Trace(np.zeros(400), 2000.0), "energy_cwt")
 
 
+class TestEnergyWindowSeries:
+    """Each trace is transformed once; the window values equal the per-span functions."""
+
+    def trace(self, n: int) -> Trace:
+        trace = select_channel(make_record("AG", snr_db=20.0, seed=5, duration_s=n / 2000.0), "a")
+        assert trace.n_samples == n
+        return trace
+
+    @staticmethod
+    def starts(report, n: int) -> tuple[np.ndarray, int]:
+        window = report.metadata["window"]
+        starts = np.arange(0, n - window + 1, window // 4)
+        assert starts.shape == report.index_series.shape
+        return starts, window
+
+    @pytest.mark.parametrize("n", (400, 1024, 4096))
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    def test_wavelet_windows_equal_span_index_bitwise(self, n, level):
+        trace = self.trace(n)
+        report = energy_detect(trace, "energy_wt", DetectorConfig(method="energy_wt", level=level))
+        starts, window = self.starts(report, n)
+        expected = [wavelet_energy_index(trace, level, (s, s + window), include_boundary=False)
+                    for s in starts]
+        np.testing.assert_array_equal(report.index_series, expected)
+
+    @pytest.mark.parametrize("n", (400, 1024, 4096))
+    def test_ft_windows_match_per_window_dft(self, n):
+        trace = self.trace(n)
+        cfg = DetectorConfig(method="energy_ft")
+        report = energy_detect(trace, "energy_ft", cfg)
+        starts, window = self.starts(report, n)
+        expected = [
+            highband_energy_index(dft(Trace(trace.samples[s : s + window], 2000.0)),
+                                  cfg.cutoff_hz, (s, s + window))
+            for s in starts
+        ]
+        np.testing.assert_allclose(report.index_series, expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n", (400, 1024, 4096))
+    def test_stft_frames_equal_hann_frame_sums_bitwise(self, n):
+        trace = self.trace(n)
+        report = energy_detect(trace, "energy_stft", DetectorConfig(method="energy_stft"))
+        segments = np.lib.stride_tricks.sliding_window_view(trace.samples, STFT_WINDOW)[::STFT_HOP]
+        frames = np.abs(np.fft.rfft(segments * np.hanning(STFT_WINDOW), axis=1)) / np.sqrt(STFT_WINDOW)
+        gram = stft(trace, STFT_WINDOW, STFT_HOP)
+        np.testing.assert_array_equal(gram.frames, frames)
+        bins = gram.frequencies() >= 150.0
+        np.testing.assert_array_equal(report.index_series,
+                                      np.sum(frames[:, bins] ** 2, axis=1) / STFT_WINDOW)
+
+    @pytest.mark.parametrize("n", (32, 39))
+    @pytest.mark.parametrize("method", ENERGY_METHODS)
+    def test_trace_shorter_than_one_cycle_rejected(self, method, n):
+        with pytest.raises(FaultwaveError):
+            energy_detect(Trace(rng_trace(n), 2000.0), method)
+
+
 class TestEnergyTable:
     FAULT_NAMES = ("AG", "BG", "CG", "AB", "BC", "ABC")
 
@@ -184,6 +249,11 @@ class TestEnergyTable:
         for row in table.rows:
             assert row.detected_ft and row.detected_stft and row.detected_wt
             assert row.e_ft >= 0 and row.e_stft >= 0 and row.e_wt >= 0
+
+    def test_rows_come_from_the_row_builder(self):
+        fault = FaultSpec(fault_type=FaultType.BC, onset_s=0.065)
+        record = inject_fault(generate_baseline(WaveformConfig(duration_s=0.2)), fault)
+        assert energy_table([fault]).rows == [energy_row("BC", record)]
 
     def test_empty_scenario_list(self):
         table = energy_table([])
