@@ -33,6 +33,7 @@ from .io import (
     load_suite,
     parse_run_config,
     read_record_csv,
+    write_energy_table_csv,
     write_record_csv,
     write_series_csv,
     write_spectrogram_csv,
@@ -101,8 +102,7 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
     out = Path(out_path)
     payload = report.to_json_dict(config=config.to_dict(), scenario=_scenario_info(record))
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-    header = _SERIES_HEADER.get(report.method, "index")
-    write_series_csv(out.with_suffix(".csv"), report.index_times_s, report.index_series, header)
+    _write_index_csv(out.with_suffix(".csv"), report)
 
     verdict = "detected" if report.detected else "no fault"
     at = f" at {report.onset_time_s:.6g} s" if report.detected else ""
@@ -128,16 +128,7 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
         except FaultwaveError as exc:
             rows.append(EnergyRow.failed(name, exc))
 
-    lines = ["scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error"]
-    for row in rows:
-        if row.error is not None:
-            lines.append(f"{row.scenario_name},,,,,,,{row.error}")
-        else:
-            lines.append(
-                f"{row.scenario_name},{row.e_ft:.12g},{row.e_stft:.12g},{row.e_wt:.12g},"
-                f"{row.detected_ft},{row.detected_stft},{row.detected_wt},"
-            )
-    atomic_write_text(Path(out_path), "\n".join(lines) + "\n")
+    write_energy_table_csv(Path(out_path), rows)
 
     _echo_table(rows)
     if rows and all(row.error is not None for row in rows):
@@ -172,10 +163,15 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
 
     out = Path(out_dir)
     write_record_csv(out / "voltage.csv", record)
-    header = _SERIES_HEADER.get(report.method, "index")
-    write_series_csv(out / "index.csv", report.index_times_s, report.index_series, header)
+    _write_index_csv(out / "index.csv", report)
     extras = _write_transform_dumps(out, record, config)
     click.echo(f"wrote voltage.csv, index.csv{extras} to {out_dir}")
+
+
+def _write_index_csv(path: Path, report: DetectionReport) -> None:
+    """The report's index series as `t,<name>` (`detail_abs`, `pi` or `index`)."""
+    header = _SERIES_HEADER.get(report.method, "index")
+    write_series_csv(path, report.index_times_s, report.index_series, header)
 
 
 def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfig) -> str:

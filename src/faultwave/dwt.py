@@ -160,6 +160,11 @@ def _support_length(level: int) -> int:
     return ((1 << level) - 1) * (FILTER_LEN - 1) + 1
 
 
+def _first_wrapped(n_samples: int, level: int) -> int:
+    """Index of the first level-``level`` coefficient whose support runs past the record end."""
+    return (n_samples - _support_length(level)) // (1 << level) + 1
+
+
 def _alignment_shift(level: int) -> int:
     """Circular shift placing each coefficient at the center of its support.
 
@@ -197,13 +202,10 @@ def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     coefficients occupy in :func:`detail_series` output so detectors can skip
     them.
     """
-    sup = _support_length(level)
     step = 1 << level
-    n_coeff = n_samples // step
-    first_wrapped = -(-(n_samples - sup + 1) // step)  # ceil division
     mask = np.zeros(n_samples, dtype=bool)
     shift = _alignment_shift(level)
-    for k in range(max(first_wrapped, 0), n_coeff):
+    for k in range(max(_first_wrapped(n_samples, level), 0), n_samples // step):
         start = (k * step + shift) % n_samples
         pos = (start + np.arange(step)) % n_samples
         mask[pos] = True
@@ -222,8 +224,8 @@ def window_energies(
     record end; they mix the wrapped record start into the tail.
     """
     d2 = tree.details[level - 1] ** 2
-    step, sup, n = 1 << level, _support_length(level), tree.original_length
-    last = d2.shape[0] if include_boundary else (n - sup) // step + 1
+    step, sup = 1 << level, _support_length(level)
+    last = d2.shape[0] if include_boundary else _first_wrapped(tree.original_length, level)
     firsts = np.maximum((starts - sup) // step + 1, 0)
     stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
     return np.array([d2[a:b].sum() for a, b in zip(firsts, stops)]) / width

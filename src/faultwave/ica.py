@@ -47,19 +47,13 @@ class WhiteningModel:
 
 @dataclass(eq=False)
 class IcaModel:
-    """Fitted unmixing model.
-
-    ``unmixing`` acts on whitened data; ``composite_unmixing`` (unmixing
-    times the whitening projection) acts on raw centered data.
-    """
+    """Fitted unmixing model; ``unmixing`` acts on whitened data (see :func:`unmix`)."""
 
     unmixing: np.ndarray
     sources: np.ndarray
     contrast: str
     iterations_used: int
     converged: bool
-    seed: int = 0
-    composite_unmixing: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -245,7 +239,6 @@ def fastica(
         contrast=contrast,
         iterations_used=iterations,
         converged=converged,
-        seed=seed,
     )
 
 
@@ -259,14 +252,12 @@ def fit_ica(
 ) -> tuple[IcaModel, WhiteningModel]:
     """Center, whiten, and unmix a raw data matrix in one step.
 
-    Returns the fitted :class:`IcaModel` with its composite unmixing filled
-    in, plus the whitening model for later reuse.
+    Returns the fitted :class:`IcaModel` plus the whitening model; :func:`unmix`
+    applies both to new data.
     """
     centered, mean = center(matrix)
     z, whitening = whiten(centered, retain=retain, mean=mean)
-    model = fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed)
-    model.composite_unmixing = model.unmixing @ whitening.projection
-    return model, whitening
+    return fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed), whitening
 
 
 def unmix(model: IcaModel, whitening: WhiteningModel, matrix: np.ndarray) -> np.ndarray:
@@ -449,11 +440,9 @@ def performance_index(
         tol=config.tol,
         seed=config.seed,
     )
-    composite = model.composite_unmixing
-    sources = model.sources
-    normal_sources = composite @ (normal_matrix - whitening.mean[:, None])
+    normal_sources = unmix(model, whitening, normal_matrix)
 
-    raw = np.sum(np.abs(normal_sources - sources) ** 2, axis=0)
+    raw = np.sum(np.abs(normal_sources - model.sources) ** 2, axis=0)
     values = _trailing_mean(raw, period)
     return PiSeries(
         values=values,

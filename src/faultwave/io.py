@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import AdaptiveThreshold, DetectorConfig, FixedThreshold, Spans, default_spans
+from .detect import (AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans,
+                     default_spans)
 from .errors import ConfigError, DegenerateInputError
 from .ica import IcaConfig
 from .signal_model import (
@@ -35,7 +36,7 @@ from .signal_model import (
     inject_fault,
 )
 
-FLOAT_FMT = "{:.12g}"
+FLOAT_FMT = "%.12g"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -56,19 +57,16 @@ def sidecar_path(csv_path: Path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
+def _write_table(path: Path, header: str, row_fmt: str, *columns) -> None:
+    """Write ``header``, then ``row_fmt % row`` for each row of ``zip(*columns)``."""
+    body = "".join(row_fmt % row + "\n" for row in zip(*columns))
+    atomic_write_text(Path(path), header + "\n" + body)
+
+
 def write_record_csv(path: Path, record: ThreePhaseRecord) -> None:
     """Write `t,va,vb,vc` CSV plus the JSON sidecar with sampling metadata."""
-    t = record.time_axis()
-    lines = ["t,va,vb,vc"]
-    for i in range(record.n_samples):
-        lines.append(
-            ",".join(
-                FLOAT_FMT.format(v)
-                for v in (t[i], record.samples[0, i], record.samples[1, i], record.samples[2, i])
-            )
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
+    _write_table(path, "t,va,vb,vc", ",".join([FLOAT_FMT] * 4),
+                 record.time_axis(), *record.samples)
     meta = {"sample_rate_hz": record.sample_rate_hz, "fault": fault_to_dict(record.labels)}
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
 
@@ -76,7 +74,8 @@ def write_record_csv(path: Path, record: ThreePhaseRecord) -> None:
 def read_record_csv(path: Path) -> ThreePhaseRecord:
     """Reconstruct a record from CSV, using the sidecar when present.
 
-    Without a sidecar the sample rate is recovered from the time column.
+    Without a sidecar the sample rate is recovered from the time column,
+    which must then be uniform: every step within 1% of the mean step.
     """
     path = Path(path)
     raw = path.read_text().strip().splitlines()
@@ -86,7 +85,9 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
     if len(body) < 2:
         raise DegenerateInputError(f"{path} holds fewer than 2 samples")
 
-    data = np.array([[float(v) for v in line.split(",")] for line in body])
+    data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    if data.shape[0] != len(body):
+        raise DegenerateInputError(f"{path} has a blank row")
     if data.shape[1] != 4:
         raise DegenerateInputError(f"{path} must have 4 columns (t,va,vb,vc)")
 
@@ -103,44 +104,52 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
         t = data[:, 0]
         if not t[-1] > t[0]:
             raise DegenerateInputError(f"{path} time column does not increase")
+        step = (t[-1] - t[0]) / (len(t) - 1)
+        if np.any(np.abs(np.diff(t) - step) > 0.01 * step):
+            raise DegenerateInputError(
+                f"{path} time column is not uniform (a row missing or repeated?)"
+            )
         fs = (len(t) - 1) / (t[-1] - t[0])
     return ThreePhaseRecord(sample_rate_hz=fs, samples=data[:, 1:].T, labels=labels)
 
 
 def write_series_csv(path: Path, times: np.ndarray, values: np.ndarray, value_header: str) -> None:
-    lines = [f"t,{value_header}"]
-    for t, v in zip(times, values):
-        lines.append(f"{FLOAT_FMT.format(t)},{FLOAT_FMT.format(v)}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, f"t,{value_header}", f"{FLOAT_FMT},{FLOAT_FMT}", times, values)
 
 
 def write_tree_csv(path: Path, tree) -> None:
     """Coefficient dump: `level,k,value` with levels d1..dJ then aJ."""
-    lines = ["level,k,value"]
-    for j, detail in enumerate(tree.details, start=1):
-        for k, v in enumerate(detail):
-            lines.append(f"d{j},{k},{FLOAT_FMT.format(v)}")
-    for k, v in enumerate(tree.approx):
-        lines.append(f"a{tree.levels},{k},{FLOAT_FMT.format(v)}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    bands = [*tree.details, tree.approx]
+    names = [f"d{j}" for j in range(1, len(tree.details) + 1)] + [f"a{tree.levels}"]
+    sizes = [band.shape[0] for band in bands]
+    _write_table(path, "level,k,value", f"%s,%d,{FLOAT_FMT}", np.repeat(names, sizes),
+                 np.concatenate([np.arange(size) for size in sizes]), np.concatenate(bands))
 
 
 def write_spectrum_csv(path: Path, spectrum) -> None:
     """Spectrum dump: `bin_hz,magnitude`."""
-    lines = ["bin_hz,magnitude"]
-    for f, m in zip(spectrum.frequencies(), spectrum.magnitudes):
-        lines.append(f"{FLOAT_FMT.format(f)},{FLOAT_FMT.format(m)}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, "bin_hz,magnitude", f"{FLOAT_FMT},{FLOAT_FMT}",
+                 spectrum.frequencies(), spectrum.magnitudes)
 
 
 def write_spectrogram_csv(path: Path, spectrogram) -> None:
     """Spectrogram dump: `frame_time_s,bin_hz,magnitude`, frame-major."""
-    lines = ["frame_time_s,bin_hz,magnitude"]
-    freqs = spectrogram.frequencies()
-    for t, frame in zip(spectrogram.frame_times_s, spectrogram.frames):
-        for f, m in zip(freqs, frame):
-            lines.append(f"{FLOAT_FMT.format(t)},{FLOAT_FMT.format(f)},{FLOAT_FMT.format(m)}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    frames = spectrogram.frames
+    _write_table(path, "frame_time_s,bin_hz,magnitude", ",".join([FLOAT_FMT] * 3),
+                 np.repeat(spectrogram.frame_times_s, frames.shape[1]),
+                 np.tile(spectrogram.frequencies(), frames.shape[0]), frames.ravel())
+
+
+def write_energy_table_csv(path: Path, rows: list[EnergyRow]) -> None:
+    """Energy table: one row per scenario; a failed scenario carries only its error."""
+    values = ",".join([FLOAT_FMT] * 3) + ",%s,%s,%s,"
+    lines = [
+        f"{row.scenario_name},,,,,,,{row.error}" if row.error is not None
+        else f"{row.scenario_name}," + values % (row.e_ft, row.e_stft, row.e_wt, row.detected_ft,
+                                                 row.detected_stft, row.detected_wt)
+        for row in rows
+    ]
+    _write_table(path, "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error", "%s", lines)
 
 
 def fault_to_dict(fault: FaultSpec | None) -> dict | None:

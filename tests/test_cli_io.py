@@ -66,6 +66,15 @@ class TestRecordCsv:
         assert back.sample_rate_hz == pytest.approx(2000.0, rel=1e-9)
         assert back.labels is None
 
+    def test_read_is_bitwise_float_of_each_field(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_record_csv(path, make_record("AG", snr_db=20.0, seed=5, duration_s=2.048))
+        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        expected = np.ascontiguousarray(np.array(rows)[:, 1:].T)
+        back = read_record_csv(path)
+        assert back.samples.shape == (3, 4096)
+        assert back.samples.tobytes() == expected.tobytes()
+
 
 class TestTransformDumps:
     def test_coefficient_dump_layout(self, tmp_path):
@@ -229,18 +238,50 @@ class TestCmdDetect:
     @pytest.mark.parametrize(
         "sidecar, time_column",
         [({"fault": None}, None), ([], None), ({"sample_rate_hz": 0}, None),
-         ({"sample_rate_hz": -2000.0}, None), (None, "constant")],
-        ids=["no_rate_key", "not_an_object", "zero_rate", "negative_rate", "constant_time"],
+         ({"sample_rate_hz": -2000.0}, None), (None, "constant"), (None, "gapped")],
+        ids=["no_rate_key", "not_an_object", "zero_rate", "negative_rate", "constant_time",
+             "gapped_time"],
     )
     def test_bad_sample_rate_exits_2(self, runner, tmp_path, sidecar, time_column):
-        trace, cfg = self.make_trace(runner, tmp_path)
+        # the gapped trace is 500 samples less rows 100-199, so it fits the 400-sample config
+        duration_s = 0.25 if time_column == "gapped" else 0.2
+        generated = dict(AG_CONFIG, waveform={"duration_s": duration_s})
+        trace, _ = self.make_trace(runner, tmp_path, generated)
+        cfg = write_json(tmp_path / "run.json", AG_CONFIG)
         if sidecar is None:
             sidecar_path(trace).unlink()
         else:
             write_json(sidecar_path(trace), sidecar)
+        lines = trace.read_text().splitlines()
         if time_column == "constant":
-            lines = trace.read_text().splitlines()
             trace.write_text("\n".join([lines[0]] + ["0" + l[l.index(","):] for l in lines[1:]]))
+        elif time_column == "gapped":
+            trace.write_text("\n".join(lines[:101] + lines[201:]) + "\n")
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "faultwave: error:" in result.output
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:200] + [""] + lines[200:],
+            lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
+            lambda lines: lines[:5] + ["0.002,abc,0,0"] + lines[6:],
+            lambda lines: lines[:1] + [line.split(",")[0] for line in lines[1:]],
+            lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
+            lambda lines: lines[:1],
+            lambda lines: lines[:2],
+            lambda lines: lines[:5] + ["0.002,1_000,0,0"] + lines[6:],
+        ],
+        ids=["blank_row", "ragged_row", "non_numeric", "one_column", "five_columns",
+             "header_only", "single_row", "digit_separator"],
+    )
+    def test_malformed_trace_exits_2(self, runner, tmp_path, edit):
+        trace, cfg = self.make_trace(runner, tmp_path)
+        trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
         result = runner.invoke(
             main, ["detect", "--in", str(trace), "--config", str(cfg),
                    "--out", str(tmp_path / "r.json")]
