@@ -16,7 +16,7 @@ clearing is deliberately not claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -298,7 +298,9 @@ def ica_detect(
     noise (template noise partially cancels its own contribution). Adaptive
     thresholds are therefore scaled by the bias factor (m+1)/(m-1) for m
     pre-fault cycles, floored at 2.5x the calibration mean and at
-    :data:`PI_DETECTION_FLOOR`.
+    :data:`PI_DETECTION_FLOOR`. The scan skips the first ``window_len - 1``
+    values: their trailing mean spans less than a cycle and runs noisier
+    (calibration keeps them).
     """
     if spans is None:
         spans = default_spans(record.n_samples)
@@ -307,8 +309,11 @@ def ica_detect(
     bias = (prefault_cycles + 1) / (prefault_cycles - 1) if prefault_cycles > 1 else 4.0
     a_lo, a_hi = pi.start_sample, pi.start_sample + pi.values.shape[0]
     index = _Index(np.arange(a_lo, a_hi), pi.values, 1, pi.time_axis(), (a_lo, a_hi))
-    return _decide("ica", index, cfg, spans, record.sample_rate_hz,
-                   {"contrast": ica_cfg.contrast, "reference": pi.reference},
+    scan = replace(spans, analysis=(a_lo + pi.window_len - 1, a_hi))
+    eigenvalues = pi.whitening_eigenvalues
+    return _decide("ica", index, cfg, scan, record.sample_rate_hz,
+                   {"reference": pi.reference, "components_kept": len(eigenvalues),
+                    "whitening_eigenvalues": eigenvalues.tolist()},
                    rule=(bias, 2.5, PI_DETECTION_FLOOR))
 
 

@@ -6,9 +6,11 @@ iteration that maximizes a negentropy proxy
 ``J(w) = (E[G(w.z)] - E[G(nu)])**2`` for ``nu`` standard normal, with
 ``G = log cosh`` (tanh contrast) or ``G(u) = u**4/4`` (cube contrast).
 
-The fault performance index compares the unmixed record against an unmixed
-periodic "normal" template built from pre-fault data: it stays near zero
-while the record matches its healthy pattern and jumps at fault onset.
+The fault performance index is the whitened residual between the record and
+a periodic "normal" template built from pre-fault data: it stays near zero
+while the record matches its healthy pattern and jumps at fault onset. It is
+a squared norm, blind to the orthogonal rotation ICA adds after whitening, so
+it needs no FastICA fit.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class IcaModel:
 
     unmixing: np.ndarray
     sources: np.ndarray
-    contrast: str
     iterations_used: int
     converged: bool
 
@@ -65,6 +66,7 @@ class PiSeries:
     sample_rate_hz: float
     window_len: int
     reference: str
+    whitening_eigenvalues: np.ndarray
 
     def time_axis(self) -> np.ndarray:
         return (self.start_sample + np.arange(self.values.shape[0])) / self.sample_rate_hz
@@ -78,6 +80,9 @@ class IcaConfig:
     default of 2 matches healthy data: balanced three-phase voltages (and a
     delay-embedded sinusoid) span two dimensions, and dropping the remainder
     keeps pure-noise directions from dominating the index.
+
+    ``contrast``, ``seed``, ``max_iter`` and ``tol`` are checked but do not
+    change the performance index: it is invariant to the ICA rotation.
     """
 
     contrast: str = "tanh"
@@ -236,7 +241,6 @@ def fastica(
     return IcaModel(
         unmixing=w,
         sources=w @ z,
-        contrast=contrast,
         iterations_used=iterations,
         converged=converged,
     )
@@ -376,13 +380,14 @@ def performance_index(
 ) -> PiSeries:
     """Fault performance index over the analysis span.
 
-    The unmixing model is fitted on the analysis-span data; a "normal"
+    The whitening map is fitted on the analysis-span data; a "normal"
     template is built by tiling the pre-fault segment periodically
     (phase-locked, one fundamental period long) over the analysis span; and
-    the index at sample k is the squared norm of the absolute difference
-    between the unmixed template and the fitted sources, aggregated over a
-    trailing one-cycle window. Near zero while the record is healthy, it
-    jumps at fault onset.
+    the index at sample k is the squared norm of the whitened difference
+    between the template and the record, aggregated over a trailing
+    one-cycle window. Near zero while the record is healthy, it jumps at
+    fault onset. FastICA's unmixing is orthogonal on whitened data, so
+    unmixing both would leave the index as it is.
 
     Args:
         record: Record under analysis.
@@ -390,7 +395,7 @@ def performance_index(
             start no later than the analysis span, end before it does, and
             cover at least two fundamental cycles.
         analysis_span: Half-open sample range the index is computed on.
-        config: Contrast, seed, optional delay embedding, and the fundamental
+        config: Component cap, optional delay embedding, and the fundamental
             used for phase locking.
 
     Raises:
@@ -424,28 +429,16 @@ def performance_index(
                             config.fundamental_hz)
     actual = record.samples[:, a_lo:a_hi]
 
+    fit_matrix, normal_matrix = actual, normal
     if config.embedding_dim is not None:
         d = config.embedding_dim
         fit_matrix = build_data_matrix(Trace(actual[0], fs), embedding_dim=d)
         normal_matrix = build_data_matrix(Trace(normal[0], fs), embedding_dim=d)
-    else:
-        fit_matrix = actual
-        normal_matrix = normal
 
-    model, whitening = fit_ica(
-        fit_matrix,
-        retain=config.retain,
-        contrast=config.contrast,
-        max_iter=config.max_iter,
-        tol=config.tol,
-        seed=config.seed,
-    )
-    normal_sources = unmix(model, whitening, normal_matrix)
-
-    raw = np.sum(np.abs(normal_sources - model.sources) ** 2, axis=0)
-    values = _trailing_mean(raw, period)
+    _, whitening = whiten(center(fit_matrix)[0], retain=config.retain)
+    raw = np.sum((whitening.projection @ (normal_matrix - fit_matrix)) ** 2, axis=0)
     return PiSeries(
-        values=values,
+        values=_trailing_mean(raw, period),
         start_sample=a_lo,
         sample_rate_hz=fs,
         window_len=period,
@@ -455,6 +448,7 @@ def performance_index(
             f"{config.fundamental_hz} Hz; index averaged over a trailing "
             f"{period}-sample window"
         ),
+        whitening_eigenvalues=whitening.eigenvalues,
     )
 
 
@@ -466,7 +460,6 @@ def _trailing_mean(raw: np.ndarray, window: int) -> np.ndarray:
     window trails, so no post-onset sample leaks into earlier index values.
     """
     cumulative = np.concatenate(([0.0], np.cumsum(raw)))
-    n = raw.shape[0]
-    idx = np.arange(1, n + 1)
+    idx = np.arange(1, raw.shape[0] + 1)
     lo = np.maximum(idx - window, 0)
     return (cumulative[idx] - cumulative[lo]) / (idx - lo)

@@ -16,6 +16,7 @@ from faultwave import (
     FixedThreshold,
     IcaConfig,
     Spans,
+    ThreePhaseRecord,
     Trace,
     WaveformConfig,
     calibrate_threshold,
@@ -136,6 +137,22 @@ class TestIcaDetect:
         bad = Spans(prefault=(0, 120), calibration=(0, 500), analysis=(0, 400))
         with pytest.raises(DegenerateInputError):
             ica_detect(record, spans=bad)
+
+    def test_short_trailing_mean_at_head_is_not_scanned(self):
+        """Fault-free 20 dB record whose first index values, averaged over
+        less than one cycle, cross the threshold."""
+        record = make_record("NONE", snr_db=20.0, seed=1905862544, duration_s=2.048)
+        report = ica_detect(record)
+        assert not report.detected
+        head = report.index_series[: 40 - 1]
+        assert head.max() > report.threshold_used > report.metadata["analysis_index"]
+
+    def test_metadata_names_kept_whitening_components(self):
+        report = ica_detect(make_record("AG", snr_db=20.0, seed=0), spans=SPANS)
+        eigenvalues = report.metadata["whitening_eigenvalues"]
+        assert report.metadata["components_kept"] == len(eigenvalues) == 2
+        assert eigenvalues == sorted(eigenvalues, reverse=True) and eigenvalues[-1] > 0
+        assert "contrast" not in report.metadata
 
 
 class TestEnergyDetect:
@@ -270,7 +287,7 @@ class TestEnergyTable:
 
 class TestAmplitudeScaling:
     """Scaling a trace by c = 2**k (exact in floating point) keeps every
-    decision and scales the threshold by c (wavelet) or c**2 (energy)."""
+    decision and scales the threshold by c (wavelet), c**2 (energy) or 1 (ICA)."""
 
     DETECTORS = [(wavelet_detect, 1)] + [
         (lambda trace, m=m: energy_detect(trace, m), 2) for m in ENERGY_METHODS
@@ -287,6 +304,18 @@ class TestAmplitudeScaling:
             base, big = detect(trace), detect(scaled)
             assert (big.detected, big.onset_sample) == (base.detected, base.onset_sample)
             assert big.threshold_used == pytest.approx(c**power * base.threshold_used, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-10, 10), seed=st.integers(0, 2**16),
+           fault=st.sampled_from(["AG", "AB", "NONE"]))
+    def test_ica_decision_and_threshold_invariant(self, k, seed, fault):
+        """The performance index is scale-free after whitening, and scaling by
+        a power of two is exact, so the threshold is bitwise unchanged."""
+        record = make_record(fault, snr_db=20.0, seed=seed)
+        scaled = ThreePhaseRecord(record.sample_rate_hz, 2.0**k * record.samples, record.labels)
+        base, big = ica_detect(record), ica_detect(scaled)
+        assert (big.detected, big.onset_sample) == (base.detected, base.onset_sample)
+        assert big.threshold_used == base.threshold_used
 
 
 class TestNoFaultSpecificity:

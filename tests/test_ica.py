@@ -32,7 +32,7 @@ from faultwave import (
     unmix,
     whiten,
 )
-from faultwave.ica import GAUSSIAN_LOGCOSH_MEAN
+from faultwave.ica import GAUSSIAN_LOGCOSH_MEAN, _build_template, _read_template, _trailing_mean
 from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
 
 FS = 2000.0
@@ -353,3 +353,59 @@ class TestPerformanceIndex:
         )
         pre = pi.values[:100].mean()
         assert pi.values.max() > 20.0 * pre
+
+
+class TestRotationInvariance:
+    """The index equals the FastICA-unmixed one: the unmixing is orthogonal
+    on whitened data, and a squared Euclidean norm cannot see a rotation.
+
+    The unmixed index differs from the whitened one only by the round-off
+    of subtracting after the projection and by FastICA's orthogonality
+    defect ``E = W W^T - I``: ``|(|W v|**2 - |v|**2)| <= ||E||_2 |v|**2``.
+    The round-off is bounded by 1e-12 of the series peak, or of 1 (the
+    whitened unit) where the whole series is round-off.
+    """
+
+    PREFAULT, ANALYSIS = (0, 120), (0, 400)
+
+    def unmixed_index(self, record, config):
+        """The index as ``|unmix(normal) - sources|**2`` through a FastICA fit."""
+        fs, f0 = record.sample_rate_hz, config.fundamental_hz
+        period = int(round(fs / f0))
+        lo, hi = self.ANALYSIS
+        template = _build_template(record.samples, self.PREFAULT, self.PREFAULT[1], fs, f0,
+                                   period)
+        normal = _read_template(template, np.arange(lo, hi), self.PREFAULT[1], fs, f0)
+        actual = record.samples[:, lo:hi]
+        if config.embedding_dim is not None:
+            d = config.embedding_dim
+            actual = build_data_matrix(Trace(actual[0], fs), embedding_dim=d)
+            normal = build_data_matrix(Trace(normal[0], fs), embedding_dim=d)
+        model, whitening = fit_ica(actual, retain=config.retain, contrast=config.contrast,
+                                   max_iter=config.max_iter, tol=config.tol, seed=config.seed)
+        raw = np.sum((unmix(model, whitening, normal) - model.sources) ** 2, axis=0)
+        defect = model.unmixing @ model.unmixing.T - np.eye(model.unmixing.shape[0])
+        return _trailing_mean(raw, period), whitening.eigenvalues, np.linalg.norm(defect, 2)
+
+    @pytest.mark.parametrize("embedding_dim", (None, 4))
+    @pytest.mark.parametrize("retain", (2, 0.99, None))
+    def test_matches_unmixed_index(self, retain, embedding_dim):
+        for fault, snr_db, f0 in itertools.product(("AG", "AB", "NONE"), (None, 20.0),
+                                                   (49.5, 50.0)):
+            record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=4)
+            config = IcaConfig(fundamental_hz=f0, retain=retain, embedding_dim=embedding_dim)
+            pi = performance_index(record, self.PREFAULT, self.ANALYSIS, config)
+            expected, eigenvalues, defect = self.unmixed_index(record, config)
+            case = (fault, snr_db, f0)
+            assert defect < 1e-10, case
+            bound = defect * pi.values + 1e-12 * max(expected.max(), 1.0)
+            assert np.all(np.abs(pi.values - expected) <= bound), case
+            np.testing.assert_array_equal(pi.whitening_eigenvalues, eigenvalues, err_msg=case)
+
+    def test_fastica_options_leave_index_bitwise_unchanged(self):
+        record = make_record("AG", snr_db=20.0, seed=5)
+        base = performance_index(record, self.PREFAULT, self.ANALYSIS).values
+        for options in (dict(contrast="cube"), dict(seed=17), dict(max_iter=1),
+                        dict(tol=1e-2), dict(contrast="cube", seed=3, max_iter=7, tol=1e-9)):
+            pi = performance_index(record, self.PREFAULT, self.ANALYSIS, IcaConfig(**options))
+            np.testing.assert_array_equal(pi.values, base, err_msg=str(options))
