@@ -41,7 +41,7 @@ for fault_name in ("AG", "AB"):
         if snr is not None:
             record = add_noise(record, NoiseSpec(snr_db=snr, seed=2))
         report = ica_detect(
-            record, DetectorConfig(method="ica"), spans, IcaConfig(fundamental_hz=f0, seed=2)
+            record, DetectorConfig(method="ica"), spans, IcaConfig(fundamental_hz=f0)
         )
         pi = report.index_series
         onset = f"{report.onset_time_s:.4f}" if report.detected else "none"

@@ -22,7 +22,7 @@ from .detect import (
     wavelet_detect,
     energy_detect,
 )
-from .errors import ConfigError, DegenerateInputError, FaultwaveError
+from .errors import ConfigError, DegenerateInputError, FaultwaveError, ShapeError
 from .io import (
     RunConfig,
     atomic_write_text,
@@ -194,7 +194,7 @@ def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfi
 def _load_and_run(
     in_path: str, config_path: str
 ) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
-    """Load config and trace, check the config's spans fit the trace, run the detector."""
+    """Load config and trace, check the config's spans and level fit the trace, run the detector."""
     config = _load_config(config_path)
     try:
         record = read_record_csv(Path(in_path))
@@ -204,7 +204,9 @@ def _load_and_run(
         _fail(f"invalid trace file {in_path}: {exc}", 2)
     try:
         check_spans(config, record.n_samples)
-    except ConfigError as exc:
+        if config.detector.method in ("wavelet", "energy_wt"):
+            dwt.check_length(record.n_samples, config.detector.level)
+    except (ConfigError, ShapeError) as exc:
         _fail(f"{in_path}: {exc}", 2)
     try:
         return config, record, run_detector(record, config)

@@ -44,18 +44,14 @@ class FixedThreshold:
 
 @dataclass(frozen=True)
 class AdaptiveThreshold:
-    """mean + k_sigma * stddev over a fault-free calibration span.
-
-    A ``calibration_span`` of None means the detector's default: the first
-    30% of the record, which callers must keep fault-free.
-    """
+    """mean + k_sigma * stddev over ``Spans.calibration``, which callers must
+    keep fault-free (by default the first 30% of the record)."""
 
     k_sigma: float = 5.0
-    calibration_span: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.k_sigma < 0:
-            raise ConfigError(f"k_sigma must be nonnegative, got {self.k_sigma}")
+        if not 0 <= self.k_sigma < np.inf:
+            raise ConfigError(f"k_sigma must be finite and nonnegative, got {self.k_sigma}")
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,7 @@ def _decide(
 
     ``rule`` is the method's (bias, mean_multiple, floor) for
     :func:`calibrate_threshold`. Calibration uses the values lying wholly
-    inside the policy's span (else ``spans.calibration``), the scan those
-    inside ``spans.analysis``.
+    inside ``spans.calibration``, the scan those inside ``spans.analysis``.
 
     Raises:
         DegenerateInputError: the calibration span leaves ``index.covers``,
@@ -224,8 +219,6 @@ def _decide(
     """
     policy = cfg.threshold_policy
     lo, hi = spans.calibration
-    if isinstance(policy, AdaptiveThreshold) and policy.calibration_span is not None:
-        lo, hi = policy.calibration_span
     if not index.covers[0] <= lo < hi <= index.covers[1]:
         raise DegenerateInputError(
             f"calibration span ({lo}, {hi}) lies outside the index's samples {index.covers}"

@@ -96,6 +96,17 @@ def _synthesize_level(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, h1:
     return out
 
 
+def check_length(n: int, levels: int) -> None:
+    """Raise ShapeError unless ``n`` is divisible by 2**levels (``levels`` >= 1)
+    and at least the filter length."""
+    if levels < 1:
+        raise ShapeError(f"levels must be >= 1, got {levels}")
+    if n < FILTER_LEN:
+        raise ShapeError(f"trace length {n} is shorter than the filter ({FILTER_LEN})")
+    if n % (1 << levels) != 0:
+        raise ShapeError(f"trace length {n} is not divisible by 2**{levels}")
+
+
 def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
     """Decompose a trace into ``levels`` detail bands plus one approximation.
 
@@ -105,16 +116,9 @@ def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
         levels: Number of pyramid stages (>= 1).
 
     Raises:
-        ShapeError: length not divisible by 2**levels, or too short.
+        ShapeError: see :func:`check_length`.
     """
-    n = trace.n_samples
-    if levels < 1:
-        raise ShapeError(f"levels must be >= 1, got {levels}")
-    if n < FILTER_LEN:
-        raise ShapeError(f"trace length {n} is shorter than the filter ({FILTER_LEN})")
-    if n % (1 << levels) != 0:
-        raise ShapeError(f"trace length {n} is not divisible by 2**{levels}")
-
+    check_length(trace.n_samples, levels)
     pair = db4_filters()
     approx = np.asarray(trace.samples, dtype=float)
     details: list[np.ndarray] = []
@@ -125,7 +129,7 @@ def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
         levels=levels,
         details=details,
         approx=approx,
-        original_length=n,
+        original_length=trace.n_samples,
         sample_rate_hz=trace.sample_rate_hz,
     )
 

@@ -168,8 +168,7 @@ def fault_from_dict(obj: dict | None) -> FaultSpec | None:
         kwargs["fault_type"] = FaultType(kwargs.get("fault_type", "NONE"))
     except ValueError as exc:
         raise ConfigError(f"invalid fault_type {kwargs.get('fault_type')!r}") from exc
-    return _build_section(kwargs, {f.name for f in dataclasses.fields(FaultSpec)}, "fault",
-                          FaultSpec)
+    return _build_section(kwargs, "fault", FaultSpec)
 
 
 @dataclass
@@ -189,8 +188,7 @@ class RunConfig:
         if isinstance(policy, FixedThreshold):
             policy_dict = {"fixed": policy.value}
         else:
-            policy_dict = {"k_sigma": policy.k_sigma,
-                           "calibration_span": policy.calibration_span}
+            policy_dict = {"k_sigma": policy.k_sigma}
         return {
             "waveform": dataclasses.asdict(self.waveform),
             "fault": fault_to_dict(self.fault),
@@ -213,20 +211,22 @@ class RunConfig:
 
 
 _SECTION_KEYS = {"waveform", "fault", "noise", "detector", "ica", "spans", "channel"}
+_DETECTOR_KEYS = {"method", "threshold", "level", "cutoff_hz", "min_consecutive"}
 
 
-def _detector_config(threshold=None, k_sigma=5.0, calibration_span=None, **knobs) -> DetectorConfig:
-    """Accept a bare number, {"fixed": v}, or adaptive keys (also inline) as the threshold."""
-    if isinstance(threshold, dict):
-        _check_keys(threshold, {"fixed", "k_sigma", "calibration_span"}, "detector.threshold")
-        k_sigma = threshold.get("k_sigma", 5.0)
-        calibration_span = threshold.get("calibration_span")
-        threshold = threshold.get("fixed")
-    if threshold is not None:
-        policy = FixedThreshold(float(threshold))
+def _detector_config(threshold=None, **knobs) -> DetectorConfig:
+    """The threshold is {"fixed": v} or {"k_sigma": k}; absent, adaptive at 5 sigma."""
+    if threshold is None:
+        return DetectorConfig(**knobs)
+    threshold = _object(threshold, "detector.threshold")
+    _check_keys(threshold, {"fixed", "k_sigma"}, "detector.threshold")
+    if len(threshold) != 1:
+        raise ConfigError("detector.threshold must hold exactly one of 'fixed' and 'k_sigma', "
+                          f"got {threshold!r}")
+    if "fixed" in threshold:
+        policy = FixedThreshold(float(threshold["fixed"]))
     else:
-        span = None if calibration_span is None else _span(calibration_span, "calibration_span")
-        policy = AdaptiveThreshold(k_sigma=k_sigma, calibration_span=span)
+        policy = AdaptiveThreshold(k_sigma=threshold["k_sigma"])
     return DetectorConfig(threshold_policy=policy, **knobs)
 
 
@@ -249,10 +249,13 @@ def _span(value, name: str) -> tuple[int, int]:
     return tuple(value)
 
 
-def _build_section(obj: dict, allowed: set[str], context: str, builder, **extra):
+def _build_section(obj: dict, context: str, builder, allowed: set[str] | None = None):
+    """``builder(**obj)``; the keys allowed default to the fields of a dataclass builder."""
+    if allowed is None:
+        allowed = {f.name for f in dataclasses.fields(builder)}
     _check_keys(obj, allowed, context)
     try:
-        return builder(**obj, **extra)
+        return builder(**obj)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -260,19 +263,12 @@ def _build_section(obj: dict, allowed: set[str], context: str, builder, **extra)
 
 
 def check_spans(config: RunConfig, n_samples: int) -> None:
-    """Require every span of ``config`` to lie inside a record of ``n_samples``.
-
-    Covers the three ``config.spans`` and an adaptive threshold's calibration
-    span override.
+    """Require each of the three ``config.spans`` to lie inside a record of ``n_samples``.
 
     Raises:
         ConfigError: naming the first span that does not fit.
     """
-    spans = dataclasses.asdict(config.spans)
-    policy = config.detector.threshold_policy
-    if isinstance(policy, AdaptiveThreshold) and policy.calibration_span is not None:
-        spans["calibration_span"] = policy.calibration_span
-    for name, (lo, hi) in spans.items():
+    for name, (lo, hi) in dataclasses.asdict(config.spans).items():
         if not 0 <= lo < hi <= n_samples:
             raise ConfigError(f"span {name}=({lo}, {hi}) lies outside the record (N={n_samples})")
 
@@ -289,33 +285,14 @@ def parse_run_config(obj: dict) -> RunConfig:
 
     waveform_obj = _object(obj.get("waveform", {}), "waveform")
     waveform_obj.setdefault("duration_s", 0.2)
-    if "phase_offsets_rad" in waveform_obj:
-        waveform_obj["phase_offsets_rad"] = tuple(waveform_obj["phase_offsets_rad"])
-    waveform = _build_section(
-        waveform_obj,
-        {"duration_s", "sample_rate_hz", "fundamental_hz", "amplitude_pu", "phase_offsets_rad"},
-        "waveform", WaveformConfig,
-    )
-
+    waveform = _build_section(waveform_obj, "waveform", WaveformConfig)
     fault = fault_from_dict(obj.get("fault")) or FaultSpec.none()
-
-    noise = _build_section(_object(obj.get("noise", {}), "noise"), {"snr_db", "seed"},
-                           "noise", NoiseSpec)
-
-    detector = _build_section(
-        _object(obj.get("detector", {}), "detector"),
-        {"method", "threshold", "k_sigma", "calibration_span",
-         "level", "cutoff_hz", "min_consecutive"},
-        "detector", _detector_config,
-    )
-
+    noise = _build_section(_object(obj.get("noise", {}), "noise"), "noise", NoiseSpec)
+    detector = _build_section(_object(obj.get("detector", {}), "detector"), "detector",
+                              _detector_config, _DETECTOR_KEYS)
     ica_obj = _object(obj.get("ica", {}), "ica")
     ica_obj.setdefault("fundamental_hz", waveform.fundamental_hz)
-    ica = _build_section(
-        ica_obj,
-        {"contrast", "seed", "max_iter", "tol", "embedding_dim", "fundamental_hz", "retain"},
-        "ica", IcaConfig,
-    )
+    ica = _build_section(ica_obj, "ica", IcaConfig)
 
     spans_obj = _object(obj.get("spans", {}), "spans")
     default = dataclasses.asdict(default_spans(waveform.n_samples))

@@ -16,6 +16,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -75,12 +76,16 @@ class WaveformConfig:
     phase_offsets_rad: tuple[float, float, float] = DEFAULT_PHASE_OFFSETS
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
-        if self.fundamental_hz <= 0:
-            raise ConfigError(f"fundamental_hz must be positive, got {self.fundamental_hz}")
+        offsets = tuple(self.phase_offsets_rad)
+        object.__setattr__(self, "phase_offsets_rad", offsets)
+        if len(offsets) != 3 or not np.all(np.isfinite(np.asarray(offsets, dtype=float))):
+            raise ConfigError(f"phase_offsets_rad must be 3 finite numbers, got {offsets}")
+        _check_rate(self.sample_rate_hz)
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if not 0 < self.fundamental_hz < math.inf:
+            raise ConfigError(
+                f"fundamental_hz must be finite and positive, got {self.fundamental_hz}")
         if self.amplitude_pu < 0:
             raise ConfigError(f"amplitude_pu must be nonnegative, got {self.amplitude_pu}")
         if self.sample_rate_hz <= 2.0 * self.fundamental_hz:
@@ -126,11 +131,11 @@ class FaultSpec:
     transient_tau_s: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.onset_s < 0:
-            raise ConfigError(f"onset_s must be nonnegative, got {self.onset_s}")
-        if self.clear_s is not None and self.clear_s <= self.onset_s:
+        if not 0 <= self.onset_s < math.inf:
+            raise ConfigError(f"onset_s must be finite and nonnegative, got {self.onset_s}")
+        if self.clear_s is not None and not self.onset_s < self.clear_s < math.inf:
             raise ConfigError(
-                f"clear_s={self.clear_s} must exceed onset_s={self.onset_s}"
+                f"clear_s={self.clear_s} must be finite and exceed onset_s={self.onset_s}"
             )
         if not 0.0 <= self.retained_voltage_pu <= 1.0:
             raise ConfigError(
@@ -158,6 +163,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def _check_rate(sample_rate_hz: float) -> None:
@@ -176,6 +183,8 @@ class Trace:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ConfigError("trace samples must be one-dimensional")
+        if not np.isfinite(self.samples).all():
+            raise ConfigError("trace samples must be finite")
         _check_rate(self.sample_rate_hz)
 
     @property

@@ -127,15 +127,45 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="analysis"):
             parse_run_config({"spans": {"analysis": [0, 900]}})
 
-    def test_calibration_span_override_outside_record_rejected(self):
-        with pytest.raises(ConfigError, match="calibration_span"):
-            parse_run_config({"detector": {"calibration_span": [0, 900]}})
+    def test_calibration_span_outside_record_rejected(self):
+        with pytest.raises(ConfigError, match=r"calibration=\(0, 900\).*N=400"):
+            parse_run_config({"spans": {"calibration": [0, 900]}})
+
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            ({"ica": {"contrast": "cube"}}, "unknown key 'contrast' in ica"),
+            ({"ica": {"seed": 2}}, "unknown key 'seed' in ica"),
+            ({"ica": {"max_iter": 50}}, "unknown key 'max_iter' in ica"),
+            ({"ica": {"tol": 1e-4}}, "unknown key 'tol' in ica"),
+            ({"detector": {"k_sigma": 4.0}}, "unknown key 'k_sigma' in detector"),
+            ({"detector": {"calibration_span": [0, 100]}},
+             "unknown key 'calibration_span' in detector"),
+            ({"detector": {"threshold": {"k_sigma": 4.0, "calibration_span": [0, 100]}}},
+             "unknown key 'calibration_span' in detector.threshold"),
+            ({"detector": {"threshold": 0.5}}, "detector.threshold must be a JSON object"),
+            ({"detector": {"threshold": {"fixed": 0.5, "k_sigma": 3.0}}},
+             "exactly one of 'fixed' and 'k_sigma'"),
+        ],
+        ids=["ica_contrast", "ica_seed", "ica_max_iter", "ica_tol", "detector_k_sigma",
+             "detector_calibration_span", "threshold_calibration_span", "bare_number_threshold",
+             "fixed_and_k_sigma"],
+    )
+    def test_removed_key_or_spelling_rejected(self, config, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_run_config(config)
 
     def test_provenance_dict_round_trips(self):
-        config = parse_run_config(AG_CONFIG)
-        resolved = config.to_dict()
-        again = parse_run_config(resolved)
-        assert again.to_dict() == resolved
+        fixed = dict(AG_CONFIG, detector={"method": "energy_ft", "threshold": {"fixed": 0.25}})
+        custom = dict(AG_CONFIG, detector={"method": "ica", "threshold": {"k_sigma": 3.5}},
+                      ica={"embedding_dim": 4, "fundamental_hz": 49.5, "retain": 0.99},
+                      spans={"prefault": [0, 160], "calibration": [40, 160],
+                             "analysis": [80, 400]})
+        for obj in (AG_CONFIG, fixed, custom):
+            resolved = parse_run_config(obj).to_dict()
+            assert parse_run_config(json.loads(json.dumps(resolved))).to_dict() == resolved
+            for section in ("detector", "ica", "spans"):
+                assert obj.get(section, {}).items() <= resolved[section].items()
 
     def test_build_record_applies_fault_and_noise(self):
         config = parse_run_config(AG_CONFIG)
@@ -179,6 +209,31 @@ class TestCmdGenerate:
         cfg = write_json(tmp_path / "bad.json", {"waveform": {"duration_s": -1.0}})
         result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            ({"waveform": {"sample_rate_hz": float("inf")}}, "sample_rate_hz"),
+            ({"waveform": {"duration_s": float("inf")}}, "duration_s"),
+            ({"waveform": {"fundamental_hz": float("nan")}}, "fundamental_hz"),
+            ({"fault": {"fault_type": "AG", "onset_s": float("nan")}}, "onset_s"),
+            ({"fault": {"fault_type": "AG", "clear_s": float("inf")}}, "clear_s"),
+            ({"noise": {"snr_db": 20.0, "seed": -1}}, "seed"),
+            ({"noise": {"snr_db": 20.0, "seed": 1.5}}, "seed"),
+            ({"detector": {"threshold": {"k_sigma": float("nan")}}}, "k_sigma"),
+            ({"detector": {"threshold": {"k_sigma": float("inf")}}}, "k_sigma"),
+            ({"ica": {"fundamental_hz": 0.0}}, "fundamental_hz"),
+        ],
+        ids=["inf_rate", "inf_duration", "nan_fundamental", "nan_onset", "inf_clear",
+             "negative_seed", "fractional_seed", "nan_k_sigma", "inf_k_sigma",
+             "zero_ica_fundamental"],
+    )
+    def test_non_finite_or_out_of_range_setting_exits_2(self, runner, tmp_path, config, name):
+        # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads back
+        cfg = write_json(tmp_path / "bad.json", config)
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert name in result.output
 
 
 class TestCmdDetect:
@@ -301,10 +356,12 @@ class TestCmdDetect:
             (None, {"detector": {"method": "energy_ft", "cutoff_hz": "x"}}),
             (None, {"detector": {"threshold": "x"}}),
             (None, {"detector": 5}),
+            (None, {"waveform": {"phase_offsets_rad": 5}}),
         ],
         ids=["sidecar_fault_not_object", "config_fault_not_object", "span_one_value",
              "span_not_integers", "level_not_integer", "min_consecutive_not_integer",
-             "cutoff_not_number", "threshold_not_number", "detector_not_object"],
+             "cutoff_not_number", "threshold_not_number", "detector_not_object",
+             "phase_offsets_not_a_list"],
     )
     def test_malformed_input_exits_2(self, runner, tmp_path, sidecar, config):
         trace, _ = self.make_trace(runner, tmp_path)
@@ -337,16 +394,53 @@ class TestCmdDetect:
         assert result.exit_code == 2
 
     def test_transform_error_exits_3_naming_method(self, runner, tmp_path):
-        # level 5 needs a length divisible by 32; 400 is not
-        bad = dict(AG_CONFIG)
-        bad["detector"] = {"method": "wavelet", "level": 5}
-        trace, cfg = self.make_trace(runner, tmp_path, bad)
+        # an all-zero pre-fault segment leaves the ICA template nothing to average
+        dead = {"waveform": {"amplitude_pu": 0.0}, "detector": {"method": "ica"}}
+        trace, cfg = self.make_trace(runner, tmp_path, dead)
         result = runner.invoke(
             main, ["detect", "--in", str(trace), "--config", str(cfg),
                    "--out", str(tmp_path / "r.json")]
         )
         assert result.exit_code == 3
-        assert "wavelet" in result.output
+        assert "ica detector failed" in result.output
+
+    @pytest.mark.parametrize(
+        "command, method, level, out",
+        [("detect", "energy_wt", 2, "r.json"), ("detect", "wavelet", 1, "r.json"),
+         ("plot-data", "wavelet", 2, "plots"), ("plot-data", "energy_wt", 1, "plots")],
+    )
+    def test_length_not_divisible_by_level_exits_2(self, runner, tmp_path, command, method,
+                                                    level, out):
+        config = dict(AG_CONFIG, waveform={"duration_s": 0.2015},
+                      detector={"method": method, "level": level})
+        trace, cfg = self.make_trace(runner, tmp_path, config)  # 403 samples
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"trace length 403 is not divisible by 2**{level}" in result.output
+
+    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
+    @pytest.mark.parametrize("method", ["ica", "energy_ft", "energy_stft"])
+    def test_length_not_divisible_runs_methods_without_level(self, runner, tmp_path, command,
+                                                              out, method):
+        config = dict(AG_CONFIG, waveform={"duration_s": 0.2015},
+                      detector={"method": method, "level": 2})
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
+        )
+        assert result.exit_code == 0, result.output
+
+    def test_removed_config_key_exits_2_naming_it(self, runner, tmp_path):
+        trace, _ = self.make_trace(runner, tmp_path)
+        cfg = write_json(tmp_path / "old.json", dict(AG_CONFIG, ica={"seed": 2}))
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "unknown key 'seed' in ica" in result.output
 
 
 class TestCmdEnergyTable:

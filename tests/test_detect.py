@@ -116,7 +116,7 @@ class TestWaveletDetect:
 class TestIcaDetect:
     def test_noisy_ag_fault_detected_within_ten_ms(self):
         record = make_record("AG", snr_db=20.0, seed=0)
-        report = ica_detect(record, DetectorConfig(method="ica"), SPANS, IcaConfig(seed=0))
+        report = ica_detect(record, DetectorConfig(method="ica"), SPANS, IcaConfig())
         assert report.detected
         assert abs(report.onset_time_s - 0.065) <= 0.010
 
@@ -337,7 +337,7 @@ class TestNoFaultSpecificity:
                 assert not wavelet_detect(trace).detected
                 assert not ica_detect(
                     record, spans=SPANS,
-                    ica_cfg=IcaConfig(fundamental_hz=f0, seed=seed),
+                    ica_cfg=IcaConfig(fundamental_hz=f0),
                 ).detected
                 for method in ENERGY_METHODS:
                     assert not energy_detect(trace, method, fundamental_hz=f0).detected

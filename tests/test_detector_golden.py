@@ -40,7 +40,7 @@ def grid_reports() -> dict[str, dict[str, list]]:
                     reports = {
                         "wavelet": wavelet_detect(trace),
                         "ica": ica_detect(record, DetectorConfig(method="ica"), SPANS,
-                                          IcaConfig(fundamental_hz=f0, seed=seed)),
+                                          IcaConfig(fundamental_hz=f0)),
                     }
                     for method in ENERGY_METHODS:
                         reports[method] = energy_detect(trace, method, fundamental_hz=f0)

@@ -14,6 +14,7 @@ from faultwave import (
     FaultSpec,
     FaultType,
     NoiseSpec,
+    Trace,
     WaveformConfig,
     add_noise,
     generate_baseline,
@@ -47,6 +48,21 @@ class TestWaveformConfig:
     def test_rejects_nonpositive_parameters(self, field, value):
         with pytest.raises(ConfigError):
             WaveformConfig(**{"duration_s": 0.2, field: value})
+
+    @pytest.mark.parametrize("offsets", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, np.nan)],
+                             ids=["two", "four", "nan"])
+    def test_rejects_phase_offsets_not_three_finite_numbers(self, offsets):
+        with pytest.raises(ConfigError, match="phase_offsets_rad"):
+            WaveformConfig(duration_s=0.2, phase_offsets_rad=offsets)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = select_channel(make_record("NONE"), "a").samples
+        samples[200] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            Trace(samples, 2000.0)
 
 
 class TestGenerateBaseline:
