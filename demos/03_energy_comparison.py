@@ -23,7 +23,7 @@ scenarios = [
 table = energy_table(scenarios)
 
 print(f"{'scenario':10s} {'e_ft':>12s} {'e_stft':>12s} {'e_wt':>12s}   detected(ft/stft/wt)")
-for row in table.rows:
+for row in table:
     flags = f"{row.detected_ft}/{row.detected_stft}/{row.detected_wt}"
     print(f"{row.scenario_name:10s} {row.e_ft:>12.4e} {row.e_stft:>12.4e} {row.e_wt:>12.4e}   {flags}")
 

@@ -11,7 +11,6 @@ from .detect import (
     AdaptiveThreshold,
     DetectionReport,
     DetectorConfig,
-    EnergyTable,
     FixedThreshold,
     Spans,
     calibrate_threshold,
@@ -23,8 +22,6 @@ from .detect import (
 )
 from .dwt import (
     DecompositionTree,
-    WaveletFilterPair,
-    db4_filters,
     detail_series,
     dwt_decompose,
     dwt_reconstruct,
@@ -63,7 +60,6 @@ from .signal_model import (
     generate_baseline,
     inject_fault,
     select_channel,
-    with_frequency_deviation,
 )
 from .spectral import Spectrogram, Spectrum, dft, highband_energy_index, stft
 
@@ -72,10 +68,10 @@ __all__ = [
     # signal model
     "WaveformConfig", "FaultSpec", "FaultType", "NoiseSpec", "Trace",
     "ThreePhaseRecord", "generate_baseline", "inject_fault", "add_noise",
-    "with_frequency_deviation", "select_channel",
+    "select_channel",
     # wavelet
-    "WaveletFilterPair", "DecompositionTree", "db4_filters", "dwt_decompose",
-    "dwt_reconstruct", "detail_series", "wavelet_energy_index",
+    "DecompositionTree", "dwt_decompose", "dwt_reconstruct", "detail_series",
+    "wavelet_energy_index",
     # spectral
     "Spectrum", "Spectrogram", "dft", "stft", "highband_energy_index",
     # ica
@@ -83,7 +79,7 @@ __all__ = [
     "center", "whiten", "fastica", "fit_ica", "unmix", "negentropy_proxy",
     "performance_index",
     # detect
-    "DetectorConfig", "DetectionReport", "EnergyTable", "FixedThreshold",
+    "DetectorConfig", "DetectionReport", "FixedThreshold",
     "AdaptiveThreshold", "Spans", "default_spans", "calibrate_threshold",
     "wavelet_detect", "ica_detect", "energy_detect", "energy_table",
     # errors

@@ -1,8 +1,8 @@
 """Command-line front end: generate records, run detectors, dump plot data.
 
 Exit codes: 0 = ran to completion (detection outcome is report data, not
-status), 2 = unreadable/invalid inputs or configuration, 3 = a transform
-failed while running a detector.
+status), 2 = invalid inputs or configuration (also a setting a detector rejects
+while it runs), 3 = a transform failed while running a detector.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .io import (
     RunConfig,
     atomic_write_text,
     build_record,
+    check_onset,
     check_spans,
     fault_to_dict,
     load_run_config,
@@ -123,6 +124,7 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
     for name, merged in scenarios:
         try:
             config = parse_run_config(merged)
+            check_onset(config.spans, config.fault, config.waveform.sample_rate_hz)
             rows.append(energy_row(name, build_record(config), config.detector, config.spans,
                                    config.waveform.fundamental_hz))
         except FaultwaveError as exc:
@@ -194,7 +196,7 @@ def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfi
 def _load_and_run(
     in_path: str, config_path: str
 ) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
-    """Load config and trace, check the config's spans and level fit the trace, run the detector."""
+    """Load config and trace, check they fit each other, run the configured detector."""
     config = _load_config(config_path)
     try:
         record = read_record_csv(Path(in_path))
@@ -204,12 +206,15 @@ def _load_and_run(
         _fail(f"invalid trace file {in_path}: {exc}", 2)
     try:
         check_spans(config, record.n_samples)
+        check_onset(config.spans, record.labels, record.sample_rate_hz)
         if config.detector.method in ("wavelet", "energy_wt"):
             dwt.check_length(record.n_samples, config.detector.level)
     except (ConfigError, ShapeError) as exc:
         _fail(f"{in_path}: {exc}", 2)
     try:
         return config, record, run_detector(record, config)
+    except ConfigError as exc:
+        _fail(f"{config_path}: {exc}", 2)
     except FaultwaveError as exc:
         _fail(f"{config.detector.method} detector failed: {exc}", 3)
 

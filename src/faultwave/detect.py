@@ -74,9 +74,10 @@ class DetectorConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("level", "min_consecutive"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.cutoff_hz, Real) or not np.isfinite(self.cutoff_hz):
+        cutoff = self.cutoff_hz
+        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not np.isfinite(cutoff):
             raise ConfigError(f"cutoff_hz must be a finite number, got {self.cutoff_hz!r}")
 
 
@@ -112,15 +113,15 @@ class DetectionReport:
     threshold_used: float
     metadata: dict = field(default_factory=dict)
 
-    def to_json_dict(self, config: dict | None = None, scenario: dict | None = None) -> dict:
+    def to_json_dict(self, config: dict, scenario: dict) -> dict:
         return {
             "method": self.method,
             "detected": bool(self.detected),
             "onset_sample": None if self.onset_sample is None else int(self.onset_sample),
             "onset_time_s": None if self.onset_time_s is None else float(self.onset_time_s),
             "threshold": float(self.threshold_used),
-            "config": config if config is not None else {},
-            "scenario": scenario if scenario is not None else self.metadata,
+            "config": config,
+            "scenario": scenario,
         }
 
 
@@ -140,11 +141,6 @@ class EnergyRow:
         nan = float("nan")
         return cls(scenario_name, nan, nan, nan, False, False, False,
                    error=f"{type(exc).__name__}: {exc}")
-
-
-@dataclass(eq=False)
-class EnergyTable:
-    rows: list[EnergyRow]
 
 
 def calibrate_threshold(
@@ -172,6 +168,8 @@ def calibrate_threshold(
 
 def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
     """Index of the first run of ``min_consecutive`` consecutive True values."""
+    if min_consecutive > above.size:
+        return None
     if min_consecutive == 1:
         hits = np.flatnonzero(above)
         return int(hits[0]) if hits.size else None
@@ -305,7 +303,7 @@ def ica_detect(
     scan = replace(spans, analysis=(a_lo + pi.window_len - 1, a_hi))
     eigenvalues = pi.whitening_eigenvalues
     return _decide("ica", index, cfg, scan, record.sample_rate_hz,
-                   {"reference": pi.reference, "components_kept": len(eigenvalues),
+                   {"components_kept": len(eigenvalues),
                     "whitening_eigenvalues": eigenvalues.tolist()},
                    rule=(bias, 2.5, PI_DETECTION_FLOOR))
 
@@ -340,13 +338,16 @@ def _energy_window_series(
     fs = trace.sample_rate_hz
     if method == "energy_stft":
         window, hop = STFT_WINDOW, STFT_HOP
+    elif not fs / fundamental_hz < trace.n_samples + 1:
+        raise DegenerateInputError(
+            f"one {fundamental_hz} Hz cycle is longer than the trace ({trace.n_samples} samples)")
     else:
         window = max(2, int(round(fs / fundamental_hz)))
         hop = max(1, window // 4)
     starts = np.arange(0, trace.n_samples - window + 1, hop)
     if method == "energy_wt":
         tree = dwt.dwt_decompose(trace, cfg.level)
-        return starts, dwt.window_energies(tree, cfg.level, starts, window, False), window
+        return starts, dwt.window_energies(tree, cfg.level, starts, window), window
     if cfg.cutoff_hz >= fs / 2.0:
         raise ConfigError(f"cutoff {cfg.cutoff_hz} Hz is at or above the Nyquist frequency")
     if method == "energy_stft":
@@ -419,7 +420,7 @@ def energy_table(
     waveform: WaveformConfig = WaveformConfig(duration_s=0.2),
     noise: NoiseSpec | None = None,
     spans: Spans | None = None,
-) -> EnergyTable:
+) -> list[EnergyRow]:
     """One :func:`energy_row` per fault scenario synthesized from ``waveform``.
 
     A scenario that fails becomes an :meth:`EnergyRow.failed` row.
@@ -434,4 +435,4 @@ def energy_table(
             rows.append(energy_row(name, record, cfg, spans, waveform.fundamental_hz))
         except FaultwaveError as exc:  # per-scenario isolation; errors become rows
             rows.append(EnergyRow.failed(name, exc))
-    return EnergyTable(rows=rows)
+    return rows

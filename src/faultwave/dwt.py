@@ -36,16 +36,6 @@ DB4_LOWPASS = np.array(
     ]
 )
 
-FILTER_LEN = DB4_LOWPASS.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class WaveletFilterPair:
-    """Analysis lowpass/highpass pair related by the quadrature mirror rule."""
-
-    lowpass: np.ndarray
-    highpass: np.ndarray
-
 
 def quadrature_mirror(lowpass: np.ndarray) -> np.ndarray:
     """Return h1[n] = (-1)**n * h[L-1-n]."""
@@ -53,11 +43,11 @@ def quadrature_mirror(lowpass: np.ndarray) -> np.ndarray:
     return (-1.0) ** n * lowpass[::-1]
 
 
-def db4_filters() -> WaveletFilterPair:
-    """Return the 8-tap filter pair used throughout this module."""
-    return WaveletFilterPair(
-        lowpass=DB4_LOWPASS.copy(), highpass=quadrature_mirror(DB4_LOWPASS)
-    )
+# Shared by every transform, so neither may be written to.
+DB4_HIGHPASS = quadrature_mirror(DB4_LOWPASS)
+DB4_LOWPASS.flags.writeable = DB4_HIGHPASS.flags.writeable = False
+
+FILTER_LEN = DB4_LOWPASS.shape[0]
 
 
 @dataclass(eq=False)
@@ -103,7 +93,7 @@ def check_length(n: int, levels: int) -> None:
         raise ShapeError(f"levels must be >= 1, got {levels}")
     if n < FILTER_LEN:
         raise ShapeError(f"trace length {n} is shorter than the filter ({FILTER_LEN})")
-    if n % (1 << levels) != 0:
+    if levels >= n.bit_length() or n % (1 << levels) != 0:
         raise ShapeError(f"trace length {n} is not divisible by 2**{levels}")
 
 
@@ -119,11 +109,10 @@ def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
         ShapeError: see :func:`check_length`.
     """
     check_length(trace.n_samples, levels)
-    pair = db4_filters()
     approx = np.asarray(trace.samples, dtype=float)
     details: list[np.ndarray] = []
     for _ in range(levels):
-        approx, detail = _analyze_level(approx, pair.lowpass, pair.highpass)
+        approx, detail = _analyze_level(approx, DB4_LOWPASS, DB4_HIGHPASS)
         details.append(detail)
     return DecompositionTree(
         levels=levels,
@@ -152,10 +141,9 @@ def dwt_reconstruct(tree: DecompositionTree) -> Trace:
                 f"expected {tree.original_length >> j}"
             )
 
-    pair = db4_filters()
     approx = tree.approx
     for detail in reversed(tree.details):
-        approx = _synthesize_level(approx, detail, pair.lowpass, pair.highpass)
+        approx = _synthesize_level(approx, detail, DB4_LOWPASS, DB4_HIGHPASS)
     return Trace(samples=approx, sample_rate_hz=tree.sample_rate_hz)
 
 
@@ -204,40 +192,33 @@ def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     boundary mix the end of the record with its start; on non-periodic data
     they carry a spurious discontinuity. The mask marks the positions those
     coefficients occupy in :func:`detail_series` output so detectors can skip
-    them.
+    them. ``n_samples`` must be divisible by 2**level, as
+    :func:`dwt_decompose` requires.
     """
     step = 1 << level
-    mask = np.zeros(n_samples, dtype=bool)
-    shift = _alignment_shift(level)
-    for k in range(max(_first_wrapped(n_samples, level), 0), n_samples // step):
-        start = (k * step + shift) % n_samples
-        pos = (start + np.arange(step)) % n_samples
-        mask[pos] = True
-    return mask
+    wrapped = np.arange(n_samples // step) >= _first_wrapped(n_samples, level)
+    return np.roll(np.repeat(wrapped, step), _alignment_shift(level))
 
 
 def window_energies(
-    tree: DecompositionTree, level: int, starts: np.ndarray, width: int,
-    include_boundary: bool = True,
+    tree: DecompositionTree, level: int, starts: np.ndarray, width: int
 ) -> np.ndarray:
     """Mean squared level-``level`` detail energy over windows ``[s, s + width)``.
 
     Sums d_level(k)**2 over the contiguous run of k whose support [2**level * k,
     2**level * k + support) intersects the window, divided by ``width``.
-    ``include_boundary=False`` drops coefficients whose support runs past the
-    record end; they mix the wrapped record start into the tail.
+    Coefficients whose support runs past the record end are left out: they mix
+    the wrapped record start into the tail.
     """
     d2 = tree.details[level - 1] ** 2
     step, sup = 1 << level, _support_length(level)
-    last = d2.shape[0] if include_boundary else _first_wrapped(tree.original_length, level)
+    last = _first_wrapped(tree.original_length, level)
     firsts = np.maximum((starts - sup) // step + 1, 0)
     stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
     return np.array([d2[a:b].sum() for a, b in zip(firsts, stops)]) / width
 
 
-def wavelet_energy_index(
-    trace: Trace, level: int, span: tuple[int, int], include_boundary: bool = True
-) -> float:
+def wavelet_energy_index(trace: Trace, level: int, span: tuple[int, int]) -> float:
     """:func:`window_energies` of one half-open ``span = (start, stop)`` of ``trace``.
 
     Raises:
@@ -249,4 +230,4 @@ def wavelet_energy_index(
     if not 0 <= lo < hi <= n:
         raise DegenerateInputError(f"span {span} is empty or outside the trace (N={n})")
     tree = dwt_decompose(trace, level)
-    return float(window_energies(tree, level, np.array([lo]), hi - lo, include_boundary)[0])
+    return float(window_energies(tree, level, np.array([lo]), hi - lo)[0])

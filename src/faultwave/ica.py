@@ -16,6 +16,7 @@ it needs no FastICA fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class WhiteningModel:
 
     mean: np.ndarray
     projection: np.ndarray
-    dewhitening: np.ndarray
     eigenvalues: np.ndarray
 
 
@@ -65,7 +65,6 @@ class PiSeries:
     start_sample: int
     sample_rate_hz: float
     window_len: int
-    reference: str
     whitening_eigenvalues: np.ndarray
 
     def time_axis(self) -> np.ndarray:
@@ -76,8 +75,10 @@ class PiSeries:
 class IcaConfig:
     """Options of the performance index.
 
-    ``retain`` caps the principal components kept while whitening. The
-    default of 2 matches healthy data: balanced three-phase voltages (and a
+    ``retain`` caps the principal components kept while whitening: an
+    integer >= 1 keeps that many, a float in (0, 1] the smallest count
+    reaching that variance fraction, None all of them. The default of 2
+    matches healthy data: balanced three-phase voltages (and a
     delay-embedded sinusoid) span two dimensions, and dropping the remainder
     keeps pure-noise directions from dominating the index.
     ``embedding_dim``, if set, delay-embeds phase a instead of using the
@@ -95,8 +96,13 @@ class IcaConfig:
         if not 0 < self.fundamental_hz < np.inf:
             raise ConfigError(
                 f"fundamental_hz must be finite and positive, got {self.fundamental_hz}")
-        if self.embedding_dim is not None and self.embedding_dim < 2:
-            raise ConfigError("embedding_dim must be at least 2")
+        d, r = self.embedding_dim, self.retain
+        if d is not None and (isinstance(d, bool) or not isinstance(d, Integral) or d < 2):
+            raise ConfigError(f"embedding_dim must be null or an integer >= 2, got {d!r}")
+        if r is not None and (isinstance(r, bool) or not (
+                isinstance(r, int) and r >= 1 or isinstance(r, float) and 0 < r <= 1)):
+            raise ConfigError(
+                f"retain must be null, an integer >= 1 or a fraction in (0, 1], got {r!r}")
 
 
 def build_data_matrix(
@@ -172,17 +178,9 @@ def whiten(
         r = min(r, int(np.searchsorted(fractions, retain) + 1))
 
     eigvals = eigvals[:r]
-    eigvecs = eigvecs[:, :r]
-    scale = 1.0 / np.sqrt(eigvals)
-    projection = scale[:, None] * eigvecs.T
-    dewhitening = eigvecs * np.sqrt(eigvals)[None, :]
-    model = WhiteningModel(
-        mean=np.zeros(m) if mean is None else np.asarray(mean, dtype=float),
-        projection=projection,
-        dewhitening=dewhitening,
-        eigenvalues=eigvals,
-    )
-    return projection @ centered, model
+    projection = (1.0 / np.sqrt(eigvals))[:, None] * eigvecs[:, :r].T
+    mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=float)
+    return projection @ centered, WhiteningModel(mean, projection, eigvals)
 
 
 def _contrast_funcs(contrast: str):
@@ -414,6 +412,9 @@ def performance_index(
         raise BoundsError("pre-fault span must precede the analysis span")
 
     fs = record.sample_rate_hz
+    if not fs / config.fundamental_hz < n:
+        raise DegenerateInputError(
+            f"one {config.fundamental_hz} Hz cycle is longer than the record ({n} samples)")
     period = int(round(fs / config.fundamental_hz))
     if period < 2:
         raise ConfigError(
@@ -445,12 +446,6 @@ def performance_index(
         start_sample=a_lo,
         sample_rate_hz=fs,
         window_len=period,
-        reference=(
-            f"pre-fault samples [{p_lo}, {p_hi}) averaged into one "
-            f"{period}-sample cycle, tiled phase-locked at "
-            f"{config.fundamental_hz} Hz; index averaged over a trailing "
-            f"{period}-sample window"
-        ),
         whitening_eigenvalues=whitening.eigenvalues,
     )
 

@@ -201,11 +201,7 @@ class RunConfig:
                 "min_consecutive": self.detector.min_consecutive,
             },
             "ica": dataclasses.asdict(self.ica),
-            "spans": {
-                "prefault": list(self.spans.prefault),
-                "calibration": list(self.spans.calibration),
-                "analysis": list(self.spans.analysis),
-            },
+            "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()},
             "channel": self.channel,
         }
 
@@ -271,6 +267,24 @@ def check_spans(config: RunConfig, n_samples: int) -> None:
     for name, (lo, hi) in dataclasses.asdict(config.spans).items():
         if not 0 <= lo < hi <= n_samples:
             raise ConfigError(f"span {name}=({lo}, {hi}) lies outside the record (N={n_samples})")
+
+
+def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) -> None:
+    """Require a labelled fault to start outside ``spans.calibration``.
+
+    A fault inside the span that calibrates the threshold lifts the threshold
+    over the fault itself, and the verdict becomes a silent "no fault".
+
+    Raises:
+        ConfigError: the onset sample lies in the calibration span.
+    """
+    if fault is None or fault.fault_type is FaultType.NONE:
+        return
+    onset = fault.onset_s * sample_rate_hz
+    lo, hi = spans.calibration
+    if onset < hi and lo <= round(onset) < hi:
+        raise ConfigError(f"fault onset sample {round(onset)} lies inside the calibration span "
+                          f"({lo}, {hi}), which must be fault-free")
 
 
 def parse_run_config(obj: dict) -> RunConfig:

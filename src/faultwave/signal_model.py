@@ -12,7 +12,6 @@ return identical outputs, and returned objects are never mutated afterwards.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +93,7 @@ class WaveformConfig:
                 f"fundamental_hz={self.fundamental_hz}"
             )
         n_exact = self.duration_s * self.sample_rate_hz
-        if abs(n_exact - round(n_exact)) > 1e-6:
+        if not n_exact < math.inf or abs(n_exact - round(n_exact)) > 1e-6:
             raise ConfigError(
                 f"duration_s * sample_rate_hz = {n_exact} is not an integer sample count"
             )
@@ -163,7 +162,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -274,7 +273,7 @@ def inject_fault(record: ThreePhaseRecord, fault: FaultSpec) -> ThreePhaseRecord
 
     fs = record.sample_rate_hz
     n = record.n_samples
-    onset_idx = int(round(fault.onset_s * fs))
+    onset_idx = int(round(min(fault.onset_s * fs, n)))  # min: inf cannot become an int
     if onset_idx >= n:
         raise BoundsError(
             f"fault onset {fault.onset_s} s is beyond the record end "
@@ -283,7 +282,7 @@ def inject_fault(record: ThreePhaseRecord, fault: FaultSpec) -> ThreePhaseRecord
     if fault.clear_s is None:
         clear_idx = n
     else:
-        clear_idx = int(round(fault.clear_s * fs))
+        clear_idx = int(round(min(fault.clear_s * fs, n + 1)))
         if clear_idx > n:
             raise BoundsError(
                 f"fault clearing {fault.clear_s} s is beyond the record end "
@@ -330,24 +329,6 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
         samples=record.samples + perturbation,
         labels=record.labels,
     )
-
-
-def with_frequency_deviation(
-    config: WaveformConfig, new_fundamental_hz: float
-) -> WaveformConfig:
-    """Return a copy of ``config`` with the fundamental frequency replaced.
-
-    Raises:
-        ConfigError: the new fundamental is non-positive or violates Nyquist.
-    """
-    if new_fundamental_hz <= 0:
-        raise ConfigError(f"fundamental must be positive, got {new_fundamental_hz}")
-    if config.sample_rate_hz <= 2.0 * new_fundamental_hz:
-        raise ConfigError(
-            f"fundamental {new_fundamental_hz} Hz violates Nyquist at "
-            f"sample rate {config.sample_rate_hz} Hz"
-        )
-    return dataclasses.replace(config, fundamental_hz=new_fundamental_hz)
 
 
 def select_channel(record: ThreePhaseRecord, phase: str) -> Trace:

@@ -17,11 +17,10 @@ from .signal_model import Trace
 
 @dataclass(eq=False)
 class Spectrum:
-    """One-sided magnitude/phase spectrum of a whole trace."""
+    """One-sided magnitude spectrum of a whole trace."""
 
     bin_hz: float
     magnitudes: np.ndarray
-    phase: np.ndarray
     n_samples: int
 
     def frequencies(self) -> np.ndarray:
@@ -38,14 +37,12 @@ class Spectrum:
 
 @dataclass(eq=False)
 class Spectrogram:
-    """Hann-windowed magnitude frames; frame f covers samples [f*hop, f*hop+window_len)."""
+    """Hann-windowed magnitude frames; frame f starts at sample f*hop."""
 
-    window_len: int
     hop: int
     frames: np.ndarray
     frame_times_s: np.ndarray
     bin_hz: float
-    sample_rate_hz: float
 
     @property
     def n_frames(self) -> int:
@@ -67,11 +64,9 @@ def dft(trace: Trace) -> Spectrum:
     n = trace.n_samples
     if n < 2:
         raise DegenerateInputError(f"need at least 2 samples for a spectrum, got {n}")
-    coeffs = np.fft.rfft(trace.samples) / np.sqrt(n)
     return Spectrum(
         bin_hz=trace.sample_rate_hz / n,
-        magnitudes=np.abs(coeffs),
-        phase=np.angle(coeffs),
+        magnitudes=np.abs(np.fft.rfft(trace.samples) / np.sqrt(n)),
         n_samples=n,
     )
 
@@ -102,46 +97,27 @@ def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     frames = frame_magnitudes(trace.samples, window_len, hop, np.hanning(window_len))
     starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(
-        window_len=window_len,
         hop=hop,
         frames=frames,
         frame_times_s=(starts + window_len / 2.0) / trace.sample_rate_hz,
         bin_hz=trace.sample_rate_hz / window_len,
-        sample_rate_hz=trace.sample_rate_hz,
     )
 
 
-def highband_energy_index(
-    transformed: Spectrum | Spectrogram, cutoff_hz: float, span: tuple[int, int]
-) -> float:
-    """Normalized squared-magnitude sum in bins at or above ``cutoff_hz``.
+def highband_energy_index(spectrum: Spectrum, cutoff_hz: float, span: tuple[int, int]) -> float:
+    """Squared-magnitude sum in bins at or above ``cutoff_hz``, per span sample.
 
-    For a :class:`Spectrum` the input is expected to be the transform of the
-    span taken in isolation; the sum runs over its high bins. For a
-    :class:`Spectrogram` the sum runs over every frame intersecting the span.
-    Either way the result is divided by the span length in samples.
+    ``spectrum`` is expected to be the transform of ``span = (start, stop)``
+    taken in isolation; the sum is divided by the span length in samples.
 
     Raises:
         DegenerateInputError: empty span.
-        ConfigError: cutoff at or above the representable band edge.
+        ConfigError: cutoff at or above the Nyquist frequency.
     """
     lo, hi = span
     if hi <= lo:
         raise DegenerateInputError(f"span {span} is empty")
-
-    if cutoff_hz >= _nyquist(transformed):
+    if cutoff_hz >= spectrum.bin_hz * spectrum.n_samples / 2.0:
         raise ConfigError(f"cutoff {cutoff_hz} Hz is at or above the Nyquist frequency")
-    bins = transformed.frequencies() >= cutoff_hz
-
-    if isinstance(transformed, Spectrum):
-        return float(np.sum(transformed.magnitudes[bins] ** 2) / (hi - lo))
-
-    starts = transformed.frame_starts()
-    in_span = (starts < hi) & (starts + transformed.window_len > lo)
-    return float(np.sum(transformed.frames[np.ix_(in_span, bins)] ** 2) / (hi - lo))
-
-
-def _nyquist(transformed: Spectrum | Spectrogram) -> float:
-    if isinstance(transformed, Spectrogram):
-        return transformed.sample_rate_hz / 2.0
-    return transformed.bin_hz * transformed.n_samples / 2.0
+    bins = spectrum.frequencies() >= cutoff_hz
+    return float(np.sum(spectrum.magnitudes[bins] ** 2) / (hi - lo))

@@ -26,7 +26,6 @@ from faultwave import (
     Spans,
     Trace,
     center,
-    db4_filters,
     dwt_decompose,
     dwt_reconstruct,
     energy_detect,
@@ -39,6 +38,7 @@ from faultwave import (
     whiten,
 )
 from faultwave.detect import ENERGY_METHODS
+from faultwave.dwt import DB4_LOWPASS
 from conftest import FAULT_ONSET_SAMPLE, make_record
 
 _SUITE_START = time.perf_counter()
@@ -66,7 +66,7 @@ def grid_cases():
 
 def test_criterion_1_filter_identities():
     start = time.perf_counter()
-    h = db4_filters().lowpass
+    h = DB4_LOWPASS
     n = np.arange(h.shape[0])
 
     assert abs(h.sum() - sqrt(2.0)) <= 1e-8
@@ -215,7 +215,7 @@ def test_criterion_7_energy_table_detection():
         for name in ("AG", "BG", "CG", "AB", "BC", "ABC")
     ]
     table = energy_table(faults)
-    for row in table.rows:
+    for row in table:
         assert row.error is None, row
         assert row.detected_ft and row.detected_stft and row.detected_wt, row
 
@@ -223,7 +223,7 @@ def test_criterion_7_energy_table_detection():
     # reference ordering suggests
     orderings = [
         f"{row.scenario_name}:{'wt>stft>ft' if row.e_wt > row.e_stft > row.e_ft else 'other'}"
-        for row in table.rows
+        for row in table
     ]
 
     conditions = [

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from faultwave import FaultType, calibrate_threshold, detail_series, dwt_decompose, select_channel
+from faultwave import (FaultSpec, FaultType, IcaConfig, NoiseSpec, WaveformConfig,
+                       calibrate_threshold, detail_series, dwt_decompose, select_channel)
+from faultwave.detect import METHODS
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
 from faultwave.errors import ConfigError
 from faultwave.io import (
     build_record,
+    check_onset,
     parse_run_config,
     read_record_csv,
     sidecar_path,
@@ -132,6 +137,24 @@ class TestRunConfig:
             parse_run_config({"spans": {"calibration": [0, 900]}})
 
     @pytest.mark.parametrize(
+        "fault, rejected",
+        [(FaultSpec(FaultType.AG, onset_s=0.0), True),
+         (FaultSpec(FaultType.AG, onset_s=0.0595), True),
+         (FaultSpec(FaultType.AG, onset_s=0.06), False),
+         (FaultSpec(FaultType.NONE, onset_s=0.03), False),
+         (None, False)],
+        ids=["first_sample", "last_calibration_sample", "first_sample_after", "no_fault",
+             "no_label"],
+    )
+    def test_onset_inside_calibration_rejected(self, fault, rejected):
+        spans = parse_run_config({}).spans  # calibration (0, 120) at 2 kHz
+        if rejected:
+            with pytest.raises(ConfigError, match=r"calibration span \(0, 120\)"):
+                check_onset(spans, fault, 2000.0)
+        else:
+            check_onset(spans, fault, 2000.0)
+
+    @pytest.mark.parametrize(
         "config, match",
         [
             ({"ica": {"contrast": "cube"}}, "unknown key 'contrast' in ica"),
@@ -223,10 +246,21 @@ class TestCmdGenerate:
             ({"detector": {"threshold": {"k_sigma": float("nan")}}}, "k_sigma"),
             ({"detector": {"threshold": {"k_sigma": float("inf")}}}, "k_sigma"),
             ({"ica": {"fundamental_hz": 0.0}}, "fundamental_hz"),
+            ({"ica": {"embedding_dim": 2.5}}, "embedding_dim"),
+            ({"ica": {"retain": 1.5}}, "retain"),
+            ({"ica": {"retain": 0}}, "retain"),
+            ({"ica": {"retain": "x"}}, "retain"),
+            ({"ica": {"retain": True}}, "retain"),
+            ({"detector": {"level": True}}, "level"),
+            ({"detector": {"min_consecutive": True}}, "min_consecutive"),
+            ({"detector": {"cutoff_hz": True}}, "cutoff_hz"),
+            ({"noise": {"snr_db": 20.0, "seed": True}}, "seed"),
         ],
         ids=["inf_rate", "inf_duration", "nan_fundamental", "nan_onset", "inf_clear",
              "negative_seed", "fractional_seed", "nan_k_sigma", "inf_k_sigma",
-             "zero_ica_fundamental"],
+             "zero_ica_fundamental", "fractional_embedding_dim",
+             "retain_above_one", "zero_retain", "string_retain", "bool_retain", "bool_level",
+             "bool_min_consecutive", "bool_cutoff", "bool_seed"],
     )
     def test_non_finite_or_out_of_range_setting_exits_2(self, runner, tmp_path, config, name):
         # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads back
@@ -404,6 +438,50 @@ class TestCmdDetect:
         assert result.exit_code == 3
         assert "ica detector failed" in result.output
 
+    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"detector": {"method": "energy_ft", "cutoff_hz": 1000}}, "Nyquist"),
+         ({"ica": {"fundamental_hz": 1500}, "detector": {"method": "ica"}}, "samples per cycle")],
+        ids=["cutoff_at_nyquist", "ica_fundamental_too_high"],
+    )
+    def test_config_error_while_running_exits_2(self, runner, tmp_path, command, out, config,
+                                                message):
+        trace, _ = self.make_trace(runner, tmp_path)
+        cfg = write_json(tmp_path / "detect.json", config)
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "config, code",
+        [({"waveform": {"duration_s": 1e306}}, 2),
+         ({"waveform": {"fundamental_hz": 5e-324}, "detector": {"method": "energy_ft"}}, 3),
+         ({"ica": {"fundamental_hz": 5e-324}, "detector": {"method": "ica"}}, 3)],
+        ids=["sample_count_overflows", "energy_cycle_overflows", "ica_cycle_overflows"],
+    )
+    def test_extreme_setting_exits_2_or_3_not_1(self, runner, tmp_path, config, code):
+        trace, _ = self.make_trace(runner, tmp_path)
+        cfg = write_json(tmp_path / "detect.json", config)
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == code, result.output
+
+    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
+    def test_labelled_onset_inside_calibration_exits_2(self, runner, tmp_path, command, out):
+        # onset sample 60 lies inside the default calibration span (0, 120)
+        trace, cfg = self.make_trace(runner, tmp_path, {"fault": {"fault_type": "AG",
+                                                                  "onset_s": 0.03}})
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "onset sample 60 lies inside the calibration span (0, 120)" in result.output
+
     @pytest.mark.parametrize(
         "command, method, level, out",
         [("detect", "energy_wt", 2, "r.json"), ("detect", "wavelet", 1, "r.json"),
@@ -482,6 +560,17 @@ class TestCmdEnergyTable:
         assert len(lines) == 8
         assert lines[-1].startswith("broken,,,,,,,")
         assert "BoundsError" in lines[-1]
+
+    def test_onset_inside_calibration_becomes_error_row(self, runner, tmp_path):
+        doc = self.suite()
+        doc["scenarios"].append({"name": "early", "fault": {"fault_type": "AG", "onset_s": 0.03}})
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 8
+        assert lines[-1].startswith("early,,,,,,,ConfigError: fault onset sample 60")
 
     def test_duplicate_names_rejected(self, runner, tmp_path):
         doc = self.suite()
@@ -567,3 +656,52 @@ class TestCmdPlotData:
             main, ["plot-data", "--in", str(empty), "--config", str(cfg), "--out", str(tmp_path / "p")]
         )
         assert result.exit_code == 2
+
+
+def known_key_paths() -> list[tuple[str, ...]]:
+    """Every key a run config may hold, as a path from the document root."""
+    sections = {"waveform": WaveformConfig, "fault": FaultSpec, "noise": NoiseSpec,
+                "ica": IcaConfig}
+    paths = [(name, f.name) for name, cls in sections.items() for f in dataclasses.fields(cls)]
+    paths += [("detector", key)
+              for key in ("method", "threshold", "level", "cutoff_hz", "min_consecutive")]
+    paths += [("detector", "threshold", key) for key in ("fixed", "k_sigma")]
+    paths += [("spans", key) for key in ("prefault", "calibration", "analysis")]
+    return paths + [(key,) for key in (*sections, "detector", "spans", "channel")]
+
+
+FUZZ_VALUES = st.one_of(
+    st.integers(-10**4, 10**4), st.floats(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(-10**3, 10**3), max_size=3), st.none(),
+)
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory) -> Path:
+        trace = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+        write_record_csv(trace, make_record("AG", snr_db=20.0, seed=1))  # 400 samples
+        return trace
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(known_key_paths()), FUZZ_VALUES,
+                           min_size=1, max_size=3))
+    @example({("ica", "embedding_dim"): 2.5})
+    @example({("waveform", "duration_s"): 1e306})
+    @example({("waveform", "fundamental_hz"): 5e-324})
+    def test_detect_exits_0_2_or_3_never_1(self, trace, settings_):
+        for method in METHODS:
+            config: dict = {"detector": {"method": method}}
+            for path, value in settings_.items():
+                node = config
+                for key in path[:-1]:
+                    if not isinstance(node.get(key), dict):
+                        node[key] = {}
+                    node = node[key]
+                node[path[-1]] = value
+            cfg = write_json(trace.parent / "fuzz.json", config)
+            result = CliRunner().invoke(
+                main, ["detect", "--in", str(trace), "--config", str(cfg),
+                       "--out", str(trace.parent / "r.json")]
+            )
+            assert result.exit_code in (0, 2, 3), (config, result.output, result.exception)

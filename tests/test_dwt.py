@@ -11,19 +11,21 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from faultwave import (
     DegenerateInputError,
     ShapeError,
     Trace,
-    db4_filters,
     detail_series,
     dwt_decompose,
     dwt_reconstruct,
     select_channel,
     wavelet_energy_index,
 )
-from faultwave.dwt import boundary_artifact_mask, quadrature_mirror
+from faultwave.dwt import (DB4_HIGHPASS, DB4_LOWPASS, FILTER_LEN, _alignment_shift,
+                           _first_wrapped, boundary_artifact_mask, check_length,
+                           quadrature_mirror)
 from conftest import FAULT_ONSET_SAMPLE, rng_trace
 
 
@@ -54,32 +56,29 @@ def spectral_factorization_lowpass(vanishing_moments: int = 4) -> np.ndarray:
 class TestFilterPair:
     def test_matches_spectral_factorization(self):
         derived = spectral_factorization_lowpass()
-        np.testing.assert_allclose(db4_filters().lowpass, derived, atol=1e-10)
+        np.testing.assert_allclose(DB4_LOWPASS, derived, atol=1e-10)
 
     def test_sum_is_sqrt2(self):
-        assert abs(db4_filters().lowpass.sum() - sqrt(2.0)) < 1e-10
+        assert abs(DB4_LOWPASS.sum() - sqrt(2.0)) < 1e-10
 
     def test_unit_norm(self):
-        assert abs(np.sum(db4_filters().lowpass ** 2) - 1.0) < 1e-10
+        assert abs(np.sum(DB4_LOWPASS ** 2) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_double_shift_orthogonality(self, k):
-        h = db4_filters().lowpass
+        h = DB4_LOWPASS
         assert abs(np.dot(h[: -2 * k], h[2 * k :])) < 1e-10
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_vanishing_moments(self, p):
-        h = db4_filters().lowpass
+        h = DB4_LOWPASS
         n = np.arange(h.shape[0])
         assert abs(np.sum((-1.0) ** n * n**p * h)) < 1e-8
 
     def test_highpass_is_quadrature_mirror(self):
-        pair = db4_filters()
         n = np.arange(8)
-        np.testing.assert_array_equal(
-            pair.highpass, (-1.0) ** n * pair.lowpass[::-1]
-        )
-        assert np.array_equal(pair.highpass, quadrature_mirror(pair.lowpass))
+        np.testing.assert_array_equal(DB4_HIGHPASS, (-1.0) ** n * DB4_LOWPASS[::-1])
+        assert np.array_equal(DB4_HIGHPASS, quadrature_mirror(DB4_LOWPASS))
 
 
 class TestDecompose:
@@ -127,6 +126,10 @@ class TestDecompose:
     def test_indivisible_length_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
             dwt_decompose(Trace(np.zeros(100), 2000.0), 3)
+
+    def test_level_beyond_the_length_rejected_without_computing_2_to_the_level(self):
+        with pytest.raises(ShapeError, match="divisible"):
+            check_length(400, 10**12)
 
     def test_too_short_rejected(self):
         with pytest.raises(ShapeError, match="shorter"):
@@ -201,3 +204,41 @@ class TestEnergyIndex:
     def test_empty_span_rejected(self):
         with pytest.raises(DegenerateInputError, match="span"):
             wavelet_energy_index(Trace(np.zeros(64), 2000.0), 1, (10, 10))
+
+
+class TestProperties:
+    """Orthogonality at random valid lengths, levels and scales."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.integers(1, 5), blocks=st.integers(1, 128), seed=st.integers(0, 2**16),
+           scale=st.floats(1e-6, 1e6))
+    def test_perfect_reconstruction_and_energy_conservation(self, level, blocks, seed, scale):
+        n = blocks << level
+        assume(n >= FILTER_LEN)
+        x = scale * rng_trace(n, seed)
+        tree = dwt_decompose(Trace(x, 2000.0), level)
+        back = dwt_reconstruct(tree).samples
+        assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+        energy = sum(float(np.sum(band**2)) for band in [*tree.details, tree.approx])
+        assert abs(energy - float(np.sum(x**2))) <= 1e-9 * float(np.sum(x**2))
+
+
+def loop_boundary_mask(n_samples: int, level: int) -> np.ndarray:
+    """Reference: mark each wrapped coefficient's positions one at a time."""
+    step = 1 << level
+    mask = np.zeros(n_samples, dtype=bool)
+    shift = _alignment_shift(level)
+    for k in range(max(_first_wrapped(n_samples, level), 0), n_samples // step):
+        start = (k * step + shift) % n_samples
+        mask[(start + np.arange(step)) % n_samples] = True
+    return mask
+
+
+class TestBoundaryArtifactMask:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_equals_loop_reference_at_every_valid_length(self, level):
+        step = 1 << level
+        for n in range(-(-FILTER_LEN // step) * step, 4097, step):
+            check_length(n, level)
+            np.testing.assert_array_equal(boundary_artifact_mask(n, level),
+                                          loop_boundary_mask(n, level), err_msg=f"n={n}")

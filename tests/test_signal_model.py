@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from faultwave import (
     generate_baseline,
     inject_fault,
     select_channel,
-    with_frequency_deviation,
 )
 from conftest import FAULT_ONSET_SAMPLE, make_record
 
@@ -145,6 +142,12 @@ class TestInjectFault:
         with pytest.raises(BoundsError, match="beyond the record end"):
             inject_fault(baseline_record, FaultSpec(fault_type=FaultType.AG, onset_s=0.3))
 
+    @pytest.mark.parametrize("times", [dict(onset_s=1e308), dict(onset_s=0.05, clear_s=1e308)],
+                             ids=["onset", "clear"])
+    def test_time_whose_sample_index_overflows_raises_bounds_error(self, baseline_record, times):
+        with pytest.raises(BoundsError, match="beyond the record end"):
+            inject_fault(baseline_record, FaultSpec(fault_type=FaultType.AG, **times))
+
     def test_clearing_beyond_record_raises(self, baseline_record):
         with pytest.raises(BoundsError, match="beyond the record end"):
             inject_fault(
@@ -203,26 +206,6 @@ class TestAddNoise:
         record = generate_baseline(WaveformConfig(duration_s=0.2, amplitude_pu=0.0))
         with pytest.raises(DegenerateInputError, match="zero-power"):
             add_noise(record, NoiseSpec(snr_db=20.0))
-
-
-class TestFrequencyDeviation:
-    def test_only_fundamental_changes(self):
-        cfg = WaveformConfig(duration_s=0.2)
-        shifted = with_frequency_deviation(cfg, 50.5)
-        assert shifted == dataclasses.replace(cfg, fundamental_hz=50.5)
-
-    def test_same_value_is_identity(self):
-        cfg = WaveformConfig(duration_s=0.2)
-        assert with_frequency_deviation(cfg, 50.0) == cfg
-
-    def test_super_nyquist_rejected(self):
-        cfg = WaveformConfig(duration_s=0.2)
-        with pytest.raises(ConfigError, match="Nyquist"):
-            with_frequency_deviation(cfg, 1200.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigError):
-            with_frequency_deviation(WaveformConfig(duration_s=0.2), -5.0)
 
 
 class TestSelectChannel:
