@@ -74,10 +74,10 @@ class DetectorConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("level", "min_consecutive"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            if not isinstance(value, Integral) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         cutoff = self.cutoff_hz
-        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not np.isfinite(cutoff):
+        if not isinstance(cutoff, Real) or not np.isfinite(cutoff):
             raise ConfigError(f"cutoff_hz must be a finite number, got {self.cutoff_hz!r}")
 
 

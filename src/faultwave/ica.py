@@ -97,10 +97,10 @@ class IcaConfig:
             raise ConfigError(
                 f"fundamental_hz must be finite and positive, got {self.fundamental_hz}")
         d, r = self.embedding_dim, self.retain
-        if d is not None and (isinstance(d, bool) or not isinstance(d, Integral) or d < 2):
+        if d is not None and (not isinstance(d, Integral) or d < 2):
             raise ConfigError(f"embedding_dim must be null or an integer >= 2, got {d!r}")
-        if r is not None and (isinstance(r, bool) or not (
-                isinstance(r, int) and r >= 1 or isinstance(r, float) and 0 < r <= 1)):
+        if r is not None and not (
+                isinstance(r, int) and r >= 1 or isinstance(r, float) and 0 < r <= 1):
             raise ConfigError(
                 f"retain must be null, an integer >= 1 or a fraction in (0, 1], got {r!r}")
 

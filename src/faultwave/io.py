@@ -216,6 +216,7 @@ def _detector_config(threshold=None, **knobs) -> DetectorConfig:
         return DetectorConfig(**knobs)
     threshold = _object(threshold, "detector.threshold")
     _check_keys(threshold, {"fixed", "k_sigma"}, "detector.threshold")
+    _reject_booleans(threshold, "detector.threshold")
     if len(threshold) != 1:
         raise ConfigError("detector.threshold must hold exactly one of 'fixed' and 'k_sigma', "
                           f"got {threshold!r}")
@@ -230,6 +231,14 @@ def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {context}")
+
+
+def _reject_booleans(obj: dict, context: str) -> None:
+    """No setting is a boolean, and Python would read JSON true/false as 1 or 0."""
+    for key, value in obj.items():
+        if isinstance(value, bool) or (
+                isinstance(value, list) and any(isinstance(v, bool) for v in value)):
+            raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
 
 
 def _object(value, context: str) -> dict:
@@ -250,6 +259,7 @@ def _build_section(obj: dict, context: str, builder, allowed: set[str] | None = 
     if allowed is None:
         allowed = {f.name for f in dataclasses.fields(builder)}
     _check_keys(obj, allowed, context)
+    _reject_booleans(obj, context)
     try:
         return builder(**obj)
     except ConfigError:

@@ -162,7 +162,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 

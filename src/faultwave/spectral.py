@@ -37,22 +37,14 @@ class Spectrum:
 
 @dataclass(eq=False)
 class Spectrogram:
-    """Hann-windowed magnitude frames; frame f starts at sample f*hop."""
+    """Hann-windowed magnitude frames, one row per frame; times mark frame centers."""
 
-    hop: int
     frames: np.ndarray
     frame_times_s: np.ndarray
     bin_hz: float
 
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
     def frequencies(self) -> np.ndarray:
         return np.arange(self.frames.shape[1]) * self.bin_hz
-
-    def frame_starts(self) -> np.ndarray:
-        return np.arange(self.n_frames) * self.hop
 
 
 def dft(trace: Trace) -> Spectrum:
@@ -97,7 +89,6 @@ def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     frames = frame_magnitudes(trace.samples, window_len, hop, np.hanning(window_len))
     starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(
-        hop=hop,
         frames=frames,
         frame_times_s=(starts + window_len / 2.0) / trace.sample_rate_hz,
         bin_hz=trace.sample_rate_hz / window_len,

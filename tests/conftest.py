@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from faultwave import (
     FaultSpec,
@@ -15,6 +19,16 @@ from faultwave import (
     generate_baseline,
     inject_fault,
 )
+
+# Fixed draws and no example database: every run tries the same examples.
+# Tests keep their own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+# Hypothesis still caches the literals it scans from source files; keep that
+# cache in a directory removed at exit, not in .hypothesis/ of the checkout.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 SAMPLE_RATE = 2000.0
 FUNDAMENTAL = 50.0

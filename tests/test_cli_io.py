@@ -109,7 +109,7 @@ class TestTransformDumps:
         write_spectrogram_csv(tmp_path / "sg.csv", gram)
         sg_lines = (tmp_path / "sg.csv").read_text().strip().splitlines()
         assert sg_lines[0] == "frame_time_s,bin_hz,magnitude"
-        assert len(sg_lines) == 1 + gram.n_frames * gram.frames.shape[1]
+        assert len(sg_lines) == 1 + gram.frames.shape[0] * gram.frames.shape[1]
 
 
 class TestRunConfig:
@@ -255,19 +255,35 @@ class TestCmdGenerate:
             ({"detector": {"min_consecutive": True}}, "min_consecutive"),
             ({"detector": {"cutoff_hz": True}}, "cutoff_hz"),
             ({"noise": {"snr_db": 20.0, "seed": True}}, "seed"),
+            ({"detector": {"threshold": {"fixed": False}}}, "detector.threshold.fixed"),
+            ({"detector": {"threshold": {"k_sigma": True}}}, "detector.threshold.k_sigma"),
+            ({"ica": {"fundamental_hz": True}, "detector": {"method": "ica"}}, "ica.fundamental_hz"),
+            ({"noise": {"snr_db": True}}, "noise.snr_db"),
+            ({"waveform": {"fundamental_hz": True}}, "waveform.fundamental_hz"),
+            ({"waveform": {"amplitude_pu": True}}, "waveform.amplitude_pu"),
+            ({"waveform": {"phase_offsets_rad": [0, True, 0]}}, "waveform.phase_offsets_rad"),
+            ({"fault": {"fault_type": "AG", "onset_s": 0.065, "retained_voltage_pu": False}},
+             "fault.retained_voltage_pu"),
+            ({"fault": {"fault_type": "AG", "onset_s": 0.065, "transient_gain": True}},
+             "fault.transient_gain"),
         ],
         ids=["inf_rate", "inf_duration", "nan_fundamental", "nan_onset", "inf_clear",
              "negative_seed", "fractional_seed", "nan_k_sigma", "inf_k_sigma",
              "zero_ica_fundamental", "fractional_embedding_dim",
              "retain_above_one", "zero_retain", "string_retain", "bool_retain", "bool_level",
-             "bool_min_consecutive", "bool_cutoff", "bool_seed"],
+             "bool_min_consecutive", "bool_cutoff", "bool_seed", "bool_fixed", "bool_k_sigma",
+             "bool_ica_fundamental", "bool_snr_db", "bool_waveform_fundamental", "bool_amplitude",
+             "bool_phase_offset", "bool_retained_voltage", "bool_transient_gain"],
     )
-    def test_non_finite_or_out_of_range_setting_exits_2(self, runner, tmp_path, config, name):
+    def test_non_finite_or_out_of_range_setting_exits_2(self, runner, tmp_path, request,
+                                                             config, name):
         # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads back
         cfg = write_json(tmp_path / "bad.json", config)
         result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2, result.output
         assert name in result.output
+        if request.node.callspec.id.startswith("bool_"):
+            assert "must not be a boolean" in result.output
 
 
 class TestCmdDetect:
@@ -571,6 +587,17 @@ class TestCmdEnergyTable:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 8
         assert lines[-1].startswith("early,,,,,,,ConfigError: fault onset sample 60")
+
+    def test_boolean_fault_setting_becomes_error_row(self, runner, tmp_path):
+        doc = self.suite()
+        doc["scenarios"].append({"name": "boolean", "fault": {"fault_type": "AG", "onset_s": True}})
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 8
+        assert lines[-1].startswith("boolean,,,,,,,ConfigError: fault.onset_s must not be a boolean")
 
     def test_duplicate_names_rejected(self, runner, tmp_path):
         doc = self.suite()

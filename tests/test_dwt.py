@@ -11,7 +11,7 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from faultwave import (
     DegenerateInputError,
@@ -24,8 +24,8 @@ from faultwave import (
     wavelet_energy_index,
 )
 from faultwave.dwt import (DB4_HIGHPASS, DB4_LOWPASS, FILTER_LEN, _alignment_shift,
-                           _first_wrapped, boundary_artifact_mask, check_length,
-                           quadrature_mirror)
+                           _first_wrapped, _support_length, boundary_artifact_mask,
+                           check_length, quadrature_mirror, window_energies)
 from conftest import FAULT_ONSET_SAMPLE, rng_trace
 
 
@@ -242,3 +242,55 @@ class TestBoundaryArtifactMask:
             check_length(n, level)
             np.testing.assert_array_equal(boundary_artifact_mask(n, level),
                                           loop_boundary_mask(n, level), err_msg=f"n={n}")
+
+
+def loop_window_energies(tree, level: int, starts: np.ndarray, width: int) -> np.ndarray:
+    """Reference: sum each window's squared coefficients in its own slice."""
+    d2 = tree.details[level - 1] ** 2
+    step, sup = 1 << level, _support_length(level)
+    last = _first_wrapped(tree.original_length, level)
+    firsts = np.maximum((starts - sup) // step + 1, 0)
+    stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
+    return np.array([d2[a:b].sum() for a, b in zip(firsts, stops)]) / width
+
+
+@st.composite
+def window_grids(draw):
+    """(level, n, width, hop, from_end): n divisible by 2**level up to 8192."""
+    level = draw(st.integers(1, 4))
+    n = draw(st.integers(-(-FILTER_LEN >> level), 8192 >> level)) << level
+    width = draw(st.integers(2, n))
+    hop = draw(st.integers(1, width))
+    return level, n, width, hop, draw(st.booleans())
+
+
+class TestWindowEnergies:
+    """The grouped gather against the one-slice-per-window sum, bit for bit."""
+
+    @staticmethod
+    def both(level, n, width, hop, from_end, seed=0):
+        tree = dwt_decompose(Trace(rng_trace(n, seed), 2000.0), level)
+        starts = np.arange(0, n - width + 1, hop)
+        if from_end:  # end the last window at the record end, past the last unwrapped coefficient
+            starts += (n - width) - starts[-1]
+        return window_energies(tree, level, starts, width), loop_window_energies(
+            tree, level, starts, width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=window_grids(), seed=st.integers(0, 2**16))
+    @example(grid=(4, 1024, 2, 1, True), seed=0)
+    @example(grid=(3, 8192, 8192, 1, False), seed=1)
+    def test_equals_loop_reference_bitwise(self, grid, seed):
+        got, expected = self.both(*grid, seed=seed)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_tail_windows_without_coefficients_are_zero(self):
+        got, expected = self.both(4, 1024, 2, 1, True)
+        assert np.any(expected == 0.0) and np.any(expected > 0.0)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_no_windows(self):
+        tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 1)
+        got = window_energies(tree, 1, np.arange(0), 8)
+        assert got.shape == (0,) and got.dtype == np.float64
