@@ -24,7 +24,7 @@ from faultwave import (
 from faultwave.io import write_series_csv
 
 out_dir = Path(__file__).parent / "out"
-spans = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
+spans = Spans(calibration=(0, 120), analysis=(0, 400))
 
 conditions = [
     ("clean", None, 50.0),

@@ -10,17 +10,19 @@ from faultwave import (
     FaultType,
     WaveformConfig,
     energy_detect,
-    energy_table,
     generate_baseline,
     inject_fault,
     select_channel,
 )
+from faultwave.detect import energy_row
 
 scenarios = [
     FaultSpec(fault_type=FaultType(name), onset_s=0.065)
     for name in ("AG", "BG", "CG", "AB", "BC", "ABC")
 ]
-table = energy_table(scenarios)
+table = [energy_row(fault.fault_type.value,
+                    inject_fault(generate_baseline(WaveformConfig(duration_s=0.2)), fault))
+         for fault in scenarios]
 
 print(f"{'scenario':10s} {'e_ft':>12s} {'e_stft':>12s} {'e_wt':>12s}   detected(ft/stft/wt)")
 for row in table:

@@ -16,7 +16,6 @@ from .detect import (
     calibrate_threshold,
     default_spans,
     energy_detect,
-    energy_table,
     ica_detect,
     wavelet_detect,
 )
@@ -81,7 +80,7 @@ __all__ = [
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
     "AdaptiveThreshold", "Spans", "default_spans", "calibrate_threshold",
-    "wavelet_detect", "ica_detect", "energy_detect", "energy_table",
+    "wavelet_detect", "ica_detect", "energy_detect",
     # errors
     "FaultwaveError", "ConfigError", "BoundsError", "ShapeError",
     "DegenerateInputError", "NumericalError",

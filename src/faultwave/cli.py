@@ -2,7 +2,8 @@
 
 Exit codes: 0 = ran to completion (detection outcome is report data, not
 status), 2 = invalid inputs or configuration (also a setting a detector rejects
-while it runs), 3 = a transform failed while running a detector.
+while it runs, or a record or span the config does not fit), 3 = a transform
+failed while running a detector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .detect import (
     wavelet_detect,
     energy_detect,
 )
-from .errors import ConfigError, DegenerateInputError, FaultwaveError, ShapeError
+from .errors import BoundsError, ConfigError, DegenerateInputError, FaultwaveError, ShapeError
 from .io import (
     RunConfig,
     atomic_write_text,
@@ -116,7 +117,7 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
 def cmd_energy_table(suite_path: str, out_path: str) -> None:
     """Evaluate the FT/STFT/WT energy indices over a scenario suite."""
     try:
-        _, scenarios = load_suite(Path(suite_path))
+        scenarios = load_suite(Path(suite_path))
     except (ConfigError, OSError) as exc:
         _fail(str(exc), 2)
 
@@ -207,14 +208,14 @@ def _load_and_run(
     try:
         check_spans(config, record.n_samples)
         check_onset(config.spans, record.labels, record.sample_rate_hz)
-        if config.detector.method in ("wavelet", "energy_wt"):
-            dwt.check_length(record.n_samples, config.detector.level)
-    except (ConfigError, ShapeError) as exc:
+    except ConfigError as exc:
         _fail(f"{in_path}: {exc}", 2)
     try:
         return config, record, run_detector(record, config)
     except ConfigError as exc:
         _fail(f"{config_path}: {exc}", 2)
+    except (ShapeError, BoundsError) as exc:  # the record or spans do not fit the config
+        _fail(f"{in_path}: {exc}", 2)
     except FaultwaveError as exc:
         _fail(f"{config.detector.method} detector failed: {exc}", 3)
 

@@ -22,10 +22,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import dwt, spectral
-from .errors import ConfigError, DegenerateInputError, FaultwaveError
+from .errors import ConfigError, DegenerateInputError
 from .ica import IcaConfig, performance_index
-from .signal_model import FaultSpec, NoiseSpec, ThreePhaseRecord, Trace, WaveformConfig
-from .signal_model import add_noise, generate_baseline, inject_fault, select_channel
+from .signal_model import ThreePhaseRecord, Trace, select_channel
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -83,17 +82,18 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Spans:
-    """Half-open sample ranges steering calibration and analysis."""
+    """Half-open sample ranges: ``calibration`` is the one fault-free span
+    (thresholds calibrate on it, the ICA template is built from it),
+    ``analysis`` the span scanned for an onset."""
 
-    prefault: tuple[int, int]
     calibration: tuple[int, int]
     analysis: tuple[int, int]
 
 
 def default_spans(n_samples: int) -> Spans:
-    """First 30% of the record for pre-fault/calibration, all of it for analysis."""
+    """First 30% of the record for calibration, all of it for analysis."""
     head = max(2, int(0.3 * n_samples))
-    return Spans(prefault=(0, head), calibration=(0, head), analysis=(0, n_samples))
+    return Spans(calibration=(0, head), analysis=(0, n_samples))
 
 
 @dataclass(eq=False)
@@ -281,23 +281,31 @@ def ica_detect(
 ) -> DetectionReport:
     """Onset detection from the ICA performance index.
 
-    The calibration span must lie inside the analysis span (the index only
-    exists there); both default to the record head per :func:`default_spans`.
+    The normal template is built from ``spans.calibration``, the same
+    fault-free span the threshold calibrates on. The index only exists on
+    the analysis span, so the calibration span must start where the analysis
+    span starts and end before it does, and cover at least two fundamental
+    cycles; by default it is the record head per :func:`default_spans`.
 
-    Because the normal template is averaged from the pre-fault cycles, index
+    Because the template is averaged from the calibration cycles, index
     values inside that span run systematically lower than fresh data under
     noise (template noise partially cancels its own contribution). Adaptive
     thresholds are therefore scaled by the bias factor (m+1)/(m-1) for m
-    pre-fault cycles, floored at 2.5x the calibration mean and at
+    calibration cycles, floored at 2.5x the calibration mean and at
     :data:`PI_DETECTION_FLOOR`. The scan skips the first ``window_len - 1``
     values: their trailing mean spans less than a cycle and runs noisier
     (calibration keeps them).
+
+    Raises:
+        BoundsError: the calibration span starts after the analysis span or
+            does not end before it.
+        DegenerateInputError: any other misfit of the calibration span.
     """
     if spans is None:
         spans = default_spans(record.n_samples)
-    pi = performance_index(record, spans.prefault, spans.analysis, ica_cfg)
-    prefault_cycles = (spans.prefault[1] - spans.prefault[0]) / pi.window_len
-    bias = (prefault_cycles + 1) / (prefault_cycles - 1) if prefault_cycles > 1 else 4.0
+    pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)
+    cycles = (spans.calibration[1] - spans.calibration[0]) / pi.window_len
+    bias = (cycles + 1) / (cycles - 1)
     a_lo, a_hi = pi.start_sample, pi.start_sample + pi.values.shape[0]
     index = _Index(np.arange(a_lo, a_hi), pi.values, 1, pi.time_axis(), (a_lo, a_hi))
     scan = replace(spans, analysis=(a_lo + pi.window_len - 1, a_hi))
@@ -412,27 +420,3 @@ def energy_row(
         peaks.append(max(report.metadata["analysis_index"] for report in reports))
         hits.append(any(report.detected for report in reports))
     return EnergyRow(name, *peaks, *hits)
-
-
-def energy_table(
-    scenarios: list[FaultSpec],
-    cfg: DetectorConfig = DetectorConfig(method="energy_wt"),
-    waveform: WaveformConfig = WaveformConfig(duration_s=0.2),
-    noise: NoiseSpec | None = None,
-    spans: Spans | None = None,
-) -> list[EnergyRow]:
-    """One :func:`energy_row` per fault scenario synthesized from ``waveform``.
-
-    A scenario that fails becomes an :meth:`EnergyRow.failed` row.
-    """
-    rows = []
-    for fault in scenarios:
-        name = fault.fault_type.value
-        try:
-            record = inject_fault(generate_baseline(waveform), fault)
-            if noise is not None:
-                record = add_noise(record, noise)
-            rows.append(energy_row(name, record, cfg, spans, waveform.fundamental_hz))
-        except FaultwaveError as exc:  # per-scenario isolation; errors become rows
-            rows.append(EnergyRow.failed(name, exc))
-    return rows

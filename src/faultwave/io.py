@@ -269,7 +269,7 @@ def _build_section(obj: dict, context: str, builder, allowed: set[str] | None = 
 
 
 def check_spans(config: RunConfig, n_samples: int) -> None:
-    """Require each of the three ``config.spans`` to lie inside a record of ``n_samples``.
+    """Require each of ``config.spans`` to lie inside a record of ``n_samples``.
 
     Raises:
         ConfigError: naming the first span that does not fit.
@@ -348,10 +348,11 @@ def build_record(config: RunConfig) -> ThreePhaseRecord:
     return add_noise(record, config.noise)
 
 
-def load_suite(path: Path) -> tuple[RunConfig, list[tuple[str, dict]]]:
+def load_suite(path: Path) -> list[tuple[str, dict]]:
     """Parse a scenario suite: a base run config plus named partial overrides.
 
-    Returns the base config and a list of (name, merged config dict) pairs.
+    Returns a list of (name, merged config dict) pairs. The base is parsed
+    too, so an invalid base fails the whole suite.
 
     Raises:
         ConfigError: malformed document or duplicate scenario names.
@@ -365,7 +366,7 @@ def load_suite(path: Path) -> tuple[RunConfig, list[tuple[str, dict]]]:
     _check_keys(obj, {"base", "scenarios"}, "suite")
 
     base_dict = obj.get("base", {})
-    base = parse_run_config(base_dict)
+    parse_run_config(base_dict)
 
     merged: list[tuple[str, dict]] = []
     seen = set()
@@ -378,7 +379,7 @@ def load_suite(path: Path) -> tuple[RunConfig, list[tuple[str, dict]]]:
         seen.add(name)
         delta = {k: v for k, v in scenario.items() if k != "name"}
         merged.append((name, _deep_merge(base_dict, delta)))
-    return base, merged
+    return merged
 
 
 def _deep_merge(base: dict, delta: dict) -> dict:

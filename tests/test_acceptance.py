@@ -25,25 +25,27 @@ from faultwave import (
     IcaConfig,
     Spans,
     Trace,
+    WaveformConfig,
     center,
     dwt_decompose,
     dwt_reconstruct,
     energy_detect,
-    energy_table,
     fastica,
     fit_ica,
+    generate_baseline,
     ica_detect,
+    inject_fault,
     select_channel,
     wavelet_detect,
     whiten,
 )
-from faultwave.detect import ENERGY_METHODS
+from faultwave.detect import ENERGY_METHODS, energy_row
 from faultwave.dwt import DB4_LOWPASS
 from conftest import FAULT_ONSET_SAMPLE, make_record
 
 _SUITE_START = time.perf_counter()
 
-SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
+SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
 
 # 3 fault types x 3 operating conditions; "freq" alternates 49.5/50.5 by seed
 GRID_FAULTS = ("AG", "AB", "ABCG")
@@ -214,7 +216,9 @@ def test_criterion_7_energy_table_detection():
         FaultSpec(fault_type=FaultType(name), onset_s=0.065)
         for name in ("AG", "BG", "CG", "AB", "BC", "ABC")
     ]
-    table = energy_table(faults)
+    table = [energy_row(fault.fault_type.value,
+                        inject_fault(generate_baseline(WaveformConfig(duration_s=0.2)), fault))
+             for fault in faults]
     for row in table:
         assert row.error is None, row
         assert row.detected_ft and row.detected_stft and row.detected_wt, row

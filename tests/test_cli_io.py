@@ -169,10 +169,11 @@ class TestRunConfig:
             ({"detector": {"threshold": 0.5}}, "detector.threshold must be a JSON object"),
             ({"detector": {"threshold": {"fixed": 0.5, "k_sigma": 3.0}}},
              "exactly one of 'fixed' and 'k_sigma'"),
+            ({"spans": {"prefault": [0, 120]}}, "unknown key 'prefault' in spans"),
         ],
         ids=["ica_contrast", "ica_seed", "ica_max_iter", "ica_tol", "detector_k_sigma",
              "detector_calibration_span", "threshold_calibration_span", "bare_number_threshold",
-             "fixed_and_k_sigma"],
+             "fixed_and_k_sigma", "spans_prefault"],
     )
     def test_removed_key_or_spelling_rejected(self, config, match):
         with pytest.raises(ConfigError, match=match):
@@ -182,8 +183,7 @@ class TestRunConfig:
         fixed = dict(AG_CONFIG, detector={"method": "energy_ft", "threshold": {"fixed": 0.25}})
         custom = dict(AG_CONFIG, detector={"method": "ica", "threshold": {"k_sigma": 3.5}},
                       ica={"embedding_dim": 4, "fundamental_hz": 49.5, "retain": 0.99},
-                      spans={"prefault": [0, 160], "calibration": [40, 160],
-                             "analysis": [80, 400]})
+                      spans={"calibration": [80, 160], "analysis": [80, 400]})
         for obj in (AG_CONFIG, fixed, custom):
             resolved = parse_run_config(obj).to_dict()
             assert parse_run_config(json.loads(json.dumps(resolved))).to_dict() == resolved
@@ -458,13 +458,18 @@ class TestCmdDetect:
     @pytest.mark.parametrize(
         "config, message",
         [({"detector": {"method": "energy_ft", "cutoff_hz": 1000}}, "Nyquist"),
-         ({"ica": {"fundamental_hz": 1500}, "detector": {"method": "ica"}}, "samples per cycle")],
-        ids=["cutoff_at_nyquist", "ica_fundamental_too_high"],
+         ({"ica": {"fundamental_hz": 1500}, "detector": {"method": "ica"}}, "samples per cycle"),
+         ({"waveform": {"duration_s": 0.02}, "detector": {"method": "energy_stft"}},
+          "need 2 <= window_len <= 40"),
+         ({"detector": {"method": "ica"}, "spans": {"calibration": [100, 200],
+                                                    "analysis": [80, 400]}},
+          "must precede the analysis span")],
+        ids=["cutoff_at_nyquist", "ica_fundamental_too_high", "stft_frame_longer_than_trace",
+             "ica_calibration_after_analysis_start"],
     )
     def test_config_error_while_running_exits_2(self, runner, tmp_path, command, out, config,
                                                 message):
-        trace, _ = self.make_trace(runner, tmp_path)
-        cfg = write_json(tmp_path / "detect.json", config)
+        trace, cfg = self.make_trace(runner, tmp_path, config)
         result = runner.invoke(
             main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
         )
@@ -487,16 +492,30 @@ class TestCmdDetect:
         )
         assert result.exit_code == code, result.output
 
-    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
-    def test_labelled_onset_inside_calibration_exits_2(self, runner, tmp_path, command, out):
-        # onset sample 60 lies inside the default calibration span (0, 120)
-        trace, cfg = self.make_trace(runner, tmp_path, {"fault": {"fault_type": "AG",
-                                                                  "onset_s": 0.03}})
+    @pytest.mark.parametrize(
+        "command, out, config, message",
+        [pytest.param("detect", "r.json", {"fault": {"fault_type": "AG", "onset_s": 0.03}},
+                      "onset sample 60 lies inside the calibration span (0, 120)",
+                      id="detect-r.json"),
+         pytest.param("plot-data", "plots", {"fault": {"fault_type": "AG", "onset_s": 0.03}},
+                      "onset sample 60 lies inside the calibration span (0, 120)",
+                      id="plot-data-plots"),
+         # the ICA template is built from the calibration span, so a fault
+         # inside it is rejected as well
+         pytest.param("detect", "r.json",
+                      dict(AG_CONFIG, fault={"fault_type": "AG", "onset_s": 0.05},
+                           detector={"method": "ica"}, spans={"calibration": [0, 160]}),
+                      "onset sample 100 lies inside the calibration span (0, 160)",
+                      id="ica-template-span")],
+    )
+    def test_labelled_onset_inside_calibration_exits_2(self, runner, tmp_path, command, out,
+                                                       config, message):
+        trace, cfg = self.make_trace(runner, tmp_path, config)
         result = runner.invoke(
             main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
         )
         assert result.exit_code == 2, result.output
-        assert "onset sample 60 lies inside the calibration span (0, 120)" in result.output
+        assert message in result.output
 
     @pytest.mark.parametrize(
         "command, method, level, out",
@@ -693,7 +712,7 @@ def known_key_paths() -> list[tuple[str, ...]]:
     paths += [("detector", key)
               for key in ("method", "threshold", "level", "cutoff_hz", "min_consecutive")]
     paths += [("detector", "threshold", key) for key in ("fixed", "k_sigma")]
-    paths += [("spans", key) for key in ("prefault", "calibration", "analysis")]
+    paths += [("spans", key) for key in ("calibration", "analysis")]
     return paths + [(key,) for key in (*sections, "detector", "spans", "channel")]
 
 

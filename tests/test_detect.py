@@ -10,32 +10,26 @@ from faultwave import (
     ConfigError,
     DegenerateInputError,
     DetectorConfig,
-    FaultSpec,
-    FaultType,
     FaultwaveError,
     FixedThreshold,
     IcaConfig,
     Spans,
     ThreePhaseRecord,
     Trace,
-    WaveformConfig,
     calibrate_threshold,
     dft,
     energy_detect,
-    energy_table,
-    generate_baseline,
     highband_energy_index,
     ica_detect,
-    inject_fault,
     select_channel,
     stft,
     wavelet_detect,
     wavelet_energy_index,
 )
-from faultwave.detect import ENERGY_METHODS, STFT_HOP, STFT_WINDOW, energy_row
+from faultwave.detect import ENERGY_METHODS, STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
 
-SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
+SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
 
 
 class TestCalibrateThreshold:
@@ -140,7 +134,7 @@ class TestIcaDetect:
 
     def test_calibration_span_must_fit_analysis(self):
         record = make_record("AG")
-        bad = Spans(prefault=(0, 120), calibration=(0, 500), analysis=(0, 400))
+        bad = Spans(calibration=(0, 120), analysis=(120, 400))
         with pytest.raises(DegenerateInputError):
             ica_detect(record, spans=bad)
 
@@ -254,40 +248,6 @@ class TestEnergyWindowSeries:
     def test_trace_shorter_than_one_cycle_rejected(self, method, n):
         with pytest.raises(FaultwaveError):
             energy_detect(Trace(rng_trace(n), 2000.0), method)
-
-
-class TestEnergyTable:
-    FAULT_NAMES = ("AG", "BG", "CG", "AB", "BC", "ABC")
-
-    def scenarios(self):
-        return [
-            FaultSpec(fault_type=FaultType(name), onset_s=0.065)
-            for name in self.FAULT_NAMES
-        ]
-
-    def test_six_faults_all_detected_by_all_methods(self):
-        table = energy_table(self.scenarios())
-        assert [row.scenario_name for row in table] == list(self.FAULT_NAMES)
-        for row in table:
-            assert row.detected_ft and row.detected_stft and row.detected_wt
-            assert row.e_ft >= 0 and row.e_stft >= 0 and row.e_wt >= 0
-
-    def test_rows_come_from_the_row_builder(self):
-        fault = FaultSpec(fault_type=FaultType.BC, onset_s=0.065)
-        record = inject_fault(generate_baseline(WaveformConfig(duration_s=0.2)), fault)
-        assert energy_table([fault]) == [energy_row("BC", record)]
-
-    def test_empty_scenario_list(self):
-        table = energy_table([])
-        assert table == []
-
-    def test_failing_scenario_becomes_error_row(self):
-        scenarios = self.scenarios()[:2] + [
-            FaultSpec(fault_type=FaultType.CG, onset_s=0.5)  # beyond the record
-        ]
-        table = energy_table(scenarios)
-        assert table[2].error is not None
-        assert table[0].error is None and table[1].error is None
 
 
 class TestAmplitudeScaling:

@@ -21,7 +21,7 @@ from faultwave.detect import ENERGY_METHODS
 from conftest import make_record
 
 GOLDEN = Path(__file__).parent / "data" / "detector_golden.json"
-SPANS = Spans(prefault=(0, 120), calibration=(0, 120), analysis=(0, 400))
+SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
 
 
 def grid_reports() -> dict[str, dict[str, list]]:

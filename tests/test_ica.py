@@ -297,7 +297,7 @@ class TestPerformanceIndex:
     def test_fault_crossing_lands_near_onset(self):
         record = make_record("AG", snr_db=20.0, seed=1)
         report = ica_detect(record, DetectorConfig(method="ica"),
-                            Spans((0, 120), (0, 120), (0, 400)),
+                            Spans((0, 120), (0, 400)),
                             IcaConfig())
         first = int(np.flatnonzero(report.index_series > report.threshold_used)[0])
         assert abs(first - FAULT_ONSET_SAMPLE) <= 20
@@ -314,7 +314,7 @@ class TestPerformanceIndex:
             samples=7.5 * record.samples,
             labels=record.labels,
         )
-        spans = Spans((0, 120), (0, 120), (0, 400))
+        spans = Spans((0, 120), (0, 400))
         a = ica_detect(record, DetectorConfig(method="ica"), spans, IcaConfig())
         b = ica_detect(scaled, DetectorConfig(method="ica"), spans, IcaConfig())
         assert a.onset_sample == b.onset_sample

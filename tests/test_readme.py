@@ -32,7 +32,7 @@ def test_readme_json_block_parses(block, tmp_path):
     if "scenarios" in block:
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(block))
-        _, scenarios = load_suite(path)
+        scenarios = load_suite(path)
         for _, merged in scenarios:
             parse_run_config(merged)
         return
