@@ -14,7 +14,6 @@ from .detect import (
     FixedThreshold,
     Spans,
     calibrate_threshold,
-    default_spans,
     energy_detect,
     ica_detect,
     wavelet_detect,
@@ -79,7 +78,7 @@ __all__ = [
     "performance_index",
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
-    "AdaptiveThreshold", "Spans", "default_spans", "calibrate_threshold",
+    "AdaptiveThreshold", "Spans", "calibrate_threshold",
     "wavelet_detect", "ica_detect", "energy_detect",
     # errors
     "FaultwaveError", "ConfigError", "BoundsError", "ShapeError",

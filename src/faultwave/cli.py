@@ -2,12 +2,13 @@
 
 Exit codes: 0 = ran to completion (detection outcome is report data, not
 status), 2 = invalid inputs or configuration (also a setting a detector rejects
-while it runs, or a record or span the config does not fit), 3 = a transform
-failed while running a detector.
+while it runs, a record the config does not fit, or a span the record or the
+method cannot use), 3 = a transform failed while running a detector.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .io import (
     atomic_write_text,
     build_record,
     check_onset,
-    check_spans,
     fault_to_dict,
     load_run_config,
     load_suite,
@@ -125,8 +125,10 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
     for name, merged in scenarios:
         try:
             config = parse_run_config(merged)
-            check_onset(config.spans, config.fault, config.waveform.sample_rate_hz)
-            rows.append(energy_row(name, build_record(config), config.detector, config.spans,
+            record = build_record(config)
+            spans = config.spans.resolve(record.n_samples)
+            check_onset(spans, record.labels, record.sample_rate_hz)
+            rows.append(energy_row(name, record, config.detector, spans,
                                    config.waveform.fundamental_hz))
         except FaultwaveError as exc:
             rows.append(EnergyRow.failed(name, exc))
@@ -197,7 +199,8 @@ def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfi
 def _load_and_run(
     in_path: str, config_path: str
 ) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
-    """Load config and trace, check they fit each other, run the configured detector."""
+    """Load config and trace, resolve the spans against the trace, run the configured
+    detector; the returned config holds the resolved spans."""
     config = _load_config(config_path)
     try:
         record = read_record_csv(Path(in_path))
@@ -206,9 +209,9 @@ def _load_and_run(
     except (DegenerateInputError, ConfigError, ValueError) as exc:
         _fail(f"invalid trace file {in_path}: {exc}", 2)
     try:
-        check_spans(config, record.n_samples)
+        config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
         check_onset(config.spans, record.labels, record.sample_rate_hz)
-    except ConfigError as exc:
+    except (BoundsError, ConfigError) as exc:
         _fail(f"{in_path}: {exc}", 2)
     try:
         return config, record, run_detector(record, config)

@@ -22,7 +22,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import dwt, spectral
-from .errors import ConfigError, DegenerateInputError
+from .errors import BoundsError, ConfigError, DegenerateInputError
 from .ica import IcaConfig, performance_index
 from .signal_model import ThreePhaseRecord, Trace, select_channel
 
@@ -84,16 +84,28 @@ class DetectorConfig:
 class Spans:
     """Half-open sample ranges: ``calibration`` is the one fault-free span
     (thresholds calibrate on it, the ICA template is built from it),
-    ``analysis`` the span scanned for an onset."""
+    ``analysis`` the span scanned for an onset. ``None`` stands for the
+    default of the record at hand, which :meth:`resolve` fills in."""
 
-    calibration: tuple[int, int]
-    analysis: tuple[int, int]
+    calibration: tuple[int, int] | None = None
+    analysis: tuple[int, int] | None = None
 
+    def resolve(self, n_samples: int) -> Spans:
+        """These spans on a record of ``n_samples``; by default the first 30%
+        (at least 2 samples) calibrates and all of it is analysed.
 
-def default_spans(n_samples: int) -> Spans:
-    """First 30% of the record for calibration, all of it for analysis."""
-    head = max(2, int(0.3 * n_samples))
-    return Spans(calibration=(0, head), analysis=(0, n_samples))
+        Raises:
+            BoundsError: naming the first span that does not fit the record.
+        """
+        head = (0, max(2, int(0.3 * n_samples)))
+        resolved = Spans(head if self.calibration is None else self.calibration,
+                         (0, n_samples) if self.analysis is None else self.analysis)
+        for name in ("calibration", "analysis"):
+            lo, hi = getattr(resolved, name)
+            if not 0 <= lo < hi <= n_samples:
+                raise BoundsError(
+                    f"spans.{name}=({lo}, {hi}) lies outside the record (N={n_samples})")
+        return resolved
 
 
 @dataclass(eq=False)
@@ -212,25 +224,24 @@ def _decide(
     inside ``spans.calibration``, the scan those inside ``spans.analysis``.
 
     Raises:
-        DegenerateInputError: the calibration span leaves ``index.covers``,
-            or either span holds no value.
+        BoundsError: the calibration span leaves ``index.covers``, or either
+            span holds no value.
     """
     policy = cfg.threshold_policy
     lo, hi = spans.calibration
     if not index.covers[0] <= lo < hi <= index.covers[1]:
-        raise DegenerateInputError(
-            f"calibration span ({lo}, {hi}) lies outside the index's samples {index.covers}"
-        )
+        raise BoundsError(f"spans.calibration=({lo}, {hi}) lies outside the index's samples "
+                          f"{index.covers}")
     ends = index.starts + index.width
     a_lo, a_hi = spans.analysis
     in_cal = (index.starts >= lo) & (ends <= hi) & index.valid
     scan = (index.starts >= a_lo) & (ends <= a_hi) & index.valid
     if not np.any(in_cal):
-        raise DegenerateInputError(
-            f"calibration span ({lo}, {hi}) is shorter than one window ({index.width})")
+        raise BoundsError(
+            f"spans.calibration=({lo}, {hi}) is shorter than one window ({index.width})")
     if not np.any(scan):
-        raise DegenerateInputError(
-            f"analysis span {spans.analysis} is shorter than one window ({index.width})")
+        raise BoundsError(
+            f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({index.width})")
     if isinstance(policy, FixedThreshold):
         threshold = policy.value
     else:
@@ -260,11 +271,11 @@ def wavelet_detect(
     carry a wrap discontinuity unrelated to any fault.
     """
     n = trace.n_samples
+    spans = (spans or Spans()).resolve(n)
     series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
     index = _Index(np.arange(n), series.samples, 1, series.time_axis(), (0, n),
                    valid=~dwt.boundary_artifact_mask(n, cfg.level))
-    return _decide("wavelet", index, cfg, spans or default_spans(n), trace.sample_rate_hz,
-                   {"level": cfg.level})
+    return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {"level": cfg.level})
 
 
 # The performance index lives in whitened-source units, so genuine
@@ -285,7 +296,7 @@ def ica_detect(
     fault-free span the threshold calibrates on. The index only exists on
     the analysis span, so the calibration span must start where the analysis
     span starts and end before it does, and cover at least two fundamental
-    cycles; by default it is the record head per :func:`default_spans`.
+    cycles; the default span of :meth:`Spans.resolve` does.
 
     Because the template is averaged from the calibration cycles, index
     values inside that span run systematically lower than fresh data under
@@ -297,12 +308,10 @@ def ica_detect(
     (calibration keeps them).
 
     Raises:
-        BoundsError: the calibration span starts after the analysis span or
-            does not end before it.
-        DegenerateInputError: any other misfit of the calibration span.
+        BoundsError: a span does not fit the record or the rules above.
+        DegenerateInputError: the calibration span is all zero.
     """
-    if spans is None:
-        spans = default_spans(record.n_samples)
+    spans = (spans or Spans()).resolve(record.n_samples)
     pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)
     cycles = (spans.calibration[1] - spans.calibration[0]) / pi.window_len
     bias = (cycles + 1) / (cycles - 1)
@@ -389,9 +398,7 @@ def energy_detect(
     """
     if method not in ENERGY_METHODS:
         raise ConfigError(f"method must be one of {ENERGY_METHODS}, got {method!r}")
-    if spans is None:
-        spans = default_spans(trace.n_samples)
-
+    spans = (spans or Spans()).resolve(trace.n_samples)
     fs = trace.sample_rate_hz
     starts, values, window = _energy_window_series(trace, method, cfg, fundamental_hz)
     index = _Index(starts, values, window, (starts + window / 2.0) / fs, (0, trace.n_samples))

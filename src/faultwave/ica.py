@@ -328,7 +328,8 @@ def _build_template(
     lo, hi = prefault
     segment = samples[:, lo:hi]
     if not np.any(segment):
-        raise DegenerateInputError("pre-fault segment is identically zero")
+        raise DegenerateInputError(
+            f"the record is identically zero on spans.calibration=({lo}, {hi})")
 
     positions = _phase_positions(np.arange(lo, hi), anchor, fs, fundamental_hz, period)
     left = np.floor(positions).astype(int) % period
@@ -338,9 +339,8 @@ def _build_template(
     weights = np.bincount(left, weights=1.0 - frac, minlength=period)
     weights += np.bincount(right, weights=frac, minlength=period)
     if np.any(weights <= 1e-12):
-        raise DegenerateInputError(
-            "pre-fault span does not cover every phase of the fundamental cycle"
-        )
+        raise BoundsError(
+            f"spans.calibration=({lo}, {hi}) does not cover every phase of the fundamental cycle")
     template = np.zeros((samples.shape[0], period))
     for row in range(samples.shape[0]):
         template[row] = np.bincount(left, weights=(1.0 - frac) * segment[row], minlength=period)
@@ -392,24 +392,26 @@ def performance_index(
 
     Args:
         record: Record under analysis.
-        prefault_span: Half-open sample range known to be fault-free; must
-            start no later than the analysis span, end before it does, and
-            cover at least two fundamental cycles.
+        prefault_span: The calibration span, a half-open sample range known
+            to be fault-free; must start no later than the analysis span, end
+            before it does, and cover at least two fundamental cycles.
         analysis_span: Half-open sample range the index is computed on.
         config: Component cap, optional delay embedding, and the fundamental
             used for phase locking.
 
     Raises:
-        BoundsError: spans out of order or outside the record.
-        DegenerateInputError: pre-fault span too short or all-zero.
+        BoundsError: spans outside the record, out of order, or a calibration
+            span shorter than two cycles.
+        DegenerateInputError: the record is all zero on the calibration span.
     """
     n = record.n_samples
     p_lo, p_hi = prefault_span
     a_lo, a_hi = analysis_span
+    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
     if not (0 <= p_lo < p_hi <= n and 0 <= a_lo < a_hi <= n):
-        raise BoundsError(f"spans {prefault_span}, {analysis_span} outside record of {n} samples")
+        raise BoundsError(f"{named} lie outside the record (N={n})")
     if p_lo > a_lo or p_hi >= a_hi:
-        raise BoundsError("pre-fault span must precede the analysis span")
+        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
 
     fs = record.sample_rate_hz
     if not fs / config.fundamental_hz < n:
@@ -421,10 +423,8 @@ def performance_index(
             f"fundamental {config.fundamental_hz} Hz leaves fewer than 2 samples per cycle"
         )
     if p_hi - p_lo < 2 * period:
-        raise DegenerateInputError(
-            f"pre-fault span of {p_hi - p_lo} samples covers fewer than two "
-            f"fundamental cycles ({2 * period} samples)"
-        )
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
+                          f"fundamental cycles ({2 * period} samples)")
 
     anchor = p_hi
     template = _build_template(record.samples, prefault_span, anchor, fs,

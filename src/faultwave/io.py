@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import (AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans,
-                     default_spans)
+from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans
 from .errors import ConfigError, DegenerateInputError
 from .ica import IcaConfig
 from .signal_model import (
@@ -95,10 +94,10 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
     meta = sidecar_path(path)
     if meta.exists():
         meta_obj = json.loads(meta.read_text())
-        try:
-            fs = float(meta_obj["sample_rate_hz"])
-        except (KeyError, TypeError) as exc:
-            raise DegenerateInputError(f"{meta} has no numeric sample_rate_hz") from exc
+        rate = meta_obj.get("sample_rate_hz") if isinstance(meta_obj, dict) else None
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise DegenerateInputError(f"{meta} has no numeric sample_rate_hz, got {rate!r}")
+        fs = float(rate)
         labels = fault_from_dict(meta_obj.get("fault"))
     else:
         t = data[:, 0]
@@ -173,7 +172,8 @@ def fault_from_dict(obj: dict | None) -> FaultSpec | None:
 
 @dataclass
 class RunConfig:
-    """Everything one CLI invocation needs, with defaults materialized."""
+    """Everything one CLI invocation needs, with defaults materialized, except
+    that unset spans stay None until resolved against a record."""
 
     waveform: WaveformConfig
     fault: FaultSpec
@@ -201,7 +201,8 @@ class RunConfig:
                 "min_consecutive": self.detector.min_consecutive,
             },
             "ica": dataclasses.asdict(self.ica),
-            "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()},
+            "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()
+                      if span is not None},
             "channel": self.channel,
         }
 
@@ -268,17 +269,6 @@ def _build_section(obj: dict, context: str, builder, allowed: set[str] | None = 
         raise ConfigError(f"invalid {context} section: {exc}") from exc
 
 
-def check_spans(config: RunConfig, n_samples: int) -> None:
-    """Require each of ``config.spans`` to lie inside a record of ``n_samples``.
-
-    Raises:
-        ConfigError: naming the first span that does not fit.
-    """
-    for name, (lo, hi) in dataclasses.asdict(config.spans).items():
-        if not 0 <= lo < hi <= n_samples:
-            raise ConfigError(f"span {name}=({lo}, {hi}) lies outside the record (N={n_samples})")
-
-
 def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) -> None:
     """Require a labelled fault to start outside ``spans.calibration``.
 
@@ -300,6 +290,9 @@ def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) ->
 def parse_run_config(obj: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, validating keys.
 
+    Spans keep only the ranges the document names; :meth:`Spans.resolve`
+    fits them to a record.
+
     Raises:
         ConfigError: unknown keys or invalid values (the message names the
             offending key).
@@ -319,19 +312,15 @@ def parse_run_config(obj: dict) -> RunConfig:
     ica = _build_section(ica_obj, "ica", IcaConfig)
 
     spans_obj = _object(obj.get("spans", {}), "spans")
-    default = dataclasses.asdict(default_spans(waveform.n_samples))
-    _check_keys(spans_obj, set(default), "spans")
-    spans = Spans(**{name: _span(spans_obj.get(name, span), name)
-                     for name, span in default.items()})
+    _check_keys(spans_obj, {f.name for f in dataclasses.fields(Spans)}, "spans")
+    spans = Spans(**{name: _span(span, name) for name, span in spans_obj.items()})
 
     channel = obj.get("channel", "a")
     if channel not in ("a", "b", "c"):
         raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
 
-    config = RunConfig(waveform=waveform, fault=fault, noise=noise,
-                       detector=detector, ica=ica, spans=spans, channel=channel)
-    check_spans(config, waveform.n_samples)
-    return config
+    return RunConfig(waveform=waveform, fault=fault, noise=noise,
+                     detector=detector, ica=ica, spans=spans, channel=channel)
 
 
 def load_run_config(path: Path) -> RunConfig:

@@ -16,7 +16,7 @@ from faultwave import (FaultSpec, FaultType, IcaConfig, NoiseSpec, WaveformConfi
 from faultwave.detect import METHODS
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
-from faultwave.errors import ConfigError
+from faultwave.errors import BoundsError, ConfigError
 from faultwave.io import (
     build_record,
     check_onset,
@@ -117,7 +117,7 @@ class TestRunConfig:
         config = parse_run_config({})
         assert config.waveform.n_samples == 400
         assert config.detector.method == "wavelet"
-        assert config.spans.analysis == (0, 400)
+        assert config.spans.resolve(400).analysis == (0, 400)
         assert config.fault.fault_type is FaultType.NONE
 
     def test_unknown_top_level_key_is_named(self):
@@ -129,12 +129,12 @@ class TestRunConfig:
             parse_run_config({"noise": {"snr": 10}})
 
     def test_span_outside_record_rejected(self):
-        with pytest.raises(ConfigError, match="analysis"):
-            parse_run_config({"spans": {"analysis": [0, 900]}})
+        with pytest.raises(BoundsError, match="analysis"):
+            parse_run_config({"spans": {"analysis": [0, 900]}}).spans.resolve(400)
 
     def test_calibration_span_outside_record_rejected(self):
-        with pytest.raises(ConfigError, match=r"calibration=\(0, 900\).*N=400"):
-            parse_run_config({"spans": {"calibration": [0, 900]}})
+        with pytest.raises(BoundsError, match=r"calibration=\(0, 900\).*N=400"):
+            parse_run_config({"spans": {"calibration": [0, 900]}}).spans.resolve(400)
 
     @pytest.mark.parametrize(
         "fault, rejected",
@@ -147,7 +147,7 @@ class TestRunConfig:
              "no_label"],
     )
     def test_onset_inside_calibration_rejected(self, fault, rejected):
-        spans = parse_run_config({}).spans  # calibration (0, 120) at 2 kHz
+        spans = parse_run_config({}).spans.resolve(400)  # calibration (0, 120) at 2 kHz
         if rejected:
             with pytest.raises(ConfigError, match=r"calibration span \(0, 120\)"):
                 check_onset(spans, fault, 2000.0)
@@ -398,6 +398,7 @@ class TestCmdDetect:
         "sidecar, config",
         [
             ({"sample_rate_hz": 2000, "fault": 5}, AG_CONFIG),
+            ({"sample_rate_hz": True}, AG_CONFIG),
             (None, {"fault": 5}),
             (None, {"spans": {"calibration": [0]}}),
             (None, {"spans": {"calibration": ["a", 5]}}),
@@ -408,7 +409,8 @@ class TestCmdDetect:
             (None, {"detector": 5}),
             (None, {"waveform": {"phase_offsets_rad": 5}}),
         ],
-        ids=["sidecar_fault_not_object", "config_fault_not_object", "span_one_value",
+        ids=["sidecar_fault_not_object", "sidecar_rate_boolean", "config_fault_not_object",
+             "span_one_value",
              "span_not_integers", "level_not_integer", "min_consecutive_not_integer",
              "cutoff_not_number", "threshold_not_number", "detector_not_object",
              "phase_offsets_not_a_list"],
@@ -428,12 +430,27 @@ class TestCmdDetect:
     @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
     def test_span_beyond_loaded_record_exits_2(self, runner, tmp_path, command, out):
         trace, _ = self.make_trace(runner, tmp_path)  # 400 samples
-        cfg = write_json(tmp_path / "long.json", dict(AG_CONFIG, waveform={"duration_s": 2.0}))
+        cfg = write_json(tmp_path / "span.json", dict(AG_CONFIG, spans={"calibration": [0, 1200]}))
         result = runner.invoke(
             main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
         )
         assert result.exit_code == 2, result.output
         assert "(0, 1200)" in result.output and "N=400" in result.output
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_spans_come_from_the_loaded_record(self, runner, tmp_path, method):
+        generated = {"waveform": {"duration_s": 2.048},
+                     "fault": {"fault_type": "AG", "onset_s": 1.0},
+                     "noise": {"snr_db": 20.0, "seed": 1}}
+        trace, _ = self.make_trace(runner, tmp_path, generated)  # 4096 samples
+        cfg = write_json(tmp_path / "detect.json", {"detector": {"method": method}})
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert f"{method}: detected" in result.output
+        spans = json.loads(out.read_text())["config"]["spans"]
+        assert spans == {"calibration": [0, 1228], "analysis": [0, 4096]}
 
     def test_missing_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)
@@ -463,9 +480,14 @@ class TestCmdDetect:
           "need 2 <= window_len <= 40"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [100, 200],
                                                     "analysis": [80, 400]}},
-          "must precede the analysis span")],
+          "must precede the analysis span"),
+         ({"detector": {"method": "energy_stft"}, "spans": {"calibration": [0, 40]}},
+          "spans.calibration=(0, 40) is shorter than one window"),
+         ({"detector": {"method": "ica"}, "spans": {"calibration": [0, 60]}},
+          "spans.calibration=(0, 60) covers fewer than two")],
         ids=["cutoff_at_nyquist", "ica_fundamental_too_high", "stft_frame_longer_than_trace",
-             "ica_calibration_after_analysis_start"],
+             "ica_calibration_after_analysis_start", "stft_calibration_shorter_than_frame",
+             "ica_calibration_shorter_than_two_cycles"],
     )
     def test_config_error_while_running_exits_2(self, runner, tmp_path, command, out, config,
                                                 message):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultwave import (
+    BoundsError,
     ConfigError,
     DegenerateInputError,
     DetectorConfig,
@@ -30,6 +31,36 @@ from faultwave.detect import ENERGY_METHODS, STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
 
 SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
+
+
+@st.composite
+def fitting_span(draw, n: int) -> tuple[int, int]:
+    lo = draw(st.integers(0, n - 1))
+    return lo, draw(st.integers(lo + 1, n))
+
+
+class TestSpans:
+    @settings(max_examples=100)
+    @given(st.integers(2, 10**6))
+    def test_defaults_are_the_record_head_and_the_whole_record(self, n):
+        assert Spans().resolve(n) == Spans((0, max(2, int(0.3 * n))), (0, n))
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_spans_that_fit_come_back_unchanged(self, data):
+        n = data.draw(st.integers(2, 10**6))
+        spans = Spans(data.draw(fitting_span(n)), data.draw(fitting_span(n)))
+        assert spans.resolve(n) == spans
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_span_that_does_not_fit_is_named(self, data):
+        n = data.draw(st.integers(2, 10**6))
+        name = data.draw(st.sampled_from(["calibration", "analysis"]))
+        lo, hi = data.draw(st.tuples(st.integers(-n, 2 * n), st.integers(-n, 2 * n))
+                           .filter(lambda span: not 0 <= span[0] < span[1] <= n))
+        with pytest.raises(BoundsError, match=rf"spans\.{name}=\({lo}, {hi}\)"):
+            Spans(**{name: (lo, hi)}).resolve(n)
 
 
 class TestCalibrateThreshold:
@@ -135,7 +166,7 @@ class TestIcaDetect:
     def test_calibration_span_must_fit_analysis(self):
         record = make_record("AG")
         bad = Spans(calibration=(0, 120), analysis=(120, 400))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(BoundsError):
             ica_detect(record, spans=bad)
 
     def test_short_trailing_mean_at_head_is_not_scanned(self):

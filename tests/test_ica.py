@@ -324,7 +324,7 @@ class TestPerformanceIndex:
             performance_index(ag_record, (200, 320), analysis_span=(0, 400))
 
     def test_short_prefault_rejected(self, ag_record):
-        with pytest.raises(DegenerateInputError, match="cycles"):
+        with pytest.raises(BoundsError, match="cycles"):
             performance_index(ag_record, (0, 60), analysis_span=(0, 400))
 
     def test_zero_prefault_rejected(self):
