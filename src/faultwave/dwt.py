@@ -67,10 +67,21 @@ class DecompositionTree:
 
 
 def _analyze_level(a: np.ndarray, h: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pyramid stage: row k of the block is ``a[(2k + i) mod n]``, i < FILTER_LEN.
+
+    ``a`` is repeated end to end until a row starting at the last even index
+    fits, which also covers levels shorter than the filter, where a row wraps
+    more than once. The block is a copy of a strided view over that repeat:
+    rows two elements apart, each FILTER_LEN long. ``np.ndarray`` builds the
+    view (and checks that it stays inside the repeat) without the Python
+    overhead of ``as_strided``. The block holds the same values in the same
+    layout as a gather through a modulo'd index array, so both matmuls, and
+    their results, are unchanged.
+    """
     n = a.shape[0]
-    k = np.arange(n // 2)
-    idx = (2 * k[:, None] + np.arange(FILTER_LEN)[None, :]) % n
-    block = a[idx]
+    wrapped = np.concatenate((a,) * (1 + -(-(FILTER_LEN - 2) // n)))
+    step = wrapped.itemsize
+    block = np.ndarray((n // 2, FILTER_LEN), wrapped.dtype, wrapped, 0, (2 * step, step)).copy()
     return block @ h, block @ h1
 
 

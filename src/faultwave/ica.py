@@ -359,18 +359,34 @@ def _read_template(
 
     Catmull-Rom interpolation between phase slots; at integer slot positions
     (fundamental dividing the sample rate) it degenerates to exact lookup.
+
+    The cubic's coefficients depend only on the slot, so they are tabulated
+    once per slot (``p1``, ``0.5(p2-p0)``, ``0.5(2p0-5p1+4p2-p3)``,
+    ``0.5(3(p1-p2)+p3-p0)``, with ``p0``..``p3`` the slots around it), the
+    table is gathered once at each sample's slot, and the cubic is evaluated
+    by Horner's rule in place. This is the textbook form
+    ``p1 + 0.5f(p2-p0 + f(... + f(...)))`` with the factor 0.5 moved onto each
+    coefficient; scaling by 0.5 is exact, so the result is bitwise the same.
     """
-    period = template.shape[1]
+    rows, period = template.shape
     positions = _phase_positions(sample_indices, anchor, fs, fundamental_hz, period)
-    i1 = np.floor(positions).astype(int) % period
-    f = positions - np.floor(positions)
-    p0 = template[:, (i1 - 1) % period]
-    p1 = template[:, i1]
-    p2 = template[:, (i1 + 1) % period]
-    p3 = template[:, (i1 + 2) % period]
-    return p1 + 0.5 * f * (
-        p2 - p0 + f * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + f * (3.0 * (p1 - p2) + p3 - p0))
-    )
+    floor = np.floor(positions)
+    i1 = floor.astype(int) % period
+    f = positions - floor
+    wrapped = np.concatenate((template[:, -1:], template, template[:, :2]), axis=1)
+    p0, p1, p2, p3 = (wrapped[:, i:i + period] for i in range(4))
+    table = np.concatenate((
+        p1,
+        0.5 * (p2 - p0),
+        0.5 * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3),
+        0.5 * (3.0 * (p1 - p2) + p3 - p0),
+    ))
+    c = table.take(i1, axis=1).reshape(4, rows, -1)
+    out = c[3]
+    for coefficient in (c[2], c[1], c[0]):
+        out *= f
+        out += coefficient
+    return out
 
 
 def performance_index(

@@ -8,6 +8,7 @@ for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -63,17 +64,40 @@ def dft(trace: Trace) -> Spectrum:
     )
 
 
-def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int, taper: np.ndarray) -> np.ndarray:
-    """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len).
-
-    Raises:
-        ShapeError: window outside 2..len(samples), or hop < 1.
-    """
+def _check_framing(samples: np.ndarray, window_len: int, hop: int) -> None:
+    """Raise ShapeError unless ``samples`` is 1-D and ``window_len``/``hop`` are
+    integers (not booleans) with 2 <= window_len <= len(samples) and hop >= 1."""
+    if samples.ndim != 1:
+        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
+    if (isinstance(window_len, bool) or isinstance(hop, bool)
+            or not isinstance(window_len, Integral) or not isinstance(hop, Integral)):
+        raise ShapeError(f"window_len and hop must be integers, got {window_len!r}, {hop!r}")
     n = samples.shape[0]
     if not 2 <= window_len <= n or hop < 1:
         raise ShapeError(f"need 2 <= window_len <= {n} and hop >= 1, got {window_len}, {hop}")
-    starts = np.arange((n - window_len) // hop + 1) * hop
-    segments = samples[starts[:, None] + np.arange(window_len)[None, :]]
+
+
+def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int, taper: np.ndarray) -> np.ndarray:
+    """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len).
+
+    The frames are a strided view of ``samples`` (rows ``hop`` elements
+    apart), so no index array is built; multiplying by the taper makes the
+    one copy. ``np.ndarray`` builds the view (and checks that it stays inside
+    ``samples``) without the Python overhead of ``as_strided``. The view
+    holds the same segment values as a gather through a
+    ``(frames, window_len)`` index array, so the spectra are bitwise
+    unchanged.
+
+    Raises:
+        ShapeError: ``samples`` not 1-D; window or hop not an integer, window
+            outside 2..len(samples), or hop < 1.
+    """
+    _check_framing(samples, window_len, hop)
+    samples = np.ascontiguousarray(samples)
+    step = samples.itemsize
+    frames = (samples.shape[0] - window_len) // hop + 1
+    segments = np.ndarray((frames, window_len), samples.dtype, samples, 0,
+                          (int(hop) * step, step))
     return np.abs(np.fft.rfft(segments * taper, axis=1)) / np.sqrt(window_len)
 
 
@@ -86,6 +110,7 @@ def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     Raises:
         ShapeError: see :func:`frame_magnitudes`.
     """
+    _check_framing(trace.samples, window_len, hop)  # np.hanning takes 16.5 or True
     frames = frame_magnitudes(trace.samples, window_len, hop, np.hanning(window_len))
     starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(

@@ -70,3 +70,10 @@ def ag_record() -> ThreePhaseRecord:
 
 def rng_trace(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def assert_bitwise_equal(got: np.ndarray, expected: np.ndarray) -> None:
+    """Same dtype, shape and bytes: stricter than ==, which takes -0.0 for 0.0."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                  np.ascontiguousarray(expected).view(np.uint8))

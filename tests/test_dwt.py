@@ -26,7 +26,7 @@ from faultwave import (
 from faultwave.dwt import (DB4_HIGHPASS, DB4_LOWPASS, FILTER_LEN, _alignment_shift,
                            _first_wrapped, _support_length, boundary_artifact_mask,
                            check_length, quadrature_mirror, window_energies)
-from conftest import FAULT_ONSET_SAMPLE, rng_trace
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, rng_trace
 
 
 def spectral_factorization_lowpass(vanishing_moments: int = 4) -> np.ndarray:
@@ -223,6 +223,40 @@ class TestProperties:
         assert abs(energy - float(np.sum(x**2))) <= 1e-9 * float(np.sum(x**2))
 
 
+def index_analyze_level(a: np.ndarray, h: np.ndarray, h1: np.ndarray):
+    """Reference: gather the block through a modulo'd (n/2, FILTER_LEN) index array."""
+    n = a.shape[0]
+    k = np.arange(n // 2)
+    idx = (2 * k[:, None] + np.arange(FILTER_LEN)[None, :]) % n
+    block = a[idx]
+    return block @ h, block @ h1
+
+
+class TestAnalyzeLevel:
+    """The strided block against the modulo-index gather, bit for bit."""
+
+    @staticmethod
+    def assert_pyramids_equal(x: np.ndarray, levels: int):
+        tree = dwt_decompose(Trace(x, 2000.0), levels)
+        approx = x
+        for detail in tree.details:
+            approx, expected = index_analyze_level(approx, DB4_LOWPASS, DB4_HIGHPASS)
+            assert_bitwise_equal(detail, expected)
+        assert_bitwise_equal(tree.approx, approx)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_eight_samples_wrap_more_than_once(self, levels):
+        """At N = 8 every level past the first is shorter than the filter."""
+        self.assert_pyramids_equal(rng_trace(8, seed=levels), levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.integers(1, 6), blocks=st.integers(1, 256), seed=st.integers(0, 2**16))
+    def test_pyramid_equals_index_reference_bitwise(self, level, blocks, seed):
+        n = blocks << level
+        assume(n >= FILTER_LEN)
+        self.assert_pyramids_equal(rng_trace(n, seed), level)
+
+
 def loop_boundary_mask(n_samples: int, level: int) -> np.ndarray:
     """Reference: mark each wrapped coefficient's positions one at a time."""
     step = 1 << level
@@ -281,9 +315,7 @@ class TestWindowEnergies:
     @example(grid=(4, 1024, 2, 1, True), seed=0)
     @example(grid=(3, 8192, 8192, 1, False), seed=1)
     def test_equals_loop_reference_bitwise(self, grid, seed):
-        got, expected = self.both(*grid, seed=seed)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert_bitwise_equal(*self.both(*grid, seed=seed))
 
     def test_tail_windows_without_coefficients_are_zero(self):
         got, expected = self.both(4, 1024, 2, 1, True)

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from faultwave import (
@@ -32,8 +33,9 @@ from faultwave import (
     unmix,
     whiten,
 )
-from faultwave.ica import GAUSSIAN_LOGCOSH_MEAN, _build_template, _read_template, _trailing_mean
-from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
+from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, _build_template, _phase_positions,
+                           _read_template, _trailing_mean)
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
 
@@ -347,6 +349,53 @@ class TestPerformanceIndex:
         )
         pre = pi.values[:100].mean()
         assert pi.values.max() > 20.0 * pre
+
+
+def gather_read_template(template, sample_indices, anchor, fs, fundamental_hz):
+    """Reference: four gathers of the template and the Catmull-Rom cubic per sample."""
+    period = template.shape[1]
+    positions = _phase_positions(sample_indices, anchor, fs, fundamental_hz, period)
+    i1 = np.floor(positions).astype(int) % period
+    f = positions - np.floor(positions)
+    p0 = template[:, (i1 - 1) % period]
+    p1 = template[:, i1]
+    p2 = template[:, (i1 + 1) % period]
+    p3 = template[:, (i1 + 2) % period]
+    return p1 + 0.5 * f * (
+        p2 - p0 + f * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3 + f * (3.0 * (p1 - p2) + p3 - p0))
+    )
+
+
+class TestReadTemplate:
+    """The per-slot cubic table against the four-gather cubic, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 3), period=st.integers(2, 64),
+           detune=st.floats(-0.45, 0.45), anchor=st.integers(0, 500),
+           span=st.tuples(st.integers(0, 4096), st.integers(1, 4096)), seed=st.integers(0, 2**16))
+    @example(rows=3, period=2, detune=0.3, anchor=7, span=(0, 400), seed=0)
+    @example(rows=3, period=3, detune=-0.2, anchor=120, span=(5, 4096), seed=1)
+    @example(rows=3, period=40, detune=2000.0 / 49.9987 - 40, anchor=120, span=(0, 4096), seed=2)
+    @example(rows=3, period=40, detune=0.0, anchor=120, span=(0, 4096), seed=3)
+    def test_equals_gather_reference_bitwise(self, rows, period, detune, anchor, span, seed):
+        fs = 2000.0
+        fundamental_hz = fs / (period + detune)
+        template = rng_trace(rows * period, seed).reshape(rows, period)
+        samples = np.arange(span[0], span[0] + span[1])
+        assert_bitwise_equal(
+            _read_template(template, samples, anchor, fs, fundamental_hz),
+            gather_read_template(template, samples, anchor, fs, fundamental_hz))
+
+    @settings(max_examples=40, deadline=None)
+    @given(period=st.integers(2, 64), fundamental_hz=st.integers(1, 100),
+           anchor=st.integers(0, 500), seed=st.integers(0, 2**16))
+    def test_integer_samples_per_cycle_is_exact_lookup(self, period, fundamental_hz, anchor,
+                                                      seed):
+        fs = float(fundamental_hz * period)
+        template = rng_trace(3 * period, seed).reshape(3, period)
+        samples = np.arange(0, 8 * period + 5)
+        assert_bitwise_equal(_read_template(template, samples, anchor, fs, fundamental_hz),
+                             template[:, (samples - anchor) % period])
 
 
 class TestRotationInvariance:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from faultwave import (
     ConfigError,
@@ -15,7 +16,8 @@ from faultwave import (
     select_channel,
     stft,
 )
-from conftest import FAULT_ONSET_SAMPLE, rng_trace
+from faultwave.spectral import frame_magnitudes
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, rng_trace
 
 
 class TestDft:
@@ -92,6 +94,61 @@ class TestStft:
     def test_nonpositive_hop_rejected(self):
         with pytest.raises(ShapeError, match="hop"):
             stft(Trace(np.zeros(128), 2000.0), window_len=64, hop=0)
+
+    @pytest.mark.parametrize("window_len, hop", [(64, 16.5), (64.0, 16), (64, True),
+                                                 (True, 16), (64, np.float64(16.0))])
+    def test_non_integer_window_or_hop_rejected(self, window_len, hop):
+        with pytest.raises(ShapeError, match="integers"):
+            stft(Trace(np.zeros(128), 2000.0), window_len=window_len, hop=hop)
+
+    def test_numpy_integer_window_and_hop_accepted(self):
+        trace = Trace(rng_trace(128, seed=2), 2000.0)
+        assert_bitwise_equal(stft(trace, np.int64(64), np.int32(16)).frames,
+                             stft(trace, 64, 16).frames)
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            frame_magnitudes(np.zeros((2, 64)), 8, 4, np.ones(8))
+
+
+def index_frame_magnitudes(samples, window_len, hop, taper):
+    """Reference: gather the frames through a (frames, window_len) index array."""
+    n = samples.shape[0]
+    starts = np.arange((n - window_len) // hop + 1) * hop
+    segments = samples[starts[:, None] + np.arange(window_len)[None, :]]
+    return np.abs(np.fft.rfft(segments * taper, axis=1)) / np.sqrt(window_len)
+
+
+@st.composite
+def frame_grids(draw):
+    """(n, window_len, hop): any window up to the record, hops past the window."""
+    n = draw(st.integers(2, 2048))
+    window_len = draw(st.integers(2, n))
+    return n, window_len, draw(st.integers(1, 2 * window_len))
+
+
+class TestFrameMagnitudes:
+    """The strided view against the index gather, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=frame_grids(), seed=st.integers(0, 2**16), hann=st.booleans())
+    @example(grid=(400, 63, 16), seed=0, hann=True)  # odd window
+    @example(grid=(400, 40, 7), seed=1, hann=False)  # hop does not divide n - window
+    @example(grid=(400, 40, 57), seed=2, hann=False)  # hop longer than the window
+    @example(grid=(400, 400, 16), seed=3, hann=True)  # one frame: window_len == n
+    def test_equals_index_reference_bitwise(self, grid, seed, hann):
+        n, window_len, hop = grid
+        samples = rng_trace(n, seed)
+        taper = np.hanning(window_len) if hann else np.ones(window_len)
+        assert_bitwise_equal(frame_magnitudes(samples, window_len, hop, taper),
+                             index_frame_magnitudes(samples, window_len, hop, taper))
+
+    def test_strided_input_reads_its_own_elements(self):
+        """A column of a record-major array is 1-D but not contiguous."""
+        column = rng_trace(3 * 400, seed=5).reshape(400, 3)[:, 1]
+        taper = np.hanning(64)
+        assert_bitwise_equal(frame_magnitudes(column, 64, 16, taper),
+                             index_frame_magnitudes(column, 64, 16, taper))
 
 
 class TestHighbandEnergyIndex:
