@@ -1,9 +1,9 @@
 """Command-line front end: generate records, run detectors, dump plot data.
 
 Exit codes: 0 = ran to completion (detection outcome is report data, not
-status), 2 = invalid inputs or configuration (also a setting a detector rejects
-while it runs, a record the config does not fit, or a span the record or the
-method cannot use), 3 = a transform failed while running a detector.
+status), 3 = a detector found no usable signal (`DegenerateInputError` or
+`NumericalError` while it runs), 2 = any other bad input: a config, suite,
+trace or span the package rejects, or a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -24,7 +25,7 @@ from .detect import (
     wavelet_detect,
     energy_detect,
 )
-from .errors import BoundsError, ConfigError, DegenerateInputError, FaultwaveError, ShapeError
+from .errors import DegenerateInputError, FaultwaveError, NumericalError
 from .io import (
     RunConfig,
     atomic_write_text,
@@ -47,33 +48,41 @@ from .signal_model import ThreePhaseRecord, select_channel
 _SERIES_HEADER = {"wavelet": "detail_abs", "ica": "pi"}
 
 
-def _fail(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"faultwave: error: {message}", err=True)
     sys.exit(code)
 
 
-def _load_config(config_path: str) -> RunConfig:
-    try:
-        return load_run_config(Path(config_path))
-    except (ConfigError, OSError) as exc:
-        _fail(str(exc), 2)
+class _Cli(click.Group):
+    """The one error boundary: a rejected input or an unreadable or unwritable
+    file exits 2 with one line on stderr. Anything else is a bug and keeps its
+    traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (FaultwaveError, OSError) as exc:
+            _fail(str(exc), 2)
 
 
 def run_detector(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport:
-    """Dispatch to the configured detector."""
+    """Dispatch to the configured detector; exit 3 if it finds no usable signal."""
     method = config.detector.method
-    if method == "ica":
-        return ica_detect(record, config.detector, config.spans, config.ica)
-    trace = select_channel(record, config.channel)
-    if method == "wavelet":
-        return wavelet_detect(trace, config.detector, config.spans)
-    return energy_detect(
-        trace, method, config.detector, config.spans,
-        fundamental_hz=config.waveform.fundamental_hz,
-    )
+    try:
+        if method == "ica":
+            return ica_detect(record, config.detector, config.spans, config.ica)
+        trace = select_channel(record, config.channel)
+        if method == "wavelet":
+            return wavelet_detect(trace, config.detector, config.spans)
+        return energy_detect(
+            trace, method, config.detector, config.spans,
+            fundamental_hz=config.waveform.fundamental_hz,
+        )
+    except (DegenerateInputError, NumericalError) as exc:
+        _fail(f"{method} detector failed: {exc}", 3)
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(version=__version__, prog_name="faultwave")
 def main() -> None:
     """Synthesize three-phase fault records and run fault detectors."""
@@ -84,12 +93,8 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output trace CSV.")
 def cmd_generate(config_path: str, out_path: str) -> None:
     """Write a trace CSV plus its JSON metadata sidecar."""
-    config = _load_config(config_path)
-    try:
-        record = build_record(config)
-        write_record_csv(Path(out_path), record)
-    except FaultwaveError as exc:
-        _fail(str(exc), 2)
+    record = build_record(load_run_config(Path(config_path)))
+    write_record_csv(Path(out_path), record)
     click.echo(f"wrote {record.n_samples}-sample record to {out_path}")
 
 
@@ -116,13 +121,8 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV.")
 def cmd_energy_table(suite_path: str, out_path: str) -> None:
     """Evaluate the FT/STFT/WT energy indices over a scenario suite."""
-    try:
-        scenarios = load_suite(Path(suite_path))
-    except (ConfigError, OSError) as exc:
-        _fail(str(exc), 2)
-
     rows = []
-    for name, merged in scenarios:
+    for name, merged in load_suite(Path(suite_path)):
         try:
             config = parse_run_config(merged)
             record = build_record(config)
@@ -201,26 +201,11 @@ def _load_and_run(
 ) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
     """Load config and trace, resolve the spans against the trace, run the configured
     detector; the returned config holds the resolved spans."""
-    config = _load_config(config_path)
-    try:
-        record = read_record_csv(Path(in_path))
-    except (FileNotFoundError, OSError) as exc:
-        _fail(f"cannot read trace: {exc}", 2)
-    except (DegenerateInputError, ConfigError, ValueError) as exc:
-        _fail(f"invalid trace file {in_path}: {exc}", 2)
-    try:
-        config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
-        check_onset(config.spans, record.labels, record.sample_rate_hz)
-    except (BoundsError, ConfigError) as exc:
-        _fail(f"{in_path}: {exc}", 2)
-    try:
-        return config, record, run_detector(record, config)
-    except ConfigError as exc:
-        _fail(f"{config_path}: {exc}", 2)
-    except (ShapeError, BoundsError) as exc:  # the record or spans do not fit the config
-        _fail(f"{in_path}: {exc}", 2)
-    except FaultwaveError as exc:
-        _fail(f"{config.detector.method} detector failed: {exc}", 3)
+    config = load_run_config(Path(config_path))
+    record = read_record_csv(Path(in_path))
+    config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
+    check_onset(config.spans, record.labels, record.sample_rate_hz)
+    return config, record, run_detector(record, config)
 
 
 def _scenario_info(record: ThreePhaseRecord) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError, FaultwaveError
 from .ica import IcaConfig
 from .signal_model import (
     FaultSpec,
@@ -75,8 +76,17 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
 
     Without a sidecar the sample rate is recovered from the time column,
     which must then be uniform: every step within 1% of the mean step.
+    Malformed content raises a FaultwaveError, never a bare ValueError.
     """
-    path = Path(path)
+    try:
+        return _parse_record_csv(Path(path))
+    except FaultwaveError:
+        raise
+    except ValueError as exc:  # undecodable text, a field np.loadtxt cannot read
+        raise DegenerateInputError(f"invalid trace file {path}: {exc}") from exc
+
+
+def _parse_record_csv(path: Path) -> ThreePhaseRecord:
     raw = path.read_text().strip().splitlines()
     if not raw or not raw[0].startswith("t,"):
         raise DegenerateInputError(f"{path} is not a trace CSV (missing 't,...' header)")
@@ -93,7 +103,7 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
     labels = None
     meta = sidecar_path(path)
     if meta.exists():
-        meta_obj = json.loads(meta.read_text())
+        meta_obj = _read_json(meta)
         rate = meta_obj.get("sample_rate_hz") if isinstance(meta_obj, dict) else None
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):
             raise DegenerateInputError(f"{meta} has no numeric sample_rate_hz, got {rate!r}")
@@ -143,12 +153,20 @@ def write_energy_table_csv(path: Path, rows: list[EnergyRow]) -> None:
     """Energy table: one row per scenario; a failed scenario carries only its error."""
     values = ",".join([FLOAT_FMT] * 3) + ",%s,%s,%s,"
     lines = [
-        f"{row.scenario_name},,,,,,,{row.error}" if row.error is not None
+        f"{row.scenario_name},,,,,,,{_csv_field(row.error)}" if row.error is not None
         else f"{row.scenario_name}," + values % (row.e_ft, row.e_stft, row.e_wt, row.detected_ft,
                                                  row.detected_stft, row.detected_wt)
         for row in rows
     ]
     _write_table(path, "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error", "%s", lines)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, quotes doubled, if it holds ``,``, ``"`` or a
+    line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def fault_to_dict(fault: FaultSpec | None) -> dict | None:
@@ -323,12 +341,26 @@ def parse_run_config(obj: dict) -> RunConfig:
                      detector=detector, ica=ica, spans=spans, channel=channel)
 
 
-def load_run_config(path: Path) -> RunConfig:
+def _read_json(path: Path):
+    """The parsed document; bytes that are not UTF-8 or not JSON, and an integer
+    beyond the range of a float, are a ConfigError."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_float_range_int)
+    except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_run_config(obj)
+
+
+def _float_range_int(text: str) -> int:
+    """A JSON integer. Settings are read as floats, so a larger one could only
+    overflow later, wherever it is first used."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits does not fit a float")
+    return value
+
+
+def load_run_config(path: Path) -> RunConfig:
+    return parse_run_config(_read_json(path))
 
 
 def build_record(config: RunConfig) -> ThreePhaseRecord:
@@ -344,12 +376,11 @@ def load_suite(path: Path) -> list[tuple[str, dict]]:
     too, so an invalid base fails the whole suite.
 
     Raises:
-        ConfigError: malformed document or duplicate scenario names.
+        ConfigError: malformed document, or a scenario name that is not a
+            non-empty string free of ``,``, ``"`` and line breaks (it heads a
+            CSV row), or that repeats.
     """
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError("suite must be a JSON object")
     _check_keys(obj, {"base", "scenarios"}, "suite")
@@ -359,10 +390,17 @@ def load_suite(path: Path) -> list[tuple[str, dict]]:
 
     merged: list[tuple[str, dict]] = []
     seen = set()
-    for i, scenario in enumerate(obj.get("scenarios", [])):
+    scenarios = obj.get("scenarios", [])
+    if not isinstance(scenarios, list):
+        raise ConfigError(f"suite scenarios must be a JSON list, got {scenarios!r}")
+    for i, scenario in enumerate(scenarios):
         if not isinstance(scenario, dict) or "name" not in scenario:
             raise ConfigError(f"scenario #{i} must be an object with a 'name'")
         name = scenario["name"]
+        if not (isinstance(name, str) and name.splitlines() == [name]
+                and "," not in name and '"' not in name):
+            raise ConfigError(f"scenario #{i} name must be a non-empty string without ',', "
+                              f"'\"' or a line break, got {name!r}")
         if name in seen:
             raise ConfigError(f"duplicate scenario name {name!r}")
         seen.add(name)

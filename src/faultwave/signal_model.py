@@ -160,8 +160,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if self.snr_db is not None:
+            try:
+                ratio = 10.0 ** (self.snr_db / 10.0)  # the power ratio add_noise divides by
+            except OverflowError:
+                ratio = math.inf
+            if ratio == math.inf or not math.isfinite(self.snr_db):
+                raise ConfigError(
+                    f"snr_db must be finite, with 10**(snr_db/10) a finite float, got {self.snr_db}")
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -13,16 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from faultwave import (FaultSpec, FaultType, IcaConfig, NoiseSpec, WaveformConfig,
                        calibrate_threshold, detail_series, dwt_decompose, select_channel)
-from faultwave.detect import METHODS
+from faultwave.detect import METHODS, EnergyRow
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
-from faultwave.errors import BoundsError, ConfigError
+from faultwave.errors import BoundsError, ConfigError, FaultwaveError
 from faultwave.io import (
     build_record,
     check_onset,
     parse_run_config,
     read_record_csv,
     sidecar_path,
+    write_energy_table_csv,
     write_record_csv,
 )
 from conftest import make_record
@@ -33,6 +35,8 @@ AG_CONFIG = {
     "noise": {"snr_db": 20.0, "seed": 3},
     "detector": {"method": "wavelet"},
 }
+
+BIG_INT = 10**400  # a JSON integer beyond the range of a float
 
 
 @pytest.fixture
@@ -259,6 +263,7 @@ class TestCmdGenerate:
             ({"detector": {"threshold": {"k_sigma": True}}}, "detector.threshold.k_sigma"),
             ({"ica": {"fundamental_hz": True}, "detector": {"method": "ica"}}, "ica.fundamental_hz"),
             ({"noise": {"snr_db": True}}, "noise.snr_db"),
+            ({"noise": {"snr_db": 1e308}}, "snr_db"),
             ({"waveform": {"fundamental_hz": True}}, "waveform.fundamental_hz"),
             ({"waveform": {"amplitude_pu": True}}, "waveform.amplitude_pu"),
             ({"waveform": {"phase_offsets_rad": [0, True, 0]}}, "waveform.phase_offsets_rad"),
@@ -272,7 +277,8 @@ class TestCmdGenerate:
              "zero_ica_fundamental", "fractional_embedding_dim",
              "retain_above_one", "zero_retain", "string_retain", "bool_retain", "bool_level",
              "bool_min_consecutive", "bool_cutoff", "bool_seed", "bool_fixed", "bool_k_sigma",
-             "bool_ica_fundamental", "bool_snr_db", "bool_waveform_fundamental", "bool_amplitude",
+             "bool_ica_fundamental", "bool_snr_db", "snr_ratio_overflows",
+             "bool_waveform_fundamental", "bool_amplitude",
              "bool_phase_offset", "bool_retained_voltage", "bool_transient_gain"],
     )
     def test_non_finite_or_out_of_range_setting_exits_2(self, runner, tmp_path, request,
@@ -380,13 +386,15 @@ class TestCmdDetect:
             lambda lines: lines[:1],
             lambda lines: lines[:2],
             lambda lines: lines[:5] + ["0.002,1_000,0,0"] + lines[6:],
+            lambda lines: lines[:5] + ["0.002,\udcff,0,0"] + lines[6:],
         ],
         ids=["blank_row", "ragged_row", "non_numeric", "one_column", "five_columns",
-             "header_only", "single_row", "digit_separator"],
+             "header_only", "single_row", "digit_separator", "not_utf8"],
     )
     def test_malformed_trace_exits_2(self, runner, tmp_path, edit):
         trace, cfg = self.make_trace(runner, tmp_path)
-        trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+        text = "\n".join(edit(trace.read_text().splitlines())) + "\n"
+        trace.write_bytes(text.encode(errors="surrogateescape"))  # \udcff is the byte 0xff
         result = runner.invoke(
             main, ["detect", "--in", str(trace), "--config", str(cfg),
                    "--out", str(tmp_path / "r.json")]
@@ -627,7 +635,8 @@ class TestCmdEnergyTable:
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 8
-        assert lines[-1].startswith("early,,,,,,,ConfigError: fault onset sample 60")
+        assert lines[-1].startswith('early,,,,,,,"ConfigError: fault onset sample 60')
+        assert len(next(csv.reader([lines[-1]]))) == 8
 
     def test_boolean_fault_setting_becomes_error_row(self, runner, tmp_path):
         doc = self.suite()
@@ -638,7 +647,9 @@ class TestCmdEnergyTable:
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 8
-        assert lines[-1].startswith("boolean,,,,,,,ConfigError: fault.onset_s must not be a boolean")
+        assert lines[-1].startswith(
+            'boolean,,,,,,,"ConfigError: fault.onset_s must not be a boolean')
+        assert len(next(csv.reader([lines[-1]]))) == 8
 
     def test_duplicate_names_rejected(self, runner, tmp_path):
         doc = self.suite()
@@ -649,6 +660,47 @@ class TestCmdEnergyTable:
         )
         assert result.exit_code == 2
         assert "duplicate" in result.output
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"scenarios": 5}, "scenarios must be a JSON list"),
+         ({"scenarios": {"name": "AG"}}, "scenarios must be a JSON list"),
+         ({"scenarios": [{"name": ["x"]}]}, "name must be a non-empty string"),
+         ({"scenarios": [{"name": 5}]}, "name must be a non-empty string"),
+         ({"scenarios": [{"name": ""}]}, "name must be a non-empty string"),
+         ({"scenarios": [{"name": "a,b"}]}, "got 'a,b'"),
+         ({"scenarios": [{"name": 'a"b'}]}, "name must be a non-empty string"),
+         ({"scenarios": [{"name": "a\nb"}]}, "name must be a non-empty string"),
+         ({"scenarios": [{"name": "a\r"}]}, "name must be a non-empty string"),
+         ({"base": {"noise": {"snr_db": 1e308}}}, "snr_db")],
+        ids=["scenarios_number", "scenarios_object", "name_list", "name_number", "name_empty",
+             "name_comma", "name_quote", "name_newline", "name_carriage_return",
+             "base_snr_ratio_overflows"],
+    )
+    def test_malformed_suite_exits_2(self, runner, tmp_path, doc, message):
+        suite = write_json(tmp_path / "suite.json", doc)
+        result = runner.invoke(
+            main, ["energy-table", "--config", str(suite), "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "faultwave: error:" in result.output and message in result.output
+
+    @pytest.mark.parametrize("message", ["plain", "(0, 1000) lies outside", 'key "x"',
+                                         "two\nlines", "cr\r\nlf", '",\n'],
+                             ids=["plain", "comma", "quote", "newline", "crlf", "all_three"])
+    def test_error_field_reads_back_as_one_field(self, tmp_path, message):
+        path = tmp_path / "t.csv"
+        write_energy_table_csv(path, [EnergyRow.failed("s", BoundsError(message))])
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == [["s", "", "", "", "", "", "", f"BoundsError: {message}"]]
+
+    def test_error_field_is_quoted_only_when_it_must_be(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_energy_table_csv(path, [EnergyRow.failed("p", BoundsError("no comma")),
+                                      EnergyRow.failed("q", BoundsError('(0, 1) "x"'))])
+        assert path.read_text().splitlines()[1:] == [
+            "p,,,,,,,BoundsError: no comma", 'q,,,,,,,"BoundsError: (0, 1) ""x"""']
 
 
 class TestCmdPlotData:
@@ -726,6 +778,64 @@ class TestCmdPlotData:
         assert result.exit_code == 2
 
 
+class TestErrorBoundary:
+    """Every input the package rejects, and every file it cannot read or write,
+    exits 2 with a `faultwave: error:` line, never with a traceback."""
+
+    @pytest.fixture
+    def inputs(self, runner, tmp_path) -> dict[str, list[str]]:
+        cfg = write_json(tmp_path / "run.json", AG_CONFIG)
+        trace = tmp_path / "trace.csv"
+        assert runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(trace)]).exit_code == 0
+        suite = write_json(tmp_path / "suite.json",
+                           {"scenarios": [{"name": "AG", "fault": AG_CONFIG["fault"]}]})
+        return {"generate": ["--config", str(cfg)],
+                "detect": ["--in", str(trace), "--config", str(cfg)],
+                "plot-data": ["--in", str(trace), "--config", str(cfg)],
+                "energy-table": ["--config", str(suite)]}
+
+    @pytest.mark.parametrize("command", ["generate", "detect", "plot-data", "energy-table"])
+    def test_out_under_a_file_exits_2(self, runner, tmp_path, inputs, command):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        result = runner.invoke(main, [command, *inputs[command], "--out", str(blocker / "out")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "faultwave: error:" in result.output
+
+    @pytest.mark.parametrize("command", ["generate", "energy-table"])
+    def test_config_not_utf8_exits_2(self, runner, tmp_path, command):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"channel": "\u00e9"}'.encode("latin-1"))
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "faultwave: error: malformed JSON in" in result.output
+
+    @pytest.mark.parametrize(
+        "command, file, doc",
+        [("generate", "config", {"waveform": {"duration_s": BIG_INT}}),
+         ("generate", "config", {"fault": {"fault_type": "AG", "onset_s": BIG_INT}}),
+         ("generate", "config", {"waveform": {"phase_offsets_rad": [BIG_INT, 0, 0]}}),
+         ("detect", "config", {"detector": {"method": "energy_ft", "cutoff_hz": BIG_INT}}),
+         ("detect", "config", {"detector": {"threshold": {"fixed": BIG_INT}}}),
+         ("detect", "sidecar", {"sample_rate_hz": BIG_INT}),
+         ("detect", "sidecar", {"sample_rate_hz": 2000,
+                                "fault": {"fault_type": "AG", "onset_s": BIG_INT}}),
+         ("energy-table", "config",
+          {"scenarios": [{"name": "x", "waveform": {"amplitude_pu": BIG_INT}}]})],
+        ids=["duration", "onset", "phase_offset", "cutoff", "fixed_threshold", "sidecar_rate",
+             "sidecar_onset", "suite_amplitude"],
+    )
+    def test_integer_beyond_float_range_exits_2(self, runner, tmp_path, inputs, command, file,
+                                                doc):
+        args = inputs[command]
+        path = (sidecar_path(Path(args[1])) if file == "sidecar"
+                else Path(args[args.index("--config") + 1]))
+        write_json(path, doc)
+        result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "does not fit a float" in result.output
+
+
 def known_key_paths() -> list[tuple[str, ...]]:
     """Every key a run config may hold, as a path from the document root."""
     sections = {"waveform": WaveformConfig, "fault": FaultSpec, "noise": NoiseSpec,
@@ -757,6 +867,8 @@ class TestConfigFuzz:
     @example({("ica", "embedding_dim"): 2.5})
     @example({("waveform", "duration_s"): 1e306})
     @example({("waveform", "fundamental_hz"): 5e-324})
+    @example({("noise", "snr_db"): 1e308})
+    @example({("fault", "onset_s"): BIG_INT})
     def test_detect_exits_0_2_or_3_never_1(self, trace, settings_):
         for method in METHODS:
             config: dict = {"detector": {"method": method}}
@@ -773,3 +885,100 @@ class TestConfigFuzz:
                        "--out", str(trace.parent / "r.json")]
             )
             assert result.exit_code in (0, 2, 3), (config, result.output, result.exception)
+        if self.record_fits_in_a_test(config):
+            result = CliRunner().invoke(
+                main, ["generate", "--config", str(cfg), "--out", str(trace.parent / "g.csv")])
+            assert result.exit_code in (0, 2), (config, result.output, result.exception)
+
+    @staticmethod
+    def record_fits_in_a_test(config: dict) -> bool:
+        """False for a valid config whose record is too long to write here (a duration
+        of 10**4 s is 2e7 samples); an invalid one must still exit 2."""
+        try:
+            return parse_run_config(config).waveform.n_samples <= 10**5
+        except FaultwaveError:
+            return True
+
+
+# One edit of a trace CSV: rows and columns count from the header, modulo the size.
+TRACE_EDITS = st.one_of(
+    st.tuples(st.just("truncate_row"), st.integers(0, 400), st.integers(0, 40)),
+    st.tuples(st.just("repeat_time"), st.integers(1, 400)),
+    st.tuples(st.just("set_field"), st.integers(0, 400), st.integers(0, 3),
+              st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "", "x", "true"])),
+    st.tuples(st.just("drop_column"), st.integers(0, 3)),
+    st.tuples(st.just("insert_bytes"), st.integers(0, 30_000), st.binary(min_size=1, max_size=4)),
+)
+SIDECAR_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["keep", "delete"])),
+    st.tuples(st.just("set_rate"), FUZZ_VALUES | st.just(BIG_INT)),
+    st.tuples(st.just("replace_bytes"), st.binary(max_size=24)),
+)
+
+
+def mutate_trace(text: str, edits) -> bytes:
+    """``text`` with the line edits applied in order, then encoded, then the byte inserts."""
+    lines = text.splitlines()
+    inserts = []
+    for kind, *args in edits:
+        if kind == "insert_bytes":
+            inserts.append(args)
+            continue
+        if kind == "drop_column":
+            lines = [",".join(f for j, f in enumerate(line.split(",")) if j != args[0])
+                     for line in lines]
+            continue
+        i = args[0] % len(lines)
+        fields = lines[i].split(",")
+        if kind == "truncate_row":
+            lines[i] = lines[i][:args[1]]
+        elif kind == "repeat_time":
+            lines[i] = ",".join([lines[i - 1].split(",")[0], *fields[1:]])
+        elif args[1] < len(fields):  # set_field
+            fields[args[1]] = args[2]
+            lines[i] = ",".join(fields)
+    data = ("\n".join(lines) + "\n").encode()
+    for offset, chunk in inserts:
+        offset %= len(data) + 1
+        data = data[:offset] + chunk + data[offset:]
+    return data
+
+
+class TestTraceFuzz:
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory) -> tuple[Path, str, dict]:
+        trace = tmp_path_factory.mktemp("trace_fuzz") / "trace.csv"
+        write_record_csv(trace, make_record("AG", snr_db=20.0, seed=1))  # 400 samples
+        return trace, trace.read_text(), json.loads(sidecar_path(trace).read_text())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(TRACE_EDITS, max_size=3), SIDECAR_EDITS, st.sampled_from(METHODS))
+    @example([("truncate_row", 7, 12)], ("keep",), "wavelet")
+    @example([("repeat_time", 50)], ("delete",), "wavelet")
+    @example([("set_field", 9, 1, "nan"), ("set_field", 9, 0, "inf")], ("delete",), "ica")
+    @example([("set_field", 400, 0, "-inf")], ("delete",), "energy_ft")
+    @example([], ("set_rate", True), "wavelet")
+    @example([], ("set_rate", BIG_INT), "wavelet")
+    @example([], ("set_rate", -1e308), "energy_stft")
+    @example([("drop_column", 3)], ("keep",), "energy_wt")
+    @example([("insert_bytes", 100, b"\xff\xfe")], ("replace_bytes", b'{"x": "\xff"}'), "wavelet")
+    def test_detect_exits_0_2_or_3_never_1(self, original, edits, sidecar_edit, method):
+        trace, text, sidecar = original
+        trace.write_bytes(mutate_trace(text, edits))
+        kind, *args = sidecar_edit
+        meta = sidecar_path(trace)
+        if kind == "keep":
+            write_json(meta, sidecar)
+        elif kind == "delete":
+            meta.unlink(missing_ok=True)
+        elif kind == "set_rate":
+            write_json(meta, dict(sidecar, sample_rate_hz=args[0]))
+        else:
+            meta.write_bytes(args[0])
+        cfg = write_json(trace.parent / "run.json", dict(AG_CONFIG, detector={"method": method}))
+        result = CliRunner().invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(trace.parent / "r.json")]
+        )
+        assert result.exit_code in (0, 2, 3), (edits, sidecar_edit, result.output,
+                                               result.exception)

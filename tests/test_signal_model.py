@@ -207,6 +207,17 @@ class TestAddNoise:
         with pytest.raises(DegenerateInputError, match="zero-power"):
             add_noise(record, NoiseSpec(snr_db=20.0))
 
+    @pytest.mark.parametrize("snr_db", [1e308, 3083.0, 10**400, float("inf"), float("nan")],
+                             ids=["1e308", "ratio_just_overflows", "huge_int", "inf", "nan"])
+    def test_snr_whose_power_ratio_overflows_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db"):
+            NoiseSpec(snr_db=snr_db)
+
+    def test_largest_snr_with_finite_ratio_still_adds_noise(self, baseline_record):
+        # 10**308.2 is the last tenth-of-a-decibel step below float max
+        noisy = add_noise(baseline_record, NoiseSpec(snr_db=3082.0, seed=1))
+        assert np.all(np.isfinite(noisy.samples))
+
 
 class TestSelectChannel:
     def test_phase_a_is_zero_offset_sinusoid(self, baseline_record):
