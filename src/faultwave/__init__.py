@@ -38,7 +38,6 @@ from .ica import (
     IcaModel,
     PiSeries,
     WhiteningModel,
-    build_data_matrix,
     center,
     fastica,
     fit_ica,
@@ -73,9 +72,8 @@ __all__ = [
     # spectral
     "Spectrum", "Spectrogram", "dft", "stft", "highband_energy_index",
     # ica
-    "IcaConfig", "IcaModel", "WhiteningModel", "PiSeries", "build_data_matrix",
-    "center", "whiten", "fastica", "fit_ica", "unmix", "negentropy_proxy",
-    "performance_index",
+    "IcaConfig", "IcaModel", "WhiteningModel", "PiSeries", "center", "whiten",
+    "fastica", "fit_ica", "unmix", "negentropy_proxy", "performance_index",
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
     "AdaptiveThreshold", "Spans", "calibrate_threshold",

@@ -25,7 +25,8 @@ from .detect import (
     wavelet_detect,
     energy_detect,
 )
-from .errors import DegenerateInputError, FaultwaveError, NumericalError
+from .errors import ConfigError, DegenerateInputError, FaultwaveError, NumericalError
+from .ica import IcaConfig
 from .io import (
     RunConfig,
     atomic_write_text,
@@ -70,7 +71,8 @@ def run_detector(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport
     method = config.detector.method
     try:
         if method == "ica":
-            return ica_detect(record, config.detector, config.spans, config.ica)
+            return ica_detect(record, config.detector, config.spans,
+                              IcaConfig(config.waveform.fundamental_hz))
         trace = select_channel(record, config.channel)
         if method == "wavelet":
             return wavelet_detect(trace, config.detector, config.spans)
@@ -104,9 +106,12 @@ def cmd_generate(config_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Report JSON path.")
 def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
     """Run the configured detector; write a report JSON and an index CSV."""
+    out = Path(out_path)
+    if out.suffix == ".csv":
+        raise ConfigError(f"--out {out_path} ends in .csv, the suffix of the index CSV "
+                          "written next to the report")
     config, record, report = _load_and_run(in_path, config_path)
 
-    out = Path(out_path)
     payload = report.to_json_dict(config=config.to_dict(), scenario=_scenario_info(record))
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
     _write_index_csv(out.with_suffix(".csv"), report)

@@ -1,22 +1,21 @@
 """Blind source separation by fixed-point ICA and the fault performance index.
 
-Pipeline: pack channels into a data matrix, remove row means, whiten by PCA
-(dropping near-zero principal components), then run the symmetric fixed-point
+Pipeline: remove the row means of a channel matrix, whiten by PCA (dropping
+near-zero principal components), then run the symmetric fixed-point
 iteration that maximizes a negentropy proxy
 ``J(w) = (E[G(w.z)] - E[G(nu)])**2`` for ``nu`` standard normal, with
 ``G = log cosh`` (tanh contrast) or ``G(u) = u**4/4`` (cube contrast).
 
 The fault performance index is the whitened residual between the record and
-a periodic "normal" template built from pre-fault data: it stays near zero
-while the record matches its healthy pattern and jumps at fault onset. It is
-a squared norm, blind to the orthogonal rotation ICA adds after whitening, so
-it needs no FastICA fit.
+a periodic "normal" template built from the fault-free calibration span: it
+stays near zero while the record matches its healthy pattern and jumps at
+fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
+after whitening, so it needs no FastICA fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .signal_model import ThreePhaseRecord, Trace
+from .signal_model import ThreePhaseRecord
 
 # E[log cosh(nu)] for nu ~ N(0,1); frozen from high-resolution quadrature
 # (tests re-derive it). E[nu**4 / 4] = 3/4 for the cube contrast.
@@ -36,6 +35,11 @@ GAUSSIAN_QUARTIC_MEAN = 0.75
 
 # Eigenvalues below this fraction of the largest are treated as rank loss.
 RANK_TOLERANCE = 1e-12
+
+# Principal components the performance index keeps: balanced three-phase
+# voltages span two dimensions, and dropping the third keeps a pure-noise
+# direction from dominating the index.
+RETAIN = 2
 
 
 @dataclass(eq=False)
@@ -73,62 +77,18 @@ class PiSeries:
 
 @dataclass(frozen=True)
 class IcaConfig:
-    """Options of the performance index.
-
-    ``retain`` caps the principal components kept while whitening: an
-    integer >= 1 keeps that many, a float in (0, 1] the smallest count
-    reaching that variance fraction, None all of them. The default of 2
-    matches healthy data: balanced three-phase voltages (and a
-    delay-embedded sinusoid) span two dimensions, and dropping the remainder
-    keeps pure-noise directions from dominating the index.
-    ``embedding_dim``, if set, delay-embeds phase a instead of using the
-    three phases, and ``fundamental_hz`` phase-locks the normal template.
+    """The fundamental that phase-locks the normal template.
 
     The index is invariant to the ICA rotation, so it has no FastICA
     options; :func:`fastica` and :func:`fit_ica` take their own.
     """
 
-    embedding_dim: int | None = None
     fundamental_hz: float = 50.0
-    retain: int | float | None = 2
 
     def __post_init__(self) -> None:
         if not 0 < self.fundamental_hz < np.inf:
             raise ConfigError(
                 f"fundamental_hz must be finite and positive, got {self.fundamental_hz}")
-        d, r = self.embedding_dim, self.retain
-        if d is not None and (not isinstance(d, Integral) or d < 2):
-            raise ConfigError(f"embedding_dim must be null or an integer >= 2, got {d!r}")
-        if r is not None and not (
-                isinstance(r, int) and r >= 1 or isinstance(r, float) and 0 < r <= 1):
-            raise ConfigError(
-                f"retain must be null, an integer >= 1 or a fraction in (0, 1], got {r!r}")
-
-
-def build_data_matrix(
-    source: ThreePhaseRecord | Trace, embedding_dim: int | None = None
-) -> np.ndarray:
-    """Pack a record or trace into an m x N channel matrix.
-
-    A record packs directly as its three phase rows. A trace is delay
-    embedded: row i of the d x (N-d+1) result is the trace lagged by i
-    samples.
-
-    Raises:
-        ShapeError: trace shorter than the embedding dimension.
-        ConfigError: trace given without an embedding dimension.
-    """
-    if isinstance(source, ThreePhaseRecord):
-        return source.samples.copy()
-
-    if embedding_dim is None:
-        raise ConfigError("a single trace requires an embedding dimension")
-    d = embedding_dim
-    n = source.n_samples
-    if n < d + 1:
-        raise ShapeError(f"trace of length {n} is too short for embedding dimension {d}")
-    cols = n - d + 1
-    return np.stack([source.samples[i : i + cols] for i in range(d)])
 
 
 def center(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,20 +272,20 @@ def _phase_positions(
 
 def _build_template(
     samples: np.ndarray,
-    prefault: tuple[int, int],
+    calibration: tuple[int, int],
     anchor: int,
     fs: float,
     fundamental_hz: float,
     period: int,
 ) -> np.ndarray:
-    """Average the pre-fault segment into one phase-locked cycle.
+    """Average the calibration span into one phase-locked cycle.
 
     Each sample is deposited onto its two neighboring phase slots with linear
     weights, so slot averages stay centered even when the fundamental does
     not divide the sample rate. At an integer samples-per-cycle ratio the
     deposit is an exact per-slot average.
     """
-    lo, hi = prefault
+    lo, hi = calibration
     segment = samples[:, lo:hi]
     if not np.any(segment):
         raise DegenerateInputError(
@@ -391,14 +351,14 @@ def _read_template(
 
 def performance_index(
     record: ThreePhaseRecord,
-    prefault_span: tuple[int, int],
+    calibration_span: tuple[int, int],
     analysis_span: tuple[int, int],
     config: IcaConfig = IcaConfig(),
 ) -> PiSeries:
     """Fault performance index over the analysis span.
 
     The whitening map is fitted on the analysis-span data; a "normal"
-    template is built by tiling the pre-fault segment periodically
+    template is built by tiling the calibration span periodically
     (phase-locked, one fundamental period long) over the analysis span; and
     the index at sample k is the squared norm of the whitened difference
     between the template and the record, aggregated over a trailing
@@ -408,12 +368,11 @@ def performance_index(
 
     Args:
         record: Record under analysis.
-        prefault_span: The calibration span, a half-open sample range known
-            to be fault-free; must start no later than the analysis span, end
-            before it does, and cover at least two fundamental cycles.
+        calibration_span: Half-open sample range known to be fault-free; must
+            start no later than the analysis span, end before it does, and
+            cover at least two fundamental cycles.
         analysis_span: Half-open sample range the index is computed on.
-        config: Component cap, optional delay embedding, and the fundamental
-            used for phase locking.
+        config: The fundamental used for phase locking.
 
     Raises:
         BoundsError: spans outside the record, out of order, or a calibration
@@ -421,7 +380,7 @@ def performance_index(
         DegenerateInputError: the record is all zero on the calibration span.
     """
     n = record.n_samples
-    p_lo, p_hi = prefault_span
+    p_lo, p_hi = calibration_span
     a_lo, a_hi = analysis_span
     named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
     if not (0 <= p_lo < p_hi <= n and 0 <= a_lo < a_hi <= n):
@@ -443,20 +402,14 @@ def performance_index(
                           f"fundamental cycles ({2 * period} samples)")
 
     anchor = p_hi
-    template = _build_template(record.samples, prefault_span, anchor, fs,
+    template = _build_template(record.samples, calibration_span, anchor, fs,
                                config.fundamental_hz, period)
     normal = _read_template(template, np.arange(a_lo, a_hi), anchor, fs,
                             config.fundamental_hz)
     actual = record.samples[:, a_lo:a_hi]
 
-    fit_matrix, normal_matrix = actual, normal
-    if config.embedding_dim is not None:
-        d = config.embedding_dim
-        fit_matrix = build_data_matrix(Trace(actual[0], fs), embedding_dim=d)
-        normal_matrix = build_data_matrix(Trace(normal[0], fs), embedding_dim=d)
-
-    _, whitening = whiten(center(fit_matrix)[0], retain=config.retain)
-    raw = np.sum((whitening.projection @ (normal_matrix - fit_matrix)) ** 2, axis=0)
+    _, whitening = whiten(center(actual)[0], retain=RETAIN)
+    raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
     return PiSeries(
         values=_trailing_mean(raw, period),
         start_sample=a_lo,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans
 from .errors import ConfigError, DegenerateInputError, FaultwaveError
-from .ica import IcaConfig
 from .signal_model import (
     FaultSpec,
     FaultType,
@@ -75,7 +74,8 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
     """Reconstruct a record from CSV, using the sidecar when present.
 
     Without a sidecar the sample rate is recovered from the time column,
-    which must then be uniform: every step within 1% of the mean step.
+    which must then be finite and uniform: every step within 1% of the mean
+    step.
     Malformed content raises a FaultwaveError, never a bare ValueError.
     """
     try:
@@ -111,6 +111,8 @@ def _parse_record_csv(path: Path) -> ThreePhaseRecord:
         labels = fault_from_dict(meta_obj.get("fault"))
     else:
         t = data[:, 0]
+        if not np.all(np.isfinite(t)):
+            raise DegenerateInputError(f"{path} time column holds a non-finite value")
         if not t[-1] > t[0]:
             raise DegenerateInputError(f"{path} time column does not increase")
         step = (t[-1] - t[0]) / (len(t) - 1)
@@ -197,7 +199,6 @@ class RunConfig:
     fault: FaultSpec
     noise: NoiseSpec
     detector: DetectorConfig
-    ica: IcaConfig
     spans: Spans
     channel: str = "a"
 
@@ -218,14 +219,13 @@ class RunConfig:
                 "cutoff_hz": self.detector.cutoff_hz,
                 "min_consecutive": self.detector.min_consecutive,
             },
-            "ica": dataclasses.asdict(self.ica),
             "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()
                       if span is not None},
             "channel": self.channel,
         }
 
 
-_SECTION_KEYS = {"waveform", "fault", "noise", "detector", "ica", "spans", "channel"}
+_SECTION_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 _DETECTOR_KEYS = {"method", "threshold", "level", "cutoff_hz", "min_consecutive"}
 
 
@@ -325,9 +325,6 @@ def parse_run_config(obj: dict) -> RunConfig:
     noise = _build_section(_object(obj.get("noise", {}), "noise"), "noise", NoiseSpec)
     detector = _build_section(_object(obj.get("detector", {}), "detector"), "detector",
                               _detector_config, _DETECTOR_KEYS)
-    ica_obj = _object(obj.get("ica", {}), "ica")
-    ica_obj.setdefault("fundamental_hz", waveform.fundamental_hz)
-    ica = _build_section(ica_obj, "ica", IcaConfig)
 
     spans_obj = _object(obj.get("spans", {}), "spans")
     _check_keys(spans_obj, {f.name for f in dataclasses.fields(Spans)}, "spans")
@@ -338,7 +335,7 @@ def parse_run_config(obj: dict) -> RunConfig:
         raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
 
     return RunConfig(waveform=waveform, fault=fault, noise=noise,
-                     detector=detector, ica=ica, spans=spans, channel=channel)
+                     detector=detector, spans=spans, channel=channel)
 
 
 def _read_json(path: Path):

@@ -11,14 +11,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from faultwave import (FaultSpec, FaultType, IcaConfig, NoiseSpec, WaveformConfig,
-                       calibrate_threshold, detail_series, dwt_decompose, select_channel)
+from faultwave import (DetectorConfig, FaultSpec, FaultType, IcaConfig, NoiseSpec,
+                       ThreePhaseRecord, WaveformConfig, calibrate_threshold, detail_series,
+                       dwt_decompose, ica_detect, select_channel)
 from faultwave.detect import METHODS, EnergyRow
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
 from faultwave.errors import BoundsError, ConfigError, FaultwaveError
 from faultwave.io import (
+    FLOAT_FMT,
     build_record,
     check_onset,
     parse_run_config,
@@ -27,7 +30,7 @@ from faultwave.io import (
     write_energy_table_csv,
     write_record_csv,
 )
-from conftest import make_record
+from conftest import assert_bitwise_equal, make_record
 
 
 AG_CONFIG = {
@@ -83,6 +86,58 @@ class TestRecordCsv:
         back = read_record_csv(path)
         assert back.samples.shape == (3, 4096)
         assert back.samples.tobytes() == expected.tobytes()
+
+
+# A record of random length and rate holding any finite sample values.
+RECORDS = st.builds(
+    ThreePhaseRecord,
+    sample_rate_hz=st.floats(1e-3, 1e9),
+    samples=st.integers(2, 300).flatmap(lambda n: hnp.arrays(
+        np.float64, (3, n), elements=st.floats(allow_nan=False, allow_infinity=False))),
+)
+
+
+class TestRecordCsvRoundTrip:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory) -> Path:
+        return tmp_path_factory.mktemp("round_trip") / "trace.csv"
+
+    @settings(max_examples=60, deadline=None)
+    @given(RECORDS, st.booleans())
+    @example(ThreePhaseRecord(2000.0, np.array([[0.0, -0.0], [5e-324, -1.7976931348623157e308],
+                                                [1e-310, 0.1]])), False)
+    def test_samples_come_back_at_12_digits_and_the_rate_with_them(self, path, record,
+                                                                   keep_sidecar):
+        write_record_csv(path, record)
+        if not keep_sidecar:
+            sidecar_path(path).unlink()
+        back = read_record_csv(path)
+        expected = np.array([[float(FLOAT_FMT % v) for v in row] for row in record.samples])
+        assert_bitwise_equal(back.samples, expected)
+        if keep_sidecar:
+            assert back.sample_rate_hz == record.sample_rate_hz
+        else:
+            # from times written at 12 digits: far inside the 1% step rule
+            assert back.sample_rate_hz == pytest.approx(record.sample_rate_hz, rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(RECORDS, st.integers(0, 300), st.integers(0, 3),
+           st.sampled_from(["nan", "inf", "-inf"]))
+    def test_non_finite_field_without_sidecar_exits_2(self, path, record, row, column, value):
+        write_record_csv(path, record)
+        sidecar_path(path).unlink()
+        lines = path.read_text().splitlines()
+        row = 1 + row % record.n_samples
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_json(path.parent / "run.json", AG_CONFIG)
+        result = CliRunner().invoke(
+            main, ["detect", "--in", str(path), "--config", str(cfg),
+                   "--out", str(path.parent / "r.json")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "must be finite" in result.output or "non-finite" in result.output
 
 
 class TestTransformDumps:
@@ -161,10 +216,10 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "config, match",
         [
-            ({"ica": {"contrast": "cube"}}, "unknown key 'contrast' in ica"),
-            ({"ica": {"seed": 2}}, "unknown key 'seed' in ica"),
-            ({"ica": {"max_iter": 50}}, "unknown key 'max_iter' in ica"),
-            ({"ica": {"tol": 1e-4}}, "unknown key 'tol' in ica"),
+            ({"ica": {"contrast": "cube"}}, "unknown key 'ica' in run config"),
+            ({"ica": {"seed": 2}}, "unknown key 'ica' in run config"),
+            ({"ica": {"max_iter": 50}}, "unknown key 'ica' in run config"),
+            ({"ica": {"tol": 1e-4}}, "unknown key 'ica' in run config"),
             ({"detector": {"k_sigma": 4.0}}, "unknown key 'k_sigma' in detector"),
             ({"detector": {"calibration_span": [0, 100]}},
              "unknown key 'calibration_span' in detector"),
@@ -186,12 +241,11 @@ class TestRunConfig:
     def test_provenance_dict_round_trips(self):
         fixed = dict(AG_CONFIG, detector={"method": "energy_ft", "threshold": {"fixed": 0.25}})
         custom = dict(AG_CONFIG, detector={"method": "ica", "threshold": {"k_sigma": 3.5}},
-                      ica={"embedding_dim": 4, "fundamental_hz": 49.5, "retain": 0.99},
                       spans={"calibration": [80, 160], "analysis": [80, 400]})
         for obj in (AG_CONFIG, fixed, custom):
             resolved = parse_run_config(obj).to_dict()
             assert parse_run_config(json.loads(json.dumps(resolved))).to_dict() == resolved
-            for section in ("detector", "ica", "spans"):
+            for section in ("detector", "spans"):
                 assert obj.get(section, {}).items() <= resolved[section].items()
 
     def test_build_record_applies_fault_and_noise(self):
@@ -249,19 +303,17 @@ class TestCmdGenerate:
             ({"noise": {"snr_db": 20.0, "seed": 1.5}}, "seed"),
             ({"detector": {"threshold": {"k_sigma": float("nan")}}}, "k_sigma"),
             ({"detector": {"threshold": {"k_sigma": float("inf")}}}, "k_sigma"),
-            ({"ica": {"fundamental_hz": 0.0}}, "fundamental_hz"),
-            ({"ica": {"embedding_dim": 2.5}}, "embedding_dim"),
-            ({"ica": {"retain": 1.5}}, "retain"),
-            ({"ica": {"retain": 0}}, "retain"),
-            ({"ica": {"retain": "x"}}, "retain"),
-            ({"ica": {"retain": True}}, "retain"),
+            ({"ica": {"fundamental_hz": 0.0}}, "unknown key 'ica' in run config"),
+            ({"ica": {"embedding_dim": 2.5}}, "unknown key 'ica' in run config"),
+            ({"ica": {"retain": 1.5}}, "unknown key 'ica' in run config"),
+            ({"ica": {"retain": 0}}, "unknown key 'ica' in run config"),
+            ({"ica": {"retain": "x"}}, "unknown key 'ica' in run config"),
             ({"detector": {"level": True}}, "level"),
             ({"detector": {"min_consecutive": True}}, "min_consecutive"),
             ({"detector": {"cutoff_hz": True}}, "cutoff_hz"),
             ({"noise": {"snr_db": 20.0, "seed": True}}, "seed"),
             ({"detector": {"threshold": {"fixed": False}}}, "detector.threshold.fixed"),
             ({"detector": {"threshold": {"k_sigma": True}}}, "detector.threshold.k_sigma"),
-            ({"ica": {"fundamental_hz": True}, "detector": {"method": "ica"}}, "ica.fundamental_hz"),
             ({"noise": {"snr_db": True}}, "noise.snr_db"),
             ({"noise": {"snr_db": 1e308}}, "snr_db"),
             ({"waveform": {"fundamental_hz": True}}, "waveform.fundamental_hz"),
@@ -275,9 +327,9 @@ class TestCmdGenerate:
         ids=["inf_rate", "inf_duration", "nan_fundamental", "nan_onset", "inf_clear",
              "negative_seed", "fractional_seed", "nan_k_sigma", "inf_k_sigma",
              "zero_ica_fundamental", "fractional_embedding_dim",
-             "retain_above_one", "zero_retain", "string_retain", "bool_retain", "bool_level",
+             "retain_above_one", "zero_retain", "string_retain", "bool_level",
              "bool_min_consecutive", "bool_cutoff", "bool_seed", "bool_fixed", "bool_k_sigma",
-             "bool_ica_fundamental", "bool_snr_db", "snr_ratio_overflows",
+             "bool_snr_db", "snr_ratio_overflows",
              "bool_waveform_fundamental", "bool_amplitude",
              "bool_phase_offset", "bool_retained_voltage", "bool_transient_gain"],
     )
@@ -330,6 +382,21 @@ class TestCmdDetect:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["detected"] is True
         assert out.with_suffix(".csv").read_text().splitlines()[0] == "t,pi"
+
+    def test_ica_template_locks_to_waveform_fundamental(self, runner, tmp_path):
+        config = dict(AG_CONFIG, waveform={"fundamental_hz": 49.5}, detector={"method": "ica"})
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert "ica" not in report["config"]
+        record = read_record_csv(trace)
+        locked, nominal = (ica_detect(record, DetectorConfig(method="ica"), None, IcaConfig(f0))
+                           for f0 in (49.5, 50.0))
+        assert report["threshold"] == locked.threshold_used != nominal.threshold_used
+        assert report["onset_sample"] == locked.onset_sample
 
     def test_wavelet_applies_configured_spans(self, runner, tmp_path):
         # calibrate after the fault, scan only before it: the 20 dB AG
@@ -468,6 +535,29 @@ class TestCmdDetect:
         )
         assert result.exit_code == 2
 
+    def test_nan_time_without_sidecar_exits_2(self, runner, tmp_path):
+        trace, cfg = self.make_trace(runner, tmp_path)  # 400 samples
+        lines = trace.read_text().splitlines()
+        lines[51] = ",".join(["nan", *lines[51].split(",")[1:]])
+        trace.write_text("\n".join(lines) + "\n")
+        sidecar_path(trace).unlink()
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "time column holds a non-finite value" in result.output
+
+    def test_report_path_ending_in_csv_exits_2_writing_nothing(self, runner, tmp_path):
+        trace, cfg = self.make_trace(runner, tmp_path)
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "ends in .csv" in result.output
+        assert not (tmp_path / "r.csv").exists()
+
     def test_transform_error_exits_3_naming_method(self, runner, tmp_path):
         # an all-zero pre-fault segment leaves the ICA template nothing to average
         dead = {"waveform": {"amplitude_pu": 0.0}, "detector": {"method": "ica"}}
@@ -483,7 +573,6 @@ class TestCmdDetect:
     @pytest.mark.parametrize(
         "config, message",
         [({"detector": {"method": "energy_ft", "cutoff_hz": 1000}}, "Nyquist"),
-         ({"ica": {"fundamental_hz": 1500}, "detector": {"method": "ica"}}, "samples per cycle"),
          ({"waveform": {"duration_s": 0.02}, "detector": {"method": "energy_stft"}},
           "need 2 <= window_len <= 40"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [100, 200],
@@ -493,7 +582,7 @@ class TestCmdDetect:
           "spans.calibration=(0, 40) is shorter than one window"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [0, 60]}},
           "spans.calibration=(0, 60) covers fewer than two")],
-        ids=["cutoff_at_nyquist", "ica_fundamental_too_high", "stft_frame_longer_than_trace",
+        ids=["cutoff_at_nyquist", "stft_frame_longer_than_trace",
              "ica_calibration_after_analysis_start", "stft_calibration_shorter_than_frame",
              "ica_calibration_shorter_than_two_cycles"],
     )
@@ -510,7 +599,7 @@ class TestCmdDetect:
         "config, code",
         [({"waveform": {"duration_s": 1e306}}, 2),
          ({"waveform": {"fundamental_hz": 5e-324}, "detector": {"method": "energy_ft"}}, 3),
-         ({"ica": {"fundamental_hz": 5e-324}, "detector": {"method": "ica"}}, 3)],
+         ({"waveform": {"fundamental_hz": 5e-324}, "detector": {"method": "ica"}}, 3)],
         ids=["sample_count_overflows", "energy_cycle_overflows", "ica_cycle_overflows"],
     )
     def test_extreme_setting_exits_2_or_3_not_1(self, runner, tmp_path, config, code):
@@ -577,13 +666,16 @@ class TestCmdDetect:
 
     def test_removed_config_key_exits_2_naming_it(self, runner, tmp_path):
         trace, _ = self.make_trace(runner, tmp_path)
-        cfg = write_json(tmp_path / "old.json", dict(AG_CONFIG, ica={"seed": 2}))
+        # the section whose fundamental the energy window never read
+        cfg = write_json(tmp_path / "old.json", dict(AG_CONFIG, ica={"fundamental_hz": 49.0},
+                                                     detector={"method": "energy_ft"}))
         result = runner.invoke(
             main, ["detect", "--in", str(trace), "--config", str(cfg),
                    "--out", str(tmp_path / "r.json")]
         )
         assert result.exit_code == 2, result.output
-        assert "unknown key 'seed' in ica" in result.output
+        assert "unknown key 'ica' in run config" in result.output
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCmdEnergyTable:
@@ -838,8 +930,7 @@ class TestErrorBoundary:
 
 def known_key_paths() -> list[tuple[str, ...]]:
     """Every key a run config may hold, as a path from the document root."""
-    sections = {"waveform": WaveformConfig, "fault": FaultSpec, "noise": NoiseSpec,
-                "ica": IcaConfig}
+    sections = {"waveform": WaveformConfig, "fault": FaultSpec, "noise": NoiseSpec}
     paths = [(name, f.name) for name, cls in sections.items() for f in dataclasses.fields(cls)]
     paths += [("detector", key)
               for key in ("method", "threshold", "level", "cutoff_hz", "min_consecutive")]
@@ -864,7 +955,6 @@ class TestConfigFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.sampled_from(known_key_paths()), FUZZ_VALUES,
                            min_size=1, max_size=3))
-    @example({("ica", "embedding_dim"): 2.5})
     @example({("waveform", "duration_s"): 1e306})
     @example({("waveform", "fundamental_hz"): 5e-324})
     @example({("noise", "snr_db"): 1e308})
@@ -955,6 +1045,7 @@ class TestTraceFuzz:
     @given(st.lists(TRACE_EDITS, max_size=3), SIDECAR_EDITS, st.sampled_from(METHODS))
     @example([("truncate_row", 7, 12)], ("keep",), "wavelet")
     @example([("repeat_time", 50)], ("delete",), "wavelet")
+    @example([("set_field", 51, 0, "nan")], ("delete",), "wavelet")
     @example([("set_field", 9, 1, "nan"), ("set_field", 9, 0, "inf")], ("delete",), "ica")
     @example([("set_field", 400, 0, "-inf")], ("delete",), "energy_ft")
     @example([], ("set_rate", True), "wavelet")

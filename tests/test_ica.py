@@ -22,8 +22,6 @@ from faultwave import (
     IcaConfig,
     ShapeError,
     Spans,
-    Trace,
-    build_data_matrix,
     center,
     fastica,
     fit_ica,
@@ -33,7 +31,7 @@ from faultwave import (
     unmix,
     whiten,
 )
-from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, _build_template, _phase_positions,
+from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RETAIN, _build_template, _phase_positions,
                            _read_template, _trailing_mean)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
@@ -65,31 +63,6 @@ def best_assignment_correlation(recovered: np.ndarray, truth: np.ndarray) -> flo
         worst_row = min(abs(corr[i, perm[i]]) for i in range(r))
         best = max(best, worst_row)
     return best
-
-
-class TestBuildDataMatrix:
-    def test_record_packs_directly(self, baseline_record):
-        matrix = build_data_matrix(baseline_record)
-        assert matrix.shape == (3, 400)
-        assert np.array_equal(matrix, baseline_record.samples)
-
-    def test_delay_embedding_shape_and_shifts(self):
-        trace = Trace(rng_trace(400), FS)
-        matrix = build_data_matrix(trace, embedding_dim=4)
-        assert matrix.shape == (4, 397)
-        np.testing.assert_array_equal(matrix[1, :-1], matrix[0, 1:])
-
-    def test_constant_trace_is_rank_one(self):
-        matrix = build_data_matrix(Trace(np.full(100, 3.0), FS), embedding_dim=4)
-        assert np.linalg.matrix_rank(matrix) == 1
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(ShapeError, match="too short"):
-            build_data_matrix(Trace(np.zeros(3), FS), embedding_dim=4)
-
-    def test_trace_without_dimension_rejected(self):
-        with pytest.raises(ConfigError, match="embedding"):
-            build_data_matrix(Trace(np.zeros(30), FS))
 
 
 class TestCenter:
@@ -284,7 +257,7 @@ class TestNegentropyProxy:
 
 
 class TestPerformanceIndex:
-    SPANS = dict(prefault_span=(0, 120), analysis_span=(0, 400))
+    SPANS = dict(calibration_span=(0, 120), analysis_span=(0, 400))
 
     def test_values_are_finite_and_nonnegative(self, ag_record):
         pi = performance_index(ag_record, **self.SPANS)
@@ -341,14 +314,14 @@ class TestPerformanceIndex:
         with pytest.raises(DegenerateInputError, match="zero"):
             performance_index(zeroed, (0, 120), analysis_span=(0, 400))
 
-    def test_delay_embedding_route(self):
-        record = make_record("AG", snr_db=20.0, seed=3)
-        pi = performance_index(
-            record, (0, 120), (0, 400),
-            IcaConfig(embedding_dim=4),
-        )
-        pre = pi.values[:100].mean()
-        assert pi.values.max() > 20.0 * pre
+    def test_fundamental_under_two_samples_per_cycle_rejected(self, ag_record):
+        with pytest.raises(ConfigError, match="fewer than 2 samples per cycle"):
+            performance_index(ag_record, **self.SPANS, config=IcaConfig(fundamental_hz=1500))
+
+    @pytest.mark.parametrize("fundamental_hz", [0.0, -50.0, float("inf"), float("nan")])
+    def test_non_positive_or_non_finite_fundamental_rejected(self, fundamental_hz):
+        with pytest.raises(ConfigError, match="fundamental_hz must be finite and positive"):
+            IcaConfig(fundamental_hz=fundamental_hz)
 
 
 def gather_read_template(template, sample_indices, anchor, fs, fundamental_hz):
@@ -409,34 +382,28 @@ class TestRotationInvariance:
     whitened unit) where the whole series is round-off.
     """
 
-    PREFAULT, ANALYSIS = (0, 120), (0, 400)
+    CALIBRATION, ANALYSIS = (0, 120), (0, 400)
 
     def unmixed_index(self, record, config, **fastica_options):
         """The index as ``|unmix(normal) - sources|**2`` through a FastICA fit."""
         fs, f0 = record.sample_rate_hz, config.fundamental_hz
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
-        template = _build_template(record.samples, self.PREFAULT, self.PREFAULT[1], fs, f0,
-                                   period)
-        normal = _read_template(template, np.arange(lo, hi), self.PREFAULT[1], fs, f0)
+        anchor = self.CALIBRATION[1]
+        template = _build_template(record.samples, self.CALIBRATION, anchor, fs, f0, period)
+        normal = _read_template(template, np.arange(lo, hi), anchor, fs, f0)
         actual = record.samples[:, lo:hi]
-        if config.embedding_dim is not None:
-            d = config.embedding_dim
-            actual = build_data_matrix(Trace(actual[0], fs), embedding_dim=d)
-            normal = build_data_matrix(Trace(normal[0], fs), embedding_dim=d)
-        model, whitening = fit_ica(actual, retain=config.retain, **fastica_options)
+        model, whitening = fit_ica(actual, retain=RETAIN, **fastica_options)
         raw = np.sum((unmix(model, whitening, normal) - model.sources) ** 2, axis=0)
         defect = model.unmixing @ model.unmixing.T - np.eye(model.unmixing.shape[0])
         return _trailing_mean(raw, period), whitening.eigenvalues, np.linalg.norm(defect, 2)
 
-    @pytest.mark.parametrize("embedding_dim", (None, 4))
-    @pytest.mark.parametrize("retain", (2, 0.99, None))
-    def test_matches_unmixed_index(self, retain, embedding_dim):
+    def test_matches_unmixed_index(self):
         for fault, snr_db, f0 in itertools.product(("AG", "AB", "NONE"), (None, 20.0),
                                                    (49.5, 50.0)):
             record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=4)
-            config = IcaConfig(fundamental_hz=f0, retain=retain, embedding_dim=embedding_dim)
-            pi = performance_index(record, self.PREFAULT, self.ANALYSIS, config)
+            config = IcaConfig(fundamental_hz=f0)
+            pi = performance_index(record, self.CALIBRATION, self.ANALYSIS, config)
             expected, eigenvalues, defect = self.unmixed_index(record, config)
             case = (fault, snr_db, f0)
             assert defect < 1e-10, case
@@ -448,7 +415,7 @@ class TestRotationInvariance:
         """Contrast, seed and a fit stopped early only change the rotation."""
         record = make_record("AG", snr_db=20.0, seed=5)
         config = IcaConfig()
-        pi = performance_index(record, self.PREFAULT, self.ANALYSIS, config).values
+        pi = performance_index(record, self.CALIBRATION, self.ANALYSIS, config).values
         for options in (dict(contrast="cube"), dict(seed=17), dict(max_iter=1),
                         dict(tol=1e-2), dict(contrast="cube", seed=3, max_iter=7, tol=1e-9)):
             expected, _, defect = self.unmixed_index(record, config, **options)
