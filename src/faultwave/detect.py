@@ -167,36 +167,48 @@ def calibrate_threshold(
     ``max(bias * (mean + k_sigma * std), bias * mean_multiple * mean, floor)``;
     with the defaults this is plain mean + k_sigma * std.
 
+    The mean is taken once and reused for the (population) standard
+    deviation. Both are the sums ``values.mean()`` and ``values.std()`` form,
+    in the same order, so they are bitwise equal to those calls without the
+    second pass ``std`` makes for its own mean.
+
     Raises:
         DegenerateInputError: no calibration values.
     """
     values = np.asarray(values)
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise DegenerateInputError("calibration span contains no usable samples")
-    mean = values.mean()
-    return max(bias * float(mean + k_sigma * values.std()),
-               bias * mean_multiple * float(mean), floor)
+    mean = values.sum() / n
+    deviation = values - mean
+    std = np.sqrt((deviation * deviation).sum() / n)
+    return max(bias * float(mean + k_sigma * std), bias * mean_multiple * float(mean), floor)
 
 
 def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
-    """Index of the first run of ``min_consecutive`` consecutive True values."""
-    if min_consecutive > above.size:
+    """Index of the first run of ``min_consecutive`` consecutive True values.
+
+    Row i of the AND of the ``min_consecutive`` shifted slices is True exactly
+    when ``above[i : i + min_consecutive]`` is all True.
+    """
+    count = above.size - min_consecutive + 1
+    if count < 1:
         return None
-    if min_consecutive == 1:
-        hits = np.flatnonzero(above)
-        return int(hits[0]) if hits.size else None
-    window = np.convolve(above.astype(int), np.ones(min_consecutive, dtype=int), "valid")
-    hits = np.flatnonzero(window == min_consecutive)
-    return int(hits[0]) if hits.size else None
+    run = above[:count]
+    for shift in range(1, min_consecutive):
+        run = run & above[shift:shift + count]
+    first = int(np.argmax(run))
+    return first if run[first] else None
 
 
 @dataclass(frozen=True, eq=False)
 class _Index:
     """An index series as the decision core sees it.
 
-    ``values[i]`` summarizes samples ``[starts[i], starts[i] + width)``;
-    ``valid`` marks the values fit for calibration and scanning, and
-    ``covers`` is the sample range the series describes.
+    ``values[i]`` summarizes samples ``[starts[i], starts[i] + width)``, with
+    ``starts`` ascending; ``valid`` is the half-open row range fit for
+    calibration and scanning (``None``: every row), and ``covers`` is the
+    sample range the series describes.
     """
 
     starts: np.ndarray
@@ -204,7 +216,17 @@ class _Index:
     width: int
     times_s: np.ndarray
     covers: tuple[int, int]
-    valid: np.ndarray | bool = True
+    valid: tuple[int, int] | None = None
+
+    def rows(self, span: tuple[int, int]) -> tuple[int, int]:
+        """The valid rows whose samples lie wholly inside ``span``, as a half-open
+        range (empty when the end does not exceed the start)."""
+        lo, hi = span
+        first = int(self.starts.searchsorted(lo))
+        stop = int(self.starts.searchsorted(hi - self.width, side="right"))
+        if self.valid is not None:
+            first, stop = max(first, self.valid[0]), min(stop, self.valid[1])
+        return first, stop
 
 
 def _decide(
@@ -220,35 +242,38 @@ def _decide(
     """Threshold ``index`` and report its first run above threshold.
 
     ``rule`` is the method's (bias, mean_multiple, floor) for
-    :func:`calibrate_threshold`. Calibration uses the values lying wholly
-    inside ``spans.calibration``, the scan those inside ``spans.analysis``.
+    :func:`calibrate_threshold`. Calibration uses the valid values lying
+    wholly inside ``spans.calibration``, the scan those inside
+    ``spans.analysis``. Both are contiguous row ranges found by binary search
+    on ``index.starts``, so the threshold is taken on one slice of
+    ``index.values`` and the scan reads another; the analysis index is the
+    largest value scanned.
 
     Raises:
         BoundsError: the calibration span leaves ``index.covers``, or either
-            span holds no value.
+            span holds no valid value.
     """
     policy = cfg.threshold_policy
     lo, hi = spans.calibration
     if not index.covers[0] <= lo < hi <= index.covers[1]:
         raise BoundsError(f"spans.calibration=({lo}, {hi}) lies outside the index's samples "
                           f"{index.covers}")
-    ends = index.starts + index.width
-    a_lo, a_hi = spans.analysis
-    in_cal = (index.starts >= lo) & (ends <= hi) & index.valid
-    scan = (index.starts >= a_lo) & (ends <= a_hi) & index.valid
-    if not np.any(in_cal):
+    c0, c1 = index.rows(spans.calibration)
+    s0, s1 = index.rows(spans.analysis)
+    if c1 <= c0:
         raise BoundsError(
             f"spans.calibration=({lo}, {hi}) is shorter than one window ({index.width})")
-    if not np.any(scan):
+    if s1 <= s0:
+        a_lo, a_hi = spans.analysis
         raise BoundsError(
             f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({index.width})")
     if isinstance(policy, FixedThreshold):
         threshold = policy.value
     else:
-        threshold = calibrate_threshold(index.values[in_cal], policy.k_sigma, *rule)
-    run = _first_run_start((index.values > threshold) & scan,
-                           min_consecutive or cfg.min_consecutive)
-    onset = None if run is None else int(index.starts[run])
+        threshold = calibrate_threshold(index.values[c0:c1], policy.k_sigma, *rule)
+    scanned = index.values[s0:s1]
+    run = _first_run_start(scanned > threshold, min_consecutive or cfg.min_consecutive)
+    onset = None if run is None else int(index.starts[s0 + run])
     return DetectionReport(
         method=method,
         detected=onset is not None,
@@ -257,7 +282,7 @@ def _decide(
         index_series=index.values,
         index_times_s=index.times_s,
         threshold_used=threshold,
-        metadata={"analysis_index": float(index.values[scan].max()), **metadata},
+        metadata={"analysis_index": float(scanned.max()), **metadata},
     )
 
 
@@ -268,13 +293,16 @@ def wavelet_detect(
 
     Samples whose detail coefficients straddle the periodic record boundary
     are excluded from calibration and scanning: on non-periodic data they
-    carry a wrap discontinuity unrelated to any fault.
+    carry a wrap discontinuity unrelated to any fault. The samples left are
+    one contiguous range, :func:`dwt.artifact_free_range`, which
+    :func:`dwt.boundary_artifact_mask` complements; where it is empty, the
+    calibration span holds no value and a ``BoundsError`` says so.
     """
     n = trace.n_samples
     spans = (spans or Spans()).resolve(n)
     series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
     index = _Index(np.arange(n), series.samples, 1, series.time_axis(), (0, n),
-                   valid=~dwt.boundary_artifact_mask(n, cfg.level))
+                   valid=dwt.artifact_free_range(n, cfg.level))
     return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {"level": cfg.level})
 
 
@@ -370,7 +398,7 @@ def _energy_window_series(
     if method == "energy_stft":
         frames = spectral.stft(trace, window, hop).frames
     else:
-        frames = spectral.frame_magnitudes(trace.samples, window, hop, np.ones(window))
+        frames = spectral.frame_magnitudes(trace.samples, window, hop)
     bins = np.arange(frames.shape[1]) * (fs / window) >= cfg.cutoff_hz
     return starts, np.sum(frames[:, bins] ** 2, axis=1) / window, window
 

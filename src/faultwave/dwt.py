@@ -196,6 +196,22 @@ def detail_series(tree: DecompositionTree, level: int) -> Trace:
     return Trace(samples=series, sample_rate_hz=tree.sample_rate_hz)
 
 
+def artifact_free_range(n_samples: int, level: int) -> tuple[int, int]:
+    """Half-open range of :func:`detail_series` positions free of wrap artifacts.
+
+    The coefficients whose support stays inside the record are the first
+    ``_first_wrapped`` ones; repeated ``2**level`` times and shifted by
+    ``_alignment_shift`` (half a support), they fill one contiguous range.
+    It ends inside the record: the last of them starts its support at least
+    one support before the record end, and half a support plus its 2**level
+    positions is less than a support. With no such coefficient the range is
+    empty. ``n_samples`` must be divisible
+    by 2**level, as :func:`dwt_decompose` requires.
+    """
+    shift = _alignment_shift(level)
+    return shift, shift + (max(_first_wrapped(n_samples, level), 0) << level)
+
+
 def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     """Boolean mask over the time axis where detail values are wrap artifacts.
 
@@ -203,12 +219,12 @@ def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     boundary mix the end of the record with its start; on non-periodic data
     they carry a spurious discontinuity. The mask marks the positions those
     coefficients occupy in :func:`detail_series` output so detectors can skip
-    them. ``n_samples`` must be divisible by 2**level, as
-    :func:`dwt_decompose` requires.
+    them: every position outside :func:`artifact_free_range`.
     """
-    step = 1 << level
-    wrapped = np.arange(n_samples // step) >= _first_wrapped(n_samples, level)
-    return np.roll(np.repeat(wrapped, step), _alignment_shift(level))
+    lo, hi = artifact_free_range(n_samples, level)
+    mask = np.ones(n_samples, dtype=bool)
+    mask[lo:hi] = False
+    return mask
 
 
 def window_energies(

@@ -118,6 +118,16 @@ def whiten(
     Raises:
         DegenerateInputError: all-zero input.
     """
+    model = _whitening_model(centered, retain, mean)
+    return model.projection @ centered, model
+
+
+def _whitening_model(
+    centered: np.ndarray,
+    retain: int | float | None = None,
+    mean: np.ndarray | None = None,
+) -> WhiteningModel:
+    """The map :func:`whiten` fits, for callers that need only its projection."""
     m, n_cols = centered.shape
     cov = centered @ centered.T / n_cols
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -140,7 +150,7 @@ def whiten(
     eigvals = eigvals[:r]
     projection = (1.0 / np.sqrt(eigvals))[:, None] * eigvecs[:, :r].T
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=float)
-    return projection @ centered, WhiteningModel(mean, projection, eigvals)
+    return WhiteningModel(mean, projection, eigvals)
 
 
 def _contrast_funcs(contrast: str):
@@ -255,35 +265,41 @@ def negentropy_proxy(direction: np.ndarray, z: np.ndarray, contrast: str = "tanh
     return float((value - reference) ** 2)
 
 
-def _phase_positions(
+def _phase_slots(
     sample_indices: np.ndarray, anchor: int, fs: float, fundamental_hz: float, period: int
-) -> np.ndarray:
-    """Fractional template slot for each sample, locked to the fundamental.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Template slot and fraction of each sample, locked to the fundamental.
 
-    The sample offset is reduced modulo the true samples-per-cycle before
-    scaling to slots, so a fundamental that does not divide the sample rate
-    cannot accumulate phase drift across the span, and an integer ratio
-    yields exact integer slots ((k - anchor) mod period).
+    A sample's position in the cycle is ``slot + fraction`` slots, with
+    ``slot`` in ``0..period-1`` and ``fraction`` in [0, 1). The sample offset
+    is reduced modulo the true samples-per-cycle before scaling to slots, so
+    a fundamental that does not divide the sample rate cannot accumulate
+    phase drift across the span, and an integer ratio yields exact integer
+    slots ((k - anchor) mod period) with fraction 0. Every step is
+    elementwise, so slicing the result for a sub-range of samples gives the
+    same values as computing it on that sub-range.
     """
     samples_per_cycle = fs / fundamental_hz
     remainder = np.mod(sample_indices - anchor, samples_per_cycle)
-    return remainder * (period / samples_per_cycle)
+    positions = remainder * (period / samples_per_cycle)
+    floor = np.floor(positions)
+    return floor.astype(int) % period, positions - floor
 
 
 def _build_template(
     samples: np.ndarray,
     calibration: tuple[int, int],
-    anchor: int,
-    fs: float,
-    fundamental_hz: float,
+    slots: np.ndarray,
+    frac: np.ndarray,
     period: int,
 ) -> np.ndarray:
     """Average the calibration span into one phase-locked cycle.
 
-    Each sample is deposited onto its two neighboring phase slots with linear
-    weights, so slot averages stay centered even when the fundamental does
-    not divide the sample rate. At an integer samples-per-cycle ratio the
-    deposit is an exact per-slot average.
+    ``slots`` and ``frac`` are the :func:`_phase_slots` of the span's
+    samples. Each sample is deposited onto its two neighboring phase slots
+    with linear weights, so slot averages stay centered even when the
+    fundamental does not divide the sample rate. At an integer
+    samples-per-cycle ratio the deposit is an exact per-slot average.
     """
     lo, hi = calibration
     segment = samples[:, lo:hi]
@@ -291,31 +307,21 @@ def _build_template(
         raise DegenerateInputError(
             f"the record is identically zero on spans.calibration=({lo}, {hi})")
 
-    positions = _phase_positions(np.arange(lo, hi), anchor, fs, fundamental_hz, period)
-    left = np.floor(positions).astype(int) % period
-    right = (left + 1) % period
-    frac = positions - np.floor(positions)
-
-    weights = np.bincount(left, weights=1.0 - frac, minlength=period)
+    right = (slots + 1) % period
+    weights = np.bincount(slots, weights=1.0 - frac, minlength=period)
     weights += np.bincount(right, weights=frac, minlength=period)
     if np.any(weights <= 1e-12):
         raise BoundsError(
             f"spans.calibration=({lo}, {hi}) does not cover every phase of the fundamental cycle")
     template = np.zeros((samples.shape[0], period))
     for row in range(samples.shape[0]):
-        template[row] = np.bincount(left, weights=(1.0 - frac) * segment[row], minlength=period)
+        template[row] = np.bincount(slots, weights=(1.0 - frac) * segment[row], minlength=period)
         template[row] += np.bincount(right, weights=frac * segment[row], minlength=period)
     return template / weights[None, :]
 
 
-def _read_template(
-    template: np.ndarray,
-    sample_indices: np.ndarray,
-    anchor: int,
-    fs: float,
-    fundamental_hz: float,
-) -> np.ndarray:
-    """Tile the cycle template over arbitrary samples.
+def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Tile the cycle template over samples at :func:`_phase_slots` ``slots`` and ``frac``.
 
     Catmull-Rom interpolation between phase slots; at integer slot positions
     (fundamental dividing the sample rate) it degenerates to exact lookup.
@@ -329,10 +335,6 @@ def _read_template(
     coefficient; scaling by 0.5 is exact, so the result is bitwise the same.
     """
     rows, period = template.shape
-    positions = _phase_positions(sample_indices, anchor, fs, fundamental_hz, period)
-    floor = np.floor(positions)
-    i1 = floor.astype(int) % period
-    f = positions - floor
     wrapped = np.concatenate((template[:, -1:], template, template[:, :2]), axis=1)
     p0, p1, p2, p3 = (wrapped[:, i:i + period] for i in range(4))
     table = np.concatenate((
@@ -341,10 +343,10 @@ def _read_template(
         0.5 * (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3),
         0.5 * (3.0 * (p1 - p2) + p3 - p0),
     ))
-    c = table.take(i1, axis=1).reshape(4, rows, -1)
+    c = table.take(slots, axis=1).reshape(4, rows, -1)
     out = c[3]
     for coefficient in (c[2], c[1], c[0]):
-        out *= f
+        out *= frac
         out += coefficient
     return out
 
@@ -365,6 +367,12 @@ def performance_index(
     one-cycle window. Near zero while the record is healthy, it jumps at
     fault onset. FastICA's unmixing is orthogonal on whitened data, so
     unmixing both would leave the index as it is.
+
+    Each sample's phase slot is computed once, over the one range from the
+    calibration start to the analysis end that holds both spans; the
+    template build and the template read take their slices of it. The
+    whitening map is fitted without whitening the analysis data itself,
+    which the index never reads.
 
     Args:
         record: Record under analysis.
@@ -402,13 +410,14 @@ def performance_index(
                           f"fundamental cycles ({2 * period} samples)")
 
     anchor = p_hi
-    template = _build_template(record.samples, calibration_span, anchor, fs,
-                               config.fundamental_hz, period)
-    normal = _read_template(template, np.arange(a_lo, a_hi), anchor, fs,
-                            config.fundamental_hz)
+    slots, frac = _phase_slots(np.arange(p_lo, a_hi), anchor, fs, config.fundamental_hz, period)
+    calibration, analysis = slice(0, p_hi - p_lo), slice(a_lo - p_lo, None)
+    template = _build_template(record.samples, calibration_span, slots[calibration],
+                               frac[calibration], period)
+    normal = _read_template(template, slots[analysis], frac[analysis])
     actual = record.samples[:, a_lo:a_hi]
 
-    _, whitening = whiten(center(actual)[0], retain=RETAIN)
+    whitening = _whitening_model(center(actual)[0], retain=RETAIN)
     raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
     return PiSeries(
         values=_trailing_mean(raw, period),
@@ -425,8 +434,13 @@ def _trailing_mean(raw: np.ndarray, window: int) -> np.ndarray:
     Aggregating the per-sample squared norm over one cycle keeps the index
     near zero on healthy data without delaying the rise at fault onset; the
     window trails, so no post-onset sample leaks into earlier index values.
+    Each window sum is a difference of two running sums, taken on slices:
+    the head keeps the running sum itself and divides by its length.
     """
-    cumulative = np.concatenate(([0.0], np.cumsum(raw)))
-    idx = np.arange(1, raw.shape[0] + 1)
-    lo = np.maximum(idx - window, 0)
-    return (cumulative[idx] - cumulative[lo]) / (idx - lo)
+    cumulative = np.cumsum(raw)
+    sums = cumulative.copy()
+    sums[window:] -= cumulative[:-window]
+    head = min(window, raw.shape[0])
+    sums[:head] /= np.arange(1, head + 1)
+    sums[head:] /= window
+    return sums

@@ -73,9 +73,9 @@ def write_record_csv(path: Path, record: ThreePhaseRecord) -> None:
 def read_record_csv(path: Path) -> ThreePhaseRecord:
     """Reconstruct a record from CSV, using the sidecar when present.
 
-    Without a sidecar the sample rate is recovered from the time column,
-    which must then be finite and uniform: every step within 1% of the mean
-    step.
+    The sample rate is the sidecar's, or without a sidecar the mean rate of
+    the time column. Either way the time column must be finite and uniform
+    at that rate: every step within 1% of 1/sample_rate_hz.
     Malformed content raises a FaultwaveError, never a bare ValueError.
     """
     try:
@@ -100,6 +100,9 @@ def _parse_record_csv(path: Path) -> ThreePhaseRecord:
     if data.shape[1] != 4:
         raise DegenerateInputError(f"{path} must have 4 columns (t,va,vb,vc)")
 
+    t = data[:, 0]
+    if not np.all(np.isfinite(t)):
+        raise DegenerateInputError(f"{path} time column holds a non-finite value")
     labels = None
     meta = sidecar_path(path)
     if meta.exists():
@@ -110,18 +113,16 @@ def _parse_record_csv(path: Path) -> ThreePhaseRecord:
         fs = float(rate)
         labels = fault_from_dict(meta_obj.get("fault"))
     else:
-        t = data[:, 0]
-        if not np.all(np.isfinite(t)):
-            raise DegenerateInputError(f"{path} time column holds a non-finite value")
         if not t[-1] > t[0]:
             raise DegenerateInputError(f"{path} time column does not increase")
-        step = (t[-1] - t[0]) / (len(t) - 1)
-        if np.any(np.abs(np.diff(t) - step) > 0.01 * step):
-            raise DegenerateInputError(
-                f"{path} time column is not uniform (a row missing or repeated?)"
-            )
         fs = (len(t) - 1) / (t[-1] - t[0])
-    return ThreePhaseRecord(sample_rate_hz=fs, samples=data[:, 1:].T, labels=labels)
+    record = ThreePhaseRecord(sample_rate_hz=fs, samples=data[:, 1:].T, labels=labels)
+    step = 1.0 / record.sample_rate_hz  # the record has checked that the rate is positive
+    if np.any(np.abs(np.diff(t) - step) > 0.01 * step):
+        raise DegenerateInputError(
+            f"{path} time column is not uniform at {fs:g} Hz: a step is more than 1% off "
+            f"{step:g} s (a row missing or repeated?)")
+    return record
 
 
 def write_series_csv(path: Path, times: np.ndarray, values: np.ndarray, value_header: str) -> None:

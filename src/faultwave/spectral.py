@@ -77,16 +77,19 @@ def _check_framing(samples: np.ndarray, window_len: int, hop: int) -> None:
         raise ShapeError(f"need 2 <= window_len <= {n} and hop >= 1, got {window_len}, {hop}")
 
 
-def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int, taper: np.ndarray) -> np.ndarray:
-    """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len).
+def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
+                     taper: np.ndarray | None = None) -> np.ndarray:
+    """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len);
+    ``taper=None`` is the rectangular window.
 
     The frames are a strided view of ``samples`` (rows ``hop`` elements
-    apart), so no index array is built; multiplying by the taper makes the
-    one copy. ``np.ndarray`` builds the view (and checks that it stays inside
-    ``samples``) without the Python overhead of ``as_strided``. The view
-    holds the same segment values as a gather through a
-    ``(frames, window_len)`` index array, so the spectra are bitwise
-    unchanged.
+    apart), so no index array is built; multiplying by a taper makes the one
+    copy, and without one the view goes to the FFT as it is (multiplying by
+    ones would copy the frames to change no value). ``np.ndarray`` builds the
+    view (and checks that it stays inside ``samples``) without the Python
+    overhead of ``as_strided``. The view holds the same segment values as a
+    gather through a ``(frames, window_len)`` index array, so the spectra are
+    bitwise unchanged.
 
     Raises:
         ShapeError: ``samples`` not 1-D; window or hop not an integer, window
@@ -98,7 +101,9 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int, taper: np.n
     frames = (samples.shape[0] - window_len) // hop + 1
     segments = np.ndarray((frames, window_len), samples.dtype, samples, 0,
                           (int(hop) * step, step))
-    return np.abs(np.fft.rfft(segments * taper, axis=1)) / np.sqrt(window_len)
+    if taper is not None:
+        segments = segments * taper
+    return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)
 
 
 def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:

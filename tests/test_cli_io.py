@@ -19,7 +19,7 @@ from faultwave import (DetectorConfig, FaultSpec, FaultType, IcaConfig, NoiseSpe
 from faultwave.detect import METHODS, EnergyRow
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
-from faultwave.errors import BoundsError, ConfigError, FaultwaveError
+from faultwave.errors import BoundsError, ConfigError, DegenerateInputError, FaultwaveError
 from faultwave.io import (
     FLOAT_FMT,
     build_record,
@@ -548,6 +548,23 @@ class TestCmdDetect:
         assert result.exit_code == 2, result.output
         assert "time column holds a non-finite value" in result.output
 
+    @pytest.mark.parametrize("nan_row", [51, None], ids=["nan_time", "finite_times"])
+    def test_time_column_off_the_sidecar_rate_exits_2(self, runner, tmp_path, nan_row):
+        """Times on a 1 kHz grid under the 2 kHz sidecar: the sidecar does not
+        excuse the time column from its checks."""
+        trace, cfg = self.make_trace(runner, tmp_path)  # 400 samples, 2 kHz sidecar
+        trace.write_bytes(mutate_trace(trace.read_text(), [("retime", 2.0)] + (
+            [] if nan_row is None else [("set_field", nan_row, 0, "nan")])))
+        with pytest.raises(DegenerateInputError, match="time column"):
+            read_record_csv(trace)
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert ("holds a non-finite value" if nan_row else "is not uniform at 2000 Hz") \
+            in result.output
+
     def test_report_path_ending_in_csv_exits_2_writing_nothing(self, runner, tmp_path):
         trace, cfg = self.make_trace(runner, tmp_path)
         result = runner.invoke(
@@ -998,12 +1015,22 @@ TRACE_EDITS = st.one_of(
               st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "", "x", "true"])),
     st.tuples(st.just("drop_column"), st.integers(0, 3)),
     st.tuples(st.just("insert_bytes"), st.integers(0, 30_000), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("retime"), st.sampled_from([2.0, 0.5, 1.02])),
 )
 SIDECAR_EDITS = st.one_of(
     st.tuples(st.sampled_from(["keep", "delete"])),
     st.tuples(st.just("set_rate"), FUZZ_VALUES | st.just(BIG_INT)),
     st.tuples(st.just("replace_bytes"), st.binary(max_size=24)),
 )
+
+
+def _retimed(line: str, factor: float) -> str:
+    """``line`` with its time scaled by ``factor`` and written as the writer does."""
+    t, *rest = line.split(",")
+    try:
+        return ",".join([FLOAT_FMT % (float(t) * factor), *rest])
+    except ValueError:  # the header, or a time another edit made unreadable
+        return line
 
 
 def mutate_trace(text: str, edits) -> bytes:
@@ -1017,6 +1044,9 @@ def mutate_trace(text: str, edits) -> bytes:
         if kind == "drop_column":
             lines = [",".join(f for j, f in enumerate(line.split(",")) if j != args[0])
                      for line in lines]
+            continue
+        if kind == "retime":
+            lines = [_retimed(line, args[0]) for line in lines]
             continue
         i = args[0] % len(lines)
         fields = lines[i].split(",")
@@ -1046,6 +1076,7 @@ class TestTraceFuzz:
     @example([("truncate_row", 7, 12)], ("keep",), "wavelet")
     @example([("repeat_time", 50)], ("delete",), "wavelet")
     @example([("set_field", 51, 0, "nan")], ("delete",), "wavelet")
+    @example([("retime", 2.0), ("set_field", 51, 0, "nan")], ("keep",), "wavelet")
     @example([("set_field", 9, 1, "nan"), ("set_field", 9, 0, "inf")], ("delete",), "ica")
     @example([("set_field", 400, 0, "-inf")], ("delete",), "energy_ft")
     @example([], ("set_rate", True), "wavelet")

@@ -31,7 +31,7 @@ from faultwave import (
     unmix,
     whiten,
 )
-from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RETAIN, _build_template, _phase_positions,
+from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RETAIN, _build_template, _phase_slots,
                            _read_template, _trailing_mean)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
@@ -324,12 +324,9 @@ class TestPerformanceIndex:
             IcaConfig(fundamental_hz=fundamental_hz)
 
 
-def gather_read_template(template, sample_indices, anchor, fs, fundamental_hz):
+def gather_read_template(template, i1, f):
     """Reference: four gathers of the template and the Catmull-Rom cubic per sample."""
     period = template.shape[1]
-    positions = _phase_positions(sample_indices, anchor, fs, fundamental_hz, period)
-    i1 = np.floor(positions).astype(int) % period
-    f = positions - np.floor(positions)
     p0 = template[:, (i1 - 1) % period]
     p1 = template[:, i1]
     p2 = template[:, (i1 + 1) % period]
@@ -354,10 +351,10 @@ class TestReadTemplate:
         fs = 2000.0
         fundamental_hz = fs / (period + detune)
         template = rng_trace(rows * period, seed).reshape(rows, period)
-        samples = np.arange(span[0], span[0] + span[1])
-        assert_bitwise_equal(
-            _read_template(template, samples, anchor, fs, fundamental_hz),
-            gather_read_template(template, samples, anchor, fs, fundamental_hz))
+        slots = _phase_slots(np.arange(span[0], span[0] + span[1]), anchor, fs, fundamental_hz,
+                             period)
+        assert_bitwise_equal(_read_template(template, *slots),
+                             gather_read_template(template, *slots))
 
     @settings(max_examples=40, deadline=None)
     @given(period=st.integers(2, 64), fundamental_hz=st.integers(1, 100),
@@ -367,8 +364,66 @@ class TestReadTemplate:
         fs = float(fundamental_hz * period)
         template = rng_trace(3 * period, seed).reshape(3, period)
         samples = np.arange(0, 8 * period + 5)
-        assert_bitwise_equal(_read_template(template, samples, anchor, fs, fundamental_hz),
+        slots = _phase_slots(samples, anchor, fs, fundamental_hz, period)
+        assert_bitwise_equal(_read_template(template, *slots),
                              template[:, (samples - anchor) % period])
+
+
+def gather_trailing_mean(raw, window):
+    """Reference: each window sum from two gathers of the zero-led running sum."""
+    cumulative = np.concatenate(([0.0], np.cumsum(raw)))
+    idx = np.arange(1, raw.shape[0] + 1)
+    lo = np.maximum(idx - window, 0)
+    return (cumulative[idx] - cumulative[lo]) / (idx - lo)
+
+
+class TestTrailingMean:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 3000), window=st.integers(2, 200), exponent=st.floats(-30, 10),
+           seed=st.integers(0, 2**16))
+    @example(n=40, window=40, exponent=0.0, seed=0)  # the window covers the whole series
+    @example(n=5, window=40, exponent=0.0, seed=1)  # ... and more
+    def test_equals_gather_reference_bitwise(self, n, window, exponent, seed):
+        raw = 10.0**exponent * rng_trace(n, seed) ** 2
+        assert_bitwise_equal(_trailing_mean(raw, window), gather_trailing_mean(raw, window))
+
+
+class TestPhaseSlots:
+    """performance_index computes the slots once and slices them for each span."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(period=st.integers(2, 64), detune=st.floats(-0.45, 0.45), anchor=st.integers(0, 500),
+           lo=st.integers(0, 4096), cuts=st.tuples(st.integers(0, 4096), st.integers(1, 4096)))
+    @example(period=40, detune=2000.0 / 49.9987 - 40, anchor=120, lo=0, cuts=(100, 4000))
+    def test_slice_equals_slots_of_the_sub_range(self, period, detune, anchor, lo, cuts):
+        fs = 2000.0
+        fundamental_hz = fs / (period + detune)
+        a, b = sorted((lo + cuts[0], lo + cuts[1]))
+        whole = _phase_slots(np.arange(lo, b + 1), anchor, fs, fundamental_hz, period)
+        part = _phase_slots(np.arange(a, b + 1), anchor, fs, fundamental_hz, period)
+        for got, expected in zip(whole, part):
+            assert_bitwise_equal(got[a - lo:], expected)
+
+    @pytest.mark.parametrize("f0", [49.5, 50.0, 49.9987])
+    @pytest.mark.parametrize("spans", [((0, 120), (0, 400)), ((10, 130), (50, 400)),
+                                       ((0, 200), (0, 201))])
+    def test_index_equals_per_span_reference_bitwise(self, f0, spans):
+        """The index as computed before: slots per span, the whitened matrix
+        discarded, and the gather-based trailing mean."""
+        record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=6)
+        (p_lo, p_hi), (a_lo, a_hi) = spans
+        period = int(round(FS / f0))
+        template = _build_template(
+            record.samples, (p_lo, p_hi),
+            *_phase_slots(np.arange(p_lo, p_hi), p_hi, FS, f0, period), period)
+        normal = _read_template(
+            template, *_phase_slots(np.arange(a_lo, a_hi), p_hi, FS, f0, period))
+        actual = record.samples[:, a_lo:a_hi]
+        _, whitening = whiten(center(actual)[0], retain=RETAIN)
+        raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
+        pi = performance_index(record, *spans, IcaConfig(fundamental_hz=f0))
+        assert_bitwise_equal(pi.values, gather_trailing_mean(raw, period))
+        assert_bitwise_equal(pi.whitening_eigenvalues, whitening.eigenvalues)
 
 
 class TestRotationInvariance:
@@ -390,8 +445,9 @@ class TestRotationInvariance:
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
         anchor = self.CALIBRATION[1]
-        template = _build_template(record.samples, self.CALIBRATION, anchor, fs, f0, period)
-        normal = _read_template(template, np.arange(lo, hi), anchor, fs, f0)
+        calibration = _phase_slots(np.arange(*self.CALIBRATION), anchor, fs, f0, period)
+        template = _build_template(record.samples, self.CALIBRATION, *calibration, period)
+        normal = _read_template(template, *_phase_slots(np.arange(lo, hi), anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]
         model, whitening = fit_ica(actual, retain=RETAIN, **fastica_options)
         raw = np.sum((unmix(model, whitening, normal) - model.sources) ** 2, axis=0)
