@@ -9,6 +9,10 @@ with the input samples as the finest approximation and all indices wrapped
 modulo the current length. Periodic extension keeps the transform exactly
 orthogonal, so energy is conserved and reconstruction is exact up to
 round-off. Record lengths must be divisible by 2**levels.
+
+:func:`window_groups` is the part of the windowed energy that depends only
+on the geometry (16 bytes per window); the energy detector plans it once per
+record shape.
 """
 
 from __future__ import annotations
@@ -190,10 +194,10 @@ def detail_series(tree: DecompositionTree, level: int) -> Trace:
     """
     if not 1 <= level <= tree.levels:
         raise ShapeError(f"level {level} outside decomposition range 1..{tree.levels}")
-    magnitudes = np.abs(tree.details[level - 1])
-    series = np.repeat(magnitudes, 1 << level)
-    series = np.roll(series, _alignment_shift(level))
-    return Trace(samples=series, sample_rate_hz=tree.sample_rate_hz)
+    series = np.repeat(np.abs(tree.details[level - 1]), 1 << level)
+    cut = series.shape[0] - _alignment_shift(level) % series.shape[0]
+    return Trace(samples=np.concatenate((series[cut:], series[:cut])),
+                 sample_rate_hz=tree.sample_rate_hz)
 
 
 def artifact_free_range(n_samples: int, level: int) -> tuple[int, int]:
@@ -227,34 +231,53 @@ def boundary_artifact_mask(n_samples: int, level: int) -> np.ndarray:
     return mask
 
 
+def window_groups(n_samples: int, level: int, starts: np.ndarray, width: int) -> tuple:
+    """The plan of :func:`window_energies`: read-only ``(count, rows, firsts)``
+    for each nonzero coefficient count, where the windows ``rows`` each sum
+    ``count`` coefficients from their entry of ``firsts`` on. Callers that
+    screen many records of one geometry build it once."""
+    step, sup = 1 << level, _support_length(level)
+    last = _first_wrapped(n_samples, level)
+    firsts = np.maximum((starts - sup) // step + 1, 0)
+    counts = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts) - firsts
+    groups = []
+    for count in np.flatnonzero(np.bincount(counts, minlength=1)[1:]) + 1:
+        rows = np.flatnonzero(counts == count)
+        row_firsts = firsts[rows]
+        rows.flags.writeable = row_firsts.flags.writeable = False
+        groups.append((int(count), rows, row_firsts))
+    return tuple(groups)
+
+
 def window_energies(
-    tree: DecompositionTree, level: int, starts: np.ndarray, width: int
+    tree: DecompositionTree, level: int, starts: np.ndarray, width: int,
+    groups: tuple | None = None,
 ) -> np.ndarray:
     """Mean squared level-``level`` detail energy over windows ``[s, s + width)``.
 
     Sums d_level(k)**2 over the contiguous run of k whose support [2**level * k,
     2**level * k + support) intersects the window, divided by ``width``.
     Coefficients whose support runs past the record end are left out: they mix
-    the wrapped record start into the tail.
+    the wrapped record start into the tail. ``groups`` is :func:`window_groups`
+    of the record length and these arguments, built here if not given.
 
     Windows are summed in groups by coefficient count: all windows with the
-    same count are gathered into one (rows, count) array and reduced along its
+    same count are gathered, as rows of a strided view whose row i is
+    ``d2[i : i + count]``, into one (rows, count) array and reduced along its
     last axis, and windows with no coefficients stay 0. Each row holds exactly
     its window's coefficients in order, and numpy reduces each contiguous row
     with the same pairwise summation as the 1-D slice ``d2[a:b].sum()``, so the
     result is bitwise equal to summing one window at a time. Zero-padding the
     rows to one width would change that order for the edge windows.
     """
+    if groups is None:
+        groups = window_groups(tree.original_length, level, starts, width)
     d2 = tree.details[level - 1] ** 2
-    step, sup = 1 << level, _support_length(level)
-    last = _first_wrapped(tree.original_length, level)
-    firsts = np.maximum((starts - sup) // step + 1, 0)
-    stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
-    counts = stops - firsts
-    sums = np.zeros(counts.shape[0])
-    for count in np.flatnonzero(np.bincount(counts, minlength=1)[1:]) + 1:
-        rows = np.flatnonzero(counts == count)
-        sums[rows] = d2[firsts[rows, None] + np.arange(count)].sum(axis=1)
+    step = d2.itemsize
+    sums = np.zeros(starts.shape[0])
+    for count, rows, firsts in groups:
+        runs = np.ndarray((d2.shape[0] - count + 1, count), d2.dtype, d2, 0, (step, step))
+        sums[rows] = runs[firsts].sum(axis=1)
     return sums / width
 
 

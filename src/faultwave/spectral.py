@@ -3,17 +3,23 @@
 Normalization: one-sided magnitudes are |FFT(x)| / sqrt(N) (unitary scaling),
 so summing squared magnitudes with weight 2 on interior bins (1 on DC and,
 for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
+
+The STFT's Hann taper is planned once per frame length: the last
+:data:`PLAN_CACHE_SIZE` are kept, read-only, 8 bytes per frame sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .signal_model import Trace
+
+PLAN_CACHE_SIZE = 8  # tapers kept; the least recently used goes first
 
 
 @dataclass(eq=False)
@@ -106,6 +112,14 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _hann(window_len: int) -> np.ndarray:
+    """Read-only ``np.hanning(window_len)``."""
+    taper = np.hanning(window_len)
+    taper.flags.writeable = False
+    return taper
+
+
 def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
     """Short-time Fourier transform with a Hann window.
 
@@ -116,7 +130,7 @@ def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
         ShapeError: see :func:`frame_magnitudes`.
     """
     _check_framing(trace.samples, window_len, hop)  # np.hanning takes 16.5 or True
-    frames = frame_magnitudes(trace.samples, window_len, hop, np.hanning(window_len))
+    frames = frame_magnitudes(trace.samples, window_len, hop, _hann(int(window_len)))
     starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(
         frames=frames,

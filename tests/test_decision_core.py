@@ -28,6 +28,15 @@ def std_calibrate_threshold(values, k_sigma=5.0, bias=1.0, mean_multiple=0.0, fl
                bias * mean_multiple * float(mean), floor)
 
 
+def scalar_calibrate_threshold(values, k_sigma=5.0, bias=1.0, mean_multiple=0.0, floor=0.0):
+    """Reference: one mean, reused for the deviation, on numpy float64 scalars."""
+    n = values.size
+    mean = values.sum() / n
+    deviation = values - mean
+    std = np.sqrt((deviation * deviation).sum() / n)
+    return max(bias * float(mean + k_sigma * std), bias * mean_multiple * float(mean), floor)
+
+
 def convolve_first_run_start(above, min_consecutive):
     """Reference: runs found by convolving with a box of ones."""
     if min_consecutive > above.size:
@@ -112,9 +121,12 @@ class TestCalibrateThreshold:
     def test_equals_mean_and_std_bitwise(self, drawn, k_sigma, bias, mean_multiple, floor):
         n, exponent, seed = drawn
         values = 10.0**exponent * np.abs(rng_trace(n, seed)) ** 2
+        got = np.float64(calibrate_threshold(values, k_sigma, bias, mean_multiple, floor))
         assert_bitwise_equal(
-            np.float64(calibrate_threshold(values, k_sigma, bias, mean_multiple, floor)),
-            np.float64(std_calibrate_threshold(values, k_sigma, bias, mean_multiple, floor)))
+            got, np.float64(std_calibrate_threshold(values, k_sigma, bias, mean_multiple, floor)))
+        assert_bitwise_equal(
+            got, np.float64(scalar_calibrate_threshold(values, k_sigma, bias, mean_multiple,
+                                                       floor)))
 
 
 class TestFirstRunStart:

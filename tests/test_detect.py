@@ -27,8 +27,9 @@ from faultwave import (
     wavelet_detect,
     wavelet_energy_index,
 )
-from faultwave.detect import ENERGY_METHODS, STFT_HOP, STFT_WINDOW
-from conftest import FAULT_ONSET_SAMPLE, make_record, rng_trace
+from faultwave.detect import (ENERGY_DETECTION_FLOOR, ENERGY_METHODS, STFT_HOP, STFT_WINDOW,
+                              energy_row)
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
 
@@ -224,6 +225,19 @@ class TestEnergyDetect:
         with pytest.raises(ConfigError):
             energy_detect(Trace(np.zeros(400), 2000.0), "energy_cwt")
 
+    INVALID_FUNDAMENTALS = [0.0, -50.0, float("inf"), float("nan")]
+
+    @pytest.mark.parametrize("fundamental_hz", INVALID_FUNDAMENTALS)
+    @pytest.mark.parametrize("method", ENERGY_METHODS)
+    def test_non_positive_or_non_finite_fundamental_rejected(self, method, fundamental_hz):
+        with pytest.raises(ConfigError, match="fundamental_hz must be finite and positive"):
+            energy_detect(Trace(rng_trace(400), 2000.0), method, fundamental_hz=fundamental_hz)
+
+    @pytest.mark.parametrize("fundamental_hz", INVALID_FUNDAMENTALS)
+    def test_energy_row_rejects_non_positive_or_non_finite_fundamental(self, fundamental_hz):
+        with pytest.raises(ConfigError, match="fundamental_hz must be finite and positive"):
+            energy_row("AG", make_record("AG"), fundamental_hz=fundamental_hz)
+
 
 class TestEnergyWindowSeries:
     """Each trace is transformed once; the window values equal the per-span functions."""
@@ -279,6 +293,35 @@ class TestEnergyWindowSeries:
     def test_trace_shorter_than_one_cycle_rejected(self, method, n):
         with pytest.raises(FaultwaveError):
             energy_detect(Trace(rng_trace(n), 2000.0), method)
+
+
+class TestEnergyFloor:
+    """With a silent calibration span the threshold is the floor itself, which
+    must equal the ``np.mean(x**2)`` form bit for bit."""
+
+    @staticmethod
+    def assert_floor_equals_mean_reference(samples, method, f0):
+        report = energy_detect(Trace(samples, 2000.0), method, fundamental_hz=f0)
+        expected = ENERGY_DETECTION_FLOOR * float(np.mean(samples**2))
+        assert expected > 0.0
+        assert_bitwise_equal(np.float64(report.threshold_used), np.float64(expected))
+
+    @pytest.mark.parametrize("method", ["energy_ft", "energy_stft"])
+    @pytest.mark.parametrize("f0", [50.0, 49.5, 48.0])  # 40, 40.4 and 41.7 samples per cycle
+    @pytest.mark.parametrize("n", [400, 4096])
+    def test_record_equals_mean_reference_bitwise(self, n, f0, method):
+        record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=4, duration_s=n / 2000.0)
+        samples = select_channel(record, "a").samples.copy()
+        samples[:int(0.3 * n)] = 0.0
+        self.assert_floor_equals_mean_reference(samples, method, f0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(250, 5000), exponent=st.floats(-30, 10), seed=st.integers(0, 2**16),
+           method=st.sampled_from(["energy_ft", "energy_stft"]))
+    def test_random_equals_mean_reference_bitwise(self, n, exponent, seed, method):
+        samples = 10.0**exponent * rng_trace(n, seed)
+        samples[:int(0.3 * n)] = 0.0
+        self.assert_floor_equals_mean_reference(samples, method, 50.0)
 
 
 class TestAmplitudeScaling:

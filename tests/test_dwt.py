@@ -25,8 +25,8 @@ from faultwave import (
 )
 from faultwave.dwt import (DB4_HIGHPASS, DB4_LOWPASS, FILTER_LEN, _alignment_shift,
                            _first_wrapped, _support_length, boundary_artifact_mask,
-                           check_length, quadrature_mirror, window_energies)
-from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, rng_trace
+                           check_length, quadrature_mirror, window_energies, window_groups)
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 
 def spectral_factorization_lowpass(vanishing_moments: int = 4) -> np.ndarray:
@@ -184,6 +184,28 @@ class TestDetailSeries:
         with pytest.raises(ShapeError, match="level"):
             detail_series(tree, 3)
 
+    @pytest.mark.parametrize("f0", [50.0, 49.5])  # 40 and 40.4 samples per cycle
+    @pytest.mark.parametrize("n", [400, 4096])
+    def test_equals_roll_reference_bitwise(self, n, f0):
+        trace = select_channel(make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=2,
+                                           duration_s=n / 2000.0), "a")
+        for level in range(1, (n & -n).bit_length()):
+            tree = dwt_decompose(trace, level)
+            assert_bitwise_equal(detail_series(tree, level).samples,
+                                 roll_detail_series(tree, level))
+
+    @pytest.mark.parametrize("n, level", [(8, 1), (8, 2), (8, 3), (16, 3), (64, 5), (32, 4)])
+    def test_shift_past_the_record_equals_roll_reference_bitwise(self, n, level):
+        """Half a support can exceed the record; np.roll wraps the shift."""
+        tree = dwt_decompose(Trace(rng_trace(n, level), 2000.0), level)
+        assert_bitwise_equal(detail_series(tree, level).samples, roll_detail_series(tree, level))
+
+
+def roll_detail_series(tree, level: int) -> np.ndarray:
+    """Reference: the repeated magnitudes circularly shifted by ``np.roll``."""
+    series = np.repeat(np.abs(tree.details[level - 1]), 1 << level)
+    return np.roll(series, _alignment_shift(level))
+
 
 class TestEnergyIndex:
     def test_zero_trace(self):
@@ -326,3 +348,35 @@ class TestWindowEnergies:
         tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 1)
         got = window_energies(tree, 1, np.arange(0), 8)
         assert got.shape == (0,) and got.dtype == np.float64
+
+
+class TestPlannedWindowEnergies:
+    """Windows on the detectors' grid, summed with a plan from ``window_groups``,
+    against the one-slice-per-window sum, bit for bit."""
+
+    @staticmethod
+    def both(level, n, width, hop, seed=0):
+        tree = dwt_decompose(Trace(rng_trace(n, seed), 2000.0), level)
+        starts = np.arange(0, n - width + 1, hop)
+        groups = window_groups(n, level, starts, width)
+        return window_energies(tree, level, starts, width, groups), loop_window_energies(
+            tree, level, starts, width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=window_grids(), seed=st.integers(0, 2**16))
+    @example(grid=(2, 400, 40, 10, False), seed=0)  # the detectors' 50 Hz window at 2 kHz
+    @example(grid=(3, 4096, 41, 10, False), seed=1)  # 48.8 Hz: 41 samples per cycle
+    def test_equals_loop_reference_bitwise(self, grid, seed):
+        level, n, width, hop, _ = grid
+        assert_bitwise_equal(*self.both(level, n, width, hop, seed=seed))
+
+    @pytest.mark.parametrize("level, hop", [(1, 3), (2, 5), (2, 10), (3, 7), (3, 12), (4, 10)])
+    @pytest.mark.parametrize("n, width", [(400, 40), (4096, 41), (4096, 40)])
+    def test_hop_off_the_coefficient_grid_equals_loop_reference_bitwise(self, level, hop, n,
+                                                                        width):
+        assert hop % (1 << level) != 0
+        assert_bitwise_equal(*self.both(level, n, width, hop, seed=level))
+
+    def test_window_longer_than_the_record_gives_no_windows(self):
+        got, expected = self.both(1, 64, 65, 1)
+        assert got.shape == expected.shape == (0,)

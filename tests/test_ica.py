@@ -31,8 +31,8 @@ from faultwave import (
     unmix,
     whiten,
 )
-from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RETAIN, _build_template, _phase_slots,
-                           _read_template, _trailing_mean)
+from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RANK_TOLERANCE, RETAIN, _build_template,
+                           _phase_slots, _read_template, _trailing_mean, _whitening_model)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
@@ -351,7 +351,7 @@ class TestReadTemplate:
         fs = 2000.0
         fundamental_hz = fs / (period + detune)
         template = rng_trace(rows * period, seed).reshape(rows, period)
-        slots = _phase_slots(np.arange(span[0], span[0] + span[1]), anchor, fs, fundamental_hz,
+        slots = _phase_slots(span[0], span[0] + span[1], anchor, fs, fundamental_hz,
                              period)
         assert_bitwise_equal(_read_template(template, *slots),
                              gather_read_template(template, *slots))
@@ -364,7 +364,7 @@ class TestReadTemplate:
         fs = float(fundamental_hz * period)
         template = rng_trace(3 * period, seed).reshape(3, period)
         samples = np.arange(0, 8 * period + 5)
-        slots = _phase_slots(samples, anchor, fs, fundamental_hz, period)
+        slots = _phase_slots(0, samples.shape[0], anchor, fs, fundamental_hz, period)
         assert_bitwise_equal(_read_template(template, *slots),
                              template[:, (samples - anchor) % period])
 
@@ -399,8 +399,8 @@ class TestPhaseSlots:
         fs = 2000.0
         fundamental_hz = fs / (period + detune)
         a, b = sorted((lo + cuts[0], lo + cuts[1]))
-        whole = _phase_slots(np.arange(lo, b + 1), anchor, fs, fundamental_hz, period)
-        part = _phase_slots(np.arange(a, b + 1), anchor, fs, fundamental_hz, period)
+        whole = _phase_slots(lo, b + 1, anchor, fs, fundamental_hz, period)
+        part = _phase_slots(a, b + 1, anchor, fs, fundamental_hz, period)
         for got, expected in zip(whole, part):
             assert_bitwise_equal(got[a - lo:], expected)
 
@@ -415,15 +415,121 @@ class TestPhaseSlots:
         period = int(round(FS / f0))
         template = _build_template(
             record.samples, (p_lo, p_hi),
-            *_phase_slots(np.arange(p_lo, p_hi), p_hi, FS, f0, period), period)
+            *_phase_slots(p_lo, p_hi, p_hi, FS, f0, period), period)
         normal = _read_template(
-            template, *_phase_slots(np.arange(a_lo, a_hi), p_hi, FS, f0, period))
+            template, *_phase_slots(a_lo, a_hi, p_hi, FS, f0, period))
         actual = record.samples[:, a_lo:a_hi]
         _, whitening = whiten(center(actual)[0], retain=RETAIN)
         raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
         pi = performance_index(record, *spans, IcaConfig(fundamental_hz=f0))
         assert_bitwise_equal(pi.values, gather_trailing_mean(raw, period))
         assert_bitwise_equal(pi.whitening_eigenvalues, whitening.eigenvalues)
+
+
+def loop_build_template(samples, calibration, slots, frac, period):
+    """Reference: one pair of ``np.bincount`` deposits per template row."""
+    lo, hi = calibration
+    segment = samples[:, lo:hi]
+    right = (slots + 1) % period
+    weights = np.bincount(slots, weights=1.0 - frac, minlength=period)
+    weights += np.bincount(right, weights=frac, minlength=period)
+    template = np.zeros((samples.shape[0], period))
+    for row in range(samples.shape[0]):
+        template[row] = np.bincount(slots, weights=(1.0 - frac) * segment[row], minlength=period)
+        template[row] += np.bincount(right, weights=frac * segment[row], minlength=period)
+    return template / weights[None, :]
+
+
+class TestBuildTemplate:
+    """One deposit per neighbor over row-offset slots against one per row, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(period=st.integers(2, 64), detune=st.floats(-0.45, 0.45), lo=st.integers(0, 300),
+           cycles=st.floats(2.0, 40.0), exponent=st.floats(-30, 10), seed=st.integers(0, 2**16))
+    @example(period=40, detune=0.0, lo=0, cycles=3.0, exponent=0.0, seed=0)  # 50 Hz
+    @example(period=40, detune=2000.0 / 49.5 - 40, lo=0, cycles=3.0, exponent=0.0, seed=1)
+    def test_equals_per_row_reference_bitwise(self, period, detune, lo, cycles, exponent, seed):
+        fs = 2000.0
+        fundamental_hz = fs / (period + detune)
+        hi = lo + int(np.ceil(cycles * (period + detune)))
+        samples = 10.0**exponent * rng_trace(3 * (hi + 5), seed).reshape(3, hi + 5)
+        slots, frac = _phase_slots(lo, hi, hi, fs, fundamental_hz, period)
+        assert_bitwise_equal(_build_template(samples, (lo, hi), slots, frac, period),
+                             loop_build_template(samples, (lo, hi), slots, frac, period))
+
+    @pytest.mark.parametrize("f0", [50.0, 49.5])  # 40 and 40.4 samples per cycle
+    def test_record_template_equals_per_row_reference_bitwise(self, f0):
+        record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=3)
+        slots, frac = _phase_slots(0, 120, 120, FS, f0, 40)
+        assert_bitwise_equal(_build_template(record.samples, (0, 120), slots, frac, 40),
+                             loop_build_template(record.samples, (0, 120), slots, frac, 40))
+
+
+def argsort_whitening_model(centered, retain=None):
+    """Reference: the eigenpairs put in descending order by ``np.argsort``;
+    returns (projection, eigenvalues)."""
+    cov = centered @ centered.T / centered.shape[1]
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    keep = eigvals > RANK_TOLERANCE * eigvals[0]
+    r = int(np.count_nonzero(keep))
+    if isinstance(retain, int):
+        r = min(r, max(retain, 1))
+    elif isinstance(retain, float):
+        fractions = np.cumsum(eigvals) / np.sum(eigvals)
+        r = min(r, int(np.searchsorted(fractions, retain) + 1))
+    eigvals = eigvals[:r]
+    return (1.0 / np.sqrt(eigvals))[:, None] * eigvecs[:, :r].T, eigvals
+
+
+class TestWhiteningOrder:
+    """Reversing eigh's ascending output against sorting it with argsort, bit for bit.
+
+    Where the eigenvalues differ, argsort of eigh's ascending output is the
+    identity, so its reverse is the plain reverse. Tied eigenvalues keep the
+    same order too: argsort leaves equal entries of an already ascending array
+    where they are, which the tied cases below check (zero rows tie the zero
+    eigenvalues; orthogonal rows of equal norm tie the nonzero ones). The index
+    would not see a swap anyway: it keeps two components of positive, equal
+    eigenvalue, and sums their two squares, which adds the same either way.
+    """
+
+    @staticmethod
+    def assert_same_model(centered, retain):
+        projection, eigenvalues = argsort_whitening_model(centered, retain)
+        model = _whitening_model(centered, retain)
+        assert_bitwise_equal(model.projection, projection)
+        assert_bitwise_equal(model.eigenvalues, eigenvalues)
+        assert_bitwise_equal(whiten(centered, retain)[0], projection @ centered)
+
+    @pytest.mark.parametrize("retain", [None, RETAIN, 0.99])
+    @pytest.mark.parametrize("f0", [50.0, 49.5])  # 40 and 40.4 samples per cycle
+    @pytest.mark.parametrize("fault", ["AG", "AB", "NONE"])
+    def test_record_equals_argsort_reference_bitwise(self, fault, f0, retain):
+        for snr_db in (None, 20.0):
+            record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=8)
+            self.assert_same_model(center(record.samples)[0], retain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 2000), exponent=st.floats(-30, 10), seed=st.integers(0, 2**16),
+           retain=st.sampled_from([None, 1, 2, 3, 0.5, 0.9, 1.0]))
+    def test_random_equals_argsort_reference_bitwise(self, n, exponent, seed, retain):
+        x = 10.0**exponent * rng_trace(3 * n, seed).reshape(3, n)
+        self.assert_same_model(center(x)[0], retain)
+
+    @pytest.mark.parametrize("retain", [None, RETAIN, 0.99])
+    @pytest.mark.parametrize("centered", [
+        np.vstack([center(rng_trace(500, 4)[None])[0], np.zeros((2, 500))]),
+        np.kron(np.diag([1.0, 1.0, 0.0]), [1.0, -1.0]),
+        np.kron(np.eye(3), [1.0, -1.0]),
+        2.0**-20 * np.kron(np.eye(3), [1.0, -1.0, 1.0, -1.0]),
+    ], ids=["two-zero", "two-equal-one-zero", "three-equal", "three-equal-small"])
+    def test_tied_eigenvalues_equal_argsort_reference_bitwise(self, centered, retain):
+        eigenvalues = np.linalg.eigvalsh(centered @ centered.T / centered.shape[1])
+        assert np.any(eigenvalues[1:] == eigenvalues[:-1])
+        self.assert_same_model(centered, retain)
 
 
 class TestRotationInvariance:
@@ -445,9 +551,9 @@ class TestRotationInvariance:
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
         anchor = self.CALIBRATION[1]
-        calibration = _phase_slots(np.arange(*self.CALIBRATION), anchor, fs, f0, period)
+        calibration = _phase_slots(*self.CALIBRATION, anchor, fs, f0, period)
         template = _build_template(record.samples, self.CALIBRATION, *calibration, period)
-        normal = _read_template(template, *_phase_slots(np.arange(lo, hi), anchor, fs, f0, period))
+        normal = _read_template(template, *_phase_slots(lo, hi, anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]
         model, whitening = fit_ica(actual, retain=RETAIN, **fastica_options)
         raw = np.sum((unmix(model, whitening, normal) - model.sources) ** 2, axis=0)
