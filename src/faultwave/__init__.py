@@ -41,9 +41,7 @@ from .ica import (
     center,
     fastica,
     fit_ica,
-    negentropy_proxy,
     performance_index,
-    unmix,
     whiten,
 )
 from .signal_model import (
@@ -73,7 +71,7 @@ __all__ = [
     "Spectrum", "Spectrogram", "dft", "stft", "highband_energy_index",
     # ica
     "IcaConfig", "IcaModel", "WhiteningModel", "PiSeries", "center", "whiten",
-    "fastica", "fit_ica", "unmix", "negentropy_proxy", "performance_index",
+    "fastica", "fit_ica", "performance_index",
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
     "AdaptiveThreshold", "Spans", "calibrate_threshold",

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import NoReturn
 
 import click
+import numpy as np
 
 from . import __version__, dwt, spectral
 from .detect import (
@@ -66,20 +67,26 @@ class _Cli(click.Group):
             _fail(str(exc), 2)
 
 
+# A detector reports an overflow as a NumericalError, so numpy's overflow and
+# invalid-value warnings on the way there would only repeat it on stderr.
+_DETECTOR_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
+
 def run_detector(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport:
     """Dispatch to the configured detector; exit 3 if it finds no usable signal."""
     method = config.detector.method
     try:
-        if method == "ica":
-            return ica_detect(record, config.detector, config.spans,
-                              IcaConfig(config.waveform.fundamental_hz))
-        trace = select_channel(record, config.channel)
-        if method == "wavelet":
-            return wavelet_detect(trace, config.detector, config.spans)
-        return energy_detect(
-            trace, method, config.detector, config.spans,
-            fundamental_hz=config.waveform.fundamental_hz,
-        )
+        with np.errstate(**_DETECTOR_ERRSTATE):
+            if method == "ica":
+                return ica_detect(record, config.detector, config.spans,
+                                  IcaConfig(config.waveform.fundamental_hz))
+            trace = select_channel(record, config.channel)
+            if method == "wavelet":
+                return wavelet_detect(trace, config.detector, config.spans)
+            return energy_detect(
+                trace, method, config.detector, config.spans,
+                fundamental_hz=config.waveform.fundamental_hz,
+            )
     except (DegenerateInputError, NumericalError) as exc:
         _fail(f"{method} detector failed: {exc}", 3)
 
@@ -133,8 +140,9 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
             record = build_record(config)
             spans = config.spans.resolve(record.n_samples)
             check_onset(spans, record.labels, record.sample_rate_hz)
-            rows.append(energy_row(name, record, config.detector, spans,
-                                   config.waveform.fundamental_hz))
+            with np.errstate(**_DETECTOR_ERRSTATE):
+                rows.append(energy_row(name, record, config.detector, spans,
+                                       config.waveform.fundamental_hz))
         except FaultwaveError as exc:
             rows.append(EnergyRow.failed(name, exc))
 

@@ -29,9 +29,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import dwt, spectral
-from .errors import BoundsError, ConfigError, DegenerateInputError
-from .ica import IcaConfig, check_fundamental, performance_index
-from .signal_model import ThreePhaseRecord, Trace, select_channel
+from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
+from .ica import IcaConfig, performance_index
+from .signal_model import ThreePhaseRecord, Trace, check_fundamental, select_channel
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -260,6 +260,8 @@ def _decide(
     Raises:
         BoundsError: the calibration span leaves ``index.covers``, or either
             span holds no valid value.
+        NumericalError: the threshold or the largest scanned value is not
+            finite, so no verdict can be read from the comparison.
     """
     policy = cfg.threshold_policy
     lo, hi = spans.calibration
@@ -280,6 +282,10 @@ def _decide(
     else:
         threshold = calibrate_threshold(index.values[c0:c1], policy.k_sigma, *rule)
     scanned = index.values[s0:s1]
+    peak = float(scanned.max())
+    if not (math.isfinite(threshold) and math.isfinite(peak)):
+        raise NumericalError(f"the threshold ({threshold:.6g}) or the scanned index peak "
+                             f"({peak:.6g}) overflows float64")
     run = _first_run_start(scanned > threshold, min_consecutive or cfg.min_consecutive)
     onset = None if run is None else int(index.starts[s0 + run])
     return DetectionReport(
@@ -290,7 +296,7 @@ def _decide(
         index_series=index.values,
         index_times_s=index.times_s,
         threshold_used=threshold,
-        metadata={"analysis_index": float(scanned.max()), **metadata},
+        metadata={"analysis_index": peak, **metadata},
     )
 
 
@@ -346,6 +352,7 @@ def ica_detect(
     Raises:
         BoundsError: a span does not fit the record or the rules above.
         DegenerateInputError: the calibration span is all zero.
+        NumericalError: the record, the index or the threshold overflows.
     """
     spans = (spans or Spans()).resolve(record.n_samples)
     pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)

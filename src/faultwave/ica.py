@@ -1,10 +1,8 @@
-"""Blind source separation by fixed-point ICA and the fault performance index.
+"""Fixed-point ICA and the fault performance index.
 
-Pipeline: remove the row means of a channel matrix, whiten by PCA (dropping
-near-zero principal components), then run the symmetric fixed-point
-iteration that maximizes a negentropy proxy
-``J(w) = (E[G(w.z)] - E[G(nu)])**2`` for ``nu`` standard normal, with
-``G = log cosh`` (tanh contrast) or ``G(u) = u**4/4`` (cube contrast).
+The ICA step: remove the row means of a channel matrix, whiten by PCA
+(dropping near-zero principal components), then run the symmetric
+fixed-point iteration with the ``tanh`` or cube contrast.
 
 The fault performance index is the whitened residual between the record and
 a periodic "normal" template built from the fault-free calibration span: it
@@ -22,22 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    BoundsError,
-    ConfigError,
-    DegenerateInputError,
-    NumericalError,
-    ShapeError,
-)
-from .signal_model import ThreePhaseRecord
-
-# E[log cosh(nu)] for nu ~ N(0,1); frozen from high-resolution quadrature
-# (tests re-derive it). E[nu**4 / 4] = 3/4 for the cube contrast.
-GAUSSIAN_LOGCOSH_MEAN = 0.374567207491438
-GAUSSIAN_QUARTIC_MEAN = 0.75
+from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
+from .signal_model import ThreePhaseRecord, check_fundamental
 
 # Eigenvalues below this fraction of the largest are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -52,16 +40,18 @@ PLAN_CACHE_SIZE = 8  # phase-slot plans kept; the least recently used goes first
 
 @dataclass(eq=False)
 class WhiteningModel:
-    """Centering plus PCA whitening map fitted to one data matrix."""
+    """PCA whitening map fitted to one centered data matrix: ``projection``
+    takes centered data to unit covariance; ``eigenvalues`` are the kept
+    component variances, descending."""
 
-    mean: np.ndarray
     projection: np.ndarray
     eigenvalues: np.ndarray
 
 
 @dataclass(eq=False)
 class IcaModel:
-    """Fitted unmixing model; ``unmixing`` acts on whitened data (see :func:`unmix`)."""
+    """Fitted FastICA model: orthonormal ``unmixing`` rows act on whitened
+    data, and ``sources`` is the unmixing applied to the data it was fitted on."""
 
     unmixing: np.ndarray
     sources: np.ndarray
@@ -97,51 +87,39 @@ class IcaConfig:
         check_fundamental(self.fundamental_hz)
 
 
-def check_fundamental(fundamental_hz: float) -> None:
-    """Raise ConfigError unless ``fundamental_hz`` is finite and positive."""
-    if not 0 < fundamental_hz < np.inf:
-        raise ConfigError(f"fundamental_hz must be finite and positive, got {fundamental_hz}")
-
-
 def center(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove row means; returns the centered matrix and the means."""
     mean = matrix.mean(axis=1)
     return matrix - mean[:, None], mean
 
 
-def whiten(
-    centered: np.ndarray,
-    retain: int | float | None = None,
-    mean: np.ndarray | None = None,
-) -> tuple[np.ndarray, WhiteningModel]:
+def whiten(centered: np.ndarray, retain: int | None = None) -> tuple[np.ndarray, WhiteningModel]:
     """PCA-whiten centered data so the channel covariance is the identity.
 
     Components are ordered by descending eigenvalue; eigenvalues below
     ``RANK_TOLERANCE`` times the largest are dropped. ``retain`` further caps
-    the kept components: an int keeps that many, a float in (0, 1] keeps the
-    smallest count reaching that variance fraction.
+    the kept components at that count (at least 1).
 
     Args:
         centered: m x N matrix with zero row means.
-        retain: Optional component cap (count or variance fraction).
-        mean: Row means removed beforehand, stored for later inversion
-            (zeros if omitted).
+        retain: Optional component count.
 
     Raises:
+        ConfigError: ``retain`` is not an integer.
         DegenerateInputError: all-zero input.
+        NumericalError: the covariance overflows.
     """
-    model = _whitening_model(centered, retain, mean)
+    model = _whitening_model(centered, retain)
     return model.projection @ centered, model
 
 
-def _whitening_model(
-    centered: np.ndarray,
-    retain: int | float | None = None,
-    mean: np.ndarray | None = None,
-) -> WhiteningModel:
+def _whitening_model(centered: np.ndarray, retain: int | None = None) -> WhiteningModel:
     """The map :func:`whiten` fits, for callers that need only its projection."""
-    m, n_cols = centered.shape
-    cov = centered @ centered.T / n_cols
+    if retain is not None and (isinstance(retain, bool) or not isinstance(retain, Integral)):
+        raise ConfigError(f"retain must be an integer component count, got {retain!r}")
+    cov = centered @ centered.T / centered.shape[1]
+    if not np.isfinite(cov).all():
+        raise NumericalError("the channel covariance overflows float64")
     # eigh's eigenvalues ascend, so reversing is the descending sort.
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
@@ -150,19 +128,13 @@ def _whitening_model(
         raise DegenerateInputError("cannot whiten all-zero data")
     keep = eigvals > RANK_TOLERANCE * eigvals[0]
     r = int(np.count_nonzero(keep))
-    if isinstance(retain, int):
-        r = min(r, max(retain, 1))
-    elif isinstance(retain, float):
-        if not 0.0 < retain <= 1.0:
-            raise ConfigError(f"variance fraction must lie in (0, 1], got {retain}")
-        fractions = np.cumsum(eigvals) / np.sum(eigvals)
-        r = min(r, int(np.searchsorted(fractions, retain) + 1))
+    if retain is not None:
+        r = min(r, max(int(retain), 1))
 
     eigvals = eigvals[:r]
     # Row-major, the layout ``projection @ x`` has always multiplied in.
     projection = np.multiply((1.0 / np.sqrt(eigvals))[:, None], eigvecs[:, :r].T, order="C")
-    mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=float)
-    return WhiteningModel(mean, projection, eigvals)
+    return WhiteningModel(projection, eigvals)
 
 
 def _contrast_funcs(contrast: str):
@@ -231,50 +203,18 @@ def fastica(
 
 def fit_ica(
     matrix: np.ndarray,
-    retain: int | float | None = None,
+    retain: int | None = None,
     contrast: str = "tanh",
     max_iter: int = 500,
     tol: float = 1e-6,
     seed: int = 0,
 ) -> tuple[IcaModel, WhiteningModel]:
-    """Center, whiten, and unmix a raw data matrix in one step.
+    """Center, whiten, and run :func:`fastica` on a raw data matrix in one step.
 
-    Returns the fitted :class:`IcaModel` plus the whitening model; :func:`unmix`
-    applies both to new data.
+    Returns the fitted :class:`IcaModel` plus the whitening model.
     """
-    centered, mean = center(matrix)
-    z, whitening = whiten(centered, retain=retain, mean=mean)
+    z, whitening = whiten(center(matrix)[0], retain=retain)
     return fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed), whitening
-
-
-def unmix(model: IcaModel, whitening: WhiteningModel, matrix: np.ndarray) -> np.ndarray:
-    """Apply the fitted unmixing to new data: S = W . projection . (X - mean).
-
-    On the training matrix this reproduces ``model.sources`` exactly.
-
-    Raises:
-        ShapeError: channel count differs from the whitening model.
-    """
-    if matrix.shape[0] != whitening.mean.shape[0]:
-        raise ShapeError(
-            f"matrix has {matrix.shape[0]} rows, whitening model expects "
-            f"{whitening.mean.shape[0]}"
-        )
-    return model.unmixing @ whitening.projection @ (matrix - whitening.mean[:, None])
-
-
-def negentropy_proxy(direction: np.ndarray, z: np.ndarray, contrast: str = "tanh") -> float:
-    """Evaluate J(w) = (E[G(w.z)] - E[G(nu)])**2 for a unit direction."""
-    u = np.asarray(direction, dtype=float) @ z
-    if contrast == "tanh":
-        value = np.mean(np.log(np.cosh(u)))
-        reference = GAUSSIAN_LOGCOSH_MEAN
-    elif contrast == "cube":
-        value = np.mean(u**4 / 4.0)
-        reference = GAUSSIAN_QUARTIC_MEAN
-    else:
-        raise ConfigError(f"unknown contrast {contrast!r}")
-    return float((value - reference) ** 2)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -406,6 +346,7 @@ def performance_index(
         BoundsError: spans outside the record, out of order, or a calibration
             span shorter than two cycles.
         DegenerateInputError: the record is all zero on the calibration span.
+        NumericalError: the record overflows the whitening covariance.
     """
     n = record.n_samples
     p_lo, p_hi = calibration_span

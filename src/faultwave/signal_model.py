@@ -82,9 +82,7 @@ class WaveformConfig:
         _check_rate(self.sample_rate_hz)
         if not 0 < self.duration_s < math.inf:
             raise ConfigError(f"duration_s must be finite and positive, got {self.duration_s}")
-        if not 0 < self.fundamental_hz < math.inf:
-            raise ConfigError(
-                f"fundamental_hz must be finite and positive, got {self.fundamental_hz}")
+        check_fundamental(self.fundamental_hz)
         if self.amplitude_pu < 0:
             raise ConfigError(f"amplitude_pu must be nonnegative, got {self.amplitude_pu}")
         if self.sample_rate_hz <= 2.0 * self.fundamental_hz:
@@ -175,6 +173,12 @@ class NoiseSpec:
 def _check_rate(sample_rate_hz: float) -> None:
     if not 0.0 < sample_rate_hz < np.inf:
         raise ConfigError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
+
+
+def check_fundamental(fundamental_hz: float) -> None:
+    """Raise ConfigError unless ``fundamental_hz`` is finite and positive."""
+    if not 0.0 < fundamental_hz < np.inf:
+        raise ConfigError(f"fundamental_hz must be finite and positive, got {fundamental_hz}")
 
 
 @dataclass(frozen=True, eq=False)

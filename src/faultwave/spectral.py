@@ -33,14 +33,6 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return np.arange(self.magnitudes.shape[0]) * self.bin_hz
 
-    def energy(self) -> float:
-        """Total signal energy sum(x**2) recovered from the one-sided bins."""
-        weights = np.full(self.magnitudes.shape[0], 2.0)
-        weights[0] = 1.0
-        if self.n_samples % 2 == 0:
-            weights[-1] = 1.0
-        return float(np.sum(weights * self.magnitudes**2))
-
 
 @dataclass(eq=False)
 class Spectrogram:

@@ -112,8 +112,8 @@ def test_criterion_2_reconstruction_and_energy():
 def test_criterion_3_whitening():
     x = np.random.default_rng(12).standard_normal((3, 4000))
     x = np.array([[1.0, 0.4, -0.2], [0.1, 0.8, 0.5], [-0.3, 0.2, 1.2]]) @ x
-    centered, mean = center(x)
-    z, _ = whiten(centered, mean=mean)
+    centered, _ = center(x)
+    z, _ = whiten(centered)
     cov = z @ z.T / z.shape[1]
     deviation = np.max(np.abs(cov - np.eye(z.shape[0])))
     assert deviation <= 1e-8

@@ -586,6 +586,35 @@ class TestCmdDetect:
         assert result.exit_code == 3
         assert "ica detector failed" in result.output
 
+    OVERFLOWS = {
+        "amplitude": {"waveform": {"amplitude_pu": 1e200}, "fault": {"fault_type": "AG"}},
+        "k_sigma": {"waveform": {"amplitude_pu": 1e6}, "fault": {"fault_type": "AG"},
+                    "detector": {"threshold": {"k_sigma": 1e308}}},
+    }
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_overflowing_index_exits_3(self, runner, tmp_path, case, method):
+        config = dict(self.OVERFLOWS[case])
+        config["detector"] = dict(config.get("detector", {}), method=method)
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(out)])
+        if case == "k_sigma" and method in ("ica", "energy_ft"):
+            # 1e308 times the round-off spread of a noiseless calibration
+            # span stays finite: a real threshold that the fault stays under
+            assert result.exit_code == 0, result.output
+            report = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert report["detected"] is False and np.isfinite(report["threshold"])
+            return
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith(f"faultwave: error: {method} detector failed: ")
+        assert "overflows float64" in result.stderr
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
     @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
     @pytest.mark.parametrize(
         "config, message",
@@ -746,6 +775,21 @@ class TestCmdEnergyTable:
         assert len(lines) == 8
         assert lines[-1].startswith('early,,,,,,,"ConfigError: fault onset sample 60')
         assert len(next(csv.reader([lines[-1]]))) == 8
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
+    def test_overflowing_index_becomes_error_row(self, runner, tmp_path):
+        doc = self.suite()
+        doc["scenarios"].append({"name": "huge", "waveform": {"amplitude_pu": 1e200},
+                                 "fault": {"fault_type": "AG", "onset_s": 0.065}})
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert result.stderr == ""
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 8
+        assert lines[-1].startswith("huge,,,,,,,NumericalError: the threshold")
+        assert "overflows float64" in lines[-1]
 
     def test_boolean_fault_setting_becomes_error_row(self, runner, tmp_path):
         doc = self.suite()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from faultwave import (
     BoundsError,
@@ -14,6 +14,7 @@ from faultwave import (
     FaultwaveError,
     FixedThreshold,
     IcaConfig,
+    NumericalError,
     Spans,
     ThreePhaseRecord,
     Trace,
@@ -355,6 +356,30 @@ class TestAmplitudeScaling:
         base, big = ica_detect(record), ica_detect(scaled)
         assert (big.detected, big.onset_sample) == (base.detected, base.onset_sample)
         assert big.threshold_used == base.threshold_used
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 300), fault=st.sampled_from(["AG", "NONE"]))
+    @example(k=0, fault="AG")  # every detector returns
+    @example(k=80, fault="AG")  # the energy thresholds (spread in amplitude**4) overflow
+    @example(k=153, fault="AG")  # ... and the ICA covariance
+    @example(k=155, fault="AG")  # ... and the wavelet threshold: every detector raises
+    @example(k=300, fault="NONE")
+    def test_overflow_raises_numerical_error(self, k, fault):
+        """Scaled by 10**k, every detector returns a finite threshold and
+        analysis index or raises NumericalError: an index or threshold that
+        overflows never reads as a verdict."""
+        record = make_record(fault, snr_db=20.0, seed=k)
+        scaled = ThreePhaseRecord(record.sample_rate_hz, 10.0**k * record.samples, record.labels)
+        trace = select_channel(scaled, "a")
+        runs = [lambda: ica_detect(scaled)] + [lambda d=d: d(trace) for d, _ in self.DETECTORS]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in runs:
+                try:
+                    report = run()
+                except NumericalError:
+                    continue
+                assert np.isfinite(report.threshold_used)
+                assert np.isfinite(report.metadata["analysis_index"])
 
 
 class TestNoFaultSpecificity:

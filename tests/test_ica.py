@@ -1,8 +1,8 @@
 """Tests for whitening, fixed-point unmixing, and the performance index.
 
 Source-recovery checks brute-force all permutation/sign assignments against
-the known sources; the Gaussian contrast constant is re-derived by
-quadrature.
+the known sources; the Gaussian contrast constant of the test's negentropy
+proxy is re-derived by quadrature.
 """
 
 from __future__ import annotations
@@ -20,22 +20,28 @@ from faultwave import (
     DegenerateInputError,
     DetectorConfig,
     IcaConfig,
-    ShapeError,
+    NumericalError,
     Spans,
     center,
     fastica,
     fit_ica,
     ica_detect,
-    negentropy_proxy,
     performance_index,
-    unmix,
     whiten,
 )
-from faultwave.ica import (GAUSSIAN_LOGCOSH_MEAN, RANK_TOLERANCE, RETAIN, _build_template,
-                           _phase_slots, _read_template, _trailing_mean, _whitening_model)
+from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_slots, _read_template,
+                           _trailing_mean, _whitening_model)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
+
+# E[log cosh(nu)] for nu ~ N(0,1), frozen from high-resolution quadrature.
+GAUSSIAN_LOGCOSH_MEAN = 0.374567207491438
+
+
+def negentropy_proxy(direction: np.ndarray, z: np.ndarray) -> float:
+    """J(w) = (E[log cosh(w.z)] - E[log cosh(nu)])**2, the objective of the tanh contrast."""
+    return float((np.mean(np.log(np.cosh(direction @ z))) - GAUSSIAN_LOGCOSH_MEAN) ** 2)
 
 
 def two_sources(n: int = 4000) -> np.ndarray:
@@ -85,8 +91,8 @@ class TestWhiten:
     def test_whitened_covariance_is_identity(self):
         x = np.random.default_rng(3).standard_normal((3, 4000))
         x = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.3], [0.2, 0.0, 0.7]]) @ x
-        centered, mean = center(x)
-        z, _ = whiten(centered, mean=mean)
+        centered, _ = center(x)
+        z, _ = whiten(centered)
         cov = z @ z.T / z.shape[1]
         assert np.max(np.abs(cov - np.eye(z.shape[0]))) <= 1e-8
 
@@ -108,13 +114,16 @@ class TestWhiten:
         z, _ = whiten(centered, retain=2)
         assert z.shape[0] == 2
 
-    def test_retain_variance_fraction(self):
-        rng = np.random.default_rng(7)
-        strong = rng.standard_normal((1, 3000)) * 10.0
-        weak = rng.standard_normal((2, 3000)) * 0.01
-        centered, _ = center(np.vstack([strong, weak]))
-        z, _ = whiten(centered, retain=0.99)
-        assert z.shape[0] == 1
+    @pytest.mark.parametrize("retain", [0.99, 2.0, True])
+    def test_retain_that_is_not_an_integer_rejected(self, retain):
+        centered, _ = center(np.random.default_rng(7).standard_normal((3, 300)))
+        with pytest.raises(ConfigError, match="retain must be an integer"):
+            whiten(centered, retain=retain)
+
+    def test_overflowing_covariance_rejected(self):
+        centered, _ = center(1e200 * np.random.default_rng(8).standard_normal((3, 300)))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflows"):
+            whiten(centered)
 
 
 class TestFastica:
@@ -193,37 +202,6 @@ class TestFastica:
             fastica(np.zeros((2, 10)), contrast="quartic")
 
 
-class TestUnmix:
-    def test_training_data_reproduces_sources(self):
-        mixed = random_mixing(21) @ two_sources()
-        model, whitening = fit_ica(mixed, seed=2)
-        np.testing.assert_allclose(
-            unmix(model, whitening, mixed), model.sources, atol=1e-12
-        )
-
-    def test_recovers_sources_from_fresh_mixture(self):
-        sources = two_sources()
-        mixing = random_mixing(31)
-        offset = np.array([[0.5], [-1.0]])
-        model, whitening = fit_ica(mixing @ sources + offset, seed=4)
-        recovered = unmix(model, whitening, mixing @ sources + offset)
-        assert best_assignment_correlation(recovered, sources) >= 0.99
-
-    def test_zero_input_gives_constant_columns(self):
-        mixed = random_mixing(41) @ two_sources()
-        model, whitening = fit_ica(mixed, seed=5)
-        out = unmix(model, whitening, np.zeros_like(mixed))
-        expected = -(model.unmixing @ whitening.projection @ whitening.mean)
-        np.testing.assert_allclose(out, expected[:, None] * np.ones((1, mixed.shape[1])),
-                                   atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        mixed = random_mixing(51) @ two_sources()
-        model, whitening = fit_ica(mixed, seed=6)
-        with pytest.raises(ShapeError):
-            unmix(model, whitening, np.zeros((3, 10)))
-
-
 class TestNegentropyProxy:
     def test_gaussian_logcosh_constant_matches_quadrature(self):
         value, _ = quad(
@@ -231,11 +209,6 @@ class TestNegentropyProxy:
             -40.0, 40.0, limit=400,
         )
         assert GAUSSIAN_LOGCOSH_MEAN == pytest.approx(value, abs=1e-10)
-
-    def test_nonnegative_by_construction(self):
-        z = np.random.default_rng(8).standard_normal((2, 2000))
-        v = np.array([1.0, 0.0])
-        assert negentropy_proxy(v, z) >= 0.0
 
     def test_converged_rows_beat_random_directions(self):
         sources = two_sources()
@@ -475,11 +448,8 @@ def argsort_whitening_model(centered, retain=None):
     eigvecs = eigvecs[:, order]
     keep = eigvals > RANK_TOLERANCE * eigvals[0]
     r = int(np.count_nonzero(keep))
-    if isinstance(retain, int):
+    if retain is not None:
         r = min(r, max(retain, 1))
-    elif isinstance(retain, float):
-        fractions = np.cumsum(eigvals) / np.sum(eigvals)
-        r = min(r, int(np.searchsorted(fractions, retain) + 1))
     eigvals = eigvals[:r]
     return (1.0 / np.sqrt(eigvals))[:, None] * eigvecs[:, :r].T, eigvals
 
@@ -504,7 +474,7 @@ class TestWhiteningOrder:
         assert_bitwise_equal(model.eigenvalues, eigenvalues)
         assert_bitwise_equal(whiten(centered, retain)[0], projection @ centered)
 
-    @pytest.mark.parametrize("retain", [None, RETAIN, 0.99])
+    @pytest.mark.parametrize("retain", [None, 1, RETAIN])
     @pytest.mark.parametrize("f0", [50.0, 49.5])  # 40 and 40.4 samples per cycle
     @pytest.mark.parametrize("fault", ["AG", "AB", "NONE"])
     def test_record_equals_argsort_reference_bitwise(self, fault, f0, retain):
@@ -514,12 +484,12 @@ class TestWhiteningOrder:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 2000), exponent=st.floats(-30, 10), seed=st.integers(0, 2**16),
-           retain=st.sampled_from([None, 1, 2, 3, 0.5, 0.9, 1.0]))
+           retain=st.sampled_from([None, 1, 2, 3]))
     def test_random_equals_argsort_reference_bitwise(self, n, exponent, seed, retain):
         x = 10.0**exponent * rng_trace(3 * n, seed).reshape(3, n)
         self.assert_same_model(center(x)[0], retain)
 
-    @pytest.mark.parametrize("retain", [None, RETAIN, 0.99])
+    @pytest.mark.parametrize("retain", [None, 1, RETAIN])
     @pytest.mark.parametrize("centered", [
         np.vstack([center(rng_trace(500, 4)[None])[0], np.zeros((2, 500))]),
         np.kron(np.diag([1.0, 1.0, 0.0]), [1.0, -1.0]),
@@ -546,7 +516,8 @@ class TestRotationInvariance:
     CALIBRATION, ANALYSIS = (0, 120), (0, 400)
 
     def unmixed_index(self, record, config, **fastica_options):
-        """The index as ``|unmix(normal) - sources|**2`` through a FastICA fit."""
+        """The index as ``|W P (normal - mean) - sources|**2`` through a FastICA fit
+        (unmixing ``W``, whitening projection ``P``, row means of the analysis data)."""
         fs, f0 = record.sample_rate_hz, config.fundamental_hz
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
@@ -556,7 +527,8 @@ class TestRotationInvariance:
         normal = _read_template(template, *_phase_slots(lo, hi, anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]
         model, whitening = fit_ica(actual, retain=RETAIN, **fastica_options)
-        raw = np.sum((unmix(model, whitening, normal) - model.sources) ** 2, axis=0)
+        unmixed = model.unmixing @ whitening.projection @ (normal - actual.mean(axis=1)[:, None])
+        raw = np.sum((unmixed - model.sources) ** 2, axis=0)
         defect = model.unmixing @ model.unmixing.T - np.eye(model.unmixing.shape[0])
         return _trailing_mean(raw, period), whitening.eigenvalues, np.linalg.norm(defect, 2)
 
