@@ -2,10 +2,11 @@
 
 Each detector only builds an index series; one decision core thresholds it:
 
-* wavelet: level-j detail magnitudes aligned to the time axis;
-* ica: the performance index of :mod:`faultwave.ica`;
+* wavelet: level-j detail magnitudes, one per sample;
+* ica: the performance index of :mod:`faultwave.ica`, one per analysis sample;
 * energy: high-band energy of the FT, STFT, or wavelet detail band over
-  sliding windows.
+  sliding windows of one :func:`~faultwave.signal_model.cycle_length` (FT,
+  wavelet) or one :mod:`~faultwave.spectral` STFT frame.
 
 The core calibrates the threshold with :func:`calibrate_threshold` on a span
 assumed fault-free (default mean + 5 sigma, with per-method floors), or takes
@@ -31,7 +32,7 @@ import numpy as np
 from . import dwt, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
 from .ica import IcaConfig, performance_index
-from .signal_model import ThreePhaseRecord, Trace, check_fundamental, select_channel
+from .signal_model import ThreePhaseRecord, Trace, check_fundamental, cycle_length, select_channel
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -80,7 +81,7 @@ class DetectorConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("level", "min_consecutive"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         cutoff = self.cutoff_hz
         if not isinstance(cutoff, Real) or not np.isfinite(cutoff):
@@ -214,16 +215,14 @@ class _Index:
     """An index series as the decision core sees it.
 
     ``values[i]`` summarizes samples ``[starts[i], starts[i] + width)``, with
-    ``starts`` ascending; ``valid`` is the half-open row range fit for
-    calibration and scanning (``None``: every row), and ``covers`` is the
-    sample range the series describes.
+    ``starts`` ascending, and ``valid`` is the half-open row range fit for
+    calibration and scanning (``None``: every row).
     """
 
     starts: np.ndarray
     values: np.ndarray
     width: int
     times_s: np.ndarray
-    covers: tuple[int, int]
     valid: tuple[int, int] | None = None
 
     def rows(self, span: tuple[int, int]) -> tuple[int, int]:
@@ -258,19 +257,15 @@ def _decide(
     largest value scanned.
 
     Raises:
-        BoundsError: the calibration span leaves ``index.covers``, or either
-            span holds no valid value.
+        BoundsError: either span holds no valid value.
         NumericalError: the threshold or the largest scanned value is not
             finite, so no verdict can be read from the comparison.
     """
     policy = cfg.threshold_policy
-    lo, hi = spans.calibration
-    if not index.covers[0] <= lo < hi <= index.covers[1]:
-        raise BoundsError(f"spans.calibration=({lo}, {hi}) lies outside the index's samples "
-                          f"{index.covers}")
     c0, c1 = index.rows(spans.calibration)
     s0, s1 = index.rows(spans.analysis)
     if c1 <= c0:
+        lo, hi = spans.calibration
         raise BoundsError(
             f"spans.calibration=({lo}, {hi}) is shorter than one window ({index.width})")
     if s1 <= s0:
@@ -315,7 +310,8 @@ def wavelet_detect(
     n = trace.n_samples
     spans = (spans or Spans()).resolve(n)
     series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
-    index = _Index(np.arange(n), series.samples, 1, series.time_axis(), (0, n),
+    starts = np.arange(n)
+    index = _Index(starts, series.samples, 1, starts / trace.sample_rate_hz,
                    valid=dwt.artifact_free_range(n, cfg.level))
     return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {"level": cfg.level})
 
@@ -355,11 +351,15 @@ def ica_detect(
         NumericalError: the record, the index or the threshold overflows.
     """
     spans = (spans or Spans()).resolve(record.n_samples)
+    (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
+    if p_lo != a_lo:
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
+                          f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
     pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)
-    cycles = (spans.calibration[1] - spans.calibration[0]) / pi.window_len
+    cycles = (p_hi - p_lo) / pi.window_len
     bias = (cycles + 1) / (cycles - 1)
-    a_lo, a_hi = pi.start_sample, pi.start_sample + pi.values.shape[0]
-    index = _Index(np.arange(a_lo, a_hi), pi.values, 1, pi.time_axis(), (a_lo, a_hi))
+    starts = np.arange(a_lo, a_hi)
+    index = _Index(starts, pi.values, 1, starts / record.sample_rate_hz)
     scan = replace(spans, analysis=(a_lo + pi.window_len - 1, a_hi))
     eigenvalues = pi.whitening_eigenvalues
     return _decide("ica", index, cfg, scan, record.sample_rate_hz,
@@ -379,10 +379,6 @@ ENERGY_DETECTION_FLOOR = 1e-12
 # maximum over ~100 scan windows reaches 3..3.6x the mean; faulted windows
 # measure at 8x and above.
 ENERGY_FLOOR_FACTOR = 4.5
-
-# Frame length and hop of the STFT energy index, in samples.
-STFT_WINDOW = 64
-STFT_HOP = 16
 
 PLAN_CACHE_SIZE = 8  # energy-index plans kept; the least recently used goes first
 
@@ -408,19 +404,17 @@ def _energy_window_series(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-window index series for one method: (starts, values, window_len).
 
-    FT and wavelet windows span one cycle and slide by a quarter cycle; STFT
-    windows are its Hann frames. The trace is transformed once: one framed
-    FFT (:func:`spectral.frame_magnitudes`, which ``stft`` wraps), or one
-    decomposition without boundary-wrapped coefficients.
+    FT and wavelet windows span one :func:`cycle_length` and slide by a quarter
+    of it; STFT windows are the Hann frames of :func:`spectral.stft`. The trace
+    is transformed once: one framed FFT (:func:`spectral.frame_magnitudes`,
+    which ``stft`` wraps), or one decomposition without boundary-wrapped
+    coefficients.
     """
     fs = trace.sample_rate_hz
     if method == "energy_stft":
-        window, hop = STFT_WINDOW, STFT_HOP
-    elif not fs / fundamental_hz < trace.n_samples + 1:
-        raise DegenerateInputError(
-            f"one {fundamental_hz} Hz cycle is longer than the trace ({trace.n_samples} samples)")
+        window, hop = spectral.STFT_WINDOW, spectral.STFT_HOP
     else:
-        window = max(2, int(round(fs / fundamental_hz)))
+        window = cycle_length(fs, fundamental_hz, trace.n_samples)
         hop = max(1, window // 4)
     if method == "energy_wt":
         tree = dwt.dwt_decompose(trace, cfg.level)  # checks the level before the plan
@@ -465,7 +459,7 @@ def energy_detect(
     spans = (spans or Spans()).resolve(trace.n_samples)
     fs = trace.sample_rate_hz
     starts, values, window = _energy_window_series(trace, method, cfg, fundamental_hz)
-    index = _Index(starts, values, window, (starts + window / 2.0) / fs, (0, trace.n_samples))
+    index = _Index(starts, values, window, (starts + window / 2.0) / fs)
     floor = ENERGY_DETECTION_FLOOR * float(np.square(trace.samples).sum() / trace.n_samples)
     return _decide(method, index, cfg, spans, fs, {"window": window},
                    rule=(1.0, ENERGY_FLOOR_FACTOR, floor), min_consecutive=1)

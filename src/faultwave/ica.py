@@ -10,10 +10,10 @@ stays near zero while the record matches its healthy pattern and jumps at
 fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
 after whitening, so it needs no FastICA fit.
 
-The index is planned once per geometry: :func:`_phase_slots` caches read-only
-slots and fractions keyed on ``(lo, hi, anchor, fs, fundamental_hz, period)``
-for the last :data:`PLAN_CACHE_SIZE` keys, 16 bytes per sample from
-calibration start to analysis end (6.5 MB at 409,600 samples).
+The index is planned once per geometry: :func:`_phase_plan` caches read-only
+phase slots (16 bytes per sample from calibration start to analysis end) and
+the template deposits of the calibration samples (64 bytes each) for the last
+:data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600 samples, default spans.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .signal_model import ThreePhaseRecord, check_fundamental
+from .signal_model import ThreePhaseRecord, check_fundamental, cycle_length
 
 # Eigenvalues below this fraction of the largest are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -35,7 +35,7 @@ RANK_TOLERANCE = 1e-12
 # direction from dominating the index.
 RETAIN = 2
 
-PLAN_CACHE_SIZE = 8  # phase-slot plans kept; the least recently used goes first
+PLAN_CACHE_SIZE = 8  # phase plans kept; the least recently used goes first
 
 
 @dataclass(eq=False)
@@ -61,16 +61,11 @@ class IcaModel:
 
 @dataclass(eq=False)
 class PiSeries:
-    """Per-sample performance index over an analysis span."""
+    """Per-sample performance index: ``values[i]`` is at sample ``analysis_span[0] + i``."""
 
     values: np.ndarray
-    start_sample: int
-    sample_rate_hz: float
     window_len: int
     whitening_eigenvalues: np.ndarray
-
-    def time_axis(self) -> np.ndarray:
-        return (self.start_sample + np.arange(self.values.shape[0])) / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,6 @@ def fit_ica(
     return fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed), whitening
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _phase_slots(
     lo: int, hi: int, anchor: int, fs: float, fundamental_hz: float, period: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,48 +230,50 @@ def _phase_slots(
     remainder = np.mod(np.arange(lo, hi) - anchor, samples_per_cycle)
     positions = remainder * (period / samples_per_cycle)
     floor = np.floor(positions)
-    slots, frac = floor.astype(int) % period, positions - floor
-    slots.flags.writeable = frac.flags.writeable = False
-    return slots, frac
+    return floor.astype(int) % period, positions - floor
 
 
-def _build_template(
-    samples: np.ndarray,
-    calibration: tuple[int, int],
-    slots: np.ndarray,
-    frac: np.ndarray,
-    period: int,
-) -> np.ndarray:
-    """Average the calibration span into one phase-locked cycle.
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _phase_plan(lo: int, hi: int, anchor: int, fs: float, fundamental_hz: float,
+                period: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Read-only :func:`_phase_slots` of samples ``lo..hi-1``, and the deposits of
+    calibration samples ``lo..anchor-1``: ``bins`` their slot and the next one up
+    (row r of three offset by ``r * period``), ``weights`` those bins' shares
+    ``1 - frac`` and ``frac``, ``slot_weight`` the total each slot receives. A
+    slot that receives none raises BoundsError."""
+    slots, frac = _phase_slots(lo, hi, anchor, fs, fundamental_hz, period)
+    neighbors = np.stack((slots[:anchor - lo], (slots[:anchor - lo] + 1) % period))
+    weights = np.stack((1.0 - frac[:anchor - lo], frac[:anchor - lo]))
+    slot_weight = (np.bincount(neighbors[0], weights[0], period)
+                   + np.bincount(neighbors[1], weights[1], period))
+    if np.any(slot_weight <= 1e-12):
+        raise BoundsError(f"spans.calibration=({lo}, {anchor}) does not cover every phase "
+                          "of the fundamental cycle")
+    bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
+    for array in (slots, frac, bins, weights, slot_weight):
+        array.flags.writeable = False
+    return slots, frac, (bins, weights, slot_weight)
 
-    ``slots`` and ``frac`` are the :func:`_phase_slots` of the span's
-    samples. Each sample is deposited onto its two neighboring phase slots
-    with linear weights, so slot averages stay centered even when the
-    fundamental does not divide the sample rate. At an integer
-    samples-per-cycle ratio the deposit is an exact per-slot average.
-    Row r is bins ``r*period ... (r+1)*period - 1`` of one ``np.bincount`` per
-    neighbor, each adding the same deposits in the same order as per row.
+
+def _build_template(samples: np.ndarray, calibration: tuple[int, int],
+                    deposits: tuple) -> np.ndarray:
+    """Average the calibration span of the three rows of ``samples`` into one
+    phase-locked cycle through the :func:`_phase_plan` ``deposits`` of its samples:
+    each sample lands on its two neighboring phase slots with linear weights, so
+    slot averages stay centered even when the fundamental does not divide the
+    sample rate (at an integer ratio, an exact per-slot average). One
+    ``np.bincount`` per neighbor adds each row's deposits in per-row order.
     """
     lo, hi = calibration
     segment = samples[:, lo:hi]
     if not np.any(segment):
         raise DegenerateInputError(
             f"the record is identically zero on spans.calibration=({lo}, {hi})")
-
-    right = (slots + 1) % period
-    left_weight = 1.0 - frac
-    weights = np.bincount(slots, weights=left_weight, minlength=period)
-    weights += np.bincount(right, weights=frac, minlength=period)
-    if np.any(weights <= 1e-12):
-        raise BoundsError(
-            f"spans.calibration=({lo}, {hi}) does not cover every phase of the fundamental cycle")
-    rows = samples.shape[0]
-    offsets = period * np.arange(rows)[:, None]
-    template = np.bincount((slots + offsets).ravel(), weights=(left_weight * segment).ravel(),
-                           minlength=rows * period)
-    template += np.bincount((right + offsets).ravel(), weights=(frac * segment).ravel(),
-                            minlength=rows * period)
-    return template.reshape(rows, period) / weights
+    bins, weights, slot_weight = deposits
+    size = 3 * slot_weight.size
+    template = np.bincount(bins[0], weights=(weights[0] * segment).ravel(), minlength=size)
+    template += np.bincount(bins[1], weights=(weights[1] * segment).ravel(), minlength=size)
+    return template.reshape(3, -1) / slot_weight
 
 
 def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -328,11 +324,12 @@ def performance_index(
     fault onset. FastICA's unmixing is orthogonal on whitened data, so
     unmixing both would leave the index as it is.
 
-    Each sample's phase slot is computed once, over the one range from the
-    calibration start to the analysis end that holds both spans; the
-    template build and the template read take their slices of it. The
-    whitening map is fitted without whitening the analysis data itself,
-    which the index never reads.
+    The phase geometry comes from the cached :func:`_phase_plan`: slots over
+    the one range from the calibration start to the analysis end, read on
+    the analysis span, and the calibration deposits, so building the
+    template takes two ``np.bincount`` calls on the data. The whitening map
+    is fitted without whitening the analysis data itself, which the index
+    never reads.
 
     Args:
         record: Record under analysis.
@@ -345,12 +342,13 @@ def performance_index(
     Raises:
         BoundsError: spans outside the record, out of order, or a calibration
             span shorter than two cycles.
-        DegenerateInputError: the record is all zero on the calibration span.
+        ConfigError: a :func:`cycle_length` of fewer than 2 samples.
+        DegenerateInputError: a record no longer than one cycle, or all zero
+            on the calibration span.
         NumericalError: the record overflows the whitening covariance.
     """
     n = record.n_samples
-    p_lo, p_hi = calibration_span
-    a_lo, a_hi = analysis_span
+    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
     named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
     if not (0 <= p_lo < p_hi <= n and 0 <= a_lo < a_hi <= n):
         raise BoundsError(f"{named} lie outside the record (N={n})")
@@ -358,32 +356,20 @@ def performance_index(
         raise BoundsError(f"{named}: the calibration span must precede the analysis span")
 
     fs = record.sample_rate_hz
-    if not fs / config.fundamental_hz < n:
-        raise DegenerateInputError(
-            f"one {config.fundamental_hz} Hz cycle is longer than the record ({n} samples)")
-    period = int(round(fs / config.fundamental_hz))
-    if period < 2:
-        raise ConfigError(
-            f"fundamental {config.fundamental_hz} Hz leaves fewer than 2 samples per cycle"
-        )
+    period = cycle_length(fs, config.fundamental_hz, n)
     if p_hi - p_lo < 2 * period:
         raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
                           f"fundamental cycles ({2 * period} samples)")
 
-    anchor = p_hi
-    slots, frac = _phase_slots(p_lo, a_hi, anchor, fs, config.fundamental_hz, period)
-    calibration, analysis = slice(0, p_hi - p_lo), slice(a_lo - p_lo, None)
-    template = _build_template(record.samples, calibration_span, slots[calibration],
-                               frac[calibration], period)
-    normal = _read_template(template, slots[analysis], frac[analysis])
+    slots, frac, deposits = _phase_plan(p_lo, a_hi, p_hi, fs, config.fundamental_hz, period)
+    template = _build_template(record.samples, calibration_span, deposits)
+    normal = _read_template(template, slots[a_lo - p_lo:], frac[a_lo - p_lo:])
     actual = record.samples[:, a_lo:a_hi]
 
     whitening = _whitening_model(center(actual)[0], retain=RETAIN)
     raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
     return PiSeries(
         values=_trailing_mean(raw, period),
-        start_sample=a_lo,
-        sample_rate_hz=fs,
         window_len=period,
         whitening_eigenvalues=whitening.eigenvalues,
     )

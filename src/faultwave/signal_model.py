@@ -102,9 +102,6 @@ class WaveformConfig:
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.sample_rate_hz))
 
-    def time_axis(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -166,7 +163,7 @@ class NoiseSpec:
             if ratio == math.inf or not math.isfinite(self.snr_db):
                 raise ConfigError(
                     f"snr_db must be finite, with 10**(snr_db/10) a finite float, got {self.snr_db}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -179,6 +176,20 @@ def check_fundamental(fundamental_hz: float) -> None:
     """Raise ConfigError unless ``fundamental_hz`` is finite and positive."""
     if not 0.0 < fundamental_hz < np.inf:
         raise ConfigError(f"fundamental_hz must be finite and positive, got {fundamental_hz}")
+
+
+def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -> int:
+    """Samples in one fundamental cycle, rounded: the ICA template period and the FT
+    and wavelet energy window. Raise DegenerateInputError unless the cycle is shorter
+    than the record, and ConfigError if it rounds to fewer than 2 samples."""
+    samples_per_cycle = sample_rate_hz / fundamental_hz
+    if not samples_per_cycle < n_samples:
+        raise DegenerateInputError(
+            f"one {fundamental_hz} Hz cycle is longer than the record ({n_samples} samples)")
+    period = int(round(samples_per_cycle))
+    if period < 2:
+        raise ConfigError(f"fundamental {fundamental_hz} Hz leaves fewer than 2 samples per cycle")
+    return period
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +262,7 @@ def generate_baseline(config: WaveformConfig) -> ThreePhaseRecord:
     Returns:
         Record labelled with a NONE fault.
     """
-    t = config.time_axis()
+    t = np.arange(config.n_samples) / config.sample_rate_hz
     offsets = np.asarray(config.phase_offsets_rad)[:, None]
     phases = TWO_PI * config.fundamental_hz * t[None, :] + offsets
     samples = config.amplitude_pu * np.sin(phases)
@@ -322,12 +333,16 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
     absent ``snr_db`` returns the input unchanged.
 
     Raises:
+        ConfigError: a row's mean square overflows float64, so no SNR can be set.
         DegenerateInputError: the record has zero power but an SNR was given.
     """
     if noise.snr_db is None:
         return record
 
-    row_power = np.mean(record.samples**2, axis=1)
+    with np.errstate(over="ignore"):
+        row_power = np.mean(record.samples**2, axis=1)
+    if not np.isfinite(row_power).all():
+        raise ConfigError("the record's mean square overflows float64, so no SNR can be set")
     if np.all(row_power == 0.0):
         raise DegenerateInputError("cannot set an SNR on a zero-power record")
 

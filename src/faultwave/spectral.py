@@ -4,8 +4,9 @@ Normalization: one-sided magnitudes are |FFT(x)| / sqrt(N) (unitary scaling),
 so summing squared magnitudes with weight 2 on interior bins (1 on DC and,
 for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 
-The STFT's Hann taper is planned once per frame length: the last
-:data:`PLAN_CACHE_SIZE` are kept, read-only, 8 bytes per frame sample.
+The STFT frame, :data:`STFT_WINDOW` samples every :data:`STFT_HOP`, serves the
+spectrogram and ``energy_stft`` alike; its Hann taper is planned once per frame
+length (the last :data:`PLAN_CACHE_SIZE` kept, read-only, 8 bytes per sample).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .errors import ConfigError, DegenerateInputError, ShapeError
 from .signal_model import Trace
 
 PLAN_CACHE_SIZE = 8  # tapers kept; the least recently used goes first
+
+# Frame length and hop of the STFT, in samples: a 10 ms-scale burst at 2 kHz.
+STFT_WINDOW = 64
+STFT_HOP = 16
 
 
 @dataclass(eq=False)
@@ -112,11 +117,10 @@ def _hann(window_len: int) -> np.ndarray:
     return taper
 
 
-def stft(trace: Trace, window_len: int = 64, hop: int = 16) -> Spectrogram:
+def stft(trace: Trace, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
     """Short-time Fourier transform with a Hann window.
 
     Frames start every ``hop`` samples; frame times mark window centers.
-    Defaults (64 samples, hop 16) resolve a 10 ms-scale burst at 2 kHz.
 
     Raises:
         ShapeError: see :func:`frame_magnitudes`.

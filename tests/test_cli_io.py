@@ -343,6 +343,18 @@ class TestCmdGenerate:
         if request.node.callspec.id.startswith("bool_"):
             assert "must not be a boolean" in result.output
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
+    def test_noise_on_overflowing_record_exits_2_with_one_line(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "run.json",
+                         {"waveform": {"duration_s": 0.2, "amplitude_pu": 1e200},
+                          "fault": {"fault_type": "AG"}, "noise": {"snr_db": 20, "seed": 1}})
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == ("faultwave: error: the record's mean square overflows "
+                                 "float64, so no SNR can be set\n")
+        assert not out.exists()
+
 
 class TestCmdDetect:
     def make_trace(self, runner, tmp_path, config=AG_CONFIG) -> tuple[Path, Path]:
@@ -623,7 +635,7 @@ class TestCmdDetect:
           "need 2 <= window_len <= 40"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [100, 200],
                                                     "analysis": [80, 400]}},
-          "must precede the analysis span"),
+          "spans.calibration=(100, 200) must start where spans.analysis=(80, 400) starts"),
          ({"detector": {"method": "energy_stft"}, "spans": {"calibration": [0, 40]}},
           "spans.calibration=(0, 40) is shorter than one window"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [0, 60]}},
@@ -640,6 +652,38 @@ class TestCmdDetect:
         )
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("method", ["ica", "energy_ft", "energy_wt"])
+    def test_record_within_one_cycle_exits_3_alike(self, runner, tmp_path, method):
+        """The ICA period and the FT/wavelet energy window are one cycle length,
+        so all three reject a 40-sample record at 49 Hz (40.8 samples a cycle)
+        with the same message."""
+        trace, _ = self.make_trace(runner, tmp_path, {"waveform": {"duration_s": 0.02}})
+        cfg = write_json(tmp_path / "detect.json",
+                         {"waveform": {"duration_s": 0.02, "fundamental_hz": 49.0},
+                          "detector": {"method": method}})
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"faultwave: error: {method} detector failed: one 49.0 Hz "
+                                 "cycle is longer than the record (40 samples)\n")
+
+    def test_ica_span_start_mismatch_exits_2_before_the_index(self, runner, tmp_path):
+        """The calibration span is all zero, which the template build would
+        reject with exit 3; the span check comes first."""
+        record = make_record("AG")
+        samples = record.samples.copy()
+        samples[:, :120] = 0.0
+        trace = tmp_path / "trace.csv"
+        write_record_csv(trace, ThreePhaseRecord(record.sample_rate_hz, samples, record.labels))
+        cfg = write_json(tmp_path / "detect.json",
+                         {"detector": {"method": "ica"},
+                          "spans": {"calibration": [0, 120], "analysis": [50, 400]}})
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("faultwave: error: spans.calibration=(0, 120) must start where "
+                                 "spans.analysis=(50, 400) starts for the ica detector\n")
 
     @pytest.mark.parametrize(
         "config, code",

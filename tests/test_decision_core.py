@@ -49,14 +49,11 @@ def convolve_first_run_start(above, min_consecutive):
     return int(hits[0]) if hits.size else None
 
 
-def mask_decide(method, starts, values, width, covers, valid, cfg, spans, fs, rule,
+def mask_decide(method, starts, values, width, valid, cfg, spans, fs, rule,
                 min_consecutive=None):
     """Reference: the decision core on boolean masks; ``valid`` is a mask or True."""
     policy = cfg.threshold_policy
     lo, hi = spans.calibration
-    if not covers[0] <= lo < hi <= covers[1]:
-        raise BoundsError(f"spans.calibration=({lo}, {hi}) lies outside the index's samples "
-                          f"{covers}")
     ends = starts + width
     a_lo, a_hi = spans.analysis
     in_cal = (starts >= lo) & (ends <= hi) & valid
@@ -165,7 +162,7 @@ def decisions(draw):
         policy = AdaptiveThreshold(draw(st.floats(0, 10)))
     rule = draw(st.sampled_from([(1.0, 0.0, 0.0), (1.4, 2.5, 1e-9), (1.0, 4.5, 0.5)]))
     cfg = DetectorConfig(threshold_policy=policy, min_consecutive=draw(st.integers(1, 5)))
-    return (starts, values, width, (0, end), valid, cfg,
+    return (starts, values, width, valid, cfg,
             Spans(draw(span), draw(span)), rule, draw(st.none() | st.integers(1, 5)))
 
 
@@ -173,17 +170,16 @@ class TestDecide:
     @settings(max_examples=400, deadline=None)
     @given(decisions())
     def test_equals_mask_reference(self, decision):
-        starts, values, width, covers, valid, cfg, spans, rule, min_consecutive = decision
-        index = _Index(starts, values, width, starts / 2000.0, covers, valid)
+        starts, values, width, valid, cfg, spans, rule, min_consecutive = decision
+        index = _Index(starts, values, width, starts / 2000.0, valid)
         assert_same_outcome(
             lambda: _decide("m", index, cfg, spans, 2000.0, {}, rule, min_consecutive),
-            lambda: mask_decide("m", starts, values, width, covers,
-                                row_mask(valid, starts.size), cfg, spans, 2000.0, rule,
-                                min_consecutive))
+            lambda: mask_decide("m", starts, values, width, row_mask(valid, starts.size),
+                                cfg, spans, 2000.0, rule, min_consecutive))
 
     def test_empty_valid_range_names_the_calibration_span(self):
         starts = np.arange(100)
-        index = _Index(starts, np.ones(100), 1, starts / 2000.0, (0, 100), valid=(60, 60))
+        index = _Index(starts, np.ones(100), 1, starts / 2000.0, valid=(60, 60))
         with pytest.raises(BoundsError) as got:
             _decide("m", index, DetectorConfig(), Spans((0, 30), (0, 100)), 2000.0, {})
         assert str(got.value) == "spans.calibration=(0, 30) is shorter than one window (1)"
@@ -220,7 +216,7 @@ class TestWaveletBoundaryRule:
         series = detail_series(dwt_decompose(trace, level), level)
         spans = Spans().resolve(n)
         with pytest.raises(BoundsError) as expected:
-            mask_decide("wavelet", np.arange(n), series.samples, 1, (0, n),
+            mask_decide("wavelet", np.arange(n), series.samples, 1,
                         ~loop_boundary_mask(n, level), cfg, spans, 2000.0, (1.0, 0.0, 0.0))
         with pytest.raises(BoundsError) as got:
             wavelet_detect(trace, cfg)
@@ -236,6 +232,6 @@ class TestWaveletBoundaryRule:
         series = detail_series(dwt_decompose(trace, level), level)
         assert_same_outcome(
             lambda: wavelet_detect(trace, cfg),
-            lambda: mask_decide("wavelet", np.arange(n), series.samples, 1, (0, n),
+            lambda: mask_decide("wavelet", np.arange(n), series.samples, 1,
                                 ~loop_boundary_mask(n, level), cfg, Spans().resolve(n),
                                 2000.0, (1.0, 0.0, 0.0)))

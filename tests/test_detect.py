@@ -22,14 +22,15 @@ from faultwave import (
     dft,
     energy_detect,
     highband_energy_index,
+    performance_index,
     ica_detect,
     select_channel,
     stft,
     wavelet_detect,
     wavelet_energy_index,
 )
-from faultwave.detect import (ENERGY_DETECTION_FLOOR, ENERGY_METHODS, STFT_HOP, STFT_WINDOW,
-                              energy_row)
+from faultwave.detect import ENERGY_DETECTION_FLOOR, ENERGY_METHODS, energy_row
+from faultwave.spectral import STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 SPANS = Spans(calibration=(0, 120), analysis=(0, 400))
@@ -63,6 +64,12 @@ class TestSpans:
                            .filter(lambda span: not 0 <= span[0] < span[1] <= n))
         with pytest.raises(BoundsError, match=rf"spans\.{name}=\({lo}, {hi}\)"):
             Spans(**{name: (lo, hi)}).resolve(n)
+
+
+@pytest.mark.parametrize("name", ["level", "min_consecutive"])
+def test_boolean_integer_setting_rejected(name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1, got True"):
+        DetectorConfig(**{name: True})
 
 
 class TestCalibrateThreshold:
@@ -288,6 +295,38 @@ class TestEnergyWindowSeries:
         bins = gram.frequencies() >= 150.0
         np.testing.assert_array_equal(report.index_series,
                                       np.sum(frames[:, bins] ** 2, axis=1) / STFT_WINDOW)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fs=st.floats(100.0, 1e5), samples_per_cycle=st.floats(0.5, 300.0),
+           n=st.integers(2, 300), seed=st.integers(0, 2**16))
+    @example(fs=2000.0, samples_per_cycle=2000.0 / 49.0, n=40, seed=0)  # 40.8 > 40 samples
+    @example(fs=2000.0, samples_per_cycle=40.0, n=40, seed=0)  # exactly one cycle
+    @example(fs=2000.0, samples_per_cycle=40.0, n=81, seed=0)  # two cycles in the calibration
+    @example(fs=2000.0, samples_per_cycle=1.4, n=400, seed=0)  # rounds to 1 sample
+    @example(fs=2000.0, samples_per_cycle=1.6, n=400, seed=0)  # rounds to 2 samples
+    def test_ft_window_is_the_ica_period(self, fs, samples_per_cycle, n, seed):
+        """The FT window and the ICA template period are one cycle length:
+        equal, or the same error from both."""
+        f0 = fs / samples_per_cycle
+        record = ThreePhaseRecord(fs, rng_trace(3 * n, seed).reshape(3, n))
+        cfg = DetectorConfig(method="energy_ft", cutoff_hz=fs / 8)
+
+        def ica_period():
+            return performance_index(record, (0, n - 1), (0, n), IcaConfig(f0)).window_len
+
+        try:
+            window = energy_detect(select_channel(record, "a"), "energy_ft", cfg,
+                                   Spans((0, n), (0, n)), f0).metadata["window"]
+        except (ConfigError, DegenerateInputError) as exc:
+            with pytest.raises(type(exc)) as got:
+                ica_period()
+            assert str(got.value) == str(exc)
+            return
+        if 2 * window < n:
+            assert ica_period() == window
+        else:  # the calibration span holds fewer than two periods, and says how long one is
+            with pytest.raises(BoundsError, match=rf"cycles \({2 * window} samples\)"):
+                ica_period()
 
     @pytest.mark.parametrize("n", (32, 39))
     @pytest.mark.parametrize("method", ENERGY_METHODS)

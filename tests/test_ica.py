@@ -29,8 +29,8 @@ from faultwave import (
     performance_index,
     whiten,
 )
-from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_slots, _read_template,
-                           _trailing_mean, _whitening_model)
+from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_plan, _phase_slots,
+                           _read_template, _trailing_mean, _whitening_model)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
@@ -387,8 +387,7 @@ class TestPhaseSlots:
         (p_lo, p_hi), (a_lo, a_hi) = spans
         period = int(round(FS / f0))
         template = _build_template(
-            record.samples, (p_lo, p_hi),
-            *_phase_slots(p_lo, p_hi, p_hi, FS, f0, period), period)
+            record.samples, (p_lo, p_hi), _phase_plan(p_lo, p_hi, p_hi, FS, f0, period)[2])
         normal = _read_template(
             template, *_phase_slots(a_lo, a_hi, p_hi, FS, f0, period))
         actual = record.samples[:, a_lo:a_hi]
@@ -427,14 +426,16 @@ class TestBuildTemplate:
         hi = lo + int(np.ceil(cycles * (period + detune)))
         samples = 10.0**exponent * rng_trace(3 * (hi + 5), seed).reshape(3, hi + 5)
         slots, frac = _phase_slots(lo, hi, hi, fs, fundamental_hz, period)
-        assert_bitwise_equal(_build_template(samples, (lo, hi), slots, frac, period),
+        deposits = _phase_plan(lo, hi, hi, fs, fundamental_hz, period)[2]
+        assert_bitwise_equal(_build_template(samples, (lo, hi), deposits),
                              loop_build_template(samples, (lo, hi), slots, frac, period))
 
     @pytest.mark.parametrize("f0", [50.0, 49.5])  # 40 and 40.4 samples per cycle
     def test_record_template_equals_per_row_reference_bitwise(self, f0):
         record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=3)
         slots, frac = _phase_slots(0, 120, 120, FS, f0, 40)
-        assert_bitwise_equal(_build_template(record.samples, (0, 120), slots, frac, 40),
+        deposits = _phase_plan(0, 120, 120, FS, f0, 40)[2]
+        assert_bitwise_equal(_build_template(record.samples, (0, 120), deposits),
                              loop_build_template(record.samples, (0, 120), slots, frac, 40))
 
 
@@ -522,8 +523,8 @@ class TestRotationInvariance:
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
         anchor = self.CALIBRATION[1]
-        calibration = _phase_slots(*self.CALIBRATION, anchor, fs, f0, period)
-        template = _build_template(record.samples, self.CALIBRATION, *calibration, period)
+        deposits = _phase_plan(*self.CALIBRATION, anchor, fs, f0, period)[2]
+        template = _build_template(record.samples, self.CALIBRATION, deposits)
         normal = _read_template(template, *_phase_slots(lo, hi, anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]
         model, whitening = fit_ica(actual, retain=RETAIN, **fastica_options)

@@ -70,7 +70,7 @@ def digest(report) -> tuple:
 
 
 def test_every_cache_is_a_bounded_plan_cache():
-    assert sorted(CACHES) == ["faultwave.detect._window_plan", "faultwave.ica._phase_slots",
+    assert sorted(CACHES) == ["faultwave.detect._window_plan", "faultwave.ica._phase_plan",
                               "faultwave.spectral._hann"]
     for name, cache in CACHES.items():
         module = next(m for m in MODULES if name.startswith(m.__name__ + "."))
@@ -104,9 +104,10 @@ def test_interleaved_geometries_equal_cold_caches_bitwise():
 def cached_arrays() -> list[np.ndarray]:
     """The arrays of one plan from each cache."""
     starts, groups = detect._window_plan(400, 40, 10, 2000.0, None, 2)
+    slots, frac, deposits = ica._phase_plan(0, 400, 120, 2000.0, 50.0, 40)
     return [spectral._hann(64), starts, detect._window_plan(400, 40, 10, 2000.0, 150.0, None)[0],
             *[array for _, rows, firsts in groups for array in (rows, firsts)],
-            *ica._phase_slots(0, 400, 120, 2000.0, 50.0, 40)]
+            slots, frac, *deposits]
 
 
 def test_cached_arrays_are_read_only():
@@ -153,9 +154,9 @@ class TestInputErrorsOnWarmCaches:
     @pytest.mark.parametrize("method", ["energy_ft", "energy_wt"])
     def test_cycle_longer_than_the_trace(self, method):
         short = Trace(self.TRACE.samples[:32], 2000.0)
-        raises_twice(DegenerateInputError, "longer than the trace",
+        raises_twice(DegenerateInputError, "longer than the record",
                      lambda: energy_detect(short, method))
-        raises_twice(DegenerateInputError, "longer than the trace",
+        raises_twice(DegenerateInputError, "longer than the record",
                      lambda: energy_detect(self.TRACE, method, fundamental_hz=4.0))
 
     def test_level_that_does_not_fit_the_trace(self):

@@ -213,6 +213,16 @@ class TestAddNoise:
         with pytest.raises(ConfigError, match="snr_db"):
             NoiseSpec(snr_db=snr_db)
 
+    def test_boolean_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got True"):
+            NoiseSpec(snr_db=20.0, seed=True)
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the test
+    def test_record_whose_mean_square_overflows_rejected(self):
+        record = generate_baseline(WaveformConfig(duration_s=0.2, amplitude_pu=1e200))
+        with pytest.raises(ConfigError, match="mean square overflows float64"):
+            add_noise(record, NoiseSpec(snr_db=20.0, seed=1))
+
     def test_largest_snr_with_finite_ratio_still_adds_noise(self, baseline_record):
         # 10**308.2 is the last tenth-of-a-decibel step below float max
         noisy = add_noise(baseline_record, NoiseSpec(snr_db=3082.0, seed=1))
