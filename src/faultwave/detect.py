@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import dwt, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
 from .ica import IcaConfig, performance_index
-from .signal_model import ThreePhaseRecord, Trace, check_fundamental, cycle_length, select_channel
+from .signal_model import (NONNEGATIVE, ThreePhaseRecord, Trace, check_count, check_fundamental,
+                           check_number, cycle_length, select_channel)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -45,8 +45,7 @@ class FixedThreshold:
     value: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
-            raise ConfigError(f"threshold must be finite, got {self.value}")
+        check_number("fixed", self.value, "a finite number")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class AdaptiveThreshold:
     k_sigma: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k_sigma < np.inf:
-            raise ConfigError(f"k_sigma must be finite and nonnegative, got {self.k_sigma}")
+        check_number("k_sigma", self.k_sigma, *NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -79,13 +77,9 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("level", "min_consecutive"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        cutoff = self.cutoff_hz
-        if not isinstance(cutoff, Real) or not np.isfinite(cutoff):
-            raise ConfigError(f"cutoff_hz must be a finite number, got {self.cutoff_hz!r}")
+        check_count("level", self.level, 1)
+        check_count("min_consecutive", self.min_consecutive, 1)
+        check_number("cutoff_hz", self.cutoff_hz, "a finite number")
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,8 @@ def _decide(
     largest value scanned.
 
     Raises:
-        BoundsError: either span holds no valid value.
+        BoundsError: either span holds no valid value, or the analysis span
+            holds fewer than the ``min_consecutive`` values a run needs.
         NumericalError: the threshold or the largest scanned value is not
             finite, so no verdict can be read from the comparison.
     """
@@ -268,10 +263,14 @@ def _decide(
         lo, hi = spans.calibration
         raise BoundsError(
             f"spans.calibration=({lo}, {hi}) is shorter than one window ({index.width})")
+    a_lo, a_hi = spans.analysis
     if s1 <= s0:
-        a_lo, a_hi = spans.analysis
         raise BoundsError(
             f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({index.width})")
+    need = min_consecutive or cfg.min_consecutive
+    if s1 - s0 < need:
+        raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {s1 - s0} index values to "
+                          f"scan, fewer than min_consecutive={need}")
     if isinstance(policy, FixedThreshold):
         threshold = policy.value
     else:
@@ -281,7 +280,7 @@ def _decide(
     if not (math.isfinite(threshold) and math.isfinite(peak)):
         raise NumericalError(f"the threshold ({threshold:.6g}) or the scanned index peak "
                              f"({peak:.6g}) overflows float64")
-    run = _first_run_start(scanned > threshold, min_consecutive or cfg.min_consecutive)
+    run = _first_run_start(scanned > threshold, need)
     onset = None if run is None else int(index.starts[s0 + run])
     return DetectionReport(
         method=method,

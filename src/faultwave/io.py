@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,35 +231,26 @@ _SECTION_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 _DETECTOR_KEYS = {"method", "threshold", "level", "cutoff_hz", "min_consecutive"}
 
 
-def _detector_config(threshold=None, **knobs) -> DetectorConfig:
+def _detector_config(obj: dict) -> DetectorConfig:
     """The threshold is {"fixed": v} or {"k_sigma": k}; absent, adaptive at 5 sigma."""
-    if threshold is None:
-        return DetectorConfig(**knobs)
-    threshold = _object(threshold, "detector.threshold")
+    _check_keys(obj, _DETECTOR_KEYS, "detector")
+    knobs = dict(obj)
+    threshold = _object(knobs.pop("threshold", {"k_sigma": 5.0}), "detector.threshold")
     _check_keys(threshold, {"fixed", "k_sigma"}, "detector.threshold")
-    _reject_booleans(threshold, "detector.threshold")
     if len(threshold) != 1:
         raise ConfigError("detector.threshold must hold exactly one of 'fixed' and 'k_sigma', "
                           f"got {threshold!r}")
-    if "fixed" in threshold:
-        policy = FixedThreshold(float(threshold["fixed"]))
-    else:
-        policy = AdaptiveThreshold(k_sigma=threshold["k_sigma"])
-    return DetectorConfig(threshold_policy=policy, **knobs)
+    with _prefixed("detector.threshold"):
+        policy = (FixedThreshold(threshold["fixed"]) if "fixed" in threshold
+                  else AdaptiveThreshold(threshold["k_sigma"]))
+    with _prefixed("detector"):
+        return DetectorConfig(threshold_policy=policy, **knobs)
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-
-
-def _reject_booleans(obj: dict, context: str) -> None:
-    """No setting is a boolean, and Python would read JSON true/false as 1 or 0."""
-    for key, value in obj.items():
-        if isinstance(value, bool) or (
-                isinstance(value, list) and any(isinstance(v, bool) for v in value)):
-            raise ConfigError(f"{context}.{key} must not be a boolean, got {json.dumps(value)}")
 
 
 def _object(value, context: str) -> dict:
@@ -274,18 +266,21 @@ def _span(value, name: str) -> tuple[int, int]:
     return tuple(value)
 
 
-def _build_section(obj: dict, context: str, builder, allowed: set[str] | None = None):
-    """``builder(**obj)``; the keys allowed default to the fields of a dataclass builder."""
-    if allowed is None:
-        allowed = {f.name for f in dataclasses.fields(builder)}
-    _check_keys(obj, allowed, context)
-    _reject_booleans(obj, context)
+@contextmanager
+def _prefixed(context: str):
+    """Prefix a ConfigError raised inside with ``<context>.``: a config type's
+    message starts with the key it rejects."""
     try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{context}.{exc}") from exc
+
+
+def _build_section(obj: dict, context: str, builder):
+    """``builder(**obj)`` for a config dataclass that has a field for each key of ``obj``."""
+    _check_keys(obj, {f.name for f in dataclasses.fields(builder)}, context)
+    with _prefixed(context):
         return builder(**obj)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {context} section: {exc}") from exc
 
 
 def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) -> None:
@@ -322,10 +317,9 @@ def parse_run_config(obj: dict) -> RunConfig:
     waveform_obj = _object(obj.get("waveform", {}), "waveform")
     waveform_obj.setdefault("duration_s", 0.2)
     waveform = _build_section(waveform_obj, "waveform", WaveformConfig)
-    fault = fault_from_dict(obj.get("fault")) or FaultSpec.none()
+    fault = fault_from_dict(obj.get("fault")) or FaultSpec()
     noise = _build_section(_object(obj.get("noise", {}), "noise"), "noise", NoiseSpec)
-    detector = _build_section(_object(obj.get("detector", {}), "detector"), "detector",
-                              _detector_config, _DETECTOR_KEYS)
+    detector = _detector_config(_object(obj.get("detector", {}), "detector"))
 
     spans_obj = _object(obj.get("spans", {}), "spans")
     _check_keys(spans_obj, {f.name for f in dataclasses.fields(Spans)}, "spans")

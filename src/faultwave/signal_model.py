@@ -13,9 +13,10 @@ return identical outputs, and returned objects are never mutated afterwards.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -75,28 +76,23 @@ class WaveformConfig:
     phase_offsets_rad: tuple[float, float, float] = DEFAULT_PHASE_OFFSETS
 
     def __post_init__(self) -> None:
-        offsets = tuple(self.phase_offsets_rad)
+        given = self.phase_offsets_rad
+        offsets = tuple(given) if isinstance(given, Iterable) else ()
+        if len(offsets) != 3:
+            raise ConfigError(f"phase_offsets_rad must be 3 finite numbers, got {given!r}")
+        for offset in offsets:
+            check_number("phase_offsets_rad", offset, "3 finite numbers")
         object.__setattr__(self, "phase_offsets_rad", offsets)
-        if len(offsets) != 3 or not np.all(np.isfinite(np.asarray(offsets, dtype=float))):
-            raise ConfigError(f"phase_offsets_rad must be 3 finite numbers, got {offsets}")
-        _check_rate(self.sample_rate_hz)
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigError(f"duration_s must be finite and positive, got {self.duration_s}")
+        rate = self.sample_rate_hz
+        check_number("sample_rate_hz", rate, *POSITIVE)
+        check_number("duration_s", self.duration_s,
+                     f"positive, with an integer sample count of at least 2 at {rate} Hz",
+                     lambda s: round(s * rate) >= 2 and abs(s * rate - round(s * rate)) <= 1e-6)
         check_fundamental(self.fundamental_hz)
-        if self.amplitude_pu < 0:
-            raise ConfigError(f"amplitude_pu must be nonnegative, got {self.amplitude_pu}")
-        if self.sample_rate_hz <= 2.0 * self.fundamental_hz:
+        check_number("amplitude_pu", self.amplitude_pu, *NONNEGATIVE)
+        if rate <= 2.0 * self.fundamental_hz:
             raise ConfigError(
-                f"sample_rate_hz={self.sample_rate_hz} violates Nyquist for "
-                f"fundamental_hz={self.fundamental_hz}"
-            )
-        n_exact = self.duration_s * self.sample_rate_hz
-        if not n_exact < math.inf or abs(n_exact - round(n_exact)) > 1e-6:
-            raise ConfigError(
-                f"duration_s * sample_rate_hz = {n_exact} is not an integer sample count"
-            )
-        if round(n_exact) < 2:
-            raise ConfigError("record must contain at least 2 samples")
+                f"sample_rate_hz={rate} violates Nyquist for fundamental_hz={self.fundamental_hz}")
 
     @property
     def n_samples(self) -> int:
@@ -125,26 +121,15 @@ class FaultSpec:
     transient_tau_s: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0 <= self.onset_s < math.inf:
-            raise ConfigError(f"onset_s must be finite and nonnegative, got {self.onset_s}")
-        if self.clear_s is not None and not self.onset_s < self.clear_s < math.inf:
-            raise ConfigError(
-                f"clear_s={self.clear_s} must be finite and exceed onset_s={self.onset_s}"
-            )
-        if not 0.0 <= self.retained_voltage_pu <= 1.0:
-            raise ConfigError(
-                f"retained_voltage_pu must lie in [0, 1], got {self.retained_voltage_pu}"
-            )
-        if self.transient_gain < 0:
-            raise ConfigError("transient_gain must be nonnegative")
-        if self.transient_freq_hz <= 0:
-            raise ConfigError("transient_freq_hz must be positive")
-        if self.transient_tau_s <= 0:
-            raise ConfigError("transient_tau_s must be positive")
-
-    @classmethod
-    def none(cls) -> "FaultSpec":
-        return cls(fault_type=FaultType.NONE)
+        check_number("onset_s", self.onset_s, *NONNEGATIVE)
+        if self.clear_s is not None:
+            check_number("clear_s", self.clear_s, f"finite and above onset_s={self.onset_s}",
+                         lambda t: t > self.onset_s)
+        check_number("retained_voltage_pu", self.retained_voltage_pu, "in [0, 1]",
+                     lambda v: 0 <= v <= 1)
+        check_number("transient_gain", self.transient_gain, *NONNEGATIVE)
+        check_number("transient_freq_hz", self.transient_freq_hz, *POSITIVE)
+        check_number("transient_tau_s", self.transient_tau_s, *POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -155,16 +140,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.snr_db is not None:
-            try:
-                ratio = 10.0 ** (self.snr_db / 10.0)  # the power ratio add_noise divides by
-            except OverflowError:
-                ratio = math.inf
-            if ratio == math.inf or not math.isfinite(self.snr_db):
-                raise ConfigError(
-                    f"snr_db must be finite, with 10**(snr_db/10) a finite float, got {self.snr_db}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.snr_db is not None:  # 10**(snr_db/10) is the power ratio add_noise divides by
+            check_number("snr_db", self.snr_db, "finite, with 10**(snr_db/10) a finite float",
+                         lambda db: math.isfinite(math.pow(10.0, db / 10.0)))
+        check_count("seed", self.seed, 0)
 
 
 def _check_rate(sample_rate_hz: float) -> None:
@@ -172,10 +151,34 @@ def _check_rate(sample_rate_hz: float) -> None:
         raise ConfigError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
 
 
+# (requirement, ok) arguments of check_number for the common ranges
+POSITIVE = ("finite and positive", lambda number: number > 0)
+NONNEGATIVE = ("finite and nonnegative", lambda number: number >= 0)
+
+
+def check_number(name: str, value, requirement: str, ok=lambda number: True) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number, not a boolean,
+    for which ``ok`` holds; the message starts with the setting's ``name``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must not be a boolean, got {value}")
+    if isinstance(value, (float, int)) or isinstance(value, Real):
+        try:
+            if math.isfinite(value) and ok(value):
+                return
+        except OverflowError:  # an integer, or a quantity ``ok`` derives, beyond float range
+            pass
+    raise ConfigError(f"{name} must be {requirement}, got {value!r}")
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """:func:`check_number` for an integer setting of at least ``minimum``."""
+    check_number(name, value, f"an integer >= {minimum}",
+                 lambda count: isinstance(count, Integral) and count >= minimum)
+
+
 def check_fundamental(fundamental_hz: float) -> None:
     """Raise ConfigError unless ``fundamental_hz`` is finite and positive."""
-    if not 0.0 < fundamental_hz < np.inf:
-        raise ConfigError(f"fundamental_hz must be finite and positive, got {fundamental_hz}")
+    check_number("fundamental_hz", fundamental_hz, *POSITIVE)
 
 
 def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -> int:
@@ -267,7 +270,7 @@ def generate_baseline(config: WaveformConfig) -> ThreePhaseRecord:
     phases = TWO_PI * config.fundamental_hz * t[None, :] + offsets
     samples = config.amplitude_pu * np.sin(phases)
     return ThreePhaseRecord(
-        sample_rate_hz=config.sample_rate_hz, samples=samples, labels=FaultSpec.none()
+        sample_rate_hz=config.sample_rate_hz, samples=samples, labels=FaultSpec()
     )
 
 
@@ -288,6 +291,7 @@ def inject_fault(record: ThreePhaseRecord, fault: FaultSpec) -> ThreePhaseRecord
 
     Raises:
         BoundsError: onset or clearing time lies outside the record.
+        ConfigError: the faulted samples overflow float64.
     """
     if fault.fault_type is FaultType.NONE:
         return record
@@ -297,31 +301,31 @@ def inject_fault(record: ThreePhaseRecord, fault: FaultSpec) -> ThreePhaseRecord
     onset_idx = int(round(min(fault.onset_s * fs, n)))  # min: inf cannot become an int
     if onset_idx >= n:
         raise BoundsError(
-            f"fault onset {fault.onset_s} s is beyond the record end "
-            f"({record.duration_s} s)"
-        )
+            f"fault onset {fault.onset_s} s is beyond the record end ({record.duration_s} s)")
     if fault.clear_s is None:
         clear_idx = n
     else:
         clear_idx = int(round(min(fault.clear_s * fs, n + 1)))
         if clear_idx > n:
-            raise BoundsError(
-                f"fault clearing {fault.clear_s} s is beyond the record end "
-                f"({record.duration_s} s)"
-            )
+            raise BoundsError(f"fault clearing {fault.clear_s} s is beyond the record end "
+                              f"({record.duration_s} s)")
 
     t_rel = (np.arange(onset_idx, clear_idx) - onset_idx) / fs
-    burst = (
-        fault.transient_gain
-        * np.exp(-t_rel / fault.transient_tau_s)
-        * np.sin(TWO_PI * fault.transient_freq_hz * t_rel)
-    )
-
     samples = record.samples.copy()
-    for p in fault.fault_type.phases:
-        samples[p, onset_idx:clear_idx] = (
-            fault.retained_voltage_pu * samples[p, onset_idx:clear_idx] + burst
+    # A decay past float range is a zero burst, not a warning; a burst that is
+    # not finite is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        burst = (
+            fault.transient_gain
+            * np.exp(-t_rel / fault.transient_tau_s)
+            * np.sin(TWO_PI * fault.transient_freq_hz * t_rel)
         )
+        for p in fault.fault_type.phases:
+            samples[p, onset_idx:clear_idx] = (
+                fault.retained_voltage_pu * samples[p, onset_idx:clear_idx] + burst
+            )
+    if not np.isfinite(samples).all():
+        raise ConfigError("the fault burst overflows float64 on this record")
     return ThreePhaseRecord(sample_rate_hz=fs, samples=samples, labels=fault)
 
 
@@ -333,27 +337,26 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
     absent ``snr_db`` returns the input unchanged.
 
     Raises:
-        ConfigError: a row's mean square overflows float64, so no SNR can be set.
+        ConfigError: a row's mean square overflows float64, so no SNR can be
+            set, or the noise does (an SNR far below -3000 dB).
         DegenerateInputError: the record has zero power but an SNR was given.
     """
     if noise.snr_db is None:
         return record
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         row_power = np.mean(record.samples**2, axis=1)
-    if not np.isfinite(row_power).all():
-        raise ConfigError("the record's mean square overflows float64, so no SNR can be set")
-    if np.all(row_power == 0.0):
-        raise DegenerateInputError("cannot set an SNR on a zero-power record")
-
-    noise_std = np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0))
-    rng = np.random.default_rng(noise.seed)
-    perturbation = rng.standard_normal(record.samples.shape) * noise_std[:, None]
-    return ThreePhaseRecord(
-        sample_rate_hz=record.sample_rate_hz,
-        samples=record.samples + perturbation,
-        labels=record.labels,
-    )
+        if not np.isfinite(row_power).all():
+            raise ConfigError("the record's mean square overflows float64, so no SNR can be set")
+        if np.all(row_power == 0.0):
+            raise DegenerateInputError("cannot set an SNR on a zero-power record")
+        noise_std = np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0))
+        rng = np.random.default_rng(noise.seed)
+        samples = record.samples + rng.standard_normal(record.samples.shape) * noise_std[:, None]
+    if not np.isfinite(samples).all():
+        raise ConfigError(f"noise at snr_db={noise.snr_db} overflows float64 on this record")
+    return ThreePhaseRecord(sample_rate_hz=record.sample_rate_hz, samples=samples,
+                            labels=record.labels)
 
 
 def select_channel(record: ThreePhaseRecord, phase: str) -> Trace:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,44 @@ class TestCmdGenerate:
             assert "must not be a boolean" in result.output
 
     @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"waveform": {"amplitude_pu": True}}, "waveform.amplitude_pu"),
+         ({"noise": {"snr_db": True}}, "noise.snr_db"),
+         ({"detector": {"cutoff_hz": True}}, "detector.cutoff_hz"),
+         ({"detector": {"threshold": {"k_sigma": True}}}, "detector.threshold.k_sigma"),
+         ({"fault": {"fault_type": "AG", "onset_s": True}}, "fault.onset_s"),
+         ({"detector": {"threshold": {"fixed": True}}}, "detector.threshold.fixed"),
+         ({"fault": {"fault_type": "AG", "transient_gain": float("nan")}}, "fault.transient_gain"),
+         ({"fault": {"fault_type": "AG", "transient_freq_hz": float("nan")}},
+          "fault.transient_freq_hz"),
+         ({"fault": {"fault_type": "AG", "transient_freq_hz": float("inf")}},
+          "fault.transient_freq_hz"),
+         ({"fault": {"fault_type": "AG", "transient_tau_s": float("nan")}},
+          "fault.transient_tau_s"),
+         ({"fault": {"fault_type": "AG", "transient_tau_s": float("inf")}},
+          "fault.transient_tau_s"),
+         ({"waveform": {"amplitude_pu": float("nan")}}, "waveform.amplitude_pu"),
+         ({"waveform": {"amplitude_pu": float("inf")}}, "waveform.amplitude_pu"),
+         ({"waveform": {"amplitude_pu": "1"}}, "waveform.amplitude_pu"),
+         ({"detector": {"threshold": {"fixed": "0.5"}}}, "detector.threshold.fixed"),
+         ({"detector": {"threshold": {"k_sigma": "5"}}}, "detector.threshold.k_sigma")],
+        ids=["bool_amplitude", "bool_snr_db", "bool_cutoff", "bool_k_sigma", "bool_onset",
+             "bool_fixed", "nan_transient_gain", "nan_transient_freq", "inf_transient_freq",
+             "nan_transient_tau", "inf_transient_tau", "nan_amplitude", "inf_amplitude",
+             "string_amplitude", "string_fixed", "string_k_sigma"],
+    )
+    def test_setting_that_is_not_a_finite_number_exits_2_with_one_line(self, runner, tmp_path,
+                                                                        config, key):
+        cfg = write_json(tmp_path / "bad.json", config)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith(f"faultwave: error: {key} must ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
     def test_noise_on_overflowing_record_exits_2_with_one_line(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json",
                          {"waveform": {"duration_s": 0.2, "amplitude_pu": 1e200},
@@ -667,6 +706,19 @@ class TestCmdDetect:
         assert result.exit_code == 3, result.output
         assert result.stderr == (f"faultwave: error: {method} detector failed: one 49.0 Hz "
                                  "cycle is longer than the record (40 samples)\n")
+
+    @pytest.mark.parametrize("method", ["wavelet", "ica"])
+    def test_scan_shorter_than_min_consecutive_exits_2(self, runner, tmp_path, method):
+        """No run of 1000 values fits a 400-sample scan, so "no fault" would say nothing."""
+        trace, _ = self.make_trace(runner, tmp_path)
+        cfg = write_json(tmp_path / "detect.json",
+                         {"detector": {"method": method, "min_consecutive": 1000}})
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith("faultwave: error: spans.analysis=(")
+        assert result.stderr.endswith(" index values to scan, fewer than min_consecutive=1000\n")
 
     def test_ica_span_start_mismatch_exits_2_before_the_index(self, runner, tmp_path):
         """The calibration span is all zero, which the template build would
@@ -1064,6 +1116,10 @@ class TestConfigFuzz:
     @example({("waveform", "fundamental_hz"): 5e-324})
     @example({("noise", "snr_db"): 1e308})
     @example({("fault", "onset_s"): BIG_INT})
+    @example({("waveform", "amplitude_pu"): float("inf")})
+    @example({("noise", "snr_db"): -3086.0})
+    @example({("fault", "fault_type"): "AG", ("fault", "transient_freq_hz"): 1e308})
+    @example({("fault", "fault_type"): "AG", ("fault", "transient_tau_s"): 5e-324})
     def test_detect_exits_0_2_or_3_never_1(self, trace, settings_):
         for method in METHODS:
             config: dict = {"detector": {"method": method}}
@@ -1081,9 +1137,14 @@ class TestConfigFuzz:
             )
             assert result.exit_code in (0, 2, 3), (config, result.output, result.exception)
         if self.record_fits_in_a_test(config):
-            result = CliRunner().invoke(
-                main, ["generate", "--config", str(cfg), "--out", str(trace.parent / "g.csv")])
+            with warnings.catch_warnings(record=True) as caught:  # a console run prints them
+                warnings.simplefilter("always")
+                result = CliRunner().invoke(
+                    main, ["generate", "--config", str(cfg), "--out", str(trace.parent / "g.csv")])
             assert result.exit_code in (0, 2), (config, result.output, result.exception)
+            assert [str(w.message) for w in caught] == [], config
+            if result.exit_code == 2:
+                assert result.stderr.splitlines() == [result.stderr.strip()], config
 
     @staticmethod
     def record_fits_in_a_test(config: dict) -> bool:

@@ -64,12 +64,15 @@ def mask_decide(method, starts, values, width, valid, cfg, spans, fs, rule,
     if not np.any(scan):
         raise BoundsError(
             f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({width})")
+    need = min_consecutive or cfg.min_consecutive
+    if np.count_nonzero(scan) < need:
+        raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {np.count_nonzero(scan)} "
+                          f"index values to scan, fewer than min_consecutive={need}")
     if isinstance(policy, FixedThreshold):
         threshold = policy.value
     else:
         threshold = std_calibrate_threshold(values[in_cal], policy.k_sigma, *rule)
-    run = convolve_first_run_start((values > threshold) & scan,
-                                   min_consecutive or cfg.min_consecutive)
+    run = convolve_first_run_start((values > threshold) & scan, need)
     onset = None if run is None else int(starts[run])
     return DetectionReport(method, onset is not None, onset,
                            None if onset is None else onset / fs, values, None, threshold,

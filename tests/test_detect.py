@@ -68,7 +68,7 @@ class TestSpans:
 
 @pytest.mark.parametrize("name", ["level", "min_consecutive"])
 def test_boolean_integer_setting_rejected(name):
-    with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1, got True"):
+    with pytest.raises(ConfigError, match=f"^{name} must not be a boolean, got True$"):
         DetectorConfig(**{name: True})
 
 
@@ -140,11 +140,12 @@ class TestWaveletDetect:
         assert not report.detected
         assert report.threshold_used == 1e9
 
-    def test_debounce_longer_than_the_series_is_not_detected(self, ag_record):
-        # a run longer than the series cannot occur; nothing of that length is built
-        report = wavelet_detect(select_channel(ag_record, "a"),
-                                DetectorConfig(min_consecutive=10**12))
-        assert not report.detected
+    def test_debounce_longer_than_the_scan_is_rejected(self, ag_record):
+        # no run that long fits the scan, so "no fault" would say nothing; nothing of
+        # that length is built
+        with pytest.raises(BoundsError, match=r"spans\.analysis=\(0, 400\) holds \d+ index values "
+                                              f"to scan, fewer than min_consecutive={10**12}$"):
+            wavelet_detect(select_channel(ag_record, "a"), DetectorConfig(min_consecutive=10**12))
 
     def test_deviated_frequency_clean_record_quiet(self):
         record = make_record("NONE", fundamental_hz=50.5)

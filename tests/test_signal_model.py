@@ -108,7 +108,7 @@ class TestInjectFault:
         assert faulted.labels == fault
 
     def test_none_fault_is_identity(self, baseline_record):
-        assert inject_fault(baseline_record, FaultSpec.none()) is baseline_record
+        assert inject_fault(baseline_record, FaultSpec()) is baseline_record
 
     def test_bolted_three_phase_fault_leaves_only_burst(self, baseline_record):
         fault = FaultSpec(fault_type=FaultType.ABC, onset_s=0.065, retained_voltage_pu=0.0)
@@ -214,8 +214,15 @@ class TestAddNoise:
             NoiseSpec(snr_db=snr_db)
 
     def test_boolean_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got True"):
+        with pytest.raises(ConfigError, match="^seed must not be a boolean, got True$"):
             NoiseSpec(snr_db=20.0, seed=True)
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the test
+    @pytest.mark.parametrize("snr_db", [-3086.0, -4000.0], ids=["ratio_subnormal", "ratio_zero"])
+    def test_noise_that_overflows_rejected(self, snr_db):
+        record = generate_baseline(WaveformConfig(duration_s=0.2))
+        with pytest.raises(ConfigError, match=f"^noise at snr_db={snr_db} overflows float64"):
+            add_noise(record, NoiseSpec(snr_db=snr_db, seed=1))
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the test
     def test_record_whose_mean_square_overflows_rejected(self):
