@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -42,10 +43,10 @@ METHODS = ("wavelet", "ica") + ENERGY_METHODS
 class FixedThreshold:
     """Use a caller-chosen threshold verbatim."""
 
-    value: float
+    fixed: float
 
     def __post_init__(self) -> None:
-        check_number("fixed", self.value, "a finite number")
+        check_number("fixed", self.fixed, "a finite number")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class DetectorConfig:
     """
 
     method: str = "wavelet"
-    threshold_policy: FixedThreshold | AdaptiveThreshold = AdaptiveThreshold()
+    threshold: FixedThreshold | AdaptiveThreshold = AdaptiveThreshold()
     level: int = 1
     cutoff_hz: float = 150.0
     min_consecutive: int = 3
@@ -77,6 +78,9 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not isinstance(self.threshold, (FixedThreshold, AdaptiveThreshold)):
+            raise ConfigError("threshold must be a FixedThreshold or an AdaptiveThreshold, "
+                              f"got {self.threshold!r}")
         check_count("level", self.level, 1)
         check_count("min_consecutive", self.min_consecutive, 1)
         check_number("cutoff_hz", self.cutoff_hz, "a finite number")
@@ -97,13 +101,17 @@ class Spans:
         (at least 2 samples) calibrates and all of it is analysed.
 
         Raises:
-            BoundsError: naming the first span that does not fit the record.
+            BoundsError: naming the first span whose bounds are not integers
+                (booleans included) or that does not fit the record.
         """
         head = (0, max(2, int(0.3 * n_samples)))
         resolved = Spans(head if self.calibration is None else self.calibration,
                          (0, n_samples) if self.analysis is None else self.analysis)
         for name in ("calibration", "analysis"):
             lo, hi = getattr(resolved, name)
+            if getattr(self, name) is not None and not all(
+                    isinstance(b, Integral) and not isinstance(b, bool) for b in (lo, hi)):
+                raise BoundsError(f"spans.{name}=({lo!r}, {hi!r}) must be two integers")
             if not 0 <= lo < hi <= n_samples:
                 raise BoundsError(
                     f"spans.{name}=({lo}, {hi}) lies outside the record (N={n_samples})")
@@ -256,7 +264,7 @@ def _decide(
         NumericalError: the threshold or the largest scanned value is not
             finite, so no verdict can be read from the comparison.
     """
-    policy = cfg.threshold_policy
+    policy = cfg.threshold
     c0, c1 = index.rows(spans.calibration)
     s0, s1 = index.rows(spans.analysis)
     if c1 <= c0:
@@ -272,7 +280,7 @@ def _decide(
         raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {s1 - s0} index values to "
                           f"scan, fewer than min_consecutive={need}")
     if isinstance(policy, FixedThreshold):
-        threshold = policy.value
+        threshold = policy.fixed
     else:
         threshold = calibrate_threshold(index.values[c0:c1], policy.k_sigma, *rule)
     scanned = index.values[s0:s1]

@@ -26,12 +26,15 @@ import numpy as np
 from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans
 from .errors import ConfigError, DegenerateInputError, FaultwaveError
 from .signal_model import (
+    PHASES,
+    POSITIVE,
     FaultSpec,
     FaultType,
     NoiseSpec,
     ThreePhaseRecord,
     WaveformConfig,
     add_noise,
+    check_number,
     generate_baseline,
     inject_fault,
 )
@@ -109,14 +112,16 @@ def _parse_record_csv(path: Path) -> ThreePhaseRecord:
     if meta.exists():
         meta_obj = _read_json(meta)
         rate = meta_obj.get("sample_rate_hz") if isinstance(meta_obj, dict) else None
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise DegenerateInputError(f"{meta} has no numeric sample_rate_hz, got {rate!r}")
+        try:
+            check_number("sample_rate_hz", rate, *POSITIVE)
+        except ConfigError as exc:
+            raise DegenerateInputError(f"{meta}: {exc}") from exc
         fs = float(rate)
         labels = fault_from_dict(meta_obj.get("fault"))
     else:
         if not t[-1] > t[0]:
             raise DegenerateInputError(f"{path} time column does not increase")
-        fs = (len(t) - 1) / (t[-1] - t[0])
+        fs = (len(t) - 1) / (float(t[-1]) - float(t[0]))  # floats overflow to inf silently
     record = ThreePhaseRecord(sample_rate_hz=fs, samples=data[:, 1:].T, labels=labels)
     step = 1.0 / record.sample_rate_hz  # the record has checked that the rate is positive
     if np.any(np.abs(np.diff(t) - step) > 0.01 * step):
@@ -184,12 +189,7 @@ def fault_to_dict(fault: FaultSpec | None) -> dict | None:
 def fault_from_dict(obj: dict | None) -> FaultSpec | None:
     if obj is None:
         return None
-    kwargs = _object(obj, "fault")
-    try:
-        kwargs["fault_type"] = FaultType(kwargs.get("fault_type", "NONE"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid fault_type {kwargs.get('fault_type')!r}") from exc
-    return _build_section(kwargs, "fault", FaultSpec)
+    return _build_section(_object(obj, "fault"), "fault", FaultSpec)
 
 
 @dataclass
@@ -205,22 +205,11 @@ class RunConfig:
     channel: str = "a"
 
     def to_dict(self) -> dict:
-        policy = self.detector.threshold_policy
-        if isinstance(policy, FixedThreshold):
-            policy_dict = {"fixed": policy.value}
-        else:
-            policy_dict = {"k_sigma": policy.k_sigma}
         return {
             "waveform": dataclasses.asdict(self.waveform),
             "fault": fault_to_dict(self.fault),
             "noise": dataclasses.asdict(self.noise),
-            "detector": {
-                "method": self.detector.method,
-                "threshold": policy_dict,
-                "level": self.detector.level,
-                "cutoff_hz": self.detector.cutoff_hz,
-                "min_consecutive": self.detector.min_consecutive,
-            },
+            "detector": dataclasses.asdict(self.detector),
             "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()
                       if span is not None},
             "channel": self.channel,
@@ -228,23 +217,18 @@ class RunConfig:
 
 
 _SECTION_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-_DETECTOR_KEYS = {"method", "threshold", "level", "cutoff_hz", "min_consecutive"}
 
 
 def _detector_config(obj: dict) -> DetectorConfig:
-    """The threshold is {"fixed": v} or {"k_sigma": k}; absent, adaptive at 5 sigma."""
-    _check_keys(obj, _DETECTOR_KEYS, "detector")
-    knobs = dict(obj)
-    threshold = _object(knobs.pop("threshold", {"k_sigma": 5.0}), "detector.threshold")
-    _check_keys(threshold, {"fixed", "k_sigma"}, "detector.threshold")
-    if len(threshold) != 1:
-        raise ConfigError("detector.threshold must hold exactly one of 'fixed' and 'k_sigma', "
-                          f"got {threshold!r}")
-    with _prefixed("detector.threshold"):
-        policy = (FixedThreshold(threshold["fixed"]) if "fixed" in threshold
-                  else AdaptiveThreshold(threshold["k_sigma"]))
-    with _prefixed("detector"):
-        return DetectorConfig(threshold_policy=policy, **knobs)
+    """The threshold, when given, is {"fixed": v} or {"k_sigma": k}."""
+    if "threshold" in obj:
+        threshold = _object(obj["threshold"], "detector.threshold")
+        if ("fixed" in threshold) == ("k_sigma" in threshold):
+            raise ConfigError("detector.threshold must hold exactly one of 'fixed' and "
+                              f"'k_sigma', got {threshold!r}")
+        policy = FixedThreshold if "fixed" in threshold else AdaptiveThreshold
+        obj = {**obj, "threshold": _build_section(threshold, "detector.threshold", policy)}
+    return _build_section(obj, "detector", DetectorConfig)
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -314,9 +298,8 @@ def parse_run_config(obj: dict) -> RunConfig:
     obj = _object(obj, "run config")
     _check_keys(obj, _SECTION_KEYS, "run config")
 
-    waveform_obj = _object(obj.get("waveform", {}), "waveform")
-    waveform_obj.setdefault("duration_s", 0.2)
-    waveform = _build_section(waveform_obj, "waveform", WaveformConfig)
+    waveform = _build_section(_object(obj.get("waveform", {}), "waveform"), "waveform",
+                              WaveformConfig)
     fault = fault_from_dict(obj.get("fault")) or FaultSpec()
     noise = _build_section(_object(obj.get("noise", {}), "noise"), "noise", NoiseSpec)
     detector = _detector_config(_object(obj.get("detector", {}), "detector"))
@@ -326,7 +309,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     spans = Spans(**{name: _span(span, name) for name, span in spans_obj.items()})
 
     channel = obj.get("channel", "a")
-    if channel not in ("a", "b", "c"):
+    if channel not in PHASES:
         raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
 
     return RunConfig(waveform=waveform, fault=fault, noise=noise,

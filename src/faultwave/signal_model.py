@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 # Default three-phase offsets: phases a, b, c at 0, -120, +120 degrees.
 DEFAULT_PHASE_OFFSETS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 
-PHASE_INDEX = {"a": 0, "b": 1, "c": 2}
+PHASES = ("a", "b", "c")  # row order of a record's samples
 
 
 class FaultType(Enum):
@@ -49,10 +49,7 @@ class FaultType(Enum):
     @property
     def phases(self) -> tuple[int, ...]:
         """Indices of the phase rows this fault touches."""
-        if self is FaultType.NONE:
-            return ()
-        letters = [c for c in self.value if c in "ABC"]
-        return tuple(PHASE_INDEX[c.lower()] for c in letters)
+        return tuple("ABC".index(c) for c in self.value if c in "ABC")
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,8 @@ class WaveformConfig:
     """Parameters of the healthy three-phase waveform.
 
     Attributes:
-        duration_s: Record length in seconds; must give an integer sample
-            count of at least 2.
+        duration_s: Record length in seconds (default 0.2); must give an
+            integer sample count of at least 2.
         sample_rate_hz: Sampling rate (default 2 kHz).
         fundamental_hz: System frequency (default 50 Hz).
         amplitude_pu: Peak amplitude in per-unit. Physical ratings (e.g. a
@@ -69,7 +66,7 @@ class WaveformConfig:
         phase_offsets_rad: Per-phase offsets (a, b, c).
     """
 
-    duration_s: float
+    duration_s: float = 0.2
     sample_rate_hz: float = 2000.0
     fundamental_hz: float = 50.0
     amplitude_pu: float = 1.0
@@ -107,6 +104,7 @@ class FaultSpec:
     between onset and clearing and superposes a decaying sinusoidal burst
     starting at onset. Defaults produce a visible abrupt sag plus a
     high-frequency signature suitable for level-1 detail coefficients.
+    ``fault_type`` may be given as its value string (``"AG"``); the enum is stored.
     """
 
     # Burst frequency deliberately avoids fs/4 at the 2 kHz default rate: a
@@ -121,6 +119,13 @@ class FaultSpec:
     transient_tau_s: float = 0.01
 
     def __post_init__(self) -> None:
+        if not isinstance(self.fault_type, FaultType):
+            try:
+                object.__setattr__(self, "fault_type", FaultType(self.fault_type))
+            except ValueError:
+                listed = ", ".join(t.value for t in FaultType)
+                raise ConfigError(
+                    f"fault_type must be one of {listed}, got {self.fault_type!r}") from None
         check_number("onset_s", self.onset_s, *NONNEGATIVE)
         if self.clear_s is not None:
             check_number("clear_s", self.clear_s, f"finite and above onset_s={self.onset_s}",
@@ -144,11 +149,6 @@ class NoiseSpec:
             check_number("snr_db", self.snr_db, "finite, with 10**(snr_db/10) a finite float",
                          lambda db: math.isfinite(math.pow(10.0, db / 10.0)))
         check_count("seed", self.seed, 0)
-
-
-def _check_rate(sample_rate_hz: float) -> None:
-    if not 0.0 < sample_rate_hz < np.inf:
-        raise ConfigError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
 
 
 # (requirement, ok) arguments of check_number for the common ranges
@@ -208,7 +208,7 @@ class Trace:
             raise ConfigError("trace samples must be one-dimensional")
         if not np.isfinite(self.samples).all():
             raise ConfigError("trace samples must be finite")
-        _check_rate(self.sample_rate_hz)
+        check_number("sample_rate_hz", self.sample_rate_hz, *POSITIVE)
 
     @property
     def n_samples(self) -> int:
@@ -239,7 +239,7 @@ class ThreePhaseRecord:
             raise ConfigError("record must contain at least 2 samples per phase")
         if not np.all(np.isfinite(samples)):
             raise ConfigError("record samples must be finite")
-        _check_rate(self.sample_rate_hz)
+        check_number("sample_rate_hz", self.sample_rate_hz, *POSITIVE)
 
     @property
     def n_samples(self) -> int:
@@ -361,9 +361,9 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
 
 def select_channel(record: ThreePhaseRecord, phase: str) -> Trace:
     """Extract one phase as a single-channel trace (same sample rate)."""
-    if phase not in PHASE_INDEX:
+    if phase not in PHASES:  # a tuple, so an unhashable phase compares unequal, not raises
         raise ConfigError(f"phase must be one of 'a', 'b', 'c', got {phase!r}")
     return Trace(
-        samples=record.samples[PHASE_INDEX[phase]].copy(),
+        samples=record.samples[PHASES.index(phase)].copy(),
         sample_rate_hz=record.sample_rate_hz,
     )

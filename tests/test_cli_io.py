@@ -366,11 +366,14 @@ class TestCmdGenerate:
          ({"waveform": {"amplitude_pu": float("inf")}}, "waveform.amplitude_pu"),
          ({"waveform": {"amplitude_pu": "1"}}, "waveform.amplitude_pu"),
          ({"detector": {"threshold": {"fixed": "0.5"}}}, "detector.threshold.fixed"),
-         ({"detector": {"threshold": {"k_sigma": "5"}}}, "detector.threshold.k_sigma")],
+         ({"detector": {"threshold": {"k_sigma": "5"}}}, "detector.threshold.k_sigma"),
+         ({"fault": {"fault_type": [1]}}, "fault.fault_type"),
+         ({"channel": ["a"]}, "channel")],
         ids=["bool_amplitude", "bool_snr_db", "bool_cutoff", "bool_k_sigma", "bool_onset",
              "bool_fixed", "nan_transient_gain", "nan_transient_freq", "inf_transient_freq",
              "nan_transient_tau", "inf_transient_tau", "nan_amplitude", "inf_amplitude",
-             "string_amplitude", "string_fixed", "string_k_sigma"],
+             "string_amplitude", "string_fixed", "string_k_sigma", "list_fault_type",
+             "list_channel"],
     )
     def test_setting_that_is_not_a_finite_number_exits_2_with_one_line(self, runner, tmp_path,
                                                                         config, key):
@@ -492,6 +495,36 @@ class TestCmdDetect:
         )
         assert result.exit_code == 2, result.output
         assert "faultwave: error:" in result.output
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
+    @pytest.mark.parametrize("rate", [True, "2000", None, float("nan"), 0, -2000.0])
+    def test_sidecar_rate_not_finite_and_positive_exits_2_with_one_line(self, runner, tmp_path,
+                                                                         rate):
+        trace, cfg = self.make_trace(runner, tmp_path)
+        meta = write_json(sidecar_path(trace), {"sample_rate_hz": rate})
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith(f"faultwave: error: {meta}: sample_rate_hz must ")
+
+    @pytest.mark.parametrize("times, rate",
+                             [(("-1e308", "1e308"), "0.0"), (("0", "5e-324"), "inf")],
+                             ids=["span_overflows", "rate_overflows"])
+    def test_time_column_rate_that_overflows_exits_2_with_one_line(self, runner, tmp_path,
+                                                                   times, rate):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,va,vb,vc\n" + "".join(f"{t},0,0,0\n" for t in times))
+        cfg = write_json(tmp_path / "run.json", {})
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == ("faultwave: error: sample_rate_hz must be finite and positive, "
+                                 f"got {rate}\n")
 
     @pytest.mark.parametrize(
         "edit",

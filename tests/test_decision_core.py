@@ -52,7 +52,7 @@ def convolve_first_run_start(above, min_consecutive):
 def mask_decide(method, starts, values, width, valid, cfg, spans, fs, rule,
                 min_consecutive=None):
     """Reference: the decision core on boolean masks; ``valid`` is a mask or True."""
-    policy = cfg.threshold_policy
+    policy = cfg.threshold
     lo, hi = spans.calibration
     ends = starts + width
     a_lo, a_hi = spans.analysis
@@ -69,7 +69,7 @@ def mask_decide(method, starts, values, width, valid, cfg, spans, fs, rule,
         raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {np.count_nonzero(scan)} "
                           f"index values to scan, fewer than min_consecutive={need}")
     if isinstance(policy, FixedThreshold):
-        threshold = policy.value
+        threshold = policy.fixed
     else:
         threshold = std_calibrate_threshold(values[in_cal], policy.k_sigma, *rule)
     run = convolve_first_run_start((values > threshold) & scan, need)
@@ -164,7 +164,7 @@ def decisions(draw):
     else:
         policy = AdaptiveThreshold(draw(st.floats(0, 10)))
     rule = draw(st.sampled_from([(1.0, 0.0, 0.0), (1.4, 2.5, 1e-9), (1.0, 4.5, 0.5)]))
-    cfg = DetectorConfig(threshold_policy=policy, min_consecutive=draw(st.integers(1, 5)))
+    cfg = DetectorConfig(threshold=policy, min_consecutive=draw(st.integers(1, 5)))
     return (starts, values, width, valid, cfg,
             Spans(draw(span), draw(span)), rule, draw(st.none() | st.integers(1, 5)))
 

@@ -65,6 +65,29 @@ class TestSpans:
         with pytest.raises(BoundsError, match=rf"spans\.{name}=\({lo}, {hi}\)"):
             Spans(**{name: (lo, hi)}).resolve(n)
 
+    @pytest.mark.parametrize("name, span", [("calibration", (0.0, 120)), ("analysis", (False, 400)),
+                                            ("analysis", (0, "400")), ("calibration", (0, None))])
+    def test_span_bound_that_is_not_an_integer_is_named(self, name, span):
+        with pytest.raises(BoundsError, match=rf"^spans\.{name}=.* must be two integers$"):
+            Spans(**{name: span}).resolve(400)
+
+    def test_numpy_integer_bounds_pass(self):
+        spans = Spans((np.int64(0), np.int32(120)), (np.int64(0), np.int64(400)))
+        assert spans.resolve(400) == spans
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda record, spans: ica_detect(record, DetectorConfig(method="ica"), spans),
+         lambda record, spans: energy_detect(select_channel(record, "a"), "energy_ft",
+                                             spans=spans),
+         lambda record, spans: wavelet_detect(select_channel(record, "a"), spans=spans)],
+        ids=["ica", "energy_ft", "wavelet"],
+    )
+    def test_detector_rejects_a_float_or_boolean_bound(self, ag_record, run):
+        for spans in [Spans((0.0, 120.0), (0.0, 400.0)), Spans((False, 120))]:
+            with pytest.raises(BoundsError, match="spans.calibration=.* must be two integers"):
+                run(ag_record, spans)
+
 
 @pytest.mark.parametrize("name", ["level", "min_consecutive"])
 def test_boolean_integer_setting_rejected(name):
@@ -135,7 +158,7 @@ class TestWaveletDetect:
     def test_fixed_threshold_override(self, ag_record):
         report = wavelet_detect(
             select_channel(ag_record, "a"),
-            DetectorConfig(threshold_policy=FixedThreshold(1e9)),
+            DetectorConfig(threshold=FixedThreshold(1e9)),
         )
         assert not report.detected
         assert report.threshold_used == 1e9

@@ -254,3 +254,7 @@ class TestSelectChannel:
     def test_unknown_phase_rejected(self, baseline_record):
         with pytest.raises(ConfigError, match="phase"):
             select_channel(baseline_record, "d")
+
+    def test_unhashable_phase_rejected(self, baseline_record):
+        with pytest.raises(ConfigError, match=r"^phase must be one of 'a', 'b', 'c', got \['a'\]$"):
+            select_channel(baseline_record, ["a"])
