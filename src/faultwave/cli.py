@@ -119,7 +119,19 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
                           "written next to the report")
     config, record, report = _load_and_run(in_path, config_path)
 
-    payload = report.to_json_dict(config=config.to_dict(), scenario=_scenario_info(record))
+    settings = config.to_dict()
+    payload = {
+        "method": report.method,
+        "detected": bool(report.detected),
+        "onset_sample": None if report.onset_sample is None else int(report.onset_sample),
+        "onset_time_s": None if report.onset_time_s is None else float(report.onset_time_s),
+        "threshold": float(report.threshold_used),
+        # the settings detect reads, as a run config that reproduces this report
+        "config": {"waveform": {"fundamental_hz": settings["waveform"]["fundamental_hz"]},
+                   **{key: settings[key] for key in ("detector", "spans", "channel")}},
+        "scenario": {"n_samples": record.n_samples, "sample_rate_hz": record.sample_rate_hz,
+                     "fault": fault_to_dict(record.labels)},
+    }
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
     _write_index_csv(out.with_suffix(".csv"), report)
 
@@ -219,14 +231,6 @@ def _load_and_run(
     config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
     check_onset(config.spans, record.labels, record.sample_rate_hz)
     return config, record, run_detector(record, config)
-
-
-def _scenario_info(record: ThreePhaseRecord) -> dict:
-    return {
-        "n_samples": record.n_samples,
-        "sample_rate_hz": record.sample_rate_hz,
-        "fault": fault_to_dict(record.labels),
-    }
 
 
 if __name__ == "__main__":

@@ -91,27 +91,39 @@ class Spans:
     """Half-open sample ranges: ``calibration`` is the one fault-free span
     (thresholds calibrate on it, the ICA template is built from it),
     ``analysis`` the span scanned for an onset. ``None`` stands for the
-    default of the record at hand, which :meth:`resolve` fills in."""
+    default of the record at hand, which :meth:`resolve` fills in.
+
+    Raises:
+        BoundsError: naming the first span given that is not a 2-item list or
+            tuple of integers (booleans excluded); a list is stored as a tuple.
+    """
 
     calibration: tuple[int, int] | None = None
     analysis: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("calibration", "analysis"):
+            span = getattr(self, name)
+            if span is None or (type(span) is tuple and len(span) == 2
+                                and type(span[0]) is int and type(span[1]) is int):
+                continue  # each detector call builds 2-3 Spans; the test below is far slower
+            if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(
+                    isinstance(b, Integral) and not isinstance(b, bool) for b in span)):
+                raise BoundsError(f"spans.{name}={span!r} must be two integers")
+            object.__setattr__(self, name, tuple(span))
 
     def resolve(self, n_samples: int) -> Spans:
         """These spans on a record of ``n_samples``; by default the first 30%
         (at least 2 samples) calibrates and all of it is analysed.
 
         Raises:
-            BoundsError: naming the first span whose bounds are not integers
-                (booleans included) or that does not fit the record.
+            BoundsError: naming the first span that does not fit the record.
         """
         head = (0, max(2, int(0.3 * n_samples)))
         resolved = Spans(head if self.calibration is None else self.calibration,
                          (0, n_samples) if self.analysis is None else self.analysis)
         for name in ("calibration", "analysis"):
             lo, hi = getattr(resolved, name)
-            if getattr(self, name) is not None and not all(
-                    isinstance(b, Integral) and not isinstance(b, bool) for b in (lo, hi)):
-                raise BoundsError(f"spans.{name}=({lo!r}, {hi!r}) must be two integers")
             if not 0 <= lo < hi <= n_samples:
                 raise BoundsError(
                     f"spans.{name}=({lo}, {hi}) lies outside the record (N={n_samples})")
@@ -134,17 +146,6 @@ class DetectionReport:
     index_times_s: np.ndarray
     threshold_used: float
     metadata: dict = field(default_factory=dict)
-
-    def to_json_dict(self, config: dict, scenario: dict) -> dict:
-        return {
-            "method": self.method,
-            "detected": bool(self.detected),
-            "onset_sample": None if self.onset_sample is None else int(self.onset_sample),
-            "onset_time_s": None if self.onset_time_s is None else float(self.onset_time_s),
-            "threshold": float(self.threshold_used),
-            "config": config,
-            "scenario": scenario,
-        }
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ def wavelet_detect(
     starts = np.arange(n)
     index = _Index(starts, series.samples, 1, starts / trace.sample_rate_hz,
                    valid=dwt.artifact_free_range(n, cfg.level))
-    return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {"level": cfg.level})
+    return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {})
 
 
 # The performance index lives in whitened-source units, so genuine

@@ -6,8 +6,11 @@ ground-truth fault, if any. Reports are JSON; index series, spectra, and
 coefficient dumps are small CSVs. All writes are atomic (temp file + rename).
 
 A run configuration is one JSON document; omitted sections fall back to
-defaults and the fully resolved dictionary is embedded in outputs for
-provenance.
+defaults. A detect report's ``config`` holds the detection settings it used
+(``waveform.fundamental_hz``, ``detector``, resolved ``spans`` and
+``channel``), itself a run config that reproduces the report for a
+fundamental under 1 kHz (the Nyquist limit of the default rate), and its
+``scenario`` holds the loaded record's length, rate and fault label.
 """
 
 from __future__ import annotations
@@ -243,13 +246,6 @@ def _object(value, context: str) -> dict:
     return dict(value)
 
 
-def _span(value, name: str) -> tuple[int, int]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"span {name} must be two integers, got {value!r}")
-    return tuple(value)
-
-
 @contextmanager
 def _prefixed(context: str):
     """Prefix a ConfigError raised inside with ``<context>.``: a config type's
@@ -294,6 +290,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     Raises:
         ConfigError: unknown keys or invalid values (the message names the
             offending key).
+        BoundsError: a span that is not two integers.
     """
     obj = _object(obj, "run config")
     _check_keys(obj, _SECTION_KEYS, "run config")
@@ -303,10 +300,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     fault = fault_from_dict(obj.get("fault")) or FaultSpec()
     noise = _build_section(_object(obj.get("noise", {}), "noise"), "noise", NoiseSpec)
     detector = _detector_config(_object(obj.get("detector", {}), "detector"))
-
-    spans_obj = _object(obj.get("spans", {}), "spans")
-    _check_keys(spans_obj, {f.name for f in dataclasses.fields(Spans)}, "spans")
-    spans = Spans(**{name: _span(span, name) for name, span in spans_obj.items()})
+    spans = _build_section(_object(obj.get("spans", {}), "spans"), "spans", Spans)
 
     channel = obj.get("channel", "a")
     if channel not in PHASES:

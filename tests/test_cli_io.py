@@ -385,6 +385,15 @@ class TestCmdGenerate:
         assert result.stderr.startswith(f"faultwave: error: {key} must ")
         assert not out.exists()
 
+    def test_span_that_is_not_two_integers_exits_2_with_one_line(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "bad.json", {"spans": {"calibration": [0.0, 120]}})
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == ("faultwave: error: spans.calibration=[0.0, 120] "
+                                 "must be two integers\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
     def test_noise_on_overflowing_record_exits_2_with_one_line(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json",
@@ -610,6 +619,34 @@ class TestCmdDetect:
         assert f"{method}: detected" in result.output
         spans = json.loads(out.read_text())["config"]["spans"]
         assert spans == {"calibration": [0, 1228], "analysis": [0, 4096]}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_config_is_the_detection_settings_and_reproduces_the_report(
+            self, runner, tmp_path, method):
+        generated = {"waveform": {"sample_rate_hz": 8000.0}, "fault": {"fault_type": "AG"}}
+        trace, _ = self.make_trace(runner, tmp_path, generated)  # 1600 samples
+        detection = {"waveform": {"fundamental_hz": 49.5},
+                     "detector": {"method": method, "threshold": {"k_sigma": 4.0}, "level": 2,
+                                  "cutoff_hz": 200.0, "min_consecutive": 2},
+                     "spans": {"calibration": [0, 480]}, "channel": "a"}
+        cfg = write_json(tmp_path / "detect.json", detection)
+        out, again = tmp_path / "r.json", tmp_path / "again.json"
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert list(report["config"]) == ["waveform", "detector", "spans", "channel"]
+        assert report["config"]["waveform"] == {"fundamental_hz": 49.5}
+        assert report["config"]["spans"] == {"calibration": [0, 480], "analysis": [0, 1600]}
+        assert report["scenario"]["sample_rate_hz"] == 8000.0
+        assert report["scenario"]["fault"]["fault_type"] == "AG"
+
+        echo = write_json(tmp_path / "echo.json", report["config"])
+        result = runner.invoke(
+            main, ["detect", "--in", str(trace), "--config", str(echo), "--out", str(again)])
+        assert result.exit_code == 0, result.output
+        assert again.read_bytes() == out.read_bytes()
+        assert again.with_suffix(".csv").read_bytes() == out.with_suffix(".csv").read_bytes()
 
     def test_missing_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)
@@ -932,6 +969,17 @@ class TestCmdEnergyTable:
         assert lines[-1].startswith(
             'boolean,,,,,,,"ConfigError: fault.onset_s must not be a boolean')
         assert len(next(csv.reader([lines[-1]]))) == 8
+
+    def test_span_that_is_not_two_integers_becomes_error_row(self, runner, tmp_path):
+        doc = self.suite()
+        doc["scenarios"].append({"name": "halves", "spans": {"calibration": [0.5, 3]}})
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        row = next(csv.reader([out.read_text().strip().splitlines()[-1]]))
+        assert row[0] == "halves"
+        assert row[-1].startswith("BoundsError: spans.calibration=")
 
     def test_duplicate_names_rejected(self, runner, tmp_path):
         doc = self.suite()

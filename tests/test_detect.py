@@ -71,6 +71,14 @@ class TestSpans:
         with pytest.raises(BoundsError, match=rf"^spans\.{name}=.* must be two integers$"):
             Spans(**{name: span}).resolve(400)
 
+    @pytest.mark.parametrize("span", [[0, 120, 400], (120,), 120, "ab", {0: 0, 1: 120}])
+    def test_span_that_is_not_a_pair_is_named(self, span):
+        with pytest.raises(BoundsError, match=r"^spans\.calibration=.* must be two integers$"):
+            Spans(calibration=span)
+
+    def test_list_span_is_stored_as_a_tuple(self):
+        assert Spans([0, 120], [0, 400]) == SPANS
+
     def test_numpy_integer_bounds_pass(self):
         spans = Spans((np.int64(0), np.int32(120)), (np.int64(0), np.int64(400)))
         assert spans.resolve(400) == spans
@@ -84,9 +92,9 @@ class TestSpans:
         ids=["ica", "energy_ft", "wavelet"],
     )
     def test_detector_rejects_a_float_or_boolean_bound(self, ag_record, run):
-        for spans in [Spans((0.0, 120.0), (0.0, 400.0)), Spans((False, 120))]:
+        for bounds in [((0.0, 120.0), (0.0, 400.0)), ((False, 120),)]:
             with pytest.raises(BoundsError, match="spans.calibration=.* must be two integers"):
-                run(ag_record, spans)
+                run(ag_record, Spans(*bounds))
 
 
 @pytest.mark.parametrize("name", ["level", "min_consecutive"])
