@@ -14,10 +14,13 @@ a fixed one, and reports the first run of index values above it inside the
 analysis span. Detectors report onset only; the return to normal after fault
 clearing is deliberately not claimed.
 
-Energy indices are planned once per geometry, keyed on the record length,
-window, hop, rate, cutoff and level (:func:`_window_plan`, the last
-:data:`PLAN_CACHE_SIZE` kept): at most 24 read-only bytes per window, 0.98 MB
-for 409,600 samples in 40-sample windows 10 apart.
+Each detector plans its decision once per geometry (the last
+:data:`PLAN_CACHE_SIZE` kept per detector), so a call on a known geometry
+does only sample work: the resolved spans and their checks, the calibration
+and scan rows and the run length, all scalars. Energy plans are keyed on the
+window, not the fundamental, and add read-only window starts and times and
+the cutoff bin or wavelet coefficient groups: at most 32 bytes per window,
+1.31 MB for 409,600 samples in 40-sample windows 10 apart.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import numpy as np
 
 from . import dwt, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .ica import IcaConfig, performance_index
-from .signal_model import (NONNEGATIVE, ThreePhaseRecord, Trace, check_count, check_fundamental,
-                           check_number, cycle_length, select_channel)
+from .ica import IcaConfig, performance_index, template_period
+from .signal_model import (NONNEGATIVE, POSITIVE, ThreePhaseRecord, Trace, check_count,
+                           check_fundamental, check_number, cycle_length, select_channel)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -83,7 +86,7 @@ class DetectorConfig:
                               f"got {self.threshold!r}")
         check_count("level", self.level, 1)
         check_count("min_consecutive", self.min_consecutive, 1)
-        check_number("cutoff_hz", self.cutoff_hz, "a finite number")
+        check_number("cutoff_hz", self.cutoff_hz, *POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,8 @@ class Spans:
     def __post_init__(self) -> None:
         for name in ("calibration", "analysis"):
             span = getattr(self, name)
-            if span is None or (type(span) is tuple and len(span) == 2
-                                and type(span[0]) is int and type(span[1]) is int):
-                continue  # each detector call builds 2-3 Spans; the test below is far slower
+            if span is None:
+                continue
             if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(
                     isinstance(b, Integral) and not isinstance(b, bool) for b in span)):
                 raise BoundsError(f"spans.{name}={span!r} must be two integers")
@@ -213,94 +215,85 @@ def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
     return first if run[first] else None
 
 
-@dataclass(frozen=True, eq=False)
-class _Index:
-    """An index series as the decision core sees it.
-
-    ``values[i]`` summarizes samples ``[starts[i], starts[i] + width)``, with
-    ``starts`` ascending, and ``valid`` is the half-open row range fit for
-    calibration and scanning (``None``: every row).
-    """
-
-    starts: np.ndarray
-    values: np.ndarray
-    width: int
-    times_s: np.ndarray
-    valid: tuple[int, int] | None = None
-
-    def rows(self, span: tuple[int, int]) -> tuple[int, int]:
-        """The valid rows whose samples lie wholly inside ``span``, as a half-open
-        range (empty when the end does not exceed the start)."""
-        lo, hi = span
-        first = int(self.starts.searchsorted(lo))
-        stop = int(self.starts.searchsorted(hi - self.width, side="right"))
-        if self.valid is not None:
-            first, stop = max(first, self.valid[0]), min(stop, self.valid[1])
-        return first, stop
-
-
-def _decide(
-    method: str,
-    index: _Index,
-    cfg: DetectorConfig,
-    spans: Spans,
-    fs: float,
-    metadata: dict,
-    rule: tuple[float, float, float] = (1.0, 0.0, 0.0),
-    min_consecutive: int | None = None,
-) -> DetectionReport:
-    """Threshold ``index`` and report its first run above threshold.
-
-    ``rule`` is the method's (bias, mean_multiple, floor) for
-    :func:`calibrate_threshold`. Calibration uses the valid values lying
-    wholly inside ``spans.calibration``, the scan those inside
-    ``spans.analysis``. Both are contiguous row ranges found by binary search
-    on ``index.starts``, so the threshold is taken on one slice of
-    ``index.values`` and the scan reads another; the analysis index is the
-    largest value scanned.
+def _plan(spans: Spans, rows: int, width: int, need: int, first: int = 0, hop: int = 1,
+          valid: tuple[int, int] | None = None) -> tuple:
+    """Where the decision reads an index of ``rows`` rows, row i covering
+    samples ``[first + hop * i, first + hop * i + width)``: the half-open row
+    ranges wholly inside the calibration and the analysis span (and inside
+    the ``valid`` rows, the wavelet's :func:`dwt.artifact_free_range`, if
+    given), then the run length ``need``, ``first`` and ``hop``.
 
     Raises:
-        BoundsError: either span holds no valid value, or the analysis span
-            holds fewer than the ``min_consecutive`` values a run needs.
+        BoundsError: either span holds no such row, or the analysis span
+            holds fewer than the ``need`` values a run needs.
+    """
+    ranges = []
+    for name in ("calibration", "analysis"):
+        lo, hi = getattr(spans, name)
+        start = max(-((first - lo) // hop), 0)  # the first row starting at lo or later
+        stop = min((hi - width - first) // hop + 1, rows)  # past the last row ending by hi
+        if stop <= start:
+            raise BoundsError(f"spans.{name}=({lo}, {hi}) is shorter than one window ({width})")
+        if valid is not None:
+            start, stop = max(start, valid[0]), min(stop, valid[1])
+            if stop <= start:
+                raise BoundsError(f"spans.{name}=({lo}, {hi}) holds no sample of "
+                                  f"dwt.artifact_free_range={valid}")
+        ranges.append((start, stop))
+    if stop - start < need:  # the analysis rows, found last
+        raise BoundsError(f"spans.analysis=({lo}, {hi}) holds {stop - start} index values to "
+                          f"scan, fewer than min_consecutive={need}")
+    return ranges[0], ranges[1], need, first, hop
+
+
+def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
+            cfg: DetectorConfig, fs: float, metadata: dict,
+            rule: tuple[float, float, float] = (1.0, 0.0, 0.0)) -> DetectionReport:
+    """Threshold ``values`` on the calibration rows of the :func:`_plan`
+    (``rule`` is the method's (bias, mean_multiple, floor) for
+    :func:`calibrate_threshold`) and report the first run above it in the
+    analysis rows: the analysis index is the largest value scanned, the onset
+    the first sample of the run's first row.
+
+    Raises:
         NumericalError: the threshold or the largest scanned value is not
             finite, so no verdict can be read from the comparison.
     """
     policy = cfg.threshold
-    c0, c1 = index.rows(spans.calibration)
-    s0, s1 = index.rows(spans.analysis)
-    if c1 <= c0:
-        lo, hi = spans.calibration
-        raise BoundsError(
-            f"spans.calibration=({lo}, {hi}) is shorter than one window ({index.width})")
-    a_lo, a_hi = spans.analysis
-    if s1 <= s0:
-        raise BoundsError(
-            f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({index.width})")
-    need = min_consecutive or cfg.min_consecutive
-    if s1 - s0 < need:
-        raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {s1 - s0} index values to "
-                          f"scan, fewer than min_consecutive={need}")
+    (c0, c1), (s0, s1), need, first, hop = plan
     if isinstance(policy, FixedThreshold):
         threshold = policy.fixed
     else:
-        threshold = calibrate_threshold(index.values[c0:c1], policy.k_sigma, *rule)
-    scanned = index.values[s0:s1]
+        threshold = calibrate_threshold(values[c0:c1], policy.k_sigma, *rule)
+    scanned = values[s0:s1]
     peak = float(scanned.max())
     if not (math.isfinite(threshold) and math.isfinite(peak)):
         raise NumericalError(f"the threshold ({threshold:.6g}) or the scanned index peak "
                              f"({peak:.6g}) overflows float64")
     run = _first_run_start(scanned > threshold, need)
-    onset = None if run is None else int(index.starts[s0 + run])
+    onset = None if run is None else int(first + hop * (s0 + run))
     return DetectionReport(
         method=method,
         detected=onset is not None,
         onset_sample=onset,
         onset_time_s=None if onset is None else onset / fs,
-        index_series=index.values,
-        index_times_s=index.times_s,
+        index_series=values,
+        index_times_s=times_s,
         threshold_used=threshold,
         metadata={"analysis_index": peak, **metadata},
     )
+
+
+PLAN_CACHE_SIZE = 8  # plans kept per detector; the least recently used goes first
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _wavelet_plan(n_samples: int, level: int, need: int, spans: Spans | None) -> tuple:
+    """The wavelet detector's plan: one row per sample, the rows of
+    :func:`dwt.artifact_free_range` valid; checks the spans, then the level."""
+    spans = (spans or Spans()).resolve(n_samples)
+    dwt.check_length(n_samples, level)
+    return _plan(spans, n_samples, 1, need, valid=dwt.artifact_free_range(n_samples, level))
 
 
 def wavelet_detect(
@@ -312,22 +305,35 @@ def wavelet_detect(
     are excluded from calibration and scanning: on non-periodic data they
     carry a wrap discontinuity unrelated to any fault. The samples left are
     one contiguous range, :func:`dwt.artifact_free_range`, which
-    :func:`dwt.boundary_artifact_mask` complements; where it is empty, the
-    calibration span holds no value and a ``BoundsError`` says so.
+    :func:`dwt.boundary_artifact_mask` complements; a span that holds none
+    of them raises a ``BoundsError`` naming that range.
     """
-    n = trace.n_samples
-    spans = (spans or Spans()).resolve(n)
+    n, fs = trace.n_samples, trace.sample_rate_hz
+    plan = _wavelet_plan(n, cfg.level, cfg.min_consecutive, spans)
     series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
-    starts = np.arange(n)
-    index = _Index(starts, series.samples, 1, starts / trace.sample_rate_hz,
-                   valid=dwt.artifact_free_range(n, cfg.level))
-    return _decide("wavelet", index, cfg, spans, trace.sample_rate_hz, {})
+    return _decide("wavelet", series.samples, np.arange(n) / fs, plan, cfg, fs, {})
 
 
 # The performance index lives in whitened-source units, so genuine
 # disturbances register at order one regardless of record scale. Thresholds
 # are floored at this level to ignore pure round-off on noiseless records.
 PI_DETECTION_FLOOR = 1e-9
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _ica_plan(n_samples: int, fs: float, fundamental_hz: float, need: int,
+              spans: Spans | None) -> tuple[Spans, float, tuple]:
+    """The ICA detector's resolved spans, threshold bias and plan: one row per
+    analysis sample, scanned from the first full trailing cycle on."""
+    spans = (spans or Spans()).resolve(n_samples)
+    (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
+    if p_lo != a_lo:
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
+                          f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
+    period = template_period(n_samples, fs, fundamental_hz, spans.calibration, spans.analysis)
+    cycles = (p_hi - p_lo) / period
+    scan = replace(spans, analysis=(a_lo + period - 1, a_hi))
+    return spans, (cycles + 1) / (cycles - 1), _plan(scan, a_hi - a_lo, 1, need, first=a_lo)
 
 
 def ica_detect(
@@ -358,19 +364,12 @@ def ica_detect(
         DegenerateInputError: the calibration span is all zero.
         NumericalError: the record, the index or the threshold overflows.
     """
-    spans = (spans or Spans()).resolve(record.n_samples)
-    (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
-    if p_lo != a_lo:
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
-                          f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
+    fs = record.sample_rate_hz
+    spans, bias, plan = _ica_plan(record.n_samples, fs, ica_cfg.fundamental_hz,
+                                  cfg.min_consecutive, spans)
     pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)
-    cycles = (p_hi - p_lo) / pi.window_len
-    bias = (cycles + 1) / (cycles - 1)
-    starts = np.arange(a_lo, a_hi)
-    index = _Index(starts, pi.values, 1, starts / record.sample_rate_hz)
-    scan = replace(spans, analysis=(a_lo + pi.window_len - 1, a_hi))
     eigenvalues = pi.whitening_eigenvalues
-    return _decide("ica", index, cfg, scan, record.sample_rate_hz,
+    return _decide("ica", pi.values, np.arange(*spans.analysis) / fs, plan, cfg, fs,
                    {"components_kept": len(eigenvalues),
                     "whitening_eigenvalues": eigenvalues.tolist()},
                    rule=(bias, 2.5, PI_DETECTION_FLOOR))
@@ -388,55 +387,28 @@ ENERGY_DETECTION_FLOOR = 1e-12
 # measure at 8x and above.
 ENERGY_FLOOR_FACTOR = 4.5
 
-PLAN_CACHE_SIZE = 8  # energy-index plans kept; the least recently used goes first
-
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _window_plan(n_samples: int, window: int, hop: int, fs: float, cutoff_hz: float | None,
-                 level: int | None) -> tuple[np.ndarray, tuple | int]:
-    """Read-only window starts, and for the wavelet index (no cutoff) their
-    :func:`dwt.window_groups` at ``level``, else the first bin of a frame's
-    spectrum at or above ``cutoff_hz`` (the high band, as bins ascend); a
-    cutoff at or above the Nyquist frequency raises ConfigError."""
+                 level: int | None, spans: Spans | None) -> tuple:
+    """An energy index's read-only window starts; for the wavelet index (no
+    cutoff) their :func:`dwt.window_groups` at ``level``, else the first bin
+    of a frame's spectrum at or above ``cutoff_hz`` (the high band, as bins
+    ascend); the read-only window center times; and the plan. Checks the
+    spans, then the level or the cutoff and framing."""
+    spans = (spans or Spans()).resolve(n_samples)
     starts = np.arange(0, n_samples - window + 1, hop)
-    starts.flags.writeable = False
     if cutoff_hz is None:
-        return starts, dwt.window_groups(n_samples, level, starts, window)
-    if cutoff_hz >= fs / 2.0:
+        dwt.check_length(n_samples, level)
+        transform = dwt.window_groups(n_samples, level, starts, window)
+    elif cutoff_hz >= fs / 2.0:
         raise ConfigError(f"cutoff {cutoff_hz} Hz is at or above the Nyquist frequency")
-    return starts, int(np.count_nonzero(np.arange(window // 2 + 1) * (fs / window) < cutoff_hz))
-
-
-def _energy_window_series(
-    trace: Trace, method: str, cfg: DetectorConfig, fundamental_hz: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-window index series for one method: (starts, values, window_len).
-
-    FT and wavelet windows span one :func:`cycle_length` and slide by a quarter
-    of it; STFT windows are the Hann frames of :func:`spectral.stft`. The trace
-    is transformed once: one framed FFT (:func:`spectral.frame_magnitudes`,
-    which ``stft`` wraps), or one decomposition without boundary-wrapped
-    coefficients.
-    """
-    fs = trace.sample_rate_hz
-    if method == "energy_stft":
-        window, hop = spectral.STFT_WINDOW, spectral.STFT_HOP
     else:
-        window = cycle_length(fs, fundamental_hz, trace.n_samples)
-        hop = max(1, window // 4)
-    if method == "energy_wt":
-        tree = dwt.dwt_decompose(trace, cfg.level)  # checks the level before the plan
-        starts, groups = _window_plan(trace.n_samples, window, hop, fs, None, cfg.level)
-        return starts, dwt.window_energies(tree, cfg.level, starts, window, groups), window
-    starts, first_bin = _window_plan(trace.n_samples, window, hop, fs, cfg.cutoff_hz, None)
-    if method == "energy_stft":
-        frames = spectral.stft(trace, window, hop).frames
-    else:
-        frames = spectral.frame_magnitudes(trace.samples, window, hop)
-    # Column-major, each row sums its bins one by one from the lowest, as the
-    # high band always was; row-major rows would be summed pairwise.
-    high = np.square(frames[:, first_bin:], order="F")
-    return starts, high.sum(axis=1) / window, window
+        spectral.check_framing(n_samples, window, hop)
+        transform = int(np.count_nonzero(np.arange(window // 2 + 1) * (fs / window) < cutoff_hz))
+    times_s = (starts + window / 2.0) / fs
+    starts.flags.writeable = times_s.flags.writeable = False
+    return starts, transform, times_s, _plan(spans, starts.size, window, 1, hop=hop)
 
 
 def energy_detect(
@@ -448,13 +420,16 @@ def energy_detect(
 ) -> DetectionReport:
     """Compare a high-band energy index against a calibrated threshold.
 
-    The index is evaluated on a family of identical windows (one fundamental
-    cycle for FT/wavelet, one frame for STFT) so the calibration and analysis
+    The index is evaluated on a family of identical windows (one
+    :func:`cycle_length` sliding by a quarter of it for FT/wavelet, one
+    :func:`spectral.stft` frame for STFT) so the calibration and analysis
     statistics are exchangeable; whole-span transforms would instead be
     dominated by span-edge leakage whenever the span does not hold an integer
-    number of cycles. The trace is transformed once for all windows. The
-    reported analysis index is the largest window value inside the analysis
-    span, and the onset is the start of the first window above threshold
+    number of cycles. The trace is transformed once for all windows: one
+    framed FFT (:func:`spectral.frame_magnitudes`, which ``stft`` wraps) or
+    one decomposition without boundary-wrapped coefficients. The reported
+    analysis index is the largest window value inside the analysis span, and
+    the onset is the start of the first window above threshold
     (``min_consecutive`` does not apply). The threshold is
     mean + k_sigma * stddev over the calibration windows, floored at
     :data:`ENERGY_FLOOR_FACTOR` times their mean and at
@@ -464,13 +439,28 @@ def energy_detect(
     if method not in ENERGY_METHODS:
         raise ConfigError(f"method must be one of {ENERGY_METHODS}, got {method!r}")
     check_fundamental(fundamental_hz)
-    spans = (spans or Spans()).resolve(trace.n_samples)
-    fs = trace.sample_rate_hz
-    starts, values, window = _energy_window_series(trace, method, cfg, fundamental_hz)
-    index = _Index(starts, values, window, (starts + window / 2.0) / fs)
-    floor = ENERGY_DETECTION_FLOOR * float(np.square(trace.samples).sum() / trace.n_samples)
-    return _decide(method, index, cfg, spans, fs, {"window": window},
-                   rule=(1.0, ENERGY_FLOOR_FACTOR, floor), min_consecutive=1)
+    n, fs = trace.n_samples, trace.sample_rate_hz
+    if method == "energy_stft":
+        window, hop = spectral.STFT_WINDOW, spectral.STFT_HOP
+    else:
+        window = cycle_length(fs, fundamental_hz, n)
+        hop = max(1, window // 4)
+    cutoff_hz, level = (None, cfg.level) if method == "energy_wt" else (cfg.cutoff_hz, None)
+    starts, transform, times_s, plan = _window_plan(n, window, hop, fs, cutoff_hz, level, spans)
+    if method == "energy_wt":
+        tree = dwt.dwt_decompose(trace, cfg.level)
+        values = dwt.window_energies(tree, cfg.level, starts, window, transform)
+    else:
+        if method == "energy_stft":
+            frames = spectral.stft(trace, window, hop).frames
+        else:
+            frames = spectral.frame_magnitudes(trace.samples, window, hop)
+        # Column-major, each row sums its bins one by one from the lowest, as
+        # the high band always was; row-major rows would be summed pairwise.
+        values = np.square(frames[:, transform:], order="F").sum(axis=1) / window
+    floor = ENERGY_DETECTION_FLOOR * float(np.square(trace.samples).sum() / n)
+    return _decide(method, values, times_s.copy(), plan, cfg, fs, {"window": window},
+                   rule=(1.0, ENERGY_FLOOR_FACTOR, floor))
 
 
 def energy_row(

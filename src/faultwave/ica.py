@@ -14,6 +14,8 @@ The index is planned once per geometry: :func:`_phase_plan` caches read-only
 phase slots (16 bytes per sample from calibration start to analysis end) and
 the template deposits of the calibration samples (64 bytes each) for the last
 :data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600 samples, default spans.
+Each call still checks its spans (:func:`template_period`); the ICA detector's
+own plan keeps only the scalars that check yields.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class IcaConfig:
 
 def center(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove row means; returns the centered matrix and the means."""
-    mean = matrix.mean(axis=1)
+    mean = matrix.sum(axis=1) / matrix.shape[1]  # bitwise ``matrix.mean(axis=1)``
     return matrix - mean[:, None], mean
 
 
@@ -307,6 +309,23 @@ def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) ->
     return out
 
 
+def template_period(n_samples: int, fs: float, fundamental_hz: float,
+                    calibration_span: tuple[int, int], analysis_span: tuple[int, int]) -> int:
+    """The :func:`cycle_length` that :func:`performance_index` tiles its template
+    with, once its spans pass the rules it documents (same errors)."""
+    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
+    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
+    if not (0 <= p_lo < p_hi <= n_samples and 0 <= a_lo < a_hi <= n_samples):
+        raise BoundsError(f"{named} lie outside the record (N={n_samples})")
+    if p_lo > a_lo or p_hi >= a_hi:
+        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
+    period = cycle_length(fs, fundamental_hz, n_samples)
+    if p_hi - p_lo < 2 * period:
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
+                          f"fundamental cycles ({2 * period} samples)")
+    return period
+
+
 def performance_index(
     record: ThreePhaseRecord,
     calibration_span: tuple[int, int],
@@ -347,20 +366,10 @@ def performance_index(
             on the calibration span.
         NumericalError: the record overflows the whitening covariance.
     """
-    n = record.n_samples
-    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
-    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
-    if not (0 <= p_lo < p_hi <= n and 0 <= a_lo < a_hi <= n):
-        raise BoundsError(f"{named} lie outside the record (N={n})")
-    if p_lo > a_lo or p_hi >= a_hi:
-        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
-
     fs = record.sample_rate_hz
-    period = cycle_length(fs, config.fundamental_hz, n)
-    if p_hi - p_lo < 2 * period:
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
-                          f"fundamental cycles ({2 * period} samples)")
-
+    period = template_period(record.n_samples, fs, config.fundamental_hz, calibration_span,
+                             analysis_span)
+    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
     slots, frac, deposits = _phase_plan(p_lo, a_hi, p_hi, fs, config.fundamental_hz, period)
     template = _build_template(record.samples, calibration_span, deposits)
     normal = _read_template(template, slots[a_lo - p_lo:], frac[a_lo - p_lo:])

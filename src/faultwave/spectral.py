@@ -6,7 +6,8 @@ for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 
 The STFT frame, :data:`STFT_WINDOW` samples every :data:`STFT_HOP`, serves the
 spectrogram and ``energy_stft`` alike; its Hann taper is planned once per frame
-length (the last :data:`PLAN_CACHE_SIZE` kept, read-only, 8 bytes per sample).
+length (the last :data:`PLAN_CACHE_SIZE` kept, read-only, 8 bytes per sample),
+and an energy plan checks its frames once with :func:`check_framing`.
 """
 
 from __future__ import annotations
@@ -67,15 +68,12 @@ def dft(trace: Trace) -> Spectrum:
     )
 
 
-def _check_framing(samples: np.ndarray, window_len: int, hop: int) -> None:
-    """Raise ShapeError unless ``samples`` is 1-D and ``window_len``/``hop`` are
-    integers (not booleans) with 2 <= window_len <= len(samples) and hop >= 1."""
-    if samples.ndim != 1:
-        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
+def check_framing(n: int, window_len: int, hop: int) -> None:
+    """Raise ShapeError unless ``window_len`` and ``hop`` are integers (not
+    booleans) with 2 <= window_len <= n and hop >= 1."""
     if (isinstance(window_len, bool) or isinstance(hop, bool)
             or not isinstance(window_len, Integral) or not isinstance(hop, Integral)):
         raise ShapeError(f"window_len and hop must be integers, got {window_len!r}, {hop!r}")
-    n = samples.shape[0]
     if not 2 <= window_len <= n or hop < 1:
         raise ShapeError(f"need 2 <= window_len <= {n} and hop >= 1, got {window_len}, {hop}")
 
@@ -98,7 +96,9 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
         ShapeError: ``samples`` not 1-D; window or hop not an integer, window
             outside 2..len(samples), or hop < 1.
     """
-    _check_framing(samples, window_len, hop)
+    if samples.ndim != 1:
+        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
+    check_framing(samples.shape[0], window_len, hop)
     samples = np.ascontiguousarray(samples)
     step = samples.itemsize
     frames = (samples.shape[0] - window_len) // hop + 1
@@ -125,7 +125,7 @@ def stft(trace: Trace, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> Sp
     Raises:
         ShapeError: see :func:`frame_magnitudes`.
     """
-    _check_framing(trace.samples, window_len, hop)  # np.hanning takes 16.5 or True
+    check_framing(trace.n_samples, window_len, hop)  # np.hanning takes 16.5 or True
     frames = frame_magnitudes(trace.samples, window_len, hop, _hann(int(window_len)))
     starts = np.arange(frames.shape[0]) * hop
     return Spectrogram(

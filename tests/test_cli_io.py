@@ -748,10 +748,12 @@ class TestCmdDetect:
          ({"detector": {"method": "energy_stft"}, "spans": {"calibration": [0, 40]}},
           "spans.calibration=(0, 40) is shorter than one window"),
          ({"detector": {"method": "ica"}, "spans": {"calibration": [0, 60]}},
-          "spans.calibration=(0, 60) covers fewer than two")],
+          "spans.calibration=(0, 60) covers fewer than two"),
+         ({"detector": {"method": "wavelet", "level": 4}, "spans": {"calibration": [0, 40]}},
+          "spans.calibration=(0, 40) holds no sample of dwt.artifact_free_range=(53, 357)")],
         ids=["cutoff_at_nyquist", "stft_frame_longer_than_trace",
              "ica_calibration_after_analysis_start", "stft_calibration_shorter_than_frame",
-             "ica_calibration_shorter_than_two_cycles"],
+             "ica_calibration_shorter_than_two_cycles", "wavelet_calibration_in_boundary_rows"],
     )
     def test_config_error_while_running_exits_2(self, runner, tmp_path, command, out, config,
                                                 message):
@@ -789,6 +791,21 @@ class TestCmdDetect:
         assert result.stderr.splitlines() == [result.stderr.strip()]
         assert result.stderr.startswith("faultwave: error: spans.analysis=(")
         assert result.stderr.endswith(" index values to scan, fewer than min_consecutive=1000\n")
+
+    @pytest.mark.parametrize("method, cutoff_hz", [("energy_ft", 0), ("energy_stft", -1),
+                                                   ("energy_wt", -0.0)])
+    def test_cutoff_that_is_not_positive_exits_2(self, runner, tmp_path, method, cutoff_hz):
+        """At or below 0 Hz the high band is the whole spectrum, and the AG trace
+        read "no fault" with exit 0."""
+        trace, _ = self.make_trace(runner, tmp_path)
+        cfg = write_json(tmp_path / "detect.json",
+                         {"detector": {"method": method, "cutoff_hz": cutoff_hz}})
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("faultwave: error: detector.cutoff_hz must be finite and "
+                                 f"positive, got {cutoff_hz}\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_ica_span_start_mismatch_exits_2_before_the_index(self, runner, tmp_path):
         """The calibration span is all zero, which the template build would

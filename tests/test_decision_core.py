@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from faultwave import BoundsError, DetectorConfig, FixedThreshold, Spans, Trace, wavelet_detect
 from faultwave.detect import (AdaptiveThreshold, DetectionReport, _decide, _first_run_start,
-                              _Index, calibrate_threshold)
+                              _plan, calibrate_threshold)
 from faultwave.dwt import (FILTER_LEN, artifact_free_range, boundary_artifact_mask,
                            detail_series, dwt_decompose)
 from conftest import assert_bitwise_equal, rng_trace
@@ -50,20 +50,27 @@ def convolve_first_run_start(above, min_consecutive):
 
 
 def mask_decide(method, starts, values, width, valid, cfg, spans, fs, rule,
-                min_consecutive=None):
-    """Reference: the decision core on boolean masks; ``valid`` is a mask or True."""
+                min_consecutive=None, valid_mask=None):
+    """Reference: the decision core on boolean masks. ``valid`` is the valid
+    row range (None: every row), and ``valid_mask`` its mask, by default
+    built from it."""
     policy = cfg.threshold
-    lo, hi = spans.calibration
+    if valid_mask is None:
+        valid_mask = row_mask(valid, starts.size)
     ends = starts + width
+    masks = []
+    for name in ("calibration", "analysis"):
+        lo, hi = getattr(spans, name)
+        inside = (starts >= lo) & (ends <= hi)
+        if not np.any(inside):
+            raise BoundsError(
+                f"spans.{name}=({lo}, {hi}) is shorter than one window ({width})")
+        if not np.any(inside & valid_mask):
+            raise BoundsError(
+                f"spans.{name}=({lo}, {hi}) holds no sample of dwt.artifact_free_range={valid}")
+        masks.append(inside & valid_mask)
+    in_cal, scan = masks
     a_lo, a_hi = spans.analysis
-    in_cal = (starts >= lo) & (ends <= hi) & valid
-    scan = (starts >= a_lo) & (ends <= a_hi) & valid
-    if not np.any(in_cal):
-        raise BoundsError(
-            f"spans.calibration=({lo}, {hi}) is shorter than one window ({width})")
-    if not np.any(scan):
-        raise BoundsError(
-            f"spans.analysis=({a_lo}, {a_hi}) is shorter than one window ({width})")
     need = min_consecutive or cfg.min_consecutive
     if np.count_nonzero(scan) < need:
         raise BoundsError(f"spans.analysis=({a_lo}, {a_hi}) holds {np.count_nonzero(scan)} "
@@ -174,18 +181,20 @@ class TestDecide:
     @given(decisions())
     def test_equals_mask_reference(self, decision):
         starts, values, width, valid, cfg, spans, rule, min_consecutive = decision
-        index = _Index(starts, values, width, starts / 2000.0, valid)
+        first, hop = int(starts[0]), int(starts[1] - starts[0]) if starts.size > 1 else 1
+        need = min_consecutive or cfg.min_consecutive
         assert_same_outcome(
-            lambda: _decide("m", index, cfg, spans, 2000.0, {}, rule, min_consecutive),
-            lambda: mask_decide("m", starts, values, width, row_mask(valid, starts.size),
-                                cfg, spans, 2000.0, rule, min_consecutive))
+            lambda: _decide("m", values, starts / 2000.0,
+                            _plan(spans, starts.size, width, need, first, hop, valid),
+                            cfg, 2000.0, {}, rule),
+            lambda: mask_decide("m", starts, values, width, valid, cfg, spans, 2000.0, rule,
+                                min_consecutive))
 
     def test_empty_valid_range_names_the_calibration_span(self):
-        starts = np.arange(100)
-        index = _Index(starts, np.ones(100), 1, starts / 2000.0, valid=(60, 60))
         with pytest.raises(BoundsError) as got:
-            _decide("m", index, DetectorConfig(), Spans((0, 30), (0, 100)), 2000.0, {})
-        assert str(got.value) == "spans.calibration=(0, 30) is shorter than one window (1)"
+            _plan(Spans((0, 30), (0, 100)), 100, 1, 3, valid=(60, 60))
+        assert str(got.value) == ("spans.calibration=(0, 30) holds no sample of "
+                                  "dwt.artifact_free_range=(60, 60)")
 
 
 def wavelet_lengths(max_level: int = 6, max_n: int = 8192):
@@ -219,8 +228,9 @@ class TestWaveletBoundaryRule:
         series = detail_series(dwt_decompose(trace, level), level)
         spans = Spans().resolve(n)
         with pytest.raises(BoundsError) as expected:
-            mask_decide("wavelet", np.arange(n), series.samples, 1,
-                        ~loop_boundary_mask(n, level), cfg, spans, 2000.0, (1.0, 0.0, 0.0))
+            mask_decide("wavelet", np.arange(n), series.samples, 1, artifact_free_range(n, level),
+                        cfg, spans, 2000.0, (1.0, 0.0, 0.0),
+                        valid_mask=~loop_boundary_mask(n, level))
         with pytest.raises(BoundsError) as got:
             wavelet_detect(trace, cfg)
         assert str(got.value) == str(expected.value)
@@ -236,5 +246,5 @@ class TestWaveletBoundaryRule:
         assert_same_outcome(
             lambda: wavelet_detect(trace, cfg),
             lambda: mask_decide("wavelet", np.arange(n), series.samples, 1,
-                                ~loop_boundary_mask(n, level), cfg, Spans().resolve(n),
-                                2000.0, (1.0, 0.0, 0.0)))
+                                artifact_free_range(n, level), cfg, Spans().resolve(n),
+                                2000.0, (1.0, 0.0, 0.0), valid_mask=~loop_boundary_mask(n, level)))

@@ -10,8 +10,10 @@ must still be raised when the plan of its geometry is cached.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -70,8 +72,10 @@ def digest(report) -> tuple:
 
 
 def test_every_cache_is_a_bounded_plan_cache():
-    assert sorted(CACHES) == ["faultwave.detect._window_plan", "faultwave.ica._phase_plan",
+    assert sorted(CACHES) == ["faultwave.detect._ica_plan", "faultwave.detect._wavelet_plan",
+                              "faultwave.detect._window_plan", "faultwave.ica._phase_plan",
                               "faultwave.spectral._hann"]
+    assert sorted(plans()) == sorted(CACHES)  # cached_arrays() reads every cache
     for name, cache in CACHES.items():
         module = next(m for m in MODULES if name.startswith(m.__name__ + "."))
         assert cache.cache_parameters()["maxsize"] == module.PLAN_CACHE_SIZE, name
@@ -101,13 +105,52 @@ def test_interleaved_geometries_equal_cold_caches_bitwise():
         assert info.hits > 0 and info.currsize <= info.maxsize, name
 
 
+def test_paper_grid_fundamentals_keep_every_plan_warm():
+    """The energy plans are keyed on the window, 40 samples at all three
+    fundamentals, so the 9 (method, fundamental) pairs of a screen need 3
+    energy plans, not more than a cache keeps; a second screen misses none."""
+    records = {f0: record(400, f0) for f0 in (49.5, 50.0, 50.5)}
+    clear_caches()
+    for f0, rec in records.items():
+        screen(rec, f0, 1, None)
+    misses = {name: cache.cache_info().misses for name, cache in CACHES.items()}
+    for f0, rec in records.items():
+        screen(rec, f0, 1, None)
+    assert {name: cache.cache_info().misses for name, cache in CACHES.items()} == misses
+
+
+def plans() -> dict:
+    """One plan from each cache, by cache name (both kinds of energy plan)."""
+    return {
+        "faultwave.detect._ica_plan": detect._ica_plan(400, 2000.0, 50.0, 3, None),
+        "faultwave.detect._wavelet_plan": detect._wavelet_plan(400, 2, 3, None),
+        "faultwave.detect._window_plan": (
+            detect._window_plan(400, 40, 10, 2000.0, None, 2, None),
+            detect._window_plan(400, 40, 10, 2000.0, 150.0, None, SPANS[400])),
+        "faultwave.ica._phase_plan": ica._phase_plan(0, 400, 120, 2000.0, 50.0, 40),
+        "faultwave.spectral._hann": spectral._hann(64),
+    }
+
+
+def arrays_in(value) -> list[np.ndarray]:
+    """Every array in ``value``, however deep in tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in arrays_in(item)]
+    return []
+
+
 def cached_arrays() -> list[np.ndarray]:
     """The arrays of one plan from each cache."""
-    starts, groups = detect._window_plan(400, 40, 10, 2000.0, None, 2)
-    slots, frac, deposits = ica._phase_plan(0, 400, 120, 2000.0, 50.0, 40)
-    return [spectral._hann(64), starts, detect._window_plan(400, 40, 10, 2000.0, 150.0, None)[0],
-            *[array for _, rows, firsts in groups for array in (rows, firsts)],
-            slots, frac, *deposits]
+    return arrays_in(list(plans().values()))
+
+
+def test_wavelet_and_ica_plans_hold_no_array():
+    assert arrays_in(plans()["faultwave.detect._wavelet_plan"]) == []
+    assert arrays_in(plans()["faultwave.detect._ica_plan"]) == []
 
 
 def test_cached_arrays_are_read_only():
@@ -183,6 +226,32 @@ class TestInputErrorsOnWarmCaches:
         rec = record(400, 50.0)
         for spans in (Spans((0, 79), (0, 400)), Spans((10, 60), (10, 400))):
             raises_twice(BoundsError, "fewer than two", lambda: ica_detect(rec, spans=spans))
+
+    @pytest.mark.parametrize("method", ENERGY_METHODS)
+    def test_calibration_span_shorter_than_one_window(self, method):
+        window = 64 if method == "energy_stft" else 40
+        for spans in (Spans(calibration=(0, 39)), Spans((10, 49), (10, 400))):
+            lo, hi = spans.calibration
+            raises_twice(BoundsError, re.escape(f"spans.calibration=({lo}, {hi}) is shorter than "
+                                                f"one window ({window})") + "$",
+                         lambda: energy_detect(self.TRACE, method, spans=spans))
+
+    def test_scan_shorter_than_min_consecutive(self):
+        rec = record(400, 50.0)
+        cfg = DetectorConfig(min_consecutive=1000)
+        message = (r"^spans\.analysis=\(\d+, 400\) holds \d+ index values to scan, "
+                   "fewer than min_consecutive=1000$")
+        for spans in (None, SPANS[400]):
+            raises_twice(BoundsError, message, lambda: wavelet_detect(self.TRACE, cfg, spans))
+            raises_twice(BoundsError, message, lambda: ica_detect(
+                rec, dataclasses.replace(cfg, method="ica"), spans))
+
+    def test_ica_calibration_not_at_the_analysis_start(self):
+        rec = record(400, 50.0)
+        for spans in (Spans((10, 130), (0, 400)), Spans(analysis=(10, 400))):
+            raises_twice(BoundsError, r"^spans\.calibration=\(\d+, \d+\) must start where "
+                                      r"spans\.analysis=\(\d+, 400\) starts for the ica detector$",
+                         lambda: ica_detect(rec, spans=spans))
 
     @pytest.mark.parametrize("spans", [None, SPANS[400]])
     def test_all_zero_calibration_span(self, spans):
