@@ -6,7 +6,7 @@ Each detector only builds an index series; one decision core thresholds it:
 * ica: the performance index of :mod:`faultwave.ica`, one per analysis sample;
 * energy: high-band energy of the FT, STFT, or wavelet detail band over
   sliding windows of one :func:`~faultwave.signal_model.cycle_length` (FT,
-  wavelet) or one :mod:`~faultwave.spectral` STFT frame.
+  wavelet) or the one :func:`~faultwave.spectral.stft` frame.
 
 The core calibrates the threshold with :func:`calibrate_threshold` on a span
 assumed fault-free (default mean + 5 sigma, with per-method floors), or takes
@@ -15,12 +15,13 @@ analysis span. Detectors report onset only; the return to normal after fault
 clearing is deliberately not claimed.
 
 Each detector plans its decision once per geometry (the last
-:data:`PLAN_CACHE_SIZE` kept per detector), so a call on a known geometry
-does only sample work: the resolved spans and their checks, the calibration
-and scan rows and the run length, all scalars. Energy plans are keyed on the
-window, not the fundamental, and add read-only window starts and times and
-the cutoff bin or wavelet coefficient groups: at most 32 bytes per window,
-1.31 MB for 409,600 samples in 40-sample windows 10 apart.
+:data:`~faultwave.ica.PLAN_CACHE_SIZE` kept per detector, the package's one
+cache size), so a call on a known geometry does only sample work: the
+resolved spans and their checks, the calibration and scan rows and the run
+length, all scalars. Energy plans are keyed on the window, not the
+fundamental, and add read-only window starts and times and the cutoff bin or
+wavelet coefficient groups: at most 32 bytes per window, 1.31 MB for 409,600
+samples in 40-sample windows 10 apart.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import dwt, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .ica import IcaConfig, performance_index, template_period
-from .signal_model import (NONNEGATIVE, POSITIVE, ThreePhaseRecord, Trace, check_count,
+from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index, template_period
+from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, ThreePhaseRecord, Trace, check_count,
                            check_fundamental, check_number, cycle_length, select_channel)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
@@ -284,9 +285,6 @@ def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
     )
 
 
-PLAN_CACHE_SIZE = 8  # plans kept per detector; the least recently used goes first
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _wavelet_plan(n_samples: int, level: int, need: int, spans: Spans | None) -> tuple:
     """The wavelet detector's plan: one row per sample, the rows of
@@ -452,7 +450,7 @@ def energy_detect(
         values = dwt.window_energies(tree, cfg.level, starts, window, transform)
     else:
         if method == "energy_stft":
-            frames = spectral.stft(trace, window, hop).frames
+            frames = spectral.stft(trace).frames
         else:
             frames = spectral.frame_magnitudes(trace.samples, window, hop)
         # Column-major, each row sums its bins one by one from the lowest, as
@@ -476,10 +474,10 @@ def energy_row(
     per method (detected if any phase crosses its threshold), since
     single-phase faults leave the other channels untouched.
     """
+    traces = [select_channel(record, phase) for phase in PHASES]
     peaks, hits = [], []
     for method in ENERGY_METHODS:
-        reports = [energy_detect(select_channel(record, phase), method, cfg, spans, fundamental_hz)
-                   for phase in "abc"]
+        reports = [energy_detect(trace, method, cfg, spans, fundamental_hz) for trace in traces]
         peaks.append(max(report.metadata["analysis_index"] for report in reports))
         hits.append(any(report.detected for report in reports))
     return EnergyRow(name, *peaks, *hits)

@@ -37,7 +37,7 @@ RANK_TOLERANCE = 1e-12
 # direction from dominating the index.
 RETAIN = 2
 
-PLAN_CACHE_SIZE = 8  # phase plans kept; the least recently used goes first
+PLAN_CACHE_SIZE = 8  # plans kept per cache here and in detect; least recently used go first
 
 
 @dataclass(eq=False)

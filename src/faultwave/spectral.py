@@ -4,16 +4,15 @@ Normalization: one-sided magnitudes are |FFT(x)| / sqrt(N) (unitary scaling),
 so summing squared magnitudes with weight 2 on interior bins (1 on DC and,
 for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 
-The STFT frame, :data:`STFT_WINDOW` samples every :data:`STFT_HOP`, serves the
-spectrogram and ``energy_stft`` alike; its Hann taper is planned once per frame
-length (the last :data:`PLAN_CACHE_SIZE` kept, read-only, 8 bytes per sample),
-and an energy plan checks its frames once with :func:`check_framing`.
+The STFT frame is one constant, :data:`STFT_WINDOW` samples every
+:data:`STFT_HOP` under the read-only Hann taper :data:`STFT_TAPER`; it serves
+the spectrogram and ``energy_stft`` alike. :func:`frame_magnitudes` checks
+every framing once with :func:`check_framing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -21,11 +20,11 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .signal_model import Trace
 
-PLAN_CACHE_SIZE = 8  # tapers kept; the least recently used goes first
-
 # Frame length and hop of the STFT, in samples: a 10 ms-scale burst at 2 kHz.
 STFT_WINDOW = 64
 STFT_HOP = 16
+STFT_TAPER = np.hanning(STFT_WINDOW)
+STFT_TAPER.flags.writeable = False
 
 
 @dataclass(eq=False)
@@ -109,29 +108,21 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _hann(window_len: int) -> np.ndarray:
-    """Read-only ``np.hanning(window_len)``."""
-    taper = np.hanning(window_len)
-    taper.flags.writeable = False
-    return taper
+def stft(trace: Trace) -> Spectrogram:
+    """Short-time Fourier transform over the one STFT frame: :data:`STFT_WINDOW`
+    samples every :data:`STFT_HOP`, tapered by :data:`STFT_TAPER`.
 
-
-def stft(trace: Trace, window_len: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
-    """Short-time Fourier transform with a Hann window.
-
-    Frames start every ``hop`` samples; frame times mark window centers.
+    Frame times mark window centers.
 
     Raises:
-        ShapeError: see :func:`frame_magnitudes`.
+        ShapeError: the trace is shorter than one frame.
     """
-    check_framing(trace.n_samples, window_len, hop)  # np.hanning takes 16.5 or True
-    frames = frame_magnitudes(trace.samples, window_len, hop, _hann(int(window_len)))
-    starts = np.arange(frames.shape[0]) * hop
+    frames = frame_magnitudes(trace.samples, STFT_WINDOW, STFT_HOP, STFT_TAPER)
+    starts = np.arange(frames.shape[0]) * STFT_HOP
     return Spectrogram(
         frames=frames,
-        frame_times_s=(starts + window_len / 2.0) / trace.sample_rate_hz,
-        bin_hz=trace.sample_rate_hz / window_len,
+        frame_times_s=(starts + STFT_WINDOW / 2.0) / trace.sample_rate_hz,
+        bin_hz=trace.sample_rate_hz / STFT_WINDOW,
     )
 
 

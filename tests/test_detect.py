@@ -11,6 +11,7 @@ from faultwave import (
     ConfigError,
     DegenerateInputError,
     DetectorConfig,
+    FaultSpec,
     FaultwaveError,
     FixedThreshold,
     IcaConfig,
@@ -18,12 +19,15 @@ from faultwave import (
     Spans,
     ThreePhaseRecord,
     Trace,
+    WaveformConfig,
     calibrate_threshold,
     dft,
     energy_detect,
+    generate_baseline,
     highband_energy_index,
     performance_index,
     ica_detect,
+    inject_fault,
     select_channel,
     stft,
     wavelet_detect,
@@ -162,6 +166,21 @@ class TestWaveletDetect:
             assert report.detected
             assert report.onset_sample >= FAULT_ONSET_SAMPLE - cfg.min_consecutive
             assert report.onset_sample <= FAULT_ONSET_SAMPLE + 80  # two cycles
+
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.integers(1, 3), fault=st.sampled_from(["AG", "AB", "ABCG"]),
+           onset=st.integers(130, 170))
+    def test_onset_moves_with_the_fault_by_whole_cycles(self, level, fault, onset):
+        """A noiseless 40-sample cycle is a multiple of 2**level, so moving the
+        fault by whole cycles moves the wavelet onset by as many samples."""
+        baseline = generate_baseline(WaveformConfig(duration_s=0.2))
+        lags = set()
+        for k in range(4):
+            fault_onset = onset + 40 * k
+            record = inject_fault(baseline, FaultSpec(fault, onset_s=fault_onset / 2000.0))
+            report = wavelet_detect(select_channel(record, "a"), DetectorConfig(level=level))
+            lags.add(report.onset_sample - fault_onset if report.detected else None)
+        assert len(lags) == 1, lags
 
     def test_fixed_threshold_override(self, ag_record):
         report = wavelet_detect(
@@ -322,7 +341,7 @@ class TestEnergyWindowSeries:
         report = energy_detect(trace, "energy_stft", DetectorConfig(method="energy_stft"))
         segments = np.lib.stride_tricks.sliding_window_view(trace.samples, STFT_WINDOW)[::STFT_HOP]
         frames = np.abs(np.fft.rfft(segments * np.hanning(STFT_WINDOW), axis=1)) / np.sqrt(STFT_WINDOW)
-        gram = stft(trace, STFT_WINDOW, STFT_HOP)
+        gram = stft(trace)
         np.testing.assert_array_equal(gram.frames, frames)
         bins = gram.frequencies() >= 150.0
         np.testing.assert_array_equal(report.index_series,

@@ -1,6 +1,6 @@
 """Plans cached per record geometry leave every report as it was.
 
-A detector call builds its sample-independent arrays (window grids, tapers,
+A detector call builds its sample-independent arrays (window grids,
 coefficient groups, phase slots) from hashable scalars and keeps them in a
 bounded ``functools.lru_cache``. Reports made on warm caches, in any order of
 geometries and with plans evicted on the way, must equal reports made on cold
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import pathlib
 import random
 import re
 
@@ -73,12 +74,18 @@ def digest(report) -> tuple:
 
 def test_every_cache_is_a_bounded_plan_cache():
     assert sorted(CACHES) == ["faultwave.detect._ica_plan", "faultwave.detect._wavelet_plan",
-                              "faultwave.detect._window_plan", "faultwave.ica._phase_plan",
-                              "faultwave.spectral._hann"]
+                              "faultwave.detect._window_plan", "faultwave.ica._phase_plan"]
     assert sorted(plans()) == sorted(CACHES)  # cached_arrays() reads every cache
     for name, cache in CACHES.items():
         module = next(m for m in MODULES if name.startswith(m.__name__ + "."))
         assert cache.cache_parameters()["maxsize"] == module.PLAN_CACHE_SIZE, name
+
+
+def test_the_plan_cache_size_is_defined_once():
+    package = pathlib.Path(detect.__file__).parent
+    assigned = [path.name for path in sorted(package.glob("*.py"))
+                if re.search(r"^PLAN_CACHE_SIZE\b.*=", path.read_text(), re.M)]
+    assert assigned == ["ica.py"]
 
 
 def test_interleaved_geometries_equal_cold_caches_bitwise():
@@ -128,7 +135,6 @@ def plans() -> dict:
             detect._window_plan(400, 40, 10, 2000.0, None, 2, None),
             detect._window_plan(400, 40, 10, 2000.0, 150.0, None, SPANS[400])),
         "faultwave.ica._phase_plan": ica._phase_plan(0, 400, 120, 2000.0, 50.0, 40),
-        "faultwave.spectral._hann": spectral._hann(64),
     }
 
 

@@ -16,7 +16,8 @@ from faultwave import (
     select_channel,
     stft,
 )
-from faultwave.spectral import frame_magnitudes
+from faultwave import spectral
+from faultwave.spectral import STFT_HOP, STFT_TAPER, STFT_WINDOW, frame_magnitudes
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, rng_trace
 
 
@@ -66,17 +67,17 @@ class TestDft:
 
 class TestStft:
     def test_stationary_tone_has_constant_peak_bin(self, baseline_record):
-        gram = stft(select_channel(baseline_record, "a"), window_len=64, hop=16)
+        gram = stft(select_channel(baseline_record, "a"))
         peaks = np.argmax(gram.frames, axis=1)
         assert np.all(peaks == peaks[0])
 
     def test_frame_count_matches_contract(self, baseline_record):
-        gram = stft(select_channel(baseline_record, "a"), window_len=64, hop=16)
+        gram = stft(select_channel(baseline_record, "a"))
         assert gram.frames.shape[0] == (400 - 64) // 16 + 1
         assert gram.frames.shape[1] == 64 // 2 + 1
 
     def test_highband_jumps_in_frame_containing_onset(self, ag_record):
-        gram = stft(select_channel(ag_record, "a"), window_len=64, hop=16)
+        gram = stft(select_channel(ag_record, "a"))
         band = gram.frequencies() >= 150.0
         energy = np.sum(gram.frames[:, band] ** 2, axis=1)
         starts = np.arange(gram.frames.shape[0]) * 16
@@ -93,32 +94,30 @@ class TestStft:
     def test_shift_by_hop_multiple_shifts_frames(self):
         x = rng_trace(512, seed=4)
         shifted = np.concatenate([np.zeros(32), x[:-32]])
-        a = stft(Trace(x, 2000.0), window_len=64, hop=16)
-        b = stft(Trace(shifted, 2000.0), window_len=64, hop=16)
+        a = stft(Trace(x, 2000.0))
+        b = stft(Trace(shifted, 2000.0))
         np.testing.assert_allclose(b.frames[2:], a.frames[: b.frames.shape[0] - 2], atol=1e-12)
 
-    def test_window_longer_than_trace_rejected(self):
+    def test_trace_shorter_than_one_frame_rejected(self):
         with pytest.raises(ShapeError, match="window_len"):
-            stft(Trace(np.zeros(32), 2000.0), window_len=64)
+            stft(Trace(np.zeros(32), 2000.0))
 
-    def test_nonpositive_hop_rejected(self):
-        with pytest.raises(ShapeError, match="hop"):
-            stft(Trace(np.zeros(128), 2000.0), window_len=64, hop=0)
+    def test_checks_its_frame_once(self, monkeypatch):
+        calls = []
+        check = spectral.check_framing
+        monkeypatch.setattr(spectral, "check_framing", lambda *a: calls.append(a) or check(*a))
+        stft(Trace(np.zeros(128), 2000.0))
+        assert calls == [(128, STFT_WINDOW, STFT_HOP)]
 
-    @pytest.mark.parametrize("window_len, hop", [(64, 16.5), (64.0, 16), (64, True),
-                                                 (True, 16), (64, np.float64(16.0))])
-    def test_non_integer_window_or_hop_rejected(self, window_len, hop):
-        with pytest.raises(ShapeError, match="integers"):
-            stft(Trace(np.zeros(128), 2000.0), window_len=window_len, hop=hop)
+    def test_taper_is_a_read_only_hann_constant(self):
+        assert_bitwise_equal(STFT_TAPER, np.hanning(64))
+        assert not STFT_TAPER.flags.writeable
+        with pytest.raises(ValueError):
+            STFT_TAPER[0] = 1.0
 
-    def test_numpy_integer_window_and_hop_accepted(self):
-        trace = Trace(rng_trace(128, seed=2), 2000.0)
-        assert_bitwise_equal(stft(trace, np.int64(64), np.int32(16)).frames,
-                             stft(trace, 64, 16).frames)
-
-    def test_two_dimensional_samples_rejected(self):
-        with pytest.raises(ShapeError, match="1-D"):
-            frame_magnitudes(np.zeros((2, 64)), 8, 4, np.ones(8))
+    def test_spectral_keeps_no_cache(self):
+        assert not any(hasattr(value, "cache_clear") for value in vars(spectral).values())
+        assert not hasattr(spectral, "lru_cache") and not hasattr(spectral, "PLAN_CACHE_SIZE")
 
 
 def index_frame_magnitudes(samples, window_len, hop, taper):
@@ -152,6 +151,29 @@ class TestFrameMagnitudes:
         taper = np.hanning(window_len) if hann else np.ones(window_len)
         assert_bitwise_equal(frame_magnitudes(samples, window_len, hop, taper),
                              index_frame_magnitudes(samples, window_len, hop, taper))
+
+    def test_window_longer_than_samples_rejected(self):
+        with pytest.raises(ShapeError, match="window_len"):
+            frame_magnitudes(np.zeros(32), 64, 16)
+
+    def test_nonpositive_hop_rejected(self):
+        with pytest.raises(ShapeError, match="hop"):
+            frame_magnitudes(np.zeros(128), 64, 0)
+
+    @pytest.mark.parametrize("window_len, hop", [(64, 16.5), (64.0, 16), (64, True),
+                                                 (True, 16), (64, np.float64(16.0))])
+    def test_non_integer_window_or_hop_rejected(self, window_len, hop):
+        with pytest.raises(ShapeError, match="integers"):
+            frame_magnitudes(np.zeros(128), window_len, hop)
+
+    def test_numpy_integer_window_and_hop_accepted(self):
+        samples = rng_trace(128, seed=2)
+        assert_bitwise_equal(frame_magnitudes(samples, np.int64(64), np.int32(16), STFT_TAPER),
+                             frame_magnitudes(samples, 64, 16, STFT_TAPER))
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            frame_magnitudes(np.zeros((2, 64)), 8, 4, np.ones(8))
 
     def test_strided_input_reads_its_own_elements(self):
         """A column of a record-major array is 1-D but not contiguous."""
