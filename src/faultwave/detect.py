@@ -33,9 +33,9 @@ from numbers import Integral
 
 import numpy as np
 
-from . import dwt, spectral
+from . import dwt, ica, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index, template_period
+from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index
 from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, ThreePhaseRecord, Trace, check_count,
                            check_fundamental, check_number, cycle_length, select_channel)
 
@@ -328,7 +328,7 @@ def _ica_plan(n_samples: int, fs: float, fundamental_hz: float, need: int,
     if p_lo != a_lo:
         raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
                           f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
-    period = template_period(n_samples, fs, fundamental_hz, spans.calibration, spans.analysis)
+    period = ica.index_plan(n_samples, fs, fundamental_hz, spans.calibration, spans.analysis)[0]
     cycles = (p_hi - p_lo) / period
     scan = replace(spans, analysis=(a_lo + period - 1, a_hi))
     return spans, (cycles + 1) / (cycles - 1), _plan(scan, a_hi - a_lo, 1, need, first=a_lo)
@@ -353,9 +353,9 @@ def ica_detect(
     noise (template noise partially cancels its own contribution). Adaptive
     thresholds are therefore scaled by the bias factor (m+1)/(m-1) for m
     calibration cycles, floored at 2.5x the calibration mean and at
-    :data:`PI_DETECTION_FLOOR`. The scan skips the first ``window_len - 1``
-    values: their trailing mean spans less than a cycle and runs noisier
-    (calibration keeps them).
+    :data:`PI_DETECTION_FLOOR`. The scan skips the first cycle but its last
+    value: a trailing mean there spans less than a cycle and runs noisier
+    (calibration keeps those values).
 
     Raises:
         BoundsError: a span does not fit the record or the rules above.

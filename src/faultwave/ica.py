@@ -10,12 +10,12 @@ stays near zero while the record matches its healthy pattern and jumps at
 fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
 after whitening, so it needs no FastICA fit.
 
-The index is planned once per geometry: :func:`_phase_plan` caches read-only
-phase slots (16 bytes per sample from calibration start to analysis end) and
-the template deposits of the calibration samples (64 bytes each) for the last
-:data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600 samples, default spans.
-Each call still checks its spans (:func:`template_period`); the ICA detector's
-own plan keeps only the scalars that check yields.
+The index is planned once per geometry: :func:`index_plan` checks the spans,
+derives the template period and caches read-only phase slots (16 bytes per
+sample from calibration start to analysis end) and the template deposits of
+the calibration samples (64 bytes each) for the last :data:`PLAN_CACHE_SIZE`
+geometries: 14.4 MB at 409,600 samples, default spans. A call on a known
+geometry does only sample work.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class PiSeries:
     """Per-sample performance index: ``values[i]`` is at sample ``analysis_span[0] + i``."""
 
     values: np.ndarray
-    window_len: int
     whitening_eigenvalues: np.ndarray
 
 
@@ -236,31 +235,45 @@ def _phase_slots(
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _phase_plan(lo: int, hi: int, anchor: int, fs: float, fundamental_hz: float,
-                period: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Read-only :func:`_phase_slots` of samples ``lo..hi-1``, and the deposits of
-    calibration samples ``lo..anchor-1``: ``bins`` their slot and the next one up
-    (row r of three offset by ``r * period``), ``weights`` those bins' shares
-    ``1 - frac`` and ``frac``, ``slot_weight`` the total each slot receives. A
-    slot that receives none raises BoundsError."""
-    slots, frac = _phase_slots(lo, hi, anchor, fs, fundamental_hz, period)
-    neighbors = np.stack((slots[:anchor - lo], (slots[:anchor - lo] + 1) % period))
-    weights = np.stack((1.0 - frac[:anchor - lo], frac[:anchor - lo]))
+def index_plan(n_samples: int, fs: float, fundamental_hz: float,
+               calibration_span: tuple[int, int], analysis_span: tuple[int, int]) -> tuple:
+    """The geometry of :func:`performance_index`, once its spans pass the rules it
+    documents (same errors, in that order): the :func:`cycle_length` ``period``
+    its template tiles with; read-only :func:`_phase_slots` ``slots`` and ``frac``
+    of the analysis samples; and the ``deposits`` of the calibration samples:
+    ``bins`` their slot and the next one up (row r of three offset by
+    ``r * period``), ``weights`` those bins' shares ``1 - frac`` and ``frac``,
+    ``slot_weight`` the total each slot receives. A slot that receives none
+    raises BoundsError."""
+    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
+    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
+    if not (0 <= p_lo < p_hi <= n_samples and 0 <= a_lo < a_hi <= n_samples):
+        raise BoundsError(f"{named} lie outside the record (N={n_samples})")
+    if p_lo > a_lo or p_hi >= a_hi:
+        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
+    period = cycle_length(fs, fundamental_hz, n_samples)
+    if p_hi - p_lo < 2 * period:
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
+                          f"fundamental cycles ({2 * period} samples)")
+    slots, frac = _phase_slots(p_lo, a_hi, p_hi, fs, fundamental_hz, period)
+    calibration = slice(0, p_hi - p_lo)
+    neighbors = np.stack((slots[calibration], (slots[calibration] + 1) % period))
+    weights = np.stack((1.0 - frac[calibration], frac[calibration]))
     slot_weight = (np.bincount(neighbors[0], weights[0], period)
                    + np.bincount(neighbors[1], weights[1], period))
     if np.any(slot_weight <= 1e-12):
-        raise BoundsError(f"spans.calibration=({lo}, {anchor}) does not cover every phase "
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) does not cover every phase "
                           "of the fundamental cycle")
     bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
     for array in (slots, frac, bins, weights, slot_weight):
         array.flags.writeable = False
-    return slots, frac, (bins, weights, slot_weight)
+    return period, slots[a_lo - p_lo:], frac[a_lo - p_lo:], (bins, weights, slot_weight)
 
 
 def _build_template(samples: np.ndarray, calibration: tuple[int, int],
                     deposits: tuple) -> np.ndarray:
     """Average the calibration span of the three rows of ``samples`` into one
-    phase-locked cycle through the :func:`_phase_plan` ``deposits`` of its samples:
+    phase-locked cycle through the :func:`index_plan` ``deposits`` of its samples:
     each sample lands on its two neighboring phase slots with linear weights, so
     slot averages stay centered even when the fundamental does not divide the
     sample rate (at an integer ratio, an exact per-slot average). One
@@ -309,23 +322,6 @@ def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) ->
     return out
 
 
-def template_period(n_samples: int, fs: float, fundamental_hz: float,
-                    calibration_span: tuple[int, int], analysis_span: tuple[int, int]) -> int:
-    """The :func:`cycle_length` that :func:`performance_index` tiles its template
-    with, once its spans pass the rules it documents (same errors)."""
-    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
-    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
-    if not (0 <= p_lo < p_hi <= n_samples and 0 <= a_lo < a_hi <= n_samples):
-        raise BoundsError(f"{named} lie outside the record (N={n_samples})")
-    if p_lo > a_lo or p_hi >= a_hi:
-        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
-    period = cycle_length(fs, fundamental_hz, n_samples)
-    if p_hi - p_lo < 2 * period:
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
-                          f"fundamental cycles ({2 * period} samples)")
-    return period
-
-
 def performance_index(
     record: ThreePhaseRecord,
     calibration_span: tuple[int, int],
@@ -343,12 +339,11 @@ def performance_index(
     fault onset. FastICA's unmixing is orthogonal on whitened data, so
     unmixing both would leave the index as it is.
 
-    The phase geometry comes from the cached :func:`_phase_plan`: slots over
-    the one range from the calibration start to the analysis end, read on
-    the analysis span, and the calibration deposits, so building the
-    template takes two ``np.bincount`` calls on the data. The whitening map
-    is fitted without whitening the analysis data itself, which the index
-    never reads.
+    The spans, the period and the phase geometry come from the cached
+    :func:`index_plan`: the analysis slots and the calibration deposits, so
+    building the template takes two ``np.bincount`` calls on the data. The
+    whitening map is fitted without whitening the analysis data itself,
+    which the index never reads.
 
     Args:
         record: Record under analysis.
@@ -366,20 +361,17 @@ def performance_index(
             on the calibration span.
         NumericalError: the record overflows the whitening covariance.
     """
-    fs = record.sample_rate_hz
-    period = template_period(record.n_samples, fs, config.fundamental_hz, calibration_span,
-                             analysis_span)
-    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
-    slots, frac, deposits = _phase_plan(p_lo, a_hi, p_hi, fs, config.fundamental_hz, period)
+    period, slots, frac, deposits = index_plan(
+        record.n_samples, record.sample_rate_hz, config.fundamental_hz,
+        tuple(calibration_span), tuple(analysis_span))
     template = _build_template(record.samples, calibration_span, deposits)
-    normal = _read_template(template, slots[a_lo - p_lo:], frac[a_lo - p_lo:])
-    actual = record.samples[:, a_lo:a_hi]
+    normal = _read_template(template, slots, frac)
+    actual = record.samples[:, slice(*analysis_span)]
 
     whitening = _whitening_model(center(actual)[0], retain=RETAIN)
     raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
     return PiSeries(
         values=_trailing_mean(raw, period),
-        window_len=period,
         whitening_eigenvalues=whitening.eigenvalues,
     )
 

@@ -208,15 +208,9 @@ class RunConfig:
     channel: str = "a"
 
     def to_dict(self) -> dict:
-        return {
-            "waveform": dataclasses.asdict(self.waveform),
-            "fault": fault_to_dict(self.fault),
-            "noise": dataclasses.asdict(self.noise),
-            "detector": dataclasses.asdict(self.detector),
-            "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()
-                      if span is not None},
-            "channel": self.channel,
-        }
+        return {**dataclasses.asdict(self), "fault": fault_to_dict(self.fault),
+                "spans": {name: list(span) for name, span in dataclasses.asdict(self.spans).items()
+                          if span is not None}}
 
 
 _SECTION_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -333,9 +327,14 @@ def load_run_config(path: Path) -> RunConfig:
 
 
 def build_record(config: RunConfig) -> ThreePhaseRecord:
-    """Generate, fault, and add noise per the run configuration."""
-    record = inject_fault(generate_baseline(config.waveform), config.fault)
-    return add_noise(record, config.noise)
+    """Generate, fault, and add noise per the run configuration; a record that
+    does not fit in memory raises ConfigError."""
+    try:
+        record = inject_fault(generate_baseline(config.waveform), config.fault)
+        return add_noise(record, config.noise)
+    except MemoryError:
+        raise ConfigError(f"a record of {config.waveform.n_samples} samples does not fit "
+                          "in memory") from None
 
 
 def load_suite(path: Path) -> list[tuple[str, dict]]:

@@ -29,6 +29,10 @@ DEFAULT_PHASE_OFFSETS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 
 PHASES = ("a", "b", "c")  # row order of a record's samples
 
+# The most samples a record can have: numpy caps an array's 24 bytes per
+# three-phase sample at the largest intp.
+MAX_SAMPLES = np.iinfo(np.intp).max // 24
+
 
 class FaultType(Enum):
     """Supported short-circuit fault categories.
@@ -58,7 +62,7 @@ class WaveformConfig:
 
     Attributes:
         duration_s: Record length in seconds (default 0.2); must give an
-            integer sample count of at least 2.
+            integer sample count from 2 to :data:`MAX_SAMPLES`.
         sample_rate_hz: Sampling rate (default 2 kHz).
         fundamental_hz: System frequency (default 50 Hz).
         amplitude_pu: Peak amplitude in per-unit. Physical ratings (e.g. a
@@ -83,8 +87,9 @@ class WaveformConfig:
         rate = self.sample_rate_hz
         check_number("sample_rate_hz", rate, *POSITIVE)
         check_number("duration_s", self.duration_s,
-                     f"positive, with an integer sample count of at least 2 at {rate} Hz",
-                     lambda s: round(s * rate) >= 2 and abs(s * rate - round(s * rate)) <= 1e-6)
+                     f"positive, with an integer sample count from 2 to {MAX_SAMPLES} at {rate} Hz",
+                     lambda s: 2 <= round(s * rate) <= MAX_SAMPLES
+                     and abs(s * rate - round(s * rate)) <= 1e-6)
         check_fundamental(self.fundamental_hz)
         check_number("amplitude_pu", self.amplitude_pu, *NONNEGATIVE)
         if rate <= 2.0 * self.fundamental_hz:

@@ -394,6 +394,22 @@ class TestCmdGenerate:
                                  "must be two integers\n")
         assert not out.exists()
 
+    # Neither record fits a 48-bit address space: the config rejects the first,
+    # and the allocation of the second is refused at once, touching no memory.
+    OVERSIZED = [
+        (1e300, "waveform.duration_s must be positive, with an integer sample count from 2 "
+                "to 384307168202282325 at 2000.0 Hz, got 1e+300"),
+        (1e12, "a record of 2000000000000000 samples does not fit in memory")]
+
+    @pytest.mark.parametrize("duration_s, message", OVERSIZED, ids=["count", "memory"])
+    def test_oversized_record_exits_2_with_one_line(self, runner, tmp_path, duration_s, message):
+        cfg = write_json(tmp_path / "run.json", {"waveform": {"duration_s": duration_s}})
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == f"faultwave: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy warning on stderr fails the run
     def test_noise_on_overflowing_record_exits_2_with_one_line(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json",
@@ -997,6 +1013,19 @@ class TestCmdEnergyTable:
         row = next(csv.reader([out.read_text().strip().splitlines()[-1]]))
         assert row[0] == "halves"
         assert row[-1].startswith("BoundsError: spans.calibration=")
+
+    def test_oversized_record_becomes_error_row(self, runner, tmp_path):
+        doc = self.suite()
+        doc["scenarios"] += [{"name": f"huge-{i}", "waveform": {"duration_s": duration_s}}
+                             for i, (duration_s, _) in enumerate(TestCmdGenerate.OVERSIZED)]
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.reader(out.read_text().strip().splitlines()))[-2:]
+        assert [(row[0], row[-1]) for row in rows] == [
+            (f"huge-{i}", f"ConfigError: {message}")
+            for i, (_, message) in enumerate(TestCmdGenerate.OVERSIZED)]
 
     def test_duplicate_names_rejected(self, runner, tmp_path):
         doc = self.suite()

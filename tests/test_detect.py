@@ -25,7 +25,6 @@ from faultwave import (
     energy_detect,
     generate_baseline,
     highband_energy_index,
-    performance_index,
     ica_detect,
     inject_fault,
     select_channel,
@@ -34,6 +33,7 @@ from faultwave import (
     wavelet_energy_index,
 )
 from faultwave.detect import ENERGY_DETECTION_FLOOR, ENERGY_METHODS, energy_row
+from faultwave.ica import index_plan
 from faultwave.spectral import STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
@@ -363,7 +363,7 @@ class TestEnergyWindowSeries:
         cfg = DetectorConfig(method="energy_ft", cutoff_hz=fs / 8)
 
         def ica_period():
-            return performance_index(record, (0, n - 1), (0, n), IcaConfig(f0)).window_len
+            return index_plan(n, fs, f0, (0, n - 1), (0, n))[0]
 
         try:
             window = energy_detect(select_channel(record, "a"), "energy_ft", cfg,

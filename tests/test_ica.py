@@ -29,8 +29,8 @@ from faultwave import (
     performance_index,
     whiten,
 )
-from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_plan, _phase_slots,
-                           _read_template, _trailing_mean, _whitening_model)
+from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_slots, _read_template,
+                           _trailing_mean, _whitening_model, index_plan)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
@@ -387,7 +387,7 @@ class TestPhaseSlots:
         (p_lo, p_hi), (a_lo, a_hi) = spans
         period = int(round(FS / f0))
         template = _build_template(
-            record.samples, (p_lo, p_hi), _phase_plan(p_lo, p_hi, p_hi, FS, f0, period)[2])
+            record.samples, (p_lo, p_hi), index_plan(record.n_samples, FS, f0, *spans)[3])
         normal = _read_template(
             template, *_phase_slots(a_lo, a_hi, p_hi, FS, f0, period))
         actual = record.samples[:, a_lo:a_hi]
@@ -426,7 +426,7 @@ class TestBuildTemplate:
         hi = lo + int(np.ceil(cycles * (period + detune)))
         samples = 10.0**exponent * rng_trace(3 * (hi + 5), seed).reshape(3, hi + 5)
         slots, frac = _phase_slots(lo, hi, hi, fs, fundamental_hz, period)
-        deposits = _phase_plan(lo, hi, hi, fs, fundamental_hz, period)[2]
+        deposits = index_plan(hi + 5, fs, fundamental_hz, (lo, hi), (lo, hi + 5))[3]
         assert_bitwise_equal(_build_template(samples, (lo, hi), deposits),
                              loop_build_template(samples, (lo, hi), slots, frac, period))
 
@@ -434,7 +434,7 @@ class TestBuildTemplate:
     def test_record_template_equals_per_row_reference_bitwise(self, f0):
         record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=3)
         slots, frac = _phase_slots(0, 120, 120, FS, f0, 40)
-        deposits = _phase_plan(0, 120, 120, FS, f0, 40)[2]
+        deposits = index_plan(record.n_samples, FS, f0, (0, 120), (0, record.n_samples))[3]
         assert_bitwise_equal(_build_template(record.samples, (0, 120), deposits),
                              loop_build_template(record.samples, (0, 120), slots, frac, 40))
 
@@ -523,7 +523,7 @@ class TestRotationInvariance:
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
         anchor = self.CALIBRATION[1]
-        deposits = _phase_plan(*self.CALIBRATION, anchor, fs, f0, period)[2]
+        deposits = index_plan(record.n_samples, fs, f0, self.CALIBRATION, self.ANALYSIS)[3]
         template = _build_template(record.samples, self.CALIBRATION, deposits)
         normal = _read_template(template, *_phase_slots(lo, hi, anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]

@@ -31,12 +31,14 @@ from faultwave import (
     Trace,
     energy_detect,
     ica_detect,
+    performance_index,
     select_channel,
     wavelet_detect,
 )
 from faultwave import detect, ica, spectral
 from faultwave.detect import ENERGY_METHODS
-from conftest import make_record
+from faultwave.signal_model import cycle_length
+from conftest import assert_bitwise_equal, make_record
 
 MODULES = (detect, ica, spectral)
 CACHES = {f"{module.__name__}.{name}": value for module in MODULES
@@ -74,7 +76,7 @@ def digest(report) -> tuple:
 
 def test_every_cache_is_a_bounded_plan_cache():
     assert sorted(CACHES) == ["faultwave.detect._ica_plan", "faultwave.detect._wavelet_plan",
-                              "faultwave.detect._window_plan", "faultwave.ica._phase_plan"]
+                              "faultwave.detect._window_plan", "faultwave.ica.index_plan"]
     assert sorted(plans()) == sorted(CACHES)  # cached_arrays() reads every cache
     for name, cache in CACHES.items():
         module = next(m for m in MODULES if name.startswith(m.__name__ + "."))
@@ -134,7 +136,7 @@ def plans() -> dict:
         "faultwave.detect._window_plan": (
             detect._window_plan(400, 40, 10, 2000.0, None, 2, None),
             detect._window_plan(400, 40, 10, 2000.0, 150.0, None, SPANS[400])),
-        "faultwave.ica._phase_plan": ica._phase_plan(0, 400, 120, 2000.0, 50.0, 40),
+        "faultwave.ica.index_plan": ica.index_plan(400, 2000.0, 50.0, (0, 120), (0, 400)),
     }
 
 
@@ -268,3 +270,62 @@ class TestInputErrorsOnWarmCaches:
         zeroed = ThreePhaseRecord(rec.sample_rate_hz, samples)
         raises_twice(DegenerateInputError, "identically zero",
                      lambda: ica_detect(zeroed, spans=spans))
+
+
+def test_a_warm_index_derives_no_period(monkeypatch):
+    """The ICA span checks and period live in the index plan: a cold call
+    derives the cycle length once, a warm one not at all, and the detector's
+    own plan builds the index plan its index call then finds."""
+    calls = []
+    monkeypatch.setattr(ica, "cycle_length", lambda *args: calls.append(args) or cycle_length(*args))
+    rec, config = record(400, 49.5), IcaConfig(fundamental_hz=49.5)
+    clear_caches()
+    cold = performance_index(rec, (0, 120), (0, 400), config)
+    assert len(calls) == 1
+    warm = performance_index(rec, (0, 120), (0, 400), config)
+    assert len(calls) == 1
+    assert_bitwise_equal(warm.values, cold.values)
+    clear_caches()
+    ica_detect(rec, ica_cfg=config)
+    assert len(calls) == 2
+    ica_detect(rec, ica_cfg=config)
+    assert len(calls) == 2
+
+
+def test_list_spans_share_the_tuple_plan():
+    rec, config = record(400, 49.5), IcaConfig(fundamental_hz=49.5)
+    clear_caches()
+    listed = performance_index(rec, [0, 120], [0, 400], config)
+    for calibration, analysis in (((0, 120), (0, 400)), ([0, 120], (0, 400))):
+        assert_bitwise_equal(performance_index(rec, calibration, analysis, config).values,
+                             listed.values)
+    assert ica.index_plan.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("calibration, analysis, f0, error, message", [
+    ((0, 120), (0, 401), 50.0, BoundsError,
+     "spans.calibration=(0, 120), spans.analysis=(0, 401) lie outside the record (N=400)"),
+    ((10, 130), (0, 400), 50.0, BoundsError,
+     "spans.calibration=(10, 130), spans.analysis=(0, 400): the calibration span must "
+     "precede the analysis span"),
+    ((0, 400), (0, 400), 50.0, BoundsError,
+     "spans.calibration=(0, 400), spans.analysis=(0, 400): the calibration span must "
+     "precede the analysis span"),
+    ((0, 120), (0, 400), 1500.0, ConfigError,
+     "fundamental 1500.0 Hz leaves fewer than 2 samples per cycle"),
+    ((0, 120), (0, 400), 4.0, DegenerateInputError,
+     "one 4.0 Hz cycle is longer than the record (400 samples)"),
+    ((0, 79), (0, 400), 50.0, BoundsError,
+     "spans.calibration=(0, 79) covers fewer than two fundamental cycles (80 samples)"),
+], ids=["outside", "starts-late", "ends-late", "short-cycle", "long-cycle", "under-two-cycles"])
+def test_each_index_rule_raises_alike_on_cold_and_warm_caches(calibration, analysis, f0, error,
+                                                               message):
+    """The rules of the index plan, called through the index itself, in the
+    order they are checked; a plan is only cached once they pass."""
+    rec, config = record(400, 50.0), IcaConfig(fundamental_hz=f0)
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            performance_index(rec, calibration, analysis, config)
+        assert str(raised.value) == message
+        performance_index(rec, (0, 120), (0, 400), IcaConfig(fundamental_hz=50.0))

@@ -19,6 +19,7 @@ from faultwave import (
     inject_fault,
     select_channel,
 )
+from faultwave.signal_model import MAX_SAMPLES
 from conftest import FAULT_ONSET_SAMPLE, make_record
 
 
@@ -36,6 +37,13 @@ class TestWaveformConfig:
     def test_rejects_fractional_sample_count(self):
         with pytest.raises(ConfigError, match="integer sample count"):
             WaveformConfig(duration_s=0.10003)
+
+    def test_caps_the_sample_count_at_what_a_record_array_holds(self):
+        slow = {"sample_rate_hz": 1.0, "fundamental_hz": 0.1}
+        assert WaveformConfig(duration_s=float(MAX_SAMPLES), **slow).n_samples <= MAX_SAMPLES
+        for duration_s in (2.0 * MAX_SAMPLES, 1e300):
+            with pytest.raises(ConfigError, match=f"^duration_s must be .* to {MAX_SAMPLES} at"):
+                WaveformConfig(duration_s=duration_s, **slow)
 
     @pytest.mark.parametrize("field,value", [
         ("sample_rate_hz", 0.0),

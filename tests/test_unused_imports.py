@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the CLI
+loads no package beyond its runtime dependencies, numpy and click.
 
 A deletion can leave an import behind that nothing reads any more. The
 package ``__init__.py`` is skipped: its imports are the exported names.
@@ -7,6 +8,8 @@ package ``__init__.py`` is skipped: its imports are the exported names.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,13 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_loads_no_test_or_optional_package():
+    """A fresh interpreter, run beside the package so it imports this one."""
+    code = "import sys, faultwave.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, check=True, cwd=PACKAGE.parent).stdout.split()
+    assert "faultwave.cli" in loaded
+    assert [name for name in loaded
+            if name.split(".")[0] in ("scipy", "hypothesis", "pytest", "_pytest")] == []
