@@ -12,14 +12,13 @@ from faultwave import (
     DetectorConfig,
     FaultSpec,
     FaultType,
-    IcaConfig,
     NoiseSpec,
     Spans,
     WaveformConfig,
     add_noise,
     generate_baseline,
-    ica_detect,
     inject_fault,
+    run,
 )
 from faultwave.io import write_series_csv
 
@@ -40,9 +39,7 @@ for fault_name in ("AG", "AB"):
         record = inject_fault(record, FaultSpec(fault_type=FaultType(fault_name), onset_s=0.065))
         if snr is not None:
             record = add_noise(record, NoiseSpec(snr_db=snr, seed=2))
-        report = ica_detect(
-            record, DetectorConfig(method="ica"), spans, IcaConfig(fundamental_hz=f0)
-        )
+        report = run(record, DetectorConfig(method="ica"), spans, fundamental_hz=f0)
         pi = report.index_series
         onset = f"{report.onset_time_s:.4f}" if report.detected else "none"
         print(f"{fault_name:6s} {label:22s} {pi[:130].mean():>14.3e} {pi.max():>10.3f} {onset:>10s}")

@@ -6,13 +6,13 @@ showing the index growing monotonically as the retained voltage drops.
 """
 
 from faultwave import (
+    DetectorConfig,
     FaultSpec,
     FaultType,
     WaveformConfig,
-    energy_detect,
     generate_baseline,
     inject_fault,
-    select_channel,
+    run,
 )
 from faultwave.detect import energy_row
 
@@ -36,5 +36,5 @@ for retained in (0.9, 0.7, 0.5, 0.3, 0.1):
         generate_baseline(WaveformConfig(duration_s=0.2)),
         FaultSpec(fault_type=FaultType.AG, onset_s=0.065, retained_voltage_pu=retained),
     )
-    report = energy_detect(select_channel(record, "a"), "energy_wt")
+    report = run(record, DetectorConfig(method="energy_wt"))
     print(f"{retained:>18.1f} {report.metadata['analysis_index']:>12.4e} {str(report.detected):>9s}")

@@ -16,6 +16,7 @@ from .detect import (
     calibrate_threshold,
     energy_detect,
     ica_detect,
+    run,
     wavelet_detect,
 )
 from .dwt import (
@@ -75,7 +76,7 @@ __all__ = [
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
     "AdaptiveThreshold", "Spans", "calibrate_threshold",
-    "wavelet_detect", "ica_detect", "energy_detect",
+    "run", "wavelet_detect", "ica_detect", "energy_detect",
     # errors
     "FaultwaveError", "ConfigError", "BoundsError", "ShapeError",
     "DegenerateInputError", "NumericalError",

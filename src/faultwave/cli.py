@@ -18,16 +18,8 @@ import click
 import numpy as np
 
 from . import __version__, dwt, spectral
-from .detect import (
-    DetectionReport,
-    EnergyRow,
-    energy_row,
-    ica_detect,
-    wavelet_detect,
-    energy_detect,
-)
+from .detect import DetectionReport, EnergyRow, energy_row, run
 from .errors import ConfigError, DegenerateInputError, FaultwaveError, NumericalError
-from .ica import IcaConfig
 from .io import (
     RunConfig,
     atomic_write_text,
@@ -70,25 +62,6 @@ class _Cli(click.Group):
 # A detector reports an overflow as a NumericalError, so numpy's overflow and
 # invalid-value warnings on the way there would only repeat it on stderr.
 _DETECTOR_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
-
-
-def run_detector(record: ThreePhaseRecord, config: RunConfig) -> DetectionReport:
-    """Dispatch to the configured detector; exit 3 if it finds no usable signal."""
-    method = config.detector.method
-    try:
-        with np.errstate(**_DETECTOR_ERRSTATE):
-            if method == "ica":
-                return ica_detect(record, config.detector, config.spans,
-                                  IcaConfig(config.waveform.fundamental_hz))
-            trace = select_channel(record, config.channel)
-            if method == "wavelet":
-                return wavelet_detect(trace, config.detector, config.spans)
-            return energy_detect(
-                trace, method, config.detector, config.spans,
-                fundamental_hz=config.waveform.fundamental_hz,
-            )
-    except (DegenerateInputError, NumericalError) as exc:
-        _fail(f"{method} detector failed: {exc}", 3)
 
 
 @click.group(cls=_Cli)
@@ -224,13 +197,19 @@ def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfi
 def _load_and_run(
     in_path: str, config_path: str
 ) -> tuple[RunConfig, ThreePhaseRecord, DetectionReport]:
-    """Load config and trace, resolve the spans against the trace, run the configured
-    detector; the returned config holds the resolved spans."""
+    """Load config and trace, resolve the spans against the trace (the config returned
+    holds them) and :func:`run` the detector; exit 3 if it finds no usable signal."""
     config = load_run_config(Path(config_path))
     record = read_record_csv(Path(in_path))
     config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
     check_onset(config.spans, record.labels, record.sample_rate_hz)
-    return config, record, run_detector(record, config)
+    try:
+        with np.errstate(**_DETECTOR_ERRSTATE):
+            report = run(record, config.detector, config.spans, config.channel,
+                         config.waveform.fundamental_hz)
+    except (DegenerateInputError, NumericalError) as exc:
+        _fail(f"{config.detector.method} detector failed: {exc}", 3)
+    return config, record, report
 
 
 if __name__ == "__main__":

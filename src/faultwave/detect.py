@@ -1,5 +1,9 @@
 """Detectors: turn transforms into onset decisions and energy comparisons.
 
+:func:`run` is the one entry point from the detection settings (the
+:class:`DetectorConfig`, spans, channel and fundamental) to a detector: ``ica``
+reads the whole record, ``wavelet`` and the energy methods one channel.
+
 Each detector only builds an index series; one decision core thresholds it:
 
 * wavelet: level-j detail magnitudes, one per sample;
@@ -433,6 +437,8 @@ def energy_detect(
     :data:`ENERGY_FLOOR_FACTOR` times their mean and at
     :data:`ENERGY_DETECTION_FLOOR` times the trace mean square. A fundamental
     that is not finite and positive raises ConfigError, as in IcaConfig.
+
+    The index is the one ``method`` names; ``cfg.method`` is not read.
     """
     if method not in ENERGY_METHODS:
         raise ConfigError(f"method must be one of {ENERGY_METHODS}, got {method!r}")
@@ -461,6 +467,22 @@ def energy_detect(
                    rule=(1.0, ENERGY_FLOOR_FACTOR, floor))
 
 
+def run(record: ThreePhaseRecord, cfg: DetectorConfig = DetectorConfig(),
+        spans: Spans | None = None, channel: str = "a",
+        fundamental_hz: float = 50.0) -> DetectionReport:
+    """Run the ``cfg.method`` detector: ``ica`` on the whole record with
+    ``IcaConfig(fundamental_hz)``, ``wavelet`` on the ``channel`` phase, an energy
+    method on that phase with ``fundamental_hz``. A channel other than 'a', 'b' or
+    'c' or a fundamental not finite and positive raises ConfigError for any method."""
+    check_fundamental(fundamental_hz)
+    trace = select_channel(record, channel)
+    if cfg.method == "ica":
+        return ica_detect(record, cfg, spans, IcaConfig(fundamental_hz))
+    if cfg.method == "wavelet":
+        return wavelet_detect(trace, cfg, spans)
+    return energy_detect(trace, cfg.method, cfg, spans, fundamental_hz)
+
+
 def energy_row(
     name: str,
     record: ThreePhaseRecord,
@@ -474,10 +496,10 @@ def energy_row(
     per method (detected if any phase crosses its threshold), since
     single-phase faults leave the other channels untouched.
     """
-    traces = [select_channel(record, phase) for phase in PHASES]
     peaks, hits = [], []
     for method in ENERGY_METHODS:
-        reports = [energy_detect(trace, method, cfg, spans, fundamental_hz) for trace in traces]
+        method_cfg = replace(cfg, method=method)
+        reports = [run(record, method_cfg, spans, phase, fundamental_hz) for phase in PHASES]
         peaks.append(max(report.metadata["analysis_index"] for report in reports))
         hits.append(any(report.detected for report in reports))
     return EnergyRow(name, *peaks, *hits)

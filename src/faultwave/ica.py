@@ -243,8 +243,8 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float,
     of the analysis samples; and the ``deposits`` of the calibration samples:
     ``bins`` their slot and the next one up (row r of three offset by
     ``r * period``), ``weights`` those bins' shares ``1 - frac`` and ``frac``,
-    ``slot_weight`` the total each slot receives. A slot that receives none
-    raises BoundsError."""
+    ``slot_weight`` the total each slot receives: at least 1, since the
+    calibration span holds two cycles."""
     (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
     named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
     if not (0 <= p_lo < p_hi <= n_samples and 0 <= a_lo < a_hi <= n_samples):
@@ -261,9 +261,6 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float,
     weights = np.stack((1.0 - frac[calibration], frac[calibration]))
     slot_weight = (np.bincount(neighbors[0], weights[0], period)
                    + np.bincount(neighbors[1], weights[1], period))
-    if np.any(slot_weight <= 1e-12):
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) does not cover every phase "
-                          "of the fundamental cycle")
     bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
     for array in (slots, frac, bins, weights, slot_weight):
         array.flags.writeable = False

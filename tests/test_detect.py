@@ -32,8 +32,10 @@ from faultwave import (
     wavelet_detect,
     wavelet_energy_index,
 )
-from faultwave.detect import ENERGY_DETECTION_FLOOR, ENERGY_METHODS, energy_row
+from faultwave.detect import (ENERGY_DETECTION_FLOOR, ENERGY_METHODS, METHODS, EnergyRow,
+                              energy_row, run)
 from faultwave.ica import index_plan
+from faultwave.signal_model import PHASES
 from faultwave.spectral import STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
@@ -470,6 +472,76 @@ class TestAmplitudeScaling:
                     continue
                 assert np.isfinite(report.threshold_used)
                 assert np.isfinite(report.metadata["analysis_index"])
+
+
+def direct_call(record, cfg, spans, channel, fundamental_hz):
+    """The detector call ``run`` stands for, written out per method."""
+    if cfg.method == "ica":
+        return ica_detect(record, cfg, spans, IcaConfig(fundamental_hz))
+    trace = select_channel(record, channel)
+    if cfg.method == "wavelet":
+        return wavelet_detect(trace, cfg, spans)
+    return energy_detect(trace, cfg.method, cfg, spans, fundamental_hz)
+
+
+def per_trace_energy_row(name, record, cfg, spans, fundamental_hz):
+    """Reference: the energy row as a loop of ``energy_detect`` over the three
+    phase traces, per method."""
+    traces = [select_channel(record, phase) for phase in PHASES]
+    peaks, hits = [], []
+    for method in ENERGY_METHODS:
+        reports = [energy_detect(trace, method, cfg, spans, fundamental_hz) for trace in traces]
+        peaks.append(max(report.metadata["analysis_index"] for report in reports))
+        hits.append(any(report.detected for report in reports))
+    return EnergyRow(name, *peaks, *hits)
+
+
+def fields(report):
+    """A report's fields, its arrays as dtype and bytes, for a bitwise comparison."""
+    return (report.method, report.detected, report.onset_sample, report.onset_time_s,
+            report.threshold_used, report.metadata, report.index_series.dtype,
+            report.index_series.tobytes(), report.index_times_s.dtype,
+            report.index_times_s.tobytes())
+
+
+# At 2 kHz every fundamental from 49.5 to 50.5 Hz gives the 40-sample energy
+# window; the 40 Hz record gives 50 samples, so it shows which fundamental the
+# energy methods read.
+RUN_RECORDS = [(fault, snr_db, f0) for fault in ("AG", "BG", "NONE") for snr_db in (None, 20.0)
+               for f0 in (49.5, 50.0, 50.5)] + [("AG", 20.0, 40.0)]
+
+
+class TestRun:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fault,snr_db,f0", RUN_RECORDS)
+    def test_equals_the_direct_detector_call(self, fault, snr_db, f0, method):
+        record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=5)
+        cfg = DetectorConfig(method=method)
+        for channel in PHASES:
+            for spans in (None, SPANS):
+                assert fields(run(record, cfg, spans, channel, f0)) == fields(
+                    direct_call(record, cfg, spans, channel, f0))
+
+    @pytest.mark.parametrize("channel", ["d", "A", "", None, ["a"]])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bad_channel_rejected(self, method, channel):
+        with pytest.raises(ConfigError, match="phase must be one of 'a', 'b', 'c'"):
+            run(make_record("AG"), DetectorConfig(method=method), channel=channel)
+
+    @pytest.mark.parametrize("fundamental_hz", TestEnergyDetect.INVALID_FUNDAMENTALS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_positive_or_non_finite_fundamental_rejected(self, method, fundamental_hz):
+        with pytest.raises(ConfigError, match="fundamental_hz must be finite and positive"):
+            run(make_record("AG"), DetectorConfig(method=method), fundamental_hz=fundamental_hz)
+
+    @pytest.mark.parametrize("fault,snr_db,f0", RUN_RECORDS)
+    def test_energy_row_equals_the_per_trace_loop(self, fault, snr_db, f0):
+        record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=5)
+        for cfg in (DetectorConfig(), DetectorConfig(method="energy_ft", level=2, cutoff_hz=200.0),
+                    DetectorConfig(threshold=FixedThreshold(0.01))):
+            for spans in (None, SPANS):
+                assert energy_row(fault, record, cfg, spans, f0) == per_trace_energy_row(
+                    fault, record, cfg, spans, f0)
 
 
 class TestNoFaultSpecificity:

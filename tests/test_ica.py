@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from faultwave import (
@@ -31,6 +31,7 @@ from faultwave import (
 )
 from faultwave.ica import (RANK_TOLERANCE, RETAIN, _build_template, _phase_slots, _read_template,
                            _trailing_mean, _whitening_model, index_plan)
+from faultwave.signal_model import cycle_length
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
 FS = 2000.0
@@ -437,6 +438,26 @@ class TestBuildTemplate:
         deposits = index_plan(record.n_samples, FS, f0, (0, 120), (0, record.n_samples))[3]
         assert_bitwise_equal(_build_template(record.samples, (0, 120), deposits),
                              loop_build_template(record.samples, (0, 120), slots, frac, 40))
+
+
+class TestIndexPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(period=st.integers(2, 64), detune=st.floats(-0.5, 0.5), start=st.floats(0.0, 3.0),
+           cycles=st.floats(2.0, 6.0))
+    @example(period=64, detune=0.5, start=0.0, cycles=2.0)  # the smallest weight seen, 1.02
+    def test_two_calibration_cycles_give_every_slot_a_weight_of_one(self, period, detune, start,
+                                                                    cycles):
+        """Each of the ``period`` template slots receives a total deposit weight of
+        at least 1 from a calibration span of two cycles or more, starting 0-3
+        cycles into the record, so the template divides by no vanishing weight."""
+        fs = 2000.0
+        fundamental_hz = fs / (period + detune)
+        assume(cycle_length(fs, fundamental_hz, 10**6) == period)  # within rounding
+        lo = int(start * period)
+        hi = lo + int(cycles * period)
+        slot_weight = index_plan(hi + 1, fs, fundamental_hz, (lo, hi), (lo, hi + 1))[3][2]
+        assert slot_weight.size == period
+        assert slot_weight.min() >= 1.0
 
 
 def argsort_whitening_model(centered, retain=None):
