@@ -3,7 +3,11 @@
 Trace records travel as CSV (`t,va,vb,vc`, time in seconds with 12
 significant digits) plus a JSON sidecar holding the sample rate and the
 ground-truth fault, if any. Reports are JSON; index series, spectra, and
-coefficient dumps are small CSVs. All writes are atomic (temp file + rename).
+coefficient dumps are CSVs. Every file is UTF-8 and written atomically: into a
+temp file next to the target, which is then renamed onto it. A CSV goes into
+the temp file row by row, so writing one holds a row at a time, never the
+whole text. A written file gets the mode ``open()`` gives (0o666 less the
+umask).
 
 A run configuration is one JSON document; omitted sections fall back to
 defaults. A detect report's ``config`` holds the detection settings it used
@@ -19,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,18 +48,27 @@ from .signal_model import (
 FLOAT_FMT = "%.12g"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """A UTF-8 text handle on a new temp file next to ``path``, renamed onto ``path``
+    when the block ends; on any error the temp file is removed and ``path`` kept.
+    Like any file ``open()`` creates, it gets the mode 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")  # "x": a new file, never one already there
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def sidecar_path(csv_path: Path) -> Path:
@@ -64,9 +76,11 @@ def sidecar_path(csv_path: Path) -> Path:
 
 
 def _write_table(path: Path, header: str, row_fmt: str, *columns) -> None:
-    """Write ``header``, then ``row_fmt % row`` for each row of ``zip(*columns)``."""
-    body = "".join(row_fmt % row + "\n" for row in zip(*columns))
-    atomic_write_text(Path(path), header + "\n" + body)
+    """Write ``header``, then ``row_fmt % row`` for each row of ``zip(*columns)``, one
+    row at a time."""
+    with _atomic_open(path) as handle:
+        handle.write(header + "\n")
+        handle.writelines(map(f"{row_fmt}\n".__mod__, zip(*columns)))
 
 
 def write_record_csv(path: Path, record: ThreePhaseRecord) -> None:
@@ -94,7 +108,7 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
 
 
 def _parse_record_csv(path: Path) -> ThreePhaseRecord:
-    raw = path.read_text().strip().splitlines()
+    raw = path.read_text(encoding="utf-8").strip().splitlines()
     if not raw or not raw[0].startswith("t,"):
         raise DegenerateInputError(f"{path} is not a trace CSV (missing 't,...' header)")
     body = raw[1:]

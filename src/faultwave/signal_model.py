@@ -270,10 +270,12 @@ def generate_baseline(config: WaveformConfig) -> ThreePhaseRecord:
     Returns:
         Record labelled with a NONE fault.
     """
-    t = np.arange(config.n_samples) / config.sample_rate_hz
-    offsets = np.asarray(config.phase_offsets_rad)[:, None]
-    phases = TWO_PI * config.fundamental_hz * t[None, :] + offsets
-    samples = config.amplitude_pu * np.sin(phases)
+    # in place, so synthesis holds one 3xN array: the phase angles become the samples
+    angle = np.arange(config.n_samples) / config.sample_rate_hz
+    angle *= TWO_PI * config.fundamental_hz
+    samples = angle + np.asarray(config.phase_offsets_rad)[:, None]
+    np.sin(samples, out=samples)
+    samples *= config.amplitude_pu
     return ThreePhaseRecord(
         sample_rate_hz=config.sample_rate_hz, samples=samples, labels=FaultSpec()
     )
@@ -356,8 +358,11 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
         if np.all(row_power == 0.0):
             raise DegenerateInputError("cannot set an SNR on a zero-power record")
         noise_std = np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0))
-        rng = np.random.default_rng(noise.seed)
-        samples = record.samples + rng.standard_normal(record.samples.shape) * noise_std[:, None]
+        # noise * std + samples in place: IEEE addition commutes, so this is
+        # bitwise samples + noise * std
+        samples = np.random.default_rng(noise.seed).standard_normal(record.samples.shape)
+        samples *= noise_std[:, None]
+        samples += record.samples
     if not np.isfinite(samples).all():
         raise ConfigError(f"noise at snr_db={noise.snr_db} overflows float64 on this record")
     return ThreePhaseRecord(sample_rate_hz=record.sample_rate_hz, samples=samples,

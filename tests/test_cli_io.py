@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import faultwave
 from faultwave import (DetectorConfig, FaultSpec, FaultType, IcaConfig, NoiseSpec,
                        ThreePhaseRecord, WaveformConfig, calibrate_threshold, detail_series,
                        dwt_decompose, ica_detect, select_channel)
@@ -23,6 +28,7 @@ from faultwave.cli import main
 from faultwave.errors import BoundsError, ConfigError, DegenerateInputError, FaultwaveError
 from faultwave.io import (
     FLOAT_FMT,
+    _write_table,
     build_record,
     check_onset,
     parse_run_config,
@@ -32,6 +38,7 @@ from faultwave.io import (
     write_record_csv,
 )
 from conftest import assert_bitwise_equal, make_record
+from test_csv_golden import SPECIAL
 
 
 AG_CONFIG = {
@@ -170,6 +177,73 @@ class TestTransformDumps:
         sg_lines = (tmp_path / "sg.csv").read_text().strip().splitlines()
         assert sg_lines[0] == "frame_time_s,bin_hz,magnitude"
         assert len(sg_lines) == 1 + gram.frames.shape[0] * gram.frames.shape[1]
+
+
+def one_string_table(header: str, row_fmt: str, *columns) -> str:
+    """The table as one string, the way the writer built it before it streamed rows."""
+    return header + "\n" + "".join(row_fmt % row + "\n" for row in zip(*columns))
+
+
+# floats of every kind, with the edges of %.12g drawn often
+TABLE_FLOATS = st.one_of(st.sampled_from(SPECIAL.tolist()), st.floats(width=64))
+
+
+@st.composite
+def tables(draw):
+    """(row format, columns): some float columns, with or without a leading text
+    and integer column as in the coefficient dump."""
+    n_rows = draw(st.integers(0, 40))
+    n_floats = draw(st.integers(1, 4))
+    columns = [draw(hnp.arrays(np.float64, n_rows, elements=TABLE_FLOATS))
+               for _ in range(n_floats)]
+    row_fmt = ",".join([FLOAT_FMT] * n_floats)
+    if draw(st.booleans()):
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+        names = draw(st.lists(text, min_size=n_rows, max_size=n_rows))
+        counts = draw(hnp.arrays(np.int64, n_rows))
+        columns = [np.array(names, dtype=str), counts, *columns]
+        row_fmt = "%s,%d," + row_fmt
+    return row_fmt, columns
+
+
+class TestStreamedWriter:
+    """``_write_table`` writes row by row what the one-string table held."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    @example(table=(FLOAT_FMT, [np.array([])]))
+    @example(table=(FLOAT_FMT, [SPECIAL[:1]]))
+    @example(table=(f"{FLOAT_FMT},{FLOAT_FMT}", [np.arange(SPECIAL.shape[0]) / 7.0, SPECIAL]))
+    def test_equals_the_one_string_table(self, tmp_path_factory, table):
+        row_fmt, columns = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        _write_table(path, "h,e,a,d", row_fmt, *columns)
+        assert path.read_bytes() == one_string_table("h,e,a,d", row_fmt, *columns).encode()
+
+    def test_row_that_fails_to_format_keeps_the_target(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old,bytes\n")
+        counts = [*range(5000), "x", *range(5000)]  # many rows already out before it
+        with pytest.raises(TypeError):
+            _write_table(path, "k,v", "%d,%d", counts, counts)
+        assert path.read_bytes() == b"old,bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_record_write_holds_a_row_not_the_table(self, tmp_path):
+        """The joined table of 40,960 rows alone would take about 6 MB."""
+        record = make_record("AG", snr_db=20.0, seed=1, duration_s=20.48)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            write_record_csv(tmp_path / "trace.csv", record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 1_000_000
+        assert len((tmp_path / "trace.csv").read_bytes().splitlines()) == 40_961
 
 
 class TestRunConfig:
@@ -1210,6 +1284,41 @@ class TestErrorBoundary:
         result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, (result.output, result.exception)
         assert "does not fit a float" in result.output
+
+
+class TestOutputFiles:
+    def test_ascii_locale_writes_a_utf8_table(self, tmp_path):
+        """Outputs are UTF-8 whatever the locale: the suite was read as UTF-8."""
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"scenarios": [{"name": "\u03a9fault",
+                                                    "fault": AG_CONFIG["fault"]}]}))
+        src = str(Path(faultwave.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "faultwave", "energy-table", "--config",
+                               str(suite), "--out", str(tmp_path / "table.csv")],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        rows = (tmp_path / "table.csv").read_bytes().splitlines()
+        assert rows[1].startswith("\u03a9fault,".encode("utf-8"))
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask022", "umask027"])
+    def test_files_get_the_mode_open_gives(self, runner, tmp_path, umask, mode):
+        cfg = write_json(tmp_path / "run.json", AG_CONFIG)
+        trace = tmp_path / "trace.csv"
+        old = os.umask(umask)
+        try:
+            for args in (["generate", "--config", str(cfg), "--out", str(trace)],
+                         ["detect", "--in", str(trace), "--config", str(cfg),
+                          "--out", str(tmp_path / "report.json")]):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, result.output
+        finally:
+            os.umask(old)
+        for name in ("trace.csv", "trace.meta.json", "report.json", "report.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def known_key_paths() -> list[tuple[str, ...]]:

@@ -19,8 +19,26 @@ from faultwave import (
     inject_fault,
     select_channel,
 )
-from faultwave.signal_model import MAX_SAMPLES
-from conftest import FAULT_ONSET_SAMPLE, make_record
+from faultwave.signal_model import MAX_SAMPLES, TWO_PI
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record
+
+FUNDAMENTALS = [49.5, 50.0, 50.5]
+AMPLITUDES = [0.3, 1.0, 187794.6]  # the last: a 230 kV phase peak in volts
+
+
+def out_of_place_baseline(config: WaveformConfig) -> np.ndarray:
+    """The samples as generate_baseline built them before it worked in place."""
+    t = np.arange(config.n_samples) / config.sample_rate_hz
+    offsets = np.asarray(config.phase_offsets_rad)[:, None]
+    return config.amplitude_pu * np.sin(TWO_PI * config.fundamental_hz * t[None, :] + offsets)
+
+
+def out_of_place_noisy(samples: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The samples as add_noise built them before it worked in place."""
+    row_power = np.mean(samples**2, axis=1)
+    noise_std = np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0))
+    rng = np.random.default_rng(noise.seed)
+    return samples + rng.standard_normal(samples.shape) * noise_std[:, None]
 
 
 class TestWaveformConfig:
@@ -94,6 +112,14 @@ class TestGenerateBaseline:
             + np.asarray(cfg.phase_offsets_rad)
         )
         np.testing.assert_allclose(next_sample, record.samples[:, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("duration_s", [0.2, 2.048])
+    @pytest.mark.parametrize("amplitude_pu", [0.0, *AMPLITUDES])
+    @pytest.mark.parametrize("fundamental_hz", FUNDAMENTALS)
+    def test_bitwise_the_out_of_place_expression(self, fundamental_hz, amplitude_pu, duration_s):
+        cfg = WaveformConfig(duration_s=duration_s, fundamental_hz=fundamental_hz,
+                             amplitude_pu=amplitude_pu)
+        assert_bitwise_equal(generate_baseline(cfg).samples, out_of_place_baseline(cfg))
 
     def test_rows_are_thirds_of_a_cycle_apart(self):
         # 60 samples per cycle divides by 3, so the shift is exactly 20 samples
@@ -196,6 +222,19 @@ class TestAddNoise:
         noise = noisy.samples - clean.samples
         snr = 10 * np.log10(np.mean(clean.samples**2) / np.mean(noise**2))
         assert abs(snr - 20.0) <= 0.5
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("fundamental_hz", FUNDAMENTALS)
+    def test_bitwise_the_out_of_place_expression(self, fundamental_hz, snr_db, seed):
+        noise = NoiseSpec(snr_db=snr_db, seed=seed)
+        for amplitude_pu in AMPLITUDES:
+            cfg = WaveformConfig(fundamental_hz=fundamental_hz, amplitude_pu=amplitude_pu)
+            record = inject_fault(generate_baseline(cfg), FaultSpec(fault_type=FaultType.AG))
+            before = record.samples.copy()
+            assert_bitwise_equal(add_noise(record, noise).samples,
+                                 out_of_place_noisy(before, noise))
+            assert_bitwise_equal(record.samples, before)  # the input is left as it was
 
     def test_absent_snr_is_identity(self, baseline_record):
         assert add_noise(baseline_record, NoiseSpec()) is baseline_record
