@@ -24,7 +24,6 @@ from .io import (
     RunConfig,
     atomic_write_text,
     build_record,
-    check_onset,
     fault_to_dict,
     load_run_config,
     load_suite,
@@ -123,10 +122,8 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
         try:
             config = parse_run_config(merged)
             record = build_record(config)
-            spans = config.spans.resolve(record.n_samples)
-            check_onset(spans, record.labels, record.sample_rate_hz)
             with np.errstate(**_DETECTOR_ERRSTATE):
-                rows.append(energy_row(name, record, config.detector, spans,
+                rows.append(energy_row(name, record, config.detector, config.spans,
                                        config.waveform.fundamental_hz))
         except FaultwaveError as exc:
             rows.append(EnergyRow.failed(name, exc))
@@ -202,7 +199,6 @@ def _load_and_run(
     config = load_run_config(Path(config_path))
     record = read_record_csv(Path(in_path))
     config = dataclasses.replace(config, spans=config.spans.resolve(record.n_samples))
-    check_onset(config.spans, record.labels, record.sample_rate_hz)
     try:
         with np.errstate(**_DETECTOR_ERRSTATE):
             report = run(record, config.detector, config.spans, config.channel,

@@ -2,7 +2,10 @@
 
 :func:`run` is the one entry point from the detection settings (the
 :class:`DetectorConfig`, spans, channel and fundamental) to a detector: ``ica``
-reads the whole record, ``wavelet`` and the energy methods one channel.
+reads the whole record, ``wavelet`` and the energy methods one channel. It
+checks the fundamental against the record's own rate (:func:`check_nyquist`)
+and rejects a labelled fault onset inside the resolved calibration span
+(:func:`check_onset`) before any detector runs.
 
 Each detector only builds an index series; one decision core thresholds it:
 
@@ -26,6 +29,13 @@ length, all scalars. Energy plans are keyed on the window, not the
 fundamental, and add read-only window starts and times and the cutoff bin or
 wavelet coefficient groups: at most 32 bytes per window, 1.31 MB for 409,600
 samples in 40-sample windows 10 apart.
+
+On the paper's 400-sample records a call into numpy's Python-level wrappers
+(``np.argmax``, ``ndarray.sum``, ``.max``, ...) costs about as much as the
+array work it wraps, so the sample work calls the C routine each wrapper ends
+in: the ndarray method for ``argmax``, ``cumsum`` and ``repeat``, the ufunc
+reduction for ``sum``, ``max``, ``all`` and ``any``. Both run the same loop,
+so the results are bitwise those of the wrappers.
 """
 
 from __future__ import annotations
@@ -40,8 +50,9 @@ import numpy as np
 from . import dwt, ica, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
 from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index
-from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, ThreePhaseRecord, Trace, check_count,
-                           check_fundamental, check_number, cycle_length, select_channel)
+from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, ThreePhaseRecord,
+                           Trace, check_count, check_fundamental, check_number, check_nyquist,
+                           cycle_length, select_channel)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -198,9 +209,9 @@ def calibrate_threshold(
     n = values.size
     if n == 0:
         raise DegenerateInputError("calibration span contains no usable samples")
-    mean = float(values.sum()) / n
+    mean = float(np.add.reduce(values, None)) / n
     deviation = values - mean
-    std = math.sqrt(float((deviation * deviation).sum()) / n)
+    std = math.sqrt(float(np.add.reduce(deviation * deviation, None)) / n)
     return max(bias * (mean + k_sigma * std), bias * mean_multiple * mean, floor)
 
 
@@ -216,7 +227,7 @@ def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
     run = above[:count]
     for shift in range(1, min_consecutive):
         run = run & above[shift:shift + count]
-    first = int(np.argmax(run))
+    first = int(run.argmax())
     return first if run[first] else None
 
 
@@ -271,7 +282,7 @@ def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
     else:
         threshold = calibrate_threshold(values[c0:c1], policy.k_sigma, *rule)
     scanned = values[s0:s1]
-    peak = float(scanned.max())
+    peak = float(np.maximum.reduce(scanned, None))
     if not (math.isfinite(threshold) and math.isfinite(peak)):
         raise NumericalError(f"the threshold ({threshold:.6g}) or the scanned index peak "
                              f"({peak:.6g}) overflows float64")
@@ -461,10 +472,28 @@ def energy_detect(
             frames = spectral.frame_magnitudes(trace.samples, window, hop)
         # Column-major, each row sums its bins one by one from the lowest, as
         # the high band always was; row-major rows would be summed pairwise.
-        values = np.square(frames[:, transform:], order="F").sum(axis=1) / window
-    floor = ENERGY_DETECTION_FLOOR * float(np.square(trace.samples).sum() / n)
+        values = np.add.reduce(np.square(frames[:, transform:], order="F"), 1) / window
+    floor = ENERGY_DETECTION_FLOOR * float(np.add.reduce(np.square(trace.samples), None) / n)
     return _decide(method, values, times_s.copy(), plan, cfg, fs, {"window": window},
                    rule=(1.0, ENERGY_FLOOR_FACTOR, floor))
+
+
+def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) -> None:
+    """Require a labelled fault to start outside ``spans.calibration``.
+
+    A fault inside the span that calibrates the threshold lifts the threshold
+    over the fault itself, and the verdict becomes a silent "no fault".
+
+    Raises:
+        ConfigError: the onset sample lies in the calibration span.
+    """
+    if fault is None or fault.fault_type is FaultType.NONE:
+        return
+    onset = fault.onset_s * sample_rate_hz
+    lo, hi = spans.calibration
+    if onset < hi and lo <= round(onset) < hi:
+        raise ConfigError(f"fault onset sample {round(onset)} lies inside the calibration span "
+                          f"({lo}, {hi}), which must be fault-free")
 
 
 def run(record: ThreePhaseRecord, cfg: DetectorConfig = DetectorConfig(),
@@ -472,10 +501,22 @@ def run(record: ThreePhaseRecord, cfg: DetectorConfig = DetectorConfig(),
         fundamental_hz: float = 50.0) -> DetectionReport:
     """Run the ``cfg.method`` detector: ``ica`` on the whole record with
     ``IcaConfig(fundamental_hz)``, ``wavelet`` on the ``channel`` phase, an energy
-    method on that phase with ``fundamental_hz``. A channel other than 'a', 'b' or
-    'c' or a fundamental not finite and positive raises ConfigError for any method."""
+    method on that phase with ``fundamental_hz``. Whatever the method, the
+    fundamental, the channel, the spans and the record's fault label are
+    checked first, in that order.
+
+    Raises:
+        ConfigError: a fundamental not finite and positive, or at or above the
+            record's Nyquist frequency (:func:`check_nyquist`); a channel other
+            than 'a', 'b' or 'c'; a labelled fault onset inside the resolved
+            calibration span (:func:`check_onset`).
+        BoundsError: a span that does not fit the record (:meth:`Spans.resolve`).
+    """
     check_fundamental(fundamental_hz)
+    check_nyquist(record.sample_rate_hz, fundamental_hz)
     trace = select_channel(record, channel)
+    spans = (spans or Spans()).resolve(record.n_samples)
+    check_onset(spans, record.labels, record.sample_rate_hz)
     if cfg.method == "ica":
         return ica_detect(record, cfg, spans, IcaConfig(fundamental_hz))
     if cfg.method == "wavelet":

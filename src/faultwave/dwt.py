@@ -194,7 +194,7 @@ def detail_series(tree: DecompositionTree, level: int) -> Trace:
     """
     if not 1 <= level <= tree.levels:
         raise ShapeError(f"level {level} outside decomposition range 1..{tree.levels}")
-    series = np.repeat(np.abs(tree.details[level - 1]), 1 << level)
+    series = np.abs(tree.details[level - 1]).repeat(1 << level)
     cut = series.shape[0] - _alignment_shift(level) % series.shape[0]
     return Trace(samples=np.concatenate((series[cut:], series[:cut])),
                  sample_rate_hz=tree.sample_rate_hz)
@@ -277,7 +277,7 @@ def window_energies(
     sums = np.zeros(starts.shape[0])
     for count, rows, firsts in groups:
         runs = np.ndarray((d2.shape[0] - count + 1, count), d2.dtype, d2, 0, (step, step))
-        sums[rows] = runs[firsts].sum(axis=1)
+        sums[rows] = np.add.reduce(runs[firsts], 1)
     return sums / width
 
 

@@ -85,7 +85,7 @@ class IcaConfig:
 
 def center(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove row means; returns the centered matrix and the means."""
-    mean = matrix.sum(axis=1) / matrix.shape[1]  # bitwise ``matrix.mean(axis=1)``
+    mean = np.add.reduce(matrix, 1) / matrix.shape[1]  # bitwise ``matrix.mean(axis=1)``
     return matrix - mean[:, None], mean
 
 
@@ -114,7 +114,7 @@ def _whitening_model(centered: np.ndarray, retain: int | None = None) -> Whiteni
     if retain is not None and (isinstance(retain, bool) or not isinstance(retain, Integral)):
         raise ConfigError(f"retain must be an integer component count, got {retain!r}")
     cov = centered @ centered.T / centered.shape[1]
-    if not np.isfinite(cov).all():
+    if not np.logical_and.reduce(np.isfinite(cov), None):
         raise NumericalError("the channel covariance overflows float64")
     # eigh's eigenvalues ascend, so reversing is the descending sort.
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -278,7 +278,7 @@ def _build_template(samples: np.ndarray, calibration: tuple[int, int],
     """
     lo, hi = calibration
     segment = samples[:, lo:hi]
-    if not np.any(segment):
+    if not np.logical_or.reduce(segment, None, bool):
         raise DegenerateInputError(
             f"the record is identically zero on spans.calibration=({lo}, {hi})")
     bins, weights, slot_weight = deposits
@@ -366,7 +366,7 @@ def performance_index(
     actual = record.samples[:, slice(*analysis_span)]
 
     whitening = _whitening_model(center(actual)[0], retain=RETAIN)
-    raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
+    raw = np.add.reduce((whitening.projection @ (normal - actual)) ** 2, 0)
     return PiSeries(
         values=_trailing_mean(raw, period),
         whitening_eigenvalues=whitening.eigenvalues,
@@ -382,7 +382,7 @@ def _trailing_mean(raw: np.ndarray, window: int) -> np.ndarray:
     Each window sum is a difference of two running sums, taken on slices:
     the head keeps the running sum itself and divides by its length.
     """
-    cumulative = np.cumsum(raw)
+    cumulative = raw.cumsum()
     sums = cumulative.copy()
     sums[window:] -= cumulative[:-window]
     head = min(window, raw.shape[0])

@@ -35,7 +35,6 @@ from .signal_model import (
     PHASES,
     POSITIVE,
     FaultSpec,
-    FaultType,
     NoiseSpec,
     ThreePhaseRecord,
     WaveformConfig,
@@ -269,24 +268,6 @@ def _build_section(obj: dict, context: str, builder):
     _check_keys(obj, {f.name for f in dataclasses.fields(builder)}, context)
     with _prefixed(context):
         return builder(**obj)
-
-
-def check_onset(spans: Spans, fault: FaultSpec | None, sample_rate_hz: float) -> None:
-    """Require a labelled fault to start outside ``spans.calibration``.
-
-    A fault inside the span that calibrates the threshold lifts the threshold
-    over the fault itself, and the verdict becomes a silent "no fault".
-
-    Raises:
-        ConfigError: the onset sample lies in the calibration span.
-    """
-    if fault is None or fault.fault_type is FaultType.NONE:
-        return
-    onset = fault.onset_s * sample_rate_hz
-    lo, hi = spans.calibration
-    if onset < hi and lo <= round(onset) < hi:
-        raise ConfigError(f"fault onset sample {round(onset)} lies inside the calibration span "
-                          f"({lo}, {hi}), which must be fault-free")
 
 
 def parse_run_config(obj: dict) -> RunConfig:

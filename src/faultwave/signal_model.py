@@ -92,9 +92,7 @@ class WaveformConfig:
                      and abs(s * rate - round(s * rate)) <= 1e-6)
         check_fundamental(self.fundamental_hz)
         check_number("amplitude_pu", self.amplitude_pu, *NONNEGATIVE)
-        if rate <= 2.0 * self.fundamental_hz:
-            raise ConfigError(
-                f"sample_rate_hz={rate} violates Nyquist for fundamental_hz={self.fundamental_hz}")
+        check_nyquist(rate, self.fundamental_hz)
 
     @property
     def n_samples(self) -> int:
@@ -186,6 +184,14 @@ def check_fundamental(fundamental_hz: float) -> None:
     check_number("fundamental_hz", fundamental_hz, *POSITIVE)
 
 
+def check_nyquist(sample_rate_hz: float, fundamental_hz: float) -> None:
+    """Raise ConfigError naming both numbers unless ``sample_rate_hz`` exceeds
+    twice ``fundamental_hz``."""
+    if sample_rate_hz <= 2.0 * fundamental_hz:
+        raise ConfigError(
+            f"sample_rate_hz={sample_rate_hz} violates Nyquist for fundamental_hz={fundamental_hz}")
+
+
 def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -> int:
     """Samples in one fundamental cycle, rounded: the ICA template period and the FT
     and wavelet energy window. Raise DegenerateInputError unless the cycle is shorter
@@ -211,7 +217,7 @@ class Trace:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ConfigError("trace samples must be one-dimensional")
-        if not np.isfinite(self.samples).all():
+        if not np.logical_and.reduce(np.isfinite(self.samples), None):
             raise ConfigError("trace samples must be finite")
         check_number("sample_rate_hz", self.sample_rate_hz, *POSITIVE)
 

@@ -69,8 +69,13 @@ def dft(trace: Trace) -> Spectrum:
 
 def check_framing(n: int, window_len: int, hop: int) -> None:
     """Raise ShapeError unless ``window_len`` and ``hop`` are integers (not
-    booleans) with 2 <= window_len <= n and hop >= 1."""
-    if (isinstance(window_len, bool) or isinstance(hop, bool)
+    booleans) with 2 <= window_len <= n and hop >= 1.
+
+    A plain ``int`` passes without the ``numbers.Integral`` lookup, which
+    costs more than the rest of the check; numpy integers take that lookup.
+    """
+    if not (type(window_len) is int and type(hop) is int) and (
+            isinstance(window_len, bool) or isinstance(hop, bool)
             or not isinstance(window_len, Integral) or not isinstance(hop, Integral)):
         raise ShapeError(f"window_len and hop must be integers, got {window_len!r}, {hop!r}")
     if not 2 <= window_len <= n or hop < 1:

@@ -22,7 +22,7 @@ import faultwave
 from faultwave import (DetectorConfig, FaultSpec, FaultType, IcaConfig, NoiseSpec,
                        ThreePhaseRecord, WaveformConfig, calibrate_threshold, detail_series,
                        dwt_decompose, ica_detect, select_channel)
-from faultwave.detect import METHODS, EnergyRow
+from faultwave.detect import METHODS, EnergyRow, check_onset
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
 from faultwave.errors import BoundsError, ConfigError, DegenerateInputError, FaultwaveError
@@ -30,7 +30,6 @@ from faultwave.io import (
     FLOAT_FMT,
     _write_table,
     build_record,
-    check_onset,
     parse_run_config,
     read_record_csv,
     sidecar_path,
@@ -709,6 +708,23 @@ class TestCmdDetect:
         assert f"{method}: detected" in result.output
         spans = json.loads(out.read_text())["config"]["spans"]
         assert spans == {"calibration": [0, 1228], "analysis": [0, 4096]}
+
+    @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fundamental_above_the_loaded_records_nyquist_exits_2(self, runner, tmp_path,
+                                                                  method, command, out):
+        """The config's own 2 kHz default rate allows 999 Hz; the 1.5 kHz trace does not."""
+        trace, _ = self.make_trace(runner, tmp_path, {
+            "waveform": {"sample_rate_hz": 1500.0, "duration_s": 0.4},
+            "fault": {"fault_type": "AG", "onset_s": 0.25}, "noise": {"snr_db": 20, "seed": 1}})
+        cfg = write_json(tmp_path / "detect.json",
+                         {"waveform": {"fundamental_hz": 999.0}, "detector": {"method": method}})
+        result = runner.invoke(
+            main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("faultwave: error: sample_rate_hz=1500.0 violates Nyquist for "
+                                 "fundamental_hz=999.0\n")
+        assert not (tmp_path / out).exists()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_report_config_is_the_detection_settings_and_reproduces_the_report(

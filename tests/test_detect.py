@@ -534,6 +534,29 @@ class TestRun:
         with pytest.raises(ConfigError, match="fundamental_hz must be finite and positive"):
             run(make_record("AG"), DetectorConfig(method=method), fundamental_hz=fundamental_hz)
 
+    @pytest.mark.parametrize("fundamental_hz", [750.0, 999.0])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fundamental_at_or_above_the_records_nyquist_rejected(self, method, fundamental_hz):
+        """The record's rate, not the 2 kHz default, bounds the fundamental."""
+        record = generate_baseline(WaveformConfig(duration_s=0.4, sample_rate_hz=1500.0))
+        with pytest.raises(ConfigError, match=rf"^sample_rate_hz=1500.0 violates Nyquist for "
+                                              rf"fundamental_hz={fundamental_hz}$"):
+            run(record, DetectorConfig(method=method), fundamental_hz=fundamental_hz)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_labelled_onset_inside_the_calibration_span_rejected(self, method):
+        """Sample 130 of the 0.065 s fault lies inside the default 120-sample
+        calibration span of a 400-sample record only once that span is widened."""
+        record = make_record("AG", snr_db=20.0, seed=5)
+        widened = Spans(calibration=(0, 160))
+        run(record, DetectorConfig(method=method))
+        with pytest.raises(ConfigError, match=r"onset sample 130 lies inside the calibration "
+                                              r"span \(0, 160\)"):
+            run(record, DetectorConfig(method=method), widened)
+        if method in ENERGY_METHODS:
+            with pytest.raises(ConfigError, match="onset sample 130"):
+                energy_row("AG", record, DetectorConfig(method=method), widened)
+
     @pytest.mark.parametrize("fault,snr_db,f0", RUN_RECORDS)
     def test_energy_row_equals_the_per_trace_loop(self, fault, snr_db, f0):
         record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=5)
