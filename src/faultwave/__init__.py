@@ -12,7 +12,6 @@ from .detect import (
     DetectionReport,
     DetectorConfig,
     FixedThreshold,
-    Spans,
     calibrate_threshold,
     energy_detect,
     ica_detect,
@@ -49,6 +48,7 @@ from .signal_model import (
     FaultSpec,
     FaultType,
     NoiseSpec,
+    Spans,
     ThreePhaseRecord,
     Trace,
     WaveformConfig,
@@ -63,7 +63,7 @@ __all__ = [
     "__version__",
     # signal model
     "WaveformConfig", "FaultSpec", "FaultType", "NoiseSpec", "Trace",
-    "ThreePhaseRecord", "generate_baseline", "inject_fault", "add_noise",
+    "ThreePhaseRecord", "Spans", "generate_baseline", "inject_fault", "add_noise",
     "select_channel",
     # wavelet
     "DecompositionTree", "dwt_decompose", "dwt_reconstruct", "detail_series",
@@ -75,7 +75,7 @@ __all__ = [
     "fastica", "fit_ica", "performance_index",
     # detect
     "DetectorConfig", "DetectionReport", "FixedThreshold",
-    "AdaptiveThreshold", "Spans", "calibrate_threshold",
+    "AdaptiveThreshold", "calibrate_threshold",
     "run", "wavelet_detect", "ica_detect", "energy_detect",
     # errors
     "FaultwaveError", "ConfigError", "BoundsError", "ShapeError",

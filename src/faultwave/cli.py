@@ -3,13 +3,15 @@
 Exit codes: 0 = ran to completion (detection outcome is report data, not
 status), 3 = a detector found no usable signal (`DegenerateInputError` or
 `NumericalError` while it runs), 2 = any other bad input: a config, suite,
-trace or span the package rejects, or a file it cannot read or write.
+trace or span the package rejects, an output that would land on the input
+trace or its sidecar, or a file it cannot read or write.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -27,8 +29,10 @@ from .io import (
     fault_to_dict,
     load_run_config,
     load_suite,
+    output_path,
     parse_run_config,
     read_record_csv,
+    sidecar_path,
     write_energy_table_csv,
     write_record_csv,
     write_series_csv,
@@ -39,6 +43,17 @@ from .io import (
 from .signal_model import ThreePhaseRecord, select_channel
 
 _SERIES_HEADER = {"wavelet": "detail_abs", "ica": "pi"}
+
+# plot-data's transform dump by method (ica and energy_wt write none): its file
+# name and a writer of the channel trace's transform at the detector level
+_DUMPS = {
+    "wavelet": ("coefficients.csv", lambda path, trace, level:
+                write_tree_csv(path, dwt.dwt_decompose(trace, level))),
+    "energy_ft": ("spectrum.csv", lambda path, trace, level:
+                  write_spectrum_csv(path, spectral.dft(trace))),
+    "energy_stft": ("spectrogram.csv", lambda path, trace, level:
+                    write_spectrogram_csv(path, spectral.stft(trace))),
+}
 
 
 def _fail(message: str, code: int) -> NoReturn:
@@ -85,11 +100,13 @@ def cmd_generate(config_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Report JSON path.")
 def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
     """Run the configured detector; write a report JSON and an index CSV."""
-    out = Path(out_path)
+    out = output_path(out_path)
     if out.suffix == ".csv":
         raise ConfigError(f"--out {out_path} ends in .csv, the suffix of the index CSV "
                           "written next to the report")
+    index = out.with_suffix(".csv")
     config, record, report = _load_and_run(in_path, config_path)
+    _check_outputs(in_path, out, index)
 
     settings = config.to_dict()
     payload = {
@@ -105,7 +122,7 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
                      "fault": fault_to_dict(record.labels)},
     }
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-    _write_index_csv(out.with_suffix(".csv"), report)
+    _write_index_csv(index, report)
 
     verdict = "detected" if report.detected else "no fault"
     at = f" at {report.onset_time_s:.6g} s" if report.detected else ""
@@ -162,33 +179,35 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
     config, record, report = _load_and_run(in_path, config_path)
 
     out = Path(out_dir)
+    dump = _DUMPS.get(config.detector.method)
+    names = ["index.csv"] + ([dump[0]] if dump else [])
+    # the voltage pair is the input record itself, so it may land on the input
+    _check_outputs(in_path, *(out / name for name in names))
     write_record_csv(out / "voltage.csv", record)
     _write_index_csv(out / "index.csv", report)
-    extras = _write_transform_dumps(out, record, config)
-    click.echo(f"wrote voltage.csv, index.csv{extras} to {out_dir}")
+    if dump:
+        name, write = dump
+        write(out / name, select_channel(record, config.channel), config.detector.level)
+    click.echo(f"wrote voltage.csv, {', '.join(names)} to {out_dir}")
+
+
+def _check_outputs(in_path: str, *outputs: Path) -> None:
+    """Raise ConfigError if an output would land on the input trace or its
+    sidecar. Paths compare resolved: ``os.path.realpath`` is what
+    ``Path.resolve`` does, without its RuntimeError on a symlink loop."""
+    trace = Path(in_path)
+    inputs = {os.path.realpath(path): f"{kind} {path}"
+              for kind, path in (("trace", trace), ("sidecar", sidecar_path(trace)))}
+    for out in outputs:
+        overwritten = inputs.get(os.path.realpath(out))
+        if overwritten is not None:
+            raise ConfigError(f"writing {out} would overwrite the input {overwritten}")
 
 
 def _write_index_csv(path: Path, report: DetectionReport) -> None:
     """The report's index series as `t,<name>` (`detail_abs`, `pi` or `index`)."""
     header = _SERIES_HEADER.get(report.method, "index")
     write_series_csv(path, report.index_times_s, report.index_series, header)
-
-
-def _write_transform_dumps(out: Path, record: ThreePhaseRecord, config: RunConfig) -> str:
-    """Method-specific transform dumps next to the plot pair."""
-    method = config.detector.method
-    trace = select_channel(record, config.channel)
-    if method == "wavelet":
-        write_tree_csv(out / "coefficients.csv",
-                       dwt.dwt_decompose(trace, config.detector.level))
-        return ", coefficients.csv"
-    if method == "energy_ft":
-        write_spectrum_csv(out / "spectrum.csv", spectral.dft(trace))
-        return ", spectrum.csv"
-    if method == "energy_stft":
-        write_spectrogram_csv(out / "spectrogram.csv", spectral.stft(trace))
-        return ", spectrogram.csv"
-    return ""
 
 
 def _load_and_run(

@@ -43,16 +43,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from . import dwt, ica, spectral
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
 from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index
-from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, ThreePhaseRecord,
-                           Trace, check_count, check_fundamental, check_number, check_nyquist,
-                           cycle_length, select_channel)
+from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, Spans,
+                           ThreePhaseRecord, Trace, check_channel, check_count, check_fundamental,
+                           check_number, check_nyquist, cycle_length, select_channel)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -103,49 +102,6 @@ class DetectorConfig:
         check_count("level", self.level, 1)
         check_count("min_consecutive", self.min_consecutive, 1)
         check_number("cutoff_hz", self.cutoff_hz, *POSITIVE)
-
-
-@dataclass(frozen=True)
-class Spans:
-    """Half-open sample ranges: ``calibration`` is the one fault-free span
-    (thresholds calibrate on it, the ICA template is built from it),
-    ``analysis`` the span scanned for an onset. ``None`` stands for the
-    default of the record at hand, which :meth:`resolve` fills in.
-
-    Raises:
-        BoundsError: naming the first span given that is not a 2-item list or
-            tuple of integers (booleans excluded); a list is stored as a tuple.
-    """
-
-    calibration: tuple[int, int] | None = None
-    analysis: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("calibration", "analysis"):
-            span = getattr(self, name)
-            if span is None:
-                continue
-            if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(
-                    isinstance(b, Integral) and not isinstance(b, bool) for b in span)):
-                raise BoundsError(f"spans.{name}={span!r} must be two integers")
-            object.__setattr__(self, name, tuple(span))
-
-    def resolve(self, n_samples: int) -> Spans:
-        """These spans on a record of ``n_samples``; by default the first 30%
-        (at least 2 samples) calibrates and all of it is analysed.
-
-        Raises:
-            BoundsError: naming the first span that does not fit the record.
-        """
-        head = (0, max(2, int(0.3 * n_samples)))
-        resolved = Spans(head if self.calibration is None else self.calibration,
-                         (0, n_samples) if self.analysis is None else self.analysis)
-        for name in ("calibration", "analysis"):
-            lo, hi = getattr(resolved, name)
-            if not 0 <= lo < hi <= n_samples:
-                raise BoundsError(
-                    f"spans.{name}=({lo}, {hi}) lies outside the record (N={n_samples})")
-        return resolved
 
 
 @dataclass(eq=False)
@@ -343,7 +299,7 @@ def _ica_plan(n_samples: int, fs: float, fundamental_hz: float, need: int,
     if p_lo != a_lo:
         raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
                           f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
-    period = ica.index_plan(n_samples, fs, fundamental_hz, spans.calibration, spans.analysis)[0]
+    period = ica.index_plan(n_samples, fs, fundamental_hz, spans)[1]
     cycles = (p_hi - p_lo) / period
     scan = replace(spans, analysis=(a_lo + period - 1, a_hi))
     return spans, (cycles + 1) / (cycles - 1), _plan(scan, a_hi - a_lo, 1, need, first=a_lo)
@@ -380,7 +336,7 @@ def ica_detect(
     fs = record.sample_rate_hz
     spans, bias, plan = _ica_plan(record.n_samples, fs, ica_cfg.fundamental_hz,
                                   cfg.min_consecutive, spans)
-    pi = performance_index(record, spans.calibration, spans.analysis, ica_cfg)
+    pi = performance_index(record, spans, ica_cfg)
     eigenvalues = pi.whitening_eigenvalues
     return _decide("ica", pi.values, np.arange(*spans.analysis) / fs, plan, cfg, fs,
                    {"components_kept": len(eigenvalues),
@@ -508,17 +464,18 @@ def run(record: ThreePhaseRecord, cfg: DetectorConfig = DetectorConfig(),
     Raises:
         ConfigError: a fundamental not finite and positive, or at or above the
             record's Nyquist frequency (:func:`check_nyquist`); a channel other
-            than 'a', 'b' or 'c'; a labelled fault onset inside the resolved
-            calibration span (:func:`check_onset`).
+            than 'a', 'b' or 'c' (:func:`check_channel`); a labelled fault
+            onset inside the resolved calibration span (:func:`check_onset`).
         BoundsError: a span that does not fit the record (:meth:`Spans.resolve`).
     """
     check_fundamental(fundamental_hz)
     check_nyquist(record.sample_rate_hz, fundamental_hz)
-    trace = select_channel(record, channel)
+    check_channel(channel)
     spans = (spans or Spans()).resolve(record.n_samples)
     check_onset(spans, record.labels, record.sample_rate_hz)
     if cfg.method == "ica":
         return ica_detect(record, cfg, spans, IcaConfig(fundamental_hz))
+    trace = select_channel(record, channel)
     if cfg.method == "wavelet":
         return wavelet_detect(trace, cfg, spans)
     return energy_detect(trace, cfg.method, cfg, spans, fundamental_hz)

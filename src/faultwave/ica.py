@@ -10,10 +10,11 @@ stays near zero while the record matches its healthy pattern and jumps at
 fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
 after whitening, so it needs no FastICA fit.
 
-The index is planned once per geometry: :func:`index_plan` checks the spans,
-derives the template period and caches read-only phase slots (16 bytes per
-sample from calibration start to analysis end) and the template deposits of
-the calibration samples (64 bytes each) for the last :data:`PLAN_CACHE_SIZE`
+The index is planned once per geometry: :func:`index_plan` resolves the
+:class:`~faultwave.signal_model.Spans` and checks the ICA span rules, derives
+the template period and caches read-only phase slots (16 bytes per sample
+from calibration start to analysis end) and the template deposits of the
+calibration samples (64 bytes each) for the last :data:`PLAN_CACHE_SIZE`
 geometries: 14.4 MB at 409,600 samples, default spans. A call on a known
 geometry does only sample work.
 """
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .signal_model import ThreePhaseRecord, check_fundamental, cycle_length
+from .signal_model import Spans, ThreePhaseRecord, check_fundamental, cycle_length, is_integer
 
 # Eigenvalues below this fraction of the largest are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -63,7 +63,7 @@ class IcaModel:
 
 @dataclass(eq=False)
 class PiSeries:
-    """Per-sample performance index: ``values[i]`` is at sample ``analysis_span[0] + i``."""
+    """Per-sample performance index: ``values[i]`` is at sample ``spans.analysis[0] + i``."""
 
     values: np.ndarray
     whitening_eigenvalues: np.ndarray
@@ -111,7 +111,7 @@ def whiten(centered: np.ndarray, retain: int | None = None) -> tuple[np.ndarray,
 
 def _whitening_model(centered: np.ndarray, retain: int | None = None) -> WhiteningModel:
     """The map :func:`whiten` fits, for callers that need only its projection."""
-    if retain is not None and (isinstance(retain, bool) or not isinstance(retain, Integral)):
+    if retain is not None and not is_integer(retain):
         raise ConfigError(f"retain must be an integer component count, got {retain!r}")
     cov = centered @ centered.T / centered.shape[1]
     if not np.logical_and.reduce(np.isfinite(cov), None):
@@ -235,22 +235,21 @@ def _phase_slots(
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def index_plan(n_samples: int, fs: float, fundamental_hz: float,
-               calibration_span: tuple[int, int], analysis_span: tuple[int, int]) -> tuple:
+def index_plan(n_samples: int, fs: float, fundamental_hz: float, spans: Spans | None) -> tuple:
     """The geometry of :func:`performance_index`, once its spans pass the rules it
-    documents (same errors, in that order): the :func:`cycle_length` ``period``
-    its template tiles with; read-only :func:`_phase_slots` ``slots`` and ``frac``
+    documents (same errors, in that order): the ``spans`` resolved against the
+    record (:meth:`Spans.resolve`); the :func:`cycle_length` ``period`` its
+    template tiles with; read-only :func:`_phase_slots` ``slots`` and ``frac``
     of the analysis samples; and the ``deposits`` of the calibration samples:
     ``bins`` their slot and the next one up (row r of three offset by
     ``r * period``), ``weights`` those bins' shares ``1 - frac`` and ``frac``,
     ``slot_weight`` the total each slot receives: at least 1, since the
     calibration span holds two cycles."""
-    (p_lo, p_hi), (a_lo, a_hi) = calibration_span, analysis_span
-    named = f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi})"
-    if not (0 <= p_lo < p_hi <= n_samples and 0 <= a_lo < a_hi <= n_samples):
-        raise BoundsError(f"{named} lie outside the record (N={n_samples})")
+    spans = (spans or Spans()).resolve(n_samples)
+    (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
     if p_lo > a_lo or p_hi >= a_hi:
-        raise BoundsError(f"{named}: the calibration span must precede the analysis span")
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi}): "
+                          "the calibration span must precede the analysis span")
     period = cycle_length(fs, fundamental_hz, n_samples)
     if p_hi - p_lo < 2 * period:
         raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
@@ -264,7 +263,7 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float,
     bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
     for array in (slots, frac, bins, weights, slot_weight):
         array.flags.writeable = False
-    return period, slots[a_lo - p_lo:], frac[a_lo - p_lo:], (bins, weights, slot_weight)
+    return spans, period, slots[a_lo - p_lo:], frac[a_lo - p_lo:], (bins, weights, slot_weight)
 
 
 def _build_template(samples: np.ndarray, calibration: tuple[int, int],
@@ -320,10 +319,7 @@ def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) ->
 
 
 def performance_index(
-    record: ThreePhaseRecord,
-    calibration_span: tuple[int, int],
-    analysis_span: tuple[int, int],
-    config: IcaConfig = IcaConfig(),
+    record: ThreePhaseRecord, spans: Spans | None = None, config: IcaConfig = IcaConfig()
 ) -> PiSeries:
     """Fault performance index over the analysis span.
 
@@ -336,7 +332,7 @@ def performance_index(
     fault onset. FastICA's unmixing is orthogonal on whitened data, so
     unmixing both would leave the index as it is.
 
-    The spans, the period and the phase geometry come from the cached
+    The resolved spans, the period and the phase geometry come from the cached
     :func:`index_plan`: the analysis slots and the calibration deposits, so
     building the template takes two ``np.bincount`` calls on the data. The
     whitening map is fitted without whitening the analysis data itself,
@@ -344,10 +340,10 @@ def performance_index(
 
     Args:
         record: Record under analysis.
-        calibration_span: Half-open sample range known to be fault-free; must
-            start no later than the analysis span, end before it does, and
-            cover at least two fundamental cycles.
-        analysis_span: Half-open sample range the index is computed on.
+        spans: ``calibration`` is known to be fault-free; it must start no
+            later than ``analysis``, the range the index is computed on, end
+            before it does, and cover at least two fundamental cycles. ``None``
+            takes the defaults of :meth:`Spans.resolve`.
         config: The fundamental used for phase locking.
 
     Raises:
@@ -358,12 +354,11 @@ def performance_index(
             on the calibration span.
         NumericalError: the record overflows the whitening covariance.
     """
-    period, slots, frac, deposits = index_plan(
-        record.n_samples, record.sample_rate_hz, config.fundamental_hz,
-        tuple(calibration_span), tuple(analysis_span))
-    template = _build_template(record.samples, calibration_span, deposits)
+    spans, period, slots, frac, deposits = index_plan(
+        record.n_samples, record.sample_rate_hz, config.fundamental_hz, spans)
+    template = _build_template(record.samples, spans.calibration, deposits)
     normal = _read_template(template, slots, frac)
-    actual = record.samples[:, slice(*analysis_span)]
+    actual = record.samples[:, slice(*spans.analysis)]
 
     whitening = _whitening_model(center(actual)[0], retain=RETAIN)
     raw = np.add.reduce((whitening.projection @ (normal - actual)) ** 2, 0)

@@ -29,16 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold, Spans
+from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold
 from .errors import ConfigError, DegenerateInputError, FaultwaveError
 from .signal_model import (
-    PHASES,
     POSITIVE,
     FaultSpec,
     NoiseSpec,
+    Spans,
     ThreePhaseRecord,
     WaveformConfig,
     add_noise,
+    check_channel,
     check_number,
     generate_baseline,
     inject_fault,
@@ -47,12 +48,21 @@ from .signal_model import (
 FLOAT_FMT = "%.12g"
 
 
+def output_path(path) -> Path:
+    """``path`` as a Path, or a ConfigError if it names no file (``.``, ``""`` or ``/``)."""
+    path = Path(path)
+    if not path.name:
+        raise ConfigError(f"output path {str(path)!r} names no file")
+    return path
+
+
 @contextmanager
 def _atomic_open(path: Path):
-    """A UTF-8 text handle on a new temp file next to ``path``, renamed onto ``path``
-    when the block ends; on any error the temp file is removed and ``path`` kept.
-    Like any file ``open()`` creates, it gets the mode 0o666 less the umask."""
-    path = Path(path)
+    """A UTF-8 text handle on a new temp file next to ``path`` (an
+    :func:`output_path`), renamed onto ``path`` when the block ends; on any
+    error the temp file is removed and ``path`` kept. Like any file ``open()``
+    creates, it gets the mode 0o666 less the umask."""
+    path = output_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8")  # "x": a new file, never one already there
@@ -292,8 +302,7 @@ def parse_run_config(obj: dict) -> RunConfig:
     spans = _build_section(_object(obj.get("spans", {}), "spans"), "spans", Spans)
 
     channel = obj.get("channel", "a")
-    if channel not in PHASES:
-        raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
+    check_channel(channel)
 
     return RunConfig(waveform=waveform, fault=fault, noise=noise,
                      detector=detector, spans=spans, channel=channel)

@@ -4,7 +4,8 @@ This module is the data source for every detector in the package. It builds
 per-unit three-phase sinusoids, applies a parametric fault model (voltage sag
 on the faulted phases plus a decaying high-frequency burst at onset), adds
 white Gaussian noise at a target SNR, and supports fundamental-frequency
-deviation scenarios.
+deviation scenarios. It also holds the input rules the other modules share,
+:class:`Spans` among them.
 
 All operations are pure: given the same inputs (noise seed included) they
 return identical outputs, and returned objects are never mutated afterwards.
@@ -173,10 +174,23 @@ def check_number(name: str, value, requirement: str, ok=lambda number: True) -> 
     raise ConfigError(f"{name} must be {requirement}, got {value!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a boolean. A plain ``int`` passes
+    without the ``numbers.Integral`` lookup, which costs more than the rest of
+    most checks; numpy integers take that lookup."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 def check_count(name: str, value, minimum: int) -> None:
     """:func:`check_number` for an integer setting of at least ``minimum``."""
     check_number(name, value, f"an integer >= {minimum}",
-                 lambda count: isinstance(count, Integral) and count >= minimum)
+                 lambda count: is_integer(count) and count >= minimum)
+
+
+def check_channel(channel) -> None:
+    """Raise ConfigError unless ``channel`` names a phase: 'a', 'b' or 'c'."""
+    if channel not in PHASES:  # a tuple, so an unhashable channel compares unequal, not raises
+        raise ConfigError(f"channel must be 'a', 'b' or 'c', got {channel!r}")
 
 
 def check_fundamental(fundamental_hz: float) -> None:
@@ -204,6 +218,49 @@ def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -
     if period < 2:
         raise ConfigError(f"fundamental {fundamental_hz} Hz leaves fewer than 2 samples per cycle")
     return period
+
+
+@dataclass(frozen=True)
+class Spans:
+    """Half-open sample ranges: ``calibration`` is the one fault-free span
+    (thresholds calibrate on it, the ICA template is built from it),
+    ``analysis`` the span scanned for an onset. ``None`` stands for the
+    default of the record at hand, which :meth:`resolve` fills in.
+
+    Raises:
+        BoundsError: naming the first span given that is not a 2-item list or
+            tuple of integers (booleans excluded); a list is stored as a tuple.
+    """
+
+    calibration: tuple[int, int] | None = None
+    analysis: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("calibration", "analysis"):
+            span = getattr(self, name)
+            if span is None:
+                continue
+            if not (isinstance(span, (list, tuple)) and len(span) == 2
+                    and all(map(is_integer, span))):
+                raise BoundsError(f"spans.{name}={span!r} must be two integers")
+            object.__setattr__(self, name, tuple(span))
+
+    def resolve(self, n_samples: int) -> Spans:
+        """These spans on a record of ``n_samples``; by default the first 30%
+        (at least 2 samples) calibrates and all of it is analysed.
+
+        Raises:
+            BoundsError: naming the first span that does not fit the record.
+        """
+        head = (0, max(2, int(0.3 * n_samples)))
+        resolved = Spans(head if self.calibration is None else self.calibration,
+                         (0, n_samples) if self.analysis is None else self.analysis)
+        for name in ("calibration", "analysis"):
+            lo, hi = getattr(resolved, name)
+            if not 0 <= lo < hi <= n_samples:
+                raise BoundsError(
+                    f"spans.{name}=({lo}, {hi}) lies outside the record (N={n_samples})")
+        return resolved
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,9 +433,9 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
 
 
 def select_channel(record: ThreePhaseRecord, phase: str) -> Trace:
-    """Extract one phase as a single-channel trace (same sample rate)."""
-    if phase not in PHASES:  # a tuple, so an unhashable phase compares unequal, not raises
-        raise ConfigError(f"phase must be one of 'a', 'b', 'c', got {phase!r}")
+    """Extract one phase as a single-channel trace (same sample rate); a phase
+    other than 'a', 'b' or 'c' is rejected by :func:`check_channel`."""
+    check_channel(phase)
     return Trace(
         samples=record.samples[PHASES.index(phase)].copy(),
         sample_rate_hz=record.sample_rate_hz,

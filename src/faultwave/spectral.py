@@ -13,12 +13,11 @@ every framing once with :func:`check_framing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .signal_model import Trace
+from .signal_model import Trace, is_integer
 
 # Frame length and hop of the STFT, in samples: a 10 ms-scale burst at 2 kHz.
 STFT_WINDOW = 64
@@ -68,15 +67,10 @@ def dft(trace: Trace) -> Spectrum:
 
 
 def check_framing(n: int, window_len: int, hop: int) -> None:
-    """Raise ShapeError unless ``window_len`` and ``hop`` are integers (not
-    booleans) with 2 <= window_len <= n and hop >= 1.
-
-    A plain ``int`` passes without the ``numbers.Integral`` lookup, which
-    costs more than the rest of the check; numpy integers take that lookup.
-    """
-    if not (type(window_len) is int and type(hop) is int) and (
-            isinstance(window_len, bool) or isinstance(hop, bool)
-            or not isinstance(window_len, Integral) or not isinstance(hop, Integral)):
+    """Raise ShapeError unless ``window_len`` and ``hop`` are integers
+    (:func:`~faultwave.signal_model.is_integer`) with 2 <= window_len <= n and
+    hop >= 1."""
+    if not (is_integer(window_len) and is_integer(hop)):
         raise ShapeError(f"window_len and hop must be integers, got {window_len!r}, {hop!r}")
     if not 2 <= window_len <= n or hop < 1:
         raise ShapeError(f"need 2 <= window_len <= {n} and hop >= 1, got {window_len}, {hop}")

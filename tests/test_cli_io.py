@@ -1244,6 +1244,81 @@ class TestCmdPlotData:
         assert result.exit_code == 2
 
 
+class TestOutputOnTheInput:
+    """``detect`` and ``plot-data`` exit 2 and write nothing when a report, an
+    index CSV or a transform dump would land on the input trace or its
+    sidecar, however the two paths are spelled. The ``plot-data`` voltage
+    pair writes the input record back, so it may land on the input."""
+
+    def generate(self, runner, tmp_path, trace: Path, method: str = "wavelet") -> Path:
+        cfg = write_json(tmp_path / "run.json", {**AG_CONFIG, "detector": {"method": method}})
+        assert runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(trace)]).exit_code == 0
+        return cfg
+
+    @staticmethod
+    def files(root: Path) -> dict[Path, bytes]:
+        return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    @pytest.mark.parametrize("out, written, kind, overwritten", [
+        ("trace.json", "trace.csv", "trace", "trace.csv"),
+        ("trace.meta.json", "trace.meta.json", "sidecar", "trace.meta.json"),
+        ("sub/../trace.json", "sub/../trace.csv", "trace", "trace.csv"),
+    ], ids=["index-on-trace", "report-on-sidecar", "index-on-trace-via-dotdot"])
+    def test_detect_output_on_the_input_exits_2_writing_nothing(self, runner, tmp_path, out,
+                                                                written, kind, overwritten):
+        trace = tmp_path / "trace.csv"
+        cfg = self.generate(runner, tmp_path, trace)
+        before = self.files(tmp_path)
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == (f"faultwave: error: writing {tmp_path / written} would "
+                                 f"overwrite the input {kind} {tmp_path / overwritten}\n")
+        assert self.files(tmp_path) == before
+        assert not (tmp_path / "sub").exists()
+
+    def test_detect_index_on_a_symlinked_input_exits_2(self, runner, tmp_path):
+        trace = tmp_path / "trace.csv"
+        cfg = self.generate(runner, tmp_path, trace)
+        link = tmp_path / "link.csv"
+        link.symlink_to(trace)
+        before = self.files(tmp_path)
+        result = runner.invoke(main, ["detect", "--in", str(link), "--config", str(cfg),
+                                      "--out", str(tmp_path / "trace.json")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == (f"faultwave: error: writing {trace} would overwrite the input "
+                                 f"trace {link}\n")
+        assert self.files(tmp_path) == before
+
+    @pytest.mark.parametrize("method, name", [
+        ("wavelet", "index.csv"), ("ica", "index.csv"), ("wavelet", "coefficients.csv"),
+        ("energy_ft", "spectrum.csv"), ("energy_stft", "spectrogram.csv"),
+    ])
+    def test_plot_data_output_on_the_input_exits_2_writing_nothing(self, runner, tmp_path,
+                                                                   method, name):
+        trace = tmp_path / "p" / name
+        cfg = self.generate(runner, tmp_path, trace, method)
+        before = self.files(tmp_path)
+        result = runner.invoke(main, ["plot-data", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "p")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == (f"faultwave: error: writing {trace} would overwrite the input "
+                                 f"trace {trace}\n")
+        assert self.files(tmp_path) == before
+
+    @pytest.mark.parametrize("method", ["wavelet", "ica"])
+    def test_plot_data_writes_the_voltage_pair_back_onto_the_input(self, runner, tmp_path,
+                                                                   method):
+        trace = tmp_path / "p" / "voltage.csv"
+        cfg = self.generate(runner, tmp_path, trace, method)
+        before = self.files(tmp_path / "p")
+        result = runner.invoke(main, ["plot-data", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "p")])
+        assert result.exit_code == 0, (result.output, result.exception)
+        after = self.files(tmp_path / "p")
+        assert {path: after[path] for path in before} == before
+
+
 class TestErrorBoundary:
     """Every input the package rejects, and every file it cannot read or write,
     exits 2 with a `faultwave: error:` line, never with a traceback."""
@@ -1267,6 +1342,17 @@ class TestErrorBoundary:
         result = runner.invoke(main, [command, *inputs[command], "--out", str(blocker / "out")])
         assert result.exit_code == 2, (result.output, result.exception)
         assert "faultwave: error:" in result.output
+
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    @pytest.mark.parametrize("command", ["generate", "detect", "energy-table"])
+    def test_out_that_names_no_file_exits_2_with_one_line(self, runner, tmp_path, inputs,
+                                                         monkeypatch, command, out):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        result = runner.invoke(main, [command, *inputs[command], "--out", out])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == f"faultwave: error: output path {str(Path(out))!r} names no file\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["generate", "energy-table"])
     def test_config_not_utf8_exits_2(self, runner, tmp_path, command):

@@ -27,6 +27,7 @@ from faultwave import (
     highband_energy_index,
     ica_detect,
     inject_fault,
+    performance_index,
     select_channel,
     stft,
     wavelet_detect,
@@ -94,8 +95,9 @@ class TestSpans:
         [lambda record, spans: ica_detect(record, DetectorConfig(method="ica"), spans),
          lambda record, spans: energy_detect(select_channel(record, "a"), "energy_ft",
                                              spans=spans),
-         lambda record, spans: wavelet_detect(select_channel(record, "a"), spans=spans)],
-        ids=["ica", "energy_ft", "wavelet"],
+         lambda record, spans: wavelet_detect(select_channel(record, "a"), spans=spans),
+         lambda record, spans: performance_index(record, spans)],
+        ids=["ica", "energy_ft", "wavelet", "performance_index"],
     )
     def test_detector_rejects_a_float_or_boolean_bound(self, ag_record, run):
         for bounds in [((0.0, 120.0), (0.0, 400.0)), ((False, 120),)]:
@@ -365,7 +367,7 @@ class TestEnergyWindowSeries:
         cfg = DetectorConfig(method="energy_ft", cutoff_hz=fs / 8)
 
         def ica_period():
-            return index_plan(n, fs, f0, (0, n - 1), (0, n))[0]
+            return index_plan(n, fs, f0, Spans((0, n - 1), (0, n)))[1]
 
         try:
             window = energy_detect(select_channel(record, "a"), "energy_ft", cfg,
@@ -525,7 +527,7 @@ class TestRun:
     @pytest.mark.parametrize("channel", ["d", "A", "", None, ["a"]])
     @pytest.mark.parametrize("method", METHODS)
     def test_bad_channel_rejected(self, method, channel):
-        with pytest.raises(ConfigError, match="phase must be one of 'a', 'b', 'c'"):
+        with pytest.raises(ConfigError, match="^channel must be 'a', 'b' or 'c', got "):
             run(make_record("AG"), DetectorConfig(method=method), channel=channel)
 
     @pytest.mark.parametrize("fundamental_hz", TestEnergyDetect.INVALID_FUNDAMENTALS)

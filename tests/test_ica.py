@@ -231,16 +231,24 @@ class TestNegentropyProxy:
 
 
 class TestPerformanceIndex:
-    SPANS = dict(calibration_span=(0, 120), analysis_span=(0, 400))
+    SPANS = Spans((0, 120), (0, 400))
 
     def test_values_are_finite_and_nonnegative(self, ag_record):
-        pi = performance_index(ag_record, **self.SPANS)
+        pi = performance_index(ag_record, self.SPANS)
         assert np.all(np.isfinite(pi.values))
         assert np.all(pi.values >= 0.0)
         assert pi.values.shape[0] == 400
 
+    def test_default_spans_are_the_resolved_defaults(self, ag_record):
+        """No spans and the spans :meth:`Spans.resolve` fills in give one index, bit for bit."""
+        default = performance_index(ag_record)
+        resolved = performance_index(ag_record, Spans().resolve(ag_record.n_samples))
+        assert Spans().resolve(ag_record.n_samples) == self.SPANS
+        assert_bitwise_equal(default.values, resolved.values)
+        assert_bitwise_equal(default.whitening_eigenvalues, resolved.whitening_eigenvalues)
+
     def test_no_fault_shows_no_jump(self, baseline_record):
-        pi = performance_index(baseline_record, **self.SPANS)
+        pi = performance_index(baseline_record, self.SPANS)
         assert pi.values.max() <= 5.0 * np.median(pi.values)
 
     def test_fault_crossing_lands_near_onset(self):
@@ -252,7 +260,7 @@ class TestPerformanceIndex:
         assert abs(first - FAULT_ONSET_SAMPLE) <= 20
 
     def test_prefault_mean_far_below_peak(self, ag_record):
-        pi = performance_index(ag_record, **self.SPANS)
+        pi = performance_index(ag_record, self.SPANS)
         pre = pi.values[:FAULT_ONSET_SAMPLE].mean()
         assert pre <= 0.05 * pi.values.max()
 
@@ -270,11 +278,11 @@ class TestPerformanceIndex:
 
     def test_spans_out_of_order_rejected(self, ag_record):
         with pytest.raises(BoundsError):
-            performance_index(ag_record, (200, 320), analysis_span=(0, 400))
+            performance_index(ag_record, Spans((200, 320), (0, 400)))
 
     def test_short_prefault_rejected(self, ag_record):
         with pytest.raises(BoundsError, match="cycles"):
-            performance_index(ag_record, (0, 60), analysis_span=(0, 400))
+            performance_index(ag_record, Spans((0, 60), (0, 400)))
 
     def test_zero_prefault_rejected(self):
         record = make_record("NONE")
@@ -286,11 +294,11 @@ class TestPerformanceIndex:
             labels=record.labels,
         )
         with pytest.raises(DegenerateInputError, match="zero"):
-            performance_index(zeroed, (0, 120), analysis_span=(0, 400))
+            performance_index(zeroed, Spans((0, 120), (0, 400)))
 
     def test_fundamental_under_two_samples_per_cycle_rejected(self, ag_record):
         with pytest.raises(ConfigError, match="fewer than 2 samples per cycle"):
-            performance_index(ag_record, **self.SPANS, config=IcaConfig(fundamental_hz=1500))
+            performance_index(ag_record, self.SPANS, config=IcaConfig(fundamental_hz=1500))
 
     @pytest.mark.parametrize("fundamental_hz", [0.0, -50.0, float("inf"), float("nan")])
     def test_non_positive_or_non_finite_fundamental_rejected(self, fundamental_hz):
@@ -388,13 +396,13 @@ class TestPhaseSlots:
         (p_lo, p_hi), (a_lo, a_hi) = spans
         period = int(round(FS / f0))
         template = _build_template(
-            record.samples, (p_lo, p_hi), index_plan(record.n_samples, FS, f0, *spans)[3])
+            record.samples, (p_lo, p_hi), index_plan(record.n_samples, FS, f0, Spans(*spans))[4])
         normal = _read_template(
             template, *_phase_slots(a_lo, a_hi, p_hi, FS, f0, period))
         actual = record.samples[:, a_lo:a_hi]
         _, whitening = whiten(center(actual)[0], retain=RETAIN)
         raw = np.sum((whitening.projection @ (normal - actual)) ** 2, axis=0)
-        pi = performance_index(record, *spans, IcaConfig(fundamental_hz=f0))
+        pi = performance_index(record, Spans(*spans), IcaConfig(fundamental_hz=f0))
         assert_bitwise_equal(pi.values, gather_trailing_mean(raw, period))
         assert_bitwise_equal(pi.whitening_eigenvalues, whitening.eigenvalues)
 
@@ -427,7 +435,7 @@ class TestBuildTemplate:
         hi = lo + int(np.ceil(cycles * (period + detune)))
         samples = 10.0**exponent * rng_trace(3 * (hi + 5), seed).reshape(3, hi + 5)
         slots, frac = _phase_slots(lo, hi, hi, fs, fundamental_hz, period)
-        deposits = index_plan(hi + 5, fs, fundamental_hz, (lo, hi), (lo, hi + 5))[3]
+        deposits = index_plan(hi + 5, fs, fundamental_hz, Spans((lo, hi), (lo, hi + 5)))[4]
         assert_bitwise_equal(_build_template(samples, (lo, hi), deposits),
                              loop_build_template(samples, (lo, hi), slots, frac, period))
 
@@ -435,7 +443,7 @@ class TestBuildTemplate:
     def test_record_template_equals_per_row_reference_bitwise(self, f0):
         record = make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=3)
         slots, frac = _phase_slots(0, 120, 120, FS, f0, 40)
-        deposits = index_plan(record.n_samples, FS, f0, (0, 120), (0, record.n_samples))[3]
+        deposits = index_plan(record.n_samples, FS, f0, Spans((0, 120), (0, record.n_samples)))[4]
         assert_bitwise_equal(_build_template(record.samples, (0, 120), deposits),
                              loop_build_template(record.samples, (0, 120), slots, frac, 40))
 
@@ -455,7 +463,7 @@ class TestIndexPlan:
         assume(cycle_length(fs, fundamental_hz, 10**6) == period)  # within rounding
         lo = int(start * period)
         hi = lo + int(cycles * period)
-        slot_weight = index_plan(hi + 1, fs, fundamental_hz, (lo, hi), (lo, hi + 1))[3][2]
+        slot_weight = index_plan(hi + 1, fs, fundamental_hz, Spans((lo, hi), (lo, hi + 1)))[4][2]
         assert slot_weight.size == period
         assert slot_weight.min() >= 1.0
 
@@ -544,7 +552,7 @@ class TestRotationInvariance:
         period = int(round(fs / f0))
         lo, hi = self.ANALYSIS
         anchor = self.CALIBRATION[1]
-        deposits = index_plan(record.n_samples, fs, f0, self.CALIBRATION, self.ANALYSIS)[3]
+        deposits = index_plan(record.n_samples, fs, f0, Spans(self.CALIBRATION, self.ANALYSIS))[4]
         template = _build_template(record.samples, self.CALIBRATION, deposits)
         normal = _read_template(template, *_phase_slots(lo, hi, anchor, fs, f0, period))
         actual = record.samples[:, lo:hi]
@@ -559,7 +567,7 @@ class TestRotationInvariance:
                                                    (49.5, 50.0)):
             record = make_record(fault, snr_db=snr_db, fundamental_hz=f0, seed=4)
             config = IcaConfig(fundamental_hz=f0)
-            pi = performance_index(record, self.CALIBRATION, self.ANALYSIS, config)
+            pi = performance_index(record, Spans(self.CALIBRATION, self.ANALYSIS), config)
             expected, eigenvalues, defect = self.unmixed_index(record, config)
             case = (fault, snr_db, f0)
             assert defect < 1e-10, case
@@ -571,7 +579,7 @@ class TestRotationInvariance:
         """Contrast, seed and a fit stopped early only change the rotation."""
         record = make_record("AG", snr_db=20.0, seed=5)
         config = IcaConfig()
-        pi = performance_index(record, self.CALIBRATION, self.ANALYSIS, config).values
+        pi = performance_index(record, Spans(self.CALIBRATION, self.ANALYSIS), config).values
         for options in (dict(contrast="cube"), dict(seed=17), dict(max_iter=1),
                         dict(tol=1e-2), dict(contrast="cube", seed=3, max_iter=7, tol=1e-9)):
             expected, _, defect = self.unmixed_index(record, config, **options)

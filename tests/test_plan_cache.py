@@ -136,7 +136,7 @@ def plans() -> dict:
         "faultwave.detect._window_plan": (
             detect._window_plan(400, 40, 10, 2000.0, None, 2, None),
             detect._window_plan(400, 40, 10, 2000.0, 150.0, None, SPANS[400])),
-        "faultwave.ica.index_plan": ica.index_plan(400, 2000.0, 50.0, (0, 120), (0, 400)),
+        "faultwave.ica.index_plan": ica.index_plan(400, 2000.0, 50.0, Spans((0, 120), (0, 400))),
     }
 
 
@@ -280,9 +280,9 @@ def test_a_warm_index_derives_no_period(monkeypatch):
     monkeypatch.setattr(ica, "cycle_length", lambda *args: calls.append(args) or cycle_length(*args))
     rec, config = record(400, 49.5), IcaConfig(fundamental_hz=49.5)
     clear_caches()
-    cold = performance_index(rec, (0, 120), (0, 400), config)
+    cold = performance_index(rec, Spans((0, 120), (0, 400)), config)
     assert len(calls) == 1
-    warm = performance_index(rec, (0, 120), (0, 400), config)
+    warm = performance_index(rec, Spans((0, 120), (0, 400)), config)
     assert len(calls) == 1
     assert_bitwise_equal(warm.values, cold.values)
     clear_caches()
@@ -295,16 +295,16 @@ def test_a_warm_index_derives_no_period(monkeypatch):
 def test_list_spans_share_the_tuple_plan():
     rec, config = record(400, 49.5), IcaConfig(fundamental_hz=49.5)
     clear_caches()
-    listed = performance_index(rec, [0, 120], [0, 400], config)
+    listed = performance_index(rec, Spans([0, 120], [0, 400]), config)
     for calibration, analysis in (((0, 120), (0, 400)), ([0, 120], (0, 400))):
-        assert_bitwise_equal(performance_index(rec, calibration, analysis, config).values,
+        assert_bitwise_equal(performance_index(rec, Spans(calibration, analysis), config).values,
                              listed.values)
     assert ica.index_plan.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("calibration, analysis, f0, error, message", [
     ((0, 120), (0, 401), 50.0, BoundsError,
-     "spans.calibration=(0, 120), spans.analysis=(0, 401) lie outside the record (N=400)"),
+     "spans.analysis=(0, 401) lies outside the record (N=400)"),
     ((10, 130), (0, 400), 50.0, BoundsError,
      "spans.calibration=(10, 130), spans.analysis=(0, 400): the calibration span must "
      "precede the analysis span"),
@@ -326,6 +326,6 @@ def test_each_index_rule_raises_alike_on_cold_and_warm_caches(calibration, analy
     clear_caches()
     for _ in range(2):
         with pytest.raises(error) as raised:
-            performance_index(rec, calibration, analysis, config)
+            performance_index(rec, Spans(calibration, analysis), config)
         assert str(raised.value) == message
-        performance_index(rec, (0, 120), (0, 400), IcaConfig(fundamental_hz=50.0))
+        performance_index(rec, Spans((0, 120), (0, 400)), IcaConfig(fundamental_hz=50.0))

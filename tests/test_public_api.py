@@ -43,3 +43,9 @@ def test_every_traced_function_exists():
 
 def test_observed_fastica_fields_exist():
     assert {"iterations_used", "converged"} <= {f.name for f in dataclasses.fields(IcaModel)}
+
+
+def test_spans_is_one_class_defined_in_signal_model():
+    from faultwave import detect, io, signal_model
+    assert faultwave.Spans is detect.Spans is io.Spans is signal_model.Spans
+    assert signal_model.Spans.__module__ == "faultwave.signal_model"

@@ -299,9 +299,9 @@ class TestSelectChannel:
         assert trace.sample_rate_hz == baseline_record.sample_rate_hz
 
     def test_unknown_phase_rejected(self, baseline_record):
-        with pytest.raises(ConfigError, match="phase"):
+        with pytest.raises(ConfigError, match=r"^channel must be 'a', 'b' or 'c', got 'd'$"):
             select_channel(baseline_record, "d")
 
     def test_unhashable_phase_rejected(self, baseline_record):
-        with pytest.raises(ConfigError, match=r"^phase must be one of 'a', 'b', 'c', got \['a'\]$"):
+        with pytest.raises(ConfigError, match=r"^channel must be 'a', 'b' or 'c', got \['a'\]$"):
             select_channel(baseline_record, ["a"])
