@@ -4,7 +4,7 @@ Exit codes: 0 = ran to completion (detection outcome is report data, not
 status), 3 = a detector found no usable signal (`DegenerateInputError` or
 `NumericalError` while it runs), 2 = any other bad input: a config, suite,
 trace or span the package rejects, an output that would land on the input
-trace or its sidecar, or a file it cannot read or write.
+config, trace or sidecar, or a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -89,8 +89,11 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output trace CSV.")
 def cmd_generate(config_path: str, out_path: str) -> None:
     """Write a trace CSV plus its JSON metadata sidecar."""
-    record = build_record(load_run_config(Path(config_path)))
-    write_record_csv(Path(out_path), record)
+    config = load_run_config(Path(config_path))
+    out = output_path(out_path)
+    _check_outputs(config_path, None, out, sidecar_path(out))
+    record = build_record(config)
+    write_record_csv(out, record)
     click.echo(f"wrote {record.n_samples}-sample record to {out_path}")
 
 
@@ -106,7 +109,7 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
                           "written next to the report")
     index = out.with_suffix(".csv")
     config, record, report = _load_and_run(in_path, config_path)
-    _check_outputs(in_path, out, index)
+    _check_outputs(config_path, in_path, out, index)
 
     settings = config.to_dict()
     payload = {
@@ -134,8 +137,10 @@ def cmd_detect(in_path: str, config_path: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV.")
 def cmd_energy_table(suite_path: str, out_path: str) -> None:
     """Evaluate the FT/STFT/WT energy indices over a scenario suite."""
+    suite = load_suite(Path(suite_path))
+    _check_outputs(suite_path, None, output_path(out_path))
     rows = []
-    for name, merged in load_suite(Path(suite_path)):
+    for name, merged in suite:
         try:
             config = parse_run_config(merged)
             record = build_record(config)
@@ -182,7 +187,9 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
     dump = _DUMPS.get(config.detector.method)
     names = ["index.csv"] + ([dump[0]] if dump else [])
     # the voltage pair is the input record itself, so it may land on the input
-    _check_outputs(in_path, *(out / name for name in names))
+    # trace and sidecar, but not on the config
+    _check_outputs(config_path, in_path, *(out / name for name in names))
+    _check_outputs(config_path, None, out / "voltage.csv", out / "voltage.meta.json")
     write_record_csv(out / "voltage.csv", record)
     _write_index_csv(out / "index.csv", report)
     if dump:
@@ -191,13 +198,15 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
     click.echo(f"wrote voltage.csv, {', '.join(names)} to {out_dir}")
 
 
-def _check_outputs(in_path: str, *outputs: Path) -> None:
-    """Raise ConfigError if an output would land on the input trace or its
-    sidecar. Paths compare resolved: ``os.path.realpath`` is what
-    ``Path.resolve`` does, without its RuntimeError on a symlink loop."""
-    trace = Path(in_path)
-    inputs = {os.path.realpath(path): f"{kind} {path}"
-              for kind, path in (("trace", trace), ("sidecar", sidecar_path(trace)))}
+def _check_outputs(config_path: str, in_path: str | None, *outputs: Path) -> None:
+    """Raise ConfigError if an output would land on the input config or, given
+    ``in_path``, on the input trace or its sidecar. Paths compare resolved:
+    ``os.path.realpath`` is what ``Path.resolve`` does, without its
+    RuntimeError on a symlink loop."""
+    named = [("config", Path(config_path))]
+    if in_path is not None:
+        named += [("trace", Path(in_path)), ("sidecar", sidecar_path(Path(in_path)))]
+    inputs = {os.path.realpath(path): f"{kind} {path}" for kind, path in named}
     for out in outputs:
         overwritten = inputs.get(os.path.realpath(out))
         if overwritten is not None:

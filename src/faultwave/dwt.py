@@ -8,7 +8,8 @@ Implements the analysis/synthesis pyramid with periodic extension:
 with the input samples as the finest approximation and all indices wrapped
 modulo the current length. Periodic extension keeps the transform exactly
 orthogonal, so energy is conserved and reconstruction is exact up to
-round-off. Record lengths must be divisible by 2**levels.
+round-off. Record lengths must be divisible by 2**levels. The analysis block
+and the energy windows are rows of :func:`~faultwave.signal_model.sliding_rows`.
 
 :func:`window_groups` is the part of the windowed energy that depends only
 on the geometry (16 bytes per window); the energy detector plans it once per
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .signal_model import Trace
+from .signal_model import Trace, sliding_rows
 
 # 8-tap orthonormal lowpass with four vanishing moments, transcribed from the
 # standard table; tests re-derive it by spectral factorization and check the
@@ -70,26 +71,20 @@ class DecompositionTree:
     sample_rate_hz: float
 
 
-def _analyze_level(a: np.ndarray, h: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _analyze_level(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pyramid stage: row k of the block is ``a[(2k + i) mod n]``, i < FILTER_LEN.
 
     ``a`` is repeated end to end until a row starting at the last even index
     fits, which also covers levels shorter than the filter, where a row wraps
-    more than once. The block is a copy of a strided view over that repeat:
-    rows two elements apart, each FILTER_LEN long. ``np.ndarray`` builds the
-    view (and checks that it stays inside the repeat) without the Python
-    overhead of ``as_strided``. The block holds the same values in the same
-    layout as a gather through a modulo'd index array, so both matmuls, and
-    their results, are unchanged.
+    more than once; the block copies the first n/2 of its ``sliding_rows``.
     """
     n = a.shape[0]
     wrapped = np.concatenate((a,) * (1 + -(-(FILTER_LEN - 2) // n)))
-    step = wrapped.itemsize
-    block = np.ndarray((n // 2, FILTER_LEN), wrapped.dtype, wrapped, 0, (2 * step, step)).copy()
-    return block @ h, block @ h1
+    block = sliding_rows(wrapped, FILTER_LEN, 2)[:n // 2].copy()
+    return block @ DB4_LOWPASS, block @ DB4_HIGHPASS
 
 
-def _synthesize_level(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, h1: np.ndarray) -> np.ndarray:
+def _synthesize_level(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
     n = 2 * approx.shape[0]
     k = np.arange(approx.shape[0])
     out = np.zeros(n)
@@ -97,7 +92,7 @@ def _synthesize_level(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, h1:
     # (2k+i) mod n are distinct, so fancy-index accumulation is collision-free.
     for i in range(FILTER_LEN):
         pos = (2 * k + i) % n
-        out[pos] += approx * h[i] + detail * h1[i]
+        out[pos] += approx * DB4_LOWPASS[i] + detail * DB4_HIGHPASS[i]
     return out
 
 
@@ -127,7 +122,7 @@ def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
     approx = np.asarray(trace.samples, dtype=float)
     details: list[np.ndarray] = []
     for _ in range(levels):
-        approx, detail = _analyze_level(approx, DB4_LOWPASS, DB4_HIGHPASS)
+        approx, detail = _analyze_level(approx)
         details.append(detail)
     return DecompositionTree(
         levels=levels,
@@ -158,7 +153,7 @@ def dwt_reconstruct(tree: DecompositionTree) -> Trace:
 
     approx = tree.approx
     for detail in reversed(tree.details):
-        approx = _synthesize_level(approx, detail, DB4_LOWPASS, DB4_HIGHPASS)
+        approx = _synthesize_level(approx, detail)
     return Trace(samples=approx, sample_rate_hz=tree.sample_rate_hz)
 
 
@@ -261,10 +256,10 @@ def window_energies(
     the wrapped record start into the tail. ``groups`` is :func:`window_groups`
     of the record length and these arguments, built here if not given.
 
-    Windows are summed in groups by coefficient count: all windows with the
-    same count are gathered, as rows of a strided view whose row i is
-    ``d2[i : i + count]``, into one (rows, count) array and reduced along its
-    last axis, and windows with no coefficients stay 0. Each row holds exactly
+    Windows are summed in groups by coefficient count: all windows with the same
+    count are gathered, as :func:`~faultwave.signal_model.sliding_rows` of width
+    ``count``, into one (rows, count) array and reduced along its last axis,
+    and windows with no coefficients stay 0. Each row holds exactly
     its window's coefficients in order, and numpy reduces each contiguous row
     with the same pairwise summation as the 1-D slice ``d2[a:b].sum()``, so the
     result is bitwise equal to summing one window at a time. Zero-padding the
@@ -273,11 +268,9 @@ def window_energies(
     if groups is None:
         groups = window_groups(tree.original_length, level, starts, width)
     d2 = tree.details[level - 1] ** 2
-    step = d2.itemsize
     sums = np.zeros(starts.shape[0])
     for count, rows, firsts in groups:
-        runs = np.ndarray((d2.shape[0] - count + 1, count), d2.dtype, d2, 0, (step, step))
-        sums[rows] = np.add.reduce(runs[firsts], 1)
+        sums[rows] = np.add.reduce(sliding_rows(d2, count)[firsts], 1)
     return sums / width
 
 

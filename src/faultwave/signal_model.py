@@ -220,6 +220,18 @@ def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -
     return period
 
 
+def sliding_rows(values: np.ndarray, width: int, hop: int = 1) -> np.ndarray:
+    """Read-only view whose row i is ``values[i*hop : i*hop + width]``, for every row
+    that fits in the 1-D contiguous ``values``. The rows hold an index gather's values in
+    its layout, so results are bitwise the gather's. ``np.ndarray`` builds the view without
+    ``as_strided``'s Python overhead, and raises ValueError on a non-contiguous buffer."""
+    step = values.itemsize
+    rows = np.ndarray(((values.shape[0] - width) // hop + 1, width), values.dtype, values, 0,
+                      (hop * step, step))
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class Spans:
     """Half-open sample ranges: ``calibration`` is the one fault-free span

@@ -7,7 +7,8 @@ for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
 The STFT frame is one constant, :data:`STFT_WINDOW` samples every
 :data:`STFT_HOP` under the read-only Hann taper :data:`STFT_TAPER`; it serves
 the spectrogram and ``energy_stft`` alike. :func:`frame_magnitudes` checks
-every framing once with :func:`check_framing`.
+every framing once with :func:`check_framing`, then cuts the frames as
+:func:`~faultwave.signal_model.sliding_rows`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .signal_model import Trace, is_integer
+from .signal_model import Trace, is_integer, sliding_rows
 
 # Frame length and hop of the STFT, in samples: a 10 ms-scale burst at 2 kHz.
 STFT_WINDOW = 64
@@ -81,14 +82,10 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     """Row f is |rfft(taper * samples[f*hop : f*hop + window_len])| / sqrt(window_len);
     ``taper=None`` is the rectangular window.
 
-    The frames are a strided view of ``samples`` (rows ``hop`` elements
-    apart), so no index array is built; multiplying by a taper makes the one
+    The frames are :func:`~faultwave.signal_model.sliding_rows` of
+    ``samples``, ``hop`` elements apart; multiplying by a taper makes the one
     copy, and without one the view goes to the FFT as it is (multiplying by
-    ones would copy the frames to change no value). ``np.ndarray`` builds the
-    view (and checks that it stays inside ``samples``) without the Python
-    overhead of ``as_strided``. The view holds the same segment values as a
-    gather through a ``(frames, window_len)`` index array, so the spectra are
-    bitwise unchanged.
+    ones would copy the frames to change no value).
 
     Raises:
         ShapeError: ``samples`` not 1-D; window or hop not an integer, window
@@ -97,11 +94,7 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     if samples.ndim != 1:
         raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
     check_framing(samples.shape[0], window_len, hop)
-    samples = np.ascontiguousarray(samples)
-    step = samples.itemsize
-    frames = (samples.shape[0] - window_len) // hop + 1
-    segments = np.ndarray((frames, window_len), samples.dtype, samples, 0,
-                          (int(hop) * step, step))
+    segments = sliding_rows(np.ascontiguousarray(samples), window_len, int(hop))
     if taper is not None:
         segments = segments * taper
     return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)

@@ -1053,6 +1053,39 @@ class TestCmdEnergyTable:
         assert lines[-1].startswith("broken,,,,,,,")
         assert "BoundsError" in lines[-1]
 
+    def test_every_scenario_failing_writes_the_error_rows_and_exits_3(self, runner, tmp_path):
+        doc = {"base": {}, "scenarios": [
+            {"name": name, "fault": {"fault_type": "AG", "onset_s": onset_s}}
+            for name, onset_s in (("late", 0.9), ("early", 0.03))]}
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stderr == "faultwave: error: every scenario in the suite failed\n"
+        rows = list(csv.reader(out.read_text().strip().splitlines()))
+        assert [(row[0], row[-1].split(":")[0]) for row in rows[1:]] == [
+            ("late", "BoundsError"), ("early", "ConfigError")]
+        assert all(row[1:-1] == [""] * 6 for row in rows[1:])
+
+    def test_scenario_override_merges_into_a_base_section_key_by_key(self, runner, tmp_path):
+        scenarios = [{"name": "AG", "fault": {"fault_type": "AG", "onset_s": 0.065}}]
+        tables = []
+        for base, override in (({"noise": {"snr_db": 20, "seed": 1}}, {"noise": {"seed": 2}}),
+                               ({"noise": {"snr_db": 20, "seed": 2}}, {})):
+            suite = write_json(tmp_path / "suite.json", {
+                "base": base, "scenarios": [{**scenarios[0], **override}]})
+            out = tmp_path / f"table{len(tables)}.csv"
+            result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+            assert result.exit_code == 0, (result.output, result.exception)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        unmerged = write_json(tmp_path / "suite.json", {
+            "base": {"noise": {"snr_db": 20, "seed": 1}}, "scenarios": scenarios})
+        result = runner.invoke(main, ["energy-table", "--config", str(unmerged),
+                                      "--out", str(tmp_path / "seed1.csv")])
+        assert result.exit_code == 0
+        assert (tmp_path / "seed1.csv").read_bytes() != tables[0]
+
     def test_onset_inside_calibration_becomes_error_row(self, runner, tmp_path):
         doc = self.suite()
         doc["scenarios"].append({"name": "early", "fault": {"fault_type": "AG", "onset_s": 0.03}})
@@ -1138,10 +1171,15 @@ class TestCmdEnergyTable:
          ({"scenarios": [{"name": 'a"b'}]}, "name must be a non-empty string"),
          ({"scenarios": [{"name": "a\nb"}]}, "name must be a non-empty string"),
          ({"scenarios": [{"name": "a\r"}]}, "name must be a non-empty string"),
-         ({"base": {"noise": {"snr_db": 1e308}}}, "snr_db")],
+         ({"base": {"noise": {"snr_db": 1e308}}}, "snr_db"),
+         ([{"name": "AG"}], "suite must be a JSON object"),
+         ({"scenarios": [{"fault": {"fault_type": "AG"}}]}, "scenario #0 must be an object "
+                                                            "with a 'name'"),
+         ({"scenarios": [{"name": "AG"}, "BG"]}, "scenario #1 must be an object with a 'name'")],
         ids=["scenarios_number", "scenarios_object", "name_list", "name_number", "name_empty",
              "name_comma", "name_quote", "name_newline", "name_carriage_return",
-             "base_snr_ratio_overflows"],
+             "base_snr_ratio_overflows", "suite_list", "scenario_without_name",
+             "scenario_string"],
     )
     def test_malformed_suite_exits_2(self, runner, tmp_path, doc, message):
         suite = write_json(tmp_path / "suite.json", doc)
@@ -1317,6 +1355,42 @@ class TestOutputOnTheInput:
         assert result.exit_code == 0, (result.output, result.exception)
         after = self.files(tmp_path / "p")
         assert {path: after[path] for path in before} == before
+
+
+class TestOutputOnTheConfig:
+    """Every subcommand exits 2 and writes nothing when an output would land on
+    its own ``--config``: the run config, or the suite for ``energy-table``.
+    ``plot-data``'s voltage pair may land on the input trace, not on the config."""
+
+    @pytest.mark.parametrize("command, config, out, written", [
+        ("detect", "run.json", "run.json", "run.json"),
+        ("detect", "c.csv", "c.json", "c.csv"),
+        ("generate", "g.json", "g.json", "g.json"),
+        ("generate", "g.meta.json", "g.csv", "g.meta.json"),
+        ("plot-data", "p/index.csv", "p", "p/index.csv"),
+        ("plot-data", "p/coefficients.csv", "p", "p/coefficients.csv"),
+        ("plot-data", "p/voltage.csv", "p", "p/voltage.csv"),
+        ("plot-data", "p/voltage.meta.json", "p", "p/voltage.meta.json"),
+        ("energy-table", "suite.json", "suite.json", "suite.json"),
+    ], ids=["detect-report", "detect-index", "generate-trace", "generate-sidecar",
+            "plot-data-index", "plot-data-dump", "plot-data-voltage", "plot-data-voltage-sidecar",
+            "energy-table"])
+    def test_output_on_the_config_exits_2_writing_nothing(self, runner, tmp_path, command,
+                                                           config, out, written):
+        trace = tmp_path / "trace.csv"
+        cfg = write_json(tmp_path / "setup.json", AG_CONFIG)
+        assert runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(trace)]).exit_code == 0
+        cfg = tmp_path / config
+        cfg.parent.mkdir(exist_ok=True)
+        write_json(cfg, TestCmdEnergyTable().suite() if command == "energy-table" else AG_CONFIG)
+        args = [] if command in ("generate", "energy-table") else ["--in", str(trace)]
+        before = TestOutputOnTheInput.files(tmp_path)
+        result = runner.invoke(main, [command, *args, "--config", str(cfg),
+                                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == (f"faultwave: error: writing {tmp_path / written} would "
+                                 f"overwrite the input config {cfg}\n")
+        assert TestOutputOnTheInput.files(tmp_path) == before
 
 
 class TestErrorBoundary:

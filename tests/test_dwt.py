@@ -135,6 +135,10 @@ class TestDecompose:
         with pytest.raises(ShapeError, match="shorter"):
             dwt_decompose(Trace(np.zeros(4), 2000.0), 1)
 
+    def test_zero_levels_rejected(self):
+        with pytest.raises(ShapeError, match="^levels must be >= 1, got 0$"):
+            dwt_decompose(Trace(np.zeros(64), 2000.0), 0)
+
 
 class TestReconstruct:
     def test_round_trip_random_traces(self):
@@ -158,6 +162,12 @@ class TestReconstruct:
         tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 2)
         tree.details[0] = tree.details[0][:-1]
         with pytest.raises(ShapeError):
+            dwt_reconstruct(tree)
+
+    def test_approximation_of_the_wrong_size_rejected(self):
+        tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 2)
+        tree.approx = tree.approx[:-1]
+        with pytest.raises(ShapeError, match="^approximation has 15 entries, expected 16$"):
             dwt_reconstruct(tree)
 
 

@@ -202,6 +202,12 @@ class TestFastica:
         with pytest.raises(ConfigError):
             fastica(np.zeros((2, 10)), contrast="quartic")
 
+    def test_non_finite_update_raises(self):
+        z = 1e200 * np.random.default_rng(4).standard_normal((2, 300))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite"):
+            fastica(z, contrast="cube")
+
 
 class TestNegentropyProxy:
     def test_gaussian_logcosh_constant_matches_quadrature(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultwave import (
     BoundsError,
@@ -12,6 +13,7 @@ from faultwave import (
     FaultSpec,
     FaultType,
     NoiseSpec,
+    ThreePhaseRecord,
     Trace,
     WaveformConfig,
     add_noise,
@@ -19,8 +21,9 @@ from faultwave import (
     inject_fault,
     select_channel,
 )
-from faultwave.signal_model import MAX_SAMPLES, TWO_PI
-from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record
+from faultwave.signal_model import MAX_SAMPLES, TWO_PI, sliding_rows
+from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
+from test_spectral import frame_grids
 
 FUNDAMENTALS = [49.5, 50.0, 50.5]
 AMPLITUDES = [0.3, 1.0, 187794.6]  # the last: a 230 kV phase peak in volts
@@ -86,6 +89,21 @@ class TestTrace:
         samples[200] = bad
         with pytest.raises(ConfigError, match="finite"):
             Trace(samples, 2000.0)
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ConfigError, match="^trace samples must be one-dimensional$"):
+            Trace(np.zeros((2, 64)), 2000.0)
+
+
+class TestThreePhaseRecord:
+    @pytest.mark.parametrize("shape", [(400,), (2, 400), (4, 400), (1, 3, 400)])
+    def test_samples_that_are_not_3_by_n_rejected(self, shape):
+        with pytest.raises(ConfigError, match=r"^samples must be a 3xN matrix, got shape"):
+            ThreePhaseRecord(2000.0, np.zeros(shape))
+
+    def test_one_sample_record_rejected(self):
+        with pytest.raises(ConfigError, match="^record must contain at least 2 samples per phase$"):
+            ThreePhaseRecord(2000.0, np.zeros((3, 1)))
 
 
 class TestGenerateBaseline:
@@ -305,3 +323,28 @@ class TestSelectChannel:
     def test_unhashable_phase_rejected(self, baseline_record):
         with pytest.raises(ConfigError, match=r"^channel must be 'a', 'b' or 'c', got \['a'\]$"):
             select_channel(baseline_record, ["a"])
+
+
+class TestSlidingRows:
+    """The one strided view, against an index gather."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=frame_grids(), seed=st.integers(0, 2**16))
+    def test_equals_index_gather(self, grid, seed):
+        n, width, hop = grid
+        values = rng_trace(n, seed)
+        starts = np.arange((n - width) // hop + 1) * hop
+        assert_bitwise_equal(sliding_rows(values, width, hop),
+                             values[starts[:, None] + np.arange(width)[None, :]])
+
+    def test_view_is_read_only(self):
+        values = np.arange(10.0)
+        rows = sliding_rows(values, 4, 2)
+        assert not rows.flags.writeable and rows.base is values
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        assert values.flags.writeable
+
+    def test_non_contiguous_buffer_raises(self):
+        with pytest.raises(ValueError, match="not contiguous"):
+            sliding_rows(np.arange(20.0)[::2], 4)
