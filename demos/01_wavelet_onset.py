@@ -2,7 +2,9 @@
 
 Builds a 0.2 s three-phase record sampled at 2 kHz, drops phase a to 30%
 retained voltage at t = 0.065 s with a decaying burst, and locates the onset
-from level-1 detail magnitudes. Plot-ready CSVs land in demos/out/.
+from level-1 detail magnitudes. The decomposition is plain coefficient
+arrays; the detail series is one value per sample, on the trace's time
+axis. Plot-ready CSVs land in demos/out/.
 """
 
 from pathlib import Path
@@ -47,5 +49,5 @@ print(f"detected: {report.detected}, onset {report.onset_time_s:.4f} s "
 
 write_record_csv(out_dir / "wavelet_voltage.csv", record)
 series = detail_series(tree, 1)
-write_series_csv(out_dir / "wavelet_detail.csv", series.time_axis(), series.samples, "detail_abs")
+write_series_csv(out_dir / "wavelet_detail.csv", trace.time_axis(), series, "detail_abs")
 print(f"wrote {out_dir}/wavelet_voltage.csv and wavelet_detail.csv")

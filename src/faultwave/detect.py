@@ -228,6 +228,8 @@ def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
     the first sample of the run's first row.
 
     Raises:
+        DegenerateInputError: a calibrated threshold of exactly 0 (a zero or
+            underflowed index and floor), over which any nonzero value is a fault.
         NumericalError: the threshold or the largest scanned value is not
             finite, so no verdict can be read from the comparison.
     """
@@ -237,6 +239,8 @@ def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
         threshold = policy.fixed
     else:
         threshold = calibrate_threshold(values[c0:c1], policy.k_sigma, *rule)
+        if threshold == 0.0:
+            raise DegenerateInputError("the calibration index is identically zero")
     scanned = values[s0:s1]
     peak = float(np.maximum.reduce(scanned, None))
     if not (math.isfinite(threshold) and math.isfinite(peak)):
@@ -280,7 +284,7 @@ def wavelet_detect(
     n, fs = trace.n_samples, trace.sample_rate_hz
     plan = _wavelet_plan(n, cfg.level, cfg.min_consecutive, spans)
     series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
-    return _decide("wavelet", series.samples, np.arange(n) / fs, plan, cfg, fs, {})
+    return _decide("wavelet", series, np.arange(n) / fs, plan, cfg, fs, {})
 
 
 # The performance index lives in whitened-source units, so genuine
@@ -403,7 +407,8 @@ def energy_detect(
     mean + k_sigma * stddev over the calibration windows, floored at
     :data:`ENERGY_FLOOR_FACTOR` times their mean and at
     :data:`ENERGY_DETECTION_FLOOR` times the trace mean square. A fundamental
-    that is not finite and positive raises ConfigError, as in IcaConfig.
+    that is not finite and positive raises ConfigError, as in IcaConfig; for
+    FT/wavelet so does one at or above Nyquist (:func:`cycle_length`).
 
     The index is the one ``method`` names; ``cfg.method`` is not read.
     """

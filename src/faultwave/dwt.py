@@ -11,6 +11,9 @@ orthogonal, so energy is conserved and reconstruction is exact up to
 round-off. Record lengths must be divisible by 2**levels. The analysis block
 and the energy windows are rows of :func:`~faultwave.signal_model.sliding_rows`.
 
+A checked :class:`~faultwave.signal_model.Trace` enters at :func:`dwt_decompose`,
+and arrays come out: a :class:`DecompositionTree` is its coefficients alone.
+
 :func:`window_groups` is the part of the windowed energy that depends only
 on the geometry (16 bytes per window); the energy detector plans it once per
 record shape.
@@ -60,15 +63,12 @@ class DecompositionTree:
     """Multi-level coefficient pyramid.
 
     ``details[j-1]`` holds level-j detail coefficients d_j (level 1 is the
-    finest, N/2 entries); ``approx`` holds a_J. Total coefficient count equals
-    the original length: the transform is non-redundant.
+    finest, N/2 entries); ``approx`` holds a_J, J = ``len(details)``. The
+    transform is non-redundant: N coefficients in all.
     """
 
-    levels: int
     details: list[np.ndarray]
     approx: np.ndarray
-    original_length: int
-    sample_rate_hz: float
 
 
 def _analyze_level(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,37 +124,27 @@ def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
     for _ in range(levels):
         approx, detail = _analyze_level(approx)
         details.append(detail)
-    return DecompositionTree(
-        levels=levels,
-        details=details,
-        approx=approx,
-        original_length=trace.n_samples,
-        sample_rate_hz=trace.sample_rate_hz,
-    )
+    return DecompositionTree(details=details, approx=approx)
 
 
-def dwt_reconstruct(tree: DecompositionTree) -> Trace:
-    """Invert the pyramid; composing with :func:`dwt_decompose` is the identity.
+def dwt_reconstruct(tree: DecompositionTree) -> np.ndarray:
+    """Invert the pyramid into samples; composing with :func:`dwt_decompose` is the identity.
 
     Raises:
         ShapeError: the per-level coefficient lengths are inconsistent.
     """
-    expected = tree.original_length >> tree.levels
+    n = 2 * tree.details[0].shape[0]
+    expected = n >> len(tree.details)
     if tree.approx.shape[0] != expected:
-        raise ShapeError(
-            f"approximation has {tree.approx.shape[0]} entries, expected {expected}"
-        )
-    for j, detail in enumerate(tree.details, start=1):
-        if detail.shape[0] != tree.original_length >> j:
-            raise ShapeError(
-                f"level-{j} detail has {detail.shape[0]} entries, "
-                f"expected {tree.original_length >> j}"
-            )
+        raise ShapeError(f"approximation has {tree.approx.shape[0]} entries, expected {expected}")
+    for j, detail in enumerate(tree.details[1:], start=2):
+        if detail.shape[0] != n >> j:
+            raise ShapeError(f"level-{j} detail has {detail.shape[0]} entries, expected {n >> j}")
 
     approx = tree.approx
     for detail in reversed(tree.details):
         approx = _synthesize_level(approx, detail)
-    return Trace(samples=approx, sample_rate_hz=tree.sample_rate_hz)
+    return approx
 
 
 def _support_length(level: int) -> int:
@@ -177,22 +167,21 @@ def _alignment_shift(level: int) -> int:
     return (_support_length(level)) // 2
 
 
-def detail_series(tree: DecompositionTree, level: int) -> Trace:
-    """Return |d_level| stretched back onto the original time axis.
+def detail_series(tree: DecompositionTree, level: int) -> np.ndarray:
+    """Return |d_level| stretched back onto the original time axis, one value per sample.
 
     Each coefficient is repeated 2**level times and the series is circularly
     shifted so coefficients sit over the center of their support, aligning
     disturbance onsets with input samples.
 
     Raises:
-        ShapeError: ``level`` is outside 1..tree.levels.
+        ShapeError: ``level`` is outside 1..len(tree.details).
     """
-    if not 1 <= level <= tree.levels:
-        raise ShapeError(f"level {level} outside decomposition range 1..{tree.levels}")
+    if not 1 <= level <= len(tree.details):
+        raise ShapeError(f"level {level} outside decomposition range 1..{len(tree.details)}")
     series = np.abs(tree.details[level - 1]).repeat(1 << level)
     cut = series.shape[0] - _alignment_shift(level) % series.shape[0]
-    return Trace(samples=np.concatenate((series[cut:], series[:cut])),
-                 sample_rate_hz=tree.sample_rate_hz)
+    return np.concatenate((series[cut:], series[:cut]))
 
 
 def artifact_free_range(n_samples: int, level: int) -> tuple[int, int]:
@@ -266,7 +255,7 @@ def window_energies(
     rows to one width would change that order for the edge windows.
     """
     if groups is None:
-        groups = window_groups(tree.original_length, level, starts, width)
+        groups = window_groups(2 * tree.details[0].shape[0], level, starts, width)
     d2 = tree.details[level - 1] ** 2
     sums = np.zeros(starts.shape[0])
     for count, rows, firsts in groups:

@@ -349,7 +349,7 @@ def performance_index(
     Raises:
         BoundsError: spans outside the record, out of order, or a calibration
             span shorter than two cycles.
-        ConfigError: a :func:`cycle_length` of fewer than 2 samples.
+        ConfigError: a fundamental at or above Nyquist (:func:`cycle_length`).
         DegenerateInputError: a record no longer than one cycle, or all zero
             on the calibration span.
         NumericalError: the record overflows the whitening covariance.

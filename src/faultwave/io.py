@@ -164,7 +164,7 @@ def write_series_csv(path: Path, times: np.ndarray, values: np.ndarray, value_he
 def write_tree_csv(path: Path, tree) -> None:
     """Coefficient dump: `level,k,value` with levels d1..dJ then aJ."""
     bands = [*tree.details, tree.approx]
-    names = [f"d{j}" for j in range(1, len(tree.details) + 1)] + [f"a{tree.levels}"]
+    names = [f"d{j}" for j in range(1, len(tree.details) + 1)] + [f"a{len(tree.details)}"]
     sizes = [band.shape[0] for band in bands]
     _write_table(path, "level,k,value", f"%s,%d,{FLOAT_FMT}", np.repeat(names, sizes),
                  np.concatenate([np.arange(size) for size in sizes]), np.concatenate(bands))

@@ -208,16 +208,15 @@ def check_nyquist(sample_rate_hz: float, fundamental_hz: float) -> None:
 
 def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -> int:
     """Samples in one fundamental cycle, rounded: the ICA template period and the FT
-    and wavelet energy window. Raise DegenerateInputError unless the cycle is shorter
-    than the record, and ConfigError if it rounds to fewer than 2 samples."""
+    and wavelet energy window. Raise ConfigError unless :func:`check_nyquist` passes,
+    which leaves at least 2 samples per cycle, and DegenerateInputError unless the
+    cycle is shorter than the record."""
+    check_nyquist(sample_rate_hz, fundamental_hz)
     samples_per_cycle = sample_rate_hz / fundamental_hz
     if not samples_per_cycle < n_samples:
         raise DegenerateInputError(
             f"one {fundamental_hz} Hz cycle is longer than the record ({n_samples} samples)")
-    period = int(round(samples_per_cycle))
-    if period < 2:
-        raise ConfigError(f"fundamental {fundamental_hz} Hz leaves fewer than 2 samples per cycle")
-    return period
+    return int(round(samples_per_cycle))
 
 
 def sliding_rows(values: np.ndarray, width: int, hop: int = 1) -> np.ndarray:

@@ -90,7 +90,7 @@ def test_criterion_2_reconstruction_and_energy():
     for seed in range(100):
         x = np.random.default_rng(seed).standard_normal(2048)
         tree = dwt_decompose(Trace(x, 2000.0), 5)
-        back = dwt_reconstruct(tree).samples
+        back = dwt_reconstruct(tree)
         worst_roundtrip = max(
             worst_roundtrip, np.max(np.abs(back - x)) / np.max(np.abs(x))
         )

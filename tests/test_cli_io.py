@@ -561,7 +561,7 @@ class TestCmdDetect:
         report = json.loads(out.read_text())
         series = detail_series(dwt_decompose(select_channel(read_record_csv(trace), "a"), 1), 1)
         valid = ~boundary_artifact_mask(400, 1)
-        expected = calibrate_threshold(series.samples[150:400][valid[150:400]])
+        expected = calibrate_threshold(series[150:400][valid[150:400]])
         assert report["detected"] is False
         assert report["threshold"] == expected
 
@@ -842,6 +842,34 @@ class TestCmdDetect:
         assert "overflows float64" in result.stderr
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_detail_coefficients_exit_3(self, runner, tmp_path):
+        """The samples are finite; their level-3 details overflow, which is the
+        transform failing, not the input."""
+        config = {"waveform": {"amplitude_pu": 1.7e308},
+                  "fault": {"fault_type": "AG", "transient_gain": 0}, "detector": {"level": 3}}
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith("faultwave: error: wavelet detector failed: ")
+        assert "overflows float64" in result.stderr
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_all_zero_record_exits_3(self, runner, tmp_path, method):
+        """No threshold can be calibrated on a zero calibration span."""
+        trace, cfg = self.make_trace(runner, tmp_path, {"waveform": {"amplitude_pu": 0},
+                                                        "detector": {"method": method}})
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith(f"faultwave: error: {method} detector failed: ")
+        assert "identically zero" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, out", [("detect", "r.json"), ("plot-data", "plots")])
     @pytest.mark.parametrize(
         "config, message",
@@ -1052,6 +1080,18 @@ class TestCmdEnergyTable:
         assert len(lines) == 8
         assert lines[-1].startswith("broken,,,,,,,")
         assert "BoundsError" in lines[-1]
+
+    def test_zero_amplitude_scenario_becomes_an_error_row(self, runner, tmp_path):
+        doc = {"base": {}, "scenarios": [{"name": "AG", "fault": {"fault_type": "AG"}},
+                                         {"name": "dead", "waveform": {"amplitude_pu": 0}}]}
+        suite = write_json(tmp_path / "suite.json", doc)
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        rows = list(csv.reader(out.read_text().strip().splitlines()))
+        assert rows[1][0] == "AG" and rows[1][-1] == ""
+        assert rows[2] == ["dead", *[""] * 6,
+                           "DegenerateInputError: the calibration index is identically zero"]
 
     def test_every_scenario_failing_writes_the_error_rows_and_exits_3(self, runner, tmp_path):
         doc = {"base": {}, "scenarios": [

@@ -228,7 +228,7 @@ class TestWaveletBoundaryRule:
         series = detail_series(dwt_decompose(trace, level), level)
         spans = Spans().resolve(n)
         with pytest.raises(BoundsError) as expected:
-            mask_decide("wavelet", np.arange(n), series.samples, 1, artifact_free_range(n, level),
+            mask_decide("wavelet", np.arange(n), series, 1, artifact_free_range(n, level),
                         cfg, spans, 2000.0, (1.0, 0.0, 0.0),
                         valid_mask=~loop_boundary_mask(n, level))
         with pytest.raises(BoundsError) as got:
@@ -245,6 +245,6 @@ class TestWaveletBoundaryRule:
         series = detail_series(dwt_decompose(trace, level), level)
         assert_same_outcome(
             lambda: wavelet_detect(trace, cfg),
-            lambda: mask_decide("wavelet", np.arange(n), series.samples, 1,
+            lambda: mask_decide("wavelet", np.arange(n), series, 1,
                                 artifact_free_range(n, level), cfg, Spans().resolve(n),
                                 2000.0, (1.0, 0.0, 0.0), valid_mask=~loop_boundary_mask(n, level)))

@@ -201,6 +201,24 @@ class TestWaveletDetect:
                                               f"to scan, fewer than min_consecutive={10**12}$"):
             wavelet_detect(select_channel(ag_record, "a"), DetectorConfig(min_consecutive=10**12))
 
+    def test_transform_overflow_raises_numerical_error(self):
+        """Finite samples whose detail coefficients overflow fail as the
+        transform, not as the input."""
+        trace = Trace(np.tile([1.5e308, -1.5e308], 200), 2000.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflows float64$"):
+                wavelet_detect(trace)
+
+    def test_zero_trace_is_refused(self):
+        with pytest.raises(DegenerateInputError, match="^the calibration index is identically "
+                                                       "zero"):
+            wavelet_detect(Trace(np.zeros(400), 2000.0))
+
+    def test_fixed_threshold_of_zero_stays_allowed(self):
+        report = wavelet_detect(Trace(np.zeros(400), 2000.0),
+                                DetectorConfig(threshold=FixedThreshold(0.0)))
+        assert not report.detected and report.threshold_used == 0.0
+
     def test_deviated_frequency_clean_record_quiet(self):
         record = make_record("NONE", fundamental_hz=50.5)
         assert not wavelet_detect(select_channel(record, "a")).detected
@@ -251,17 +269,50 @@ class TestIcaDetect:
 
 
 class TestEnergyDetect:
-    def test_zero_trace_reports_zero_energy(self):
+    def test_zero_trace_is_refused(self):
+        """A zero trace calibrates a zero threshold, under which any nonzero
+        window would read as a fault; the detector refuses it."""
         trace = Trace(np.zeros(400), 2000.0)
         for method in ENERGY_METHODS:
-            report = energy_detect(trace, method)
-            assert report.metadata["analysis_index"] == 0.0
-            assert not report.detected
+            with pytest.raises(DegenerateInputError, match="^the calibration index is "
+                                                           "identically zero"):
+                energy_detect(trace, method)
+
+    @pytest.mark.parametrize("method", ENERGY_METHODS)
+    def test_underflowed_energy_is_refused(self, ag_record, method):
+        """At 1e-163 per unit every squared sample underflows to 0, the trace
+        mean square floor with them."""
+        trace = select_channel(ag_record, "a")
+        tiny = Trace(1e-163 * trace.samples, trace.sample_rate_hz)
+        with np.errstate(under="ignore"):
+            with pytest.raises(DegenerateInputError, match="^the calibration index is "
+                                                           "identically zero"):
+                energy_detect(tiny, method)
 
     def test_ag_fault_detected_by_all_methods(self, ag_record):
         trace = select_channel(ag_record, "a")
         for method in ENERGY_METHODS:
             assert energy_detect(trace, method).detected, method
+
+    @pytest.mark.parametrize("fundamental_hz", [1000.0, 1200.0])
+    @pytest.mark.parametrize("method", ["energy_ft", "energy_wt", "ica"])
+    def test_direct_call_at_or_above_nyquist_rejected(self, baseline_record, method,
+                                                      fundamental_hz):
+        """The FT/wavelet window and the ICA period are one cycle length, which
+        checks the fundamental against the rate as run does."""
+        with pytest.raises(ConfigError, match=r"^sample_rate_hz=2000\.0 violates Nyquist for "
+                                              rf"fundamental_hz={fundamental_hz}$"):
+            if method == "ica":
+                ica_detect(baseline_record, ica_cfg=IcaConfig(fundamental_hz))
+            else:
+                energy_detect(select_channel(baseline_record, "a"), method,
+                              fundamental_hz=fundamental_hz)
+
+    @pytest.mark.parametrize("fundamental_hz", [1000.0, 1200.0])
+    def test_stft_does_not_read_the_fundamental(self, baseline_record, fundamental_hz):
+        trace = select_channel(baseline_record, "a")
+        assert fields(energy_detect(trace, "energy_stft", fundamental_hz=fundamental_hz)) == \
+            fields(energy_detect(trace, "energy_stft"))
 
     @pytest.mark.parametrize("method", ENERGY_METHODS)
     def test_index_strictly_grows_with_severity(self, method):

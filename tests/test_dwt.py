@@ -7,6 +7,7 @@ and the transform against direct energy/round-trip oracles.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from math import comb, sqrt
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from faultwave import (
+    DecompositionTree,
     DegenerateInputError,
     ShapeError,
     Trace,
@@ -140,22 +142,36 @@ class TestDecompose:
             dwt_decompose(Trace(np.zeros(64), 2000.0), 0)
 
 
+class TestTree:
+    def test_a_tree_is_its_coefficients(self):
+        assert [f.name for f in fields(DecompositionTree)] == ["details", "approx"]
+
+    def test_detail_series_and_reconstruction_are_arrays_on_the_record_axis(self):
+        x = rng_trace(64)
+        tree = dwt_decompose(Trace(x, 2000.0), 3)
+        for level in (1, 2, 3):
+            series = detail_series(tree, level)
+            assert type(series) is np.ndarray and series.shape == x.shape
+        back = dwt_reconstruct(tree)
+        assert type(back) is np.ndarray and back.shape == x.shape
+
+
 class TestReconstruct:
     def test_round_trip_random_traces(self):
         for seed in range(5):
             x = rng_trace(2048, seed)
             tree = dwt_decompose(Trace(x, 2000.0), 5)
-            back = dwt_reconstruct(tree).samples
+            back = dwt_reconstruct(tree)
             assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_zero_tree_reconstructs_zero(self):
         tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 2)
-        assert np.all(dwt_reconstruct(tree).samples == 0)
+        assert np.all(dwt_reconstruct(tree) == 0)
 
     def test_single_detail_coefficient_has_unit_energy(self):
         tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 1)
         tree.details[0][10] = 1.0
-        energy = np.sum(dwt_reconstruct(tree).samples ** 2)
+        energy = np.sum(dwt_reconstruct(tree) ** 2)
         assert abs(energy - 1.0) < 1e-10
 
     def test_inconsistent_lengths_rejected(self):
@@ -175,19 +191,19 @@ class TestDetailSeries:
     def test_clean_sinusoid_has_tiny_level_one_detail(self, baseline_record):
         trace = select_channel(baseline_record, "a")
         series = detail_series(dwt_decompose(trace, 1), 1)
-        assert series.n_samples == trace.n_samples
-        assert series.samples.max() < 1e-3
+        assert series.shape == (trace.n_samples,)
+        assert series.max() < 1e-3
 
     def test_fault_spike_lands_near_onset(self, ag_record):
         trace = select_channel(ag_record, "a")
         series = detail_series(dwt_decompose(trace, 1), 1)
         usable = ~boundary_artifact_mask(trace.n_samples, 1)
-        peak = int(np.argmax(np.where(usable, series.samples, 0.0)))
+        peak = int(np.argmax(np.where(usable, series, 0.0)))
         assert abs(peak - FAULT_ONSET_SAMPLE) <= 10
 
     def test_zero_input_zero_series(self):
         series = detail_series(dwt_decompose(Trace(np.zeros(64), 2000.0), 2), 2)
-        assert np.all(series.samples == 0)
+        assert np.all(series == 0)
 
     def test_level_out_of_range(self):
         tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 2)
@@ -201,14 +217,14 @@ class TestDetailSeries:
                                            duration_s=n / 2000.0), "a")
         for level in range(1, (n & -n).bit_length()):
             tree = dwt_decompose(trace, level)
-            assert_bitwise_equal(detail_series(tree, level).samples,
+            assert_bitwise_equal(detail_series(tree, level),
                                  roll_detail_series(tree, level))
 
     @pytest.mark.parametrize("n, level", [(8, 1), (8, 2), (8, 3), (16, 3), (64, 5), (32, 4)])
     def test_shift_past_the_record_equals_roll_reference_bitwise(self, n, level):
         """Half a support can exceed the record; np.roll wraps the shift."""
         tree = dwt_decompose(Trace(rng_trace(n, level), 2000.0), level)
-        assert_bitwise_equal(detail_series(tree, level).samples, roll_detail_series(tree, level))
+        assert_bitwise_equal(detail_series(tree, level), roll_detail_series(tree, level))
 
 
 def roll_detail_series(tree, level: int) -> np.ndarray:
@@ -249,7 +265,7 @@ class TestProperties:
         assume(n >= FILTER_LEN)
         x = scale * rng_trace(n, seed)
         tree = dwt_decompose(Trace(x, 2000.0), level)
-        back = dwt_reconstruct(tree).samples
+        back = dwt_reconstruct(tree)
         assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
         energy = sum(float(np.sum(band**2)) for band in [*tree.details, tree.approx])
         assert abs(energy - float(np.sum(x**2))) <= 1e-9 * float(np.sum(x**2))
@@ -314,7 +330,7 @@ def loop_window_energies(tree, level: int, starts: np.ndarray, width: int) -> np
     """Reference: sum each window's squared coefficients in its own slice."""
     d2 = tree.details[level - 1] ** 2
     step, sup = 1 << level, _support_length(level)
-    last = _first_wrapped(tree.original_length, level)
+    last = _first_wrapped(2 * tree.details[0].shape[0], level)
     firsts = np.maximum((starts - sup) // step + 1, 0)
     stops = np.maximum(np.minimum(-(-(starts + width) // step), last), firsts)
     return np.array([d2[a:b].sum() for a, b in zip(firsts, stops)]) / width

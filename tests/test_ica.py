@@ -303,7 +303,8 @@ class TestPerformanceIndex:
             performance_index(zeroed, Spans((0, 120), (0, 400)))
 
     def test_fundamental_under_two_samples_per_cycle_rejected(self, ag_record):
-        with pytest.raises(ConfigError, match="fewer than 2 samples per cycle"):
+        with pytest.raises(ConfigError, match=r"^sample_rate_hz=2000\.0 violates Nyquist for "
+                                              "fundamental_hz=1500$"):
             performance_index(ag_record, self.SPANS, config=IcaConfig(fundamental_hz=1500))
 
     @pytest.mark.parametrize("fundamental_hz", [0.0, -50.0, float("inf"), float("nan")])
@@ -438,6 +439,7 @@ class TestBuildTemplate:
     def test_equals_per_row_reference_bitwise(self, period, detune, lo, cycles, exponent, seed):
         fs = 2000.0
         fundamental_hz = fs / (period + detune)
+        assume(fs > 2 * fundamental_hz)  # cycle_length's Nyquist rule
         hi = lo + int(np.ceil(cycles * (period + detune)))
         samples = 10.0**exponent * rng_trace(3 * (hi + 5), seed).reshape(3, hi + 5)
         slots, frac = _phase_slots(lo, hi, hi, fs, fundamental_hz, period)
@@ -466,6 +468,7 @@ class TestIndexPlan:
         cycles into the record, so the template divides by no vanishing weight."""
         fs = 2000.0
         fundamental_hz = fs / (period + detune)
+        assume(fs > 2 * fundamental_hz)  # cycle_length's Nyquist rule
         assume(cycle_length(fs, fundamental_hz, 10**6) == period)  # within rounding
         lo = int(start * period)
         hi = lo + int(cycles * period)

@@ -312,7 +312,7 @@ def test_list_spans_share_the_tuple_plan():
      "spans.calibration=(0, 400), spans.analysis=(0, 400): the calibration span must "
      "precede the analysis span"),
     ((0, 120), (0, 400), 1500.0, ConfigError,
-     "fundamental 1500.0 Hz leaves fewer than 2 samples per cycle"),
+     "sample_rate_hz=2000.0 violates Nyquist for fundamental_hz=1500.0"),
     ((0, 120), (0, 400), 4.0, DegenerateInputError,
      "one 4.0 Hz cycle is longer than the record (400 samples)"),
     ((0, 79), (0, 400), 50.0, BoundsError,
