@@ -57,7 +57,7 @@ from .signal_model import (
     inject_fault,
     select_channel,
 )
-from .spectral import Spectrogram, Spectrum, dft, highband_energy_index, stft
+from .spectral import dft, highband_energy_index, stft
 
 __all__ = [
     "__version__",
@@ -69,7 +69,7 @@ __all__ = [
     "DecompositionTree", "dwt_decompose", "dwt_reconstruct", "detail_series",
     "wavelet_energy_index",
     # spectral
-    "Spectrum", "Spectrogram", "dft", "stft", "highband_energy_index",
+    "dft", "stft", "highband_energy_index",
     # ica
     "IcaConfig", "IcaModel", "WhiteningModel", "PiSeries", "center", "whiten",
     "fastica", "fit_ica", "performance_index",

@@ -19,7 +19,7 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from . import __version__, dwt, spectral
+from . import __version__, dwt
 from .detect import DetectionReport, EnergyRow, energy_row, run
 from .errors import ConfigError, DegenerateInputError, FaultwaveError, NumericalError
 from .io import (
@@ -49,10 +49,9 @@ _SERIES_HEADER = {"wavelet": "detail_abs", "ica": "pi"}
 _DUMPS = {
     "wavelet": ("coefficients.csv", lambda path, trace, level:
                 write_tree_csv(path, dwt.dwt_decompose(trace, level))),
-    "energy_ft": ("spectrum.csv", lambda path, trace, level:
-                  write_spectrum_csv(path, spectral.dft(trace))),
+    "energy_ft": ("spectrum.csv", lambda path, trace, level: write_spectrum_csv(path, trace)),
     "energy_stft": ("spectrogram.csv", lambda path, trace, level:
-                    write_spectrogram_csv(path, spectral.stft(trace))),
+                    write_spectrogram_csv(path, trace)),
 }
 
 

@@ -51,7 +51,7 @@ from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalErr
 from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index
 from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, Spans,
                            ThreePhaseRecord, Trace, check_channel, check_count, check_fundamental,
-                           check_number, check_nyquist, cycle_length, select_channel)
+                           check_number, check_nyquist, cycle_length, select_channel, window_grid)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -158,6 +158,11 @@ def calibrate_threshold(
     second pass ``std`` makes for its own mean. The scalar steps run on
     Python floats, which round as numpy's float64 scalars do.
 
+    Deviations under about 1e-154 have squares that underflow, so a sum of
+    squares under 2**-960 is summed again over the deviations scaled by the
+    power of two that brings the largest into [0.5, 1), and the std scaled
+    back. That is exact: the std keeps its scale while deviations are normal.
+
     Raises:
         DegenerateInputError: no calibration values.
     """
@@ -167,7 +172,13 @@ def calibrate_threshold(
         raise DegenerateInputError("calibration span contains no usable samples")
     mean = float(np.add.reduce(values, None)) / n
     deviation = values - mean
-    std = math.sqrt(float(np.add.reduce(deviation * deviation, None)) / n)
+    squares = float(np.add.reduce(deviation * deviation, None))
+    if squares < 2.0 ** -960:
+        exponent = math.frexp(float(np.maximum.reduce(np.abs(deviation), None)))[1]
+        scaled = np.ldexp(deviation, -exponent)
+        std = math.ldexp(math.sqrt(float(np.add.reduce(scaled * scaled, None)) / n), exponent)
+    else:
+        std = math.sqrt(squares / n)
     return max(bias * (mean + k_sigma * std), bias * mean_multiple * mean, floor)
 
 
@@ -367,10 +378,10 @@ def _window_plan(n_samples: int, window: int, hop: int, fs: float, cutoff_hz: fl
     """An energy index's read-only window starts; for the wavelet index (no
     cutoff) their :func:`dwt.window_groups` at ``level``, else the first bin
     of a frame's spectrum at or above ``cutoff_hz`` (the high band, as bins
-    ascend); the read-only window center times; and the plan. Checks the
-    spans, then the level or the cutoff and framing."""
+    ascend); the read-only window center times (both of :func:`window_grid`);
+    and the plan. Checks the spans, then the level or the cutoff and framing."""
     spans = (spans or Spans()).resolve(n_samples)
-    starts = np.arange(0, n_samples - window + 1, hop)
+    starts, times_s = window_grid(n_samples, window, hop, fs)
     if cutoff_hz is None:
         dwt.check_length(n_samples, level)
         transform = dwt.window_groups(n_samples, level, starts, window)
@@ -378,8 +389,7 @@ def _window_plan(n_samples: int, window: int, hop: int, fs: float, cutoff_hz: fl
         raise ConfigError(f"cutoff {cutoff_hz} Hz is at or above the Nyquist frequency")
     else:
         spectral.check_framing(n_samples, window, hop)
-        transform = int(np.count_nonzero(np.arange(window // 2 + 1) * (fs / window) < cutoff_hz))
-    times_s = (starts + window / 2.0) / fs
+        transform = int(np.count_nonzero(spectral.bin_frequencies(window, fs) < cutoff_hz))
     starts.flags.writeable = times_s.flags.writeable = False
     return starts, transform, times_s, _plan(spans, starts.size, window, 1, hop=hop)
 
@@ -427,10 +437,8 @@ def energy_detect(
         tree = dwt.dwt_decompose(trace, cfg.level)
         values = dwt.window_energies(tree, cfg.level, starts, window, transform)
     else:
-        if method == "energy_stft":
-            frames = spectral.stft(trace).frames
-        else:
-            frames = spectral.frame_magnitudes(trace.samples, window, hop)
+        frames = (spectral.stft(trace) if method == "energy_stft"
+                  else spectral.frame_magnitudes(trace.samples, window, hop))
         # Column-major, each row sums its bins one by one from the lowest, as
         # the high band always was; row-major rows would be summed pairwise.
         values = np.add.reduce(np.square(frames[:, transform:], order="F"), 1) / window

@@ -3,11 +3,11 @@
 Trace records travel as CSV (`t,va,vb,vc`, time in seconds with 12
 significant digits) plus a JSON sidecar holding the sample rate and the
 ground-truth fault, if any. Reports are JSON; index series, spectra, and
-coefficient dumps are CSVs. Every file is UTF-8 and written atomically: into a
-temp file next to the target, which is then renamed onto it. A CSV goes into
-the temp file row by row, so writing one holds a row at a time, never the
-whole text. A written file gets the mode ``open()`` gives (0o666 less the
-umask).
+coefficient dumps are CSVs. Every file is UTF-8 (an input may start with a
+byte-order mark) and written atomically: into a temp file next to the target,
+which is then renamed onto it. A CSV goes into the temp file row by row, so
+writing one holds a row at a time, never the whole text. A written file gets
+the mode ``open()`` gives (0o666 less the umask).
 
 A run configuration is one JSON document; omitted sections fall back to
 defaults. A detect report's ``config`` holds the detection settings it used
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectral
 from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold
 from .errors import ConfigError, DegenerateInputError, FaultwaveError
 from .signal_model import (
@@ -37,12 +38,14 @@ from .signal_model import (
     NoiseSpec,
     Spans,
     ThreePhaseRecord,
+    Trace,
     WaveformConfig,
     add_noise,
     check_channel,
     check_number,
     generate_baseline,
     inject_fault,
+    window_grid,
 )
 
 FLOAT_FMT = "%.12g"
@@ -117,7 +120,7 @@ def read_record_csv(path: Path) -> ThreePhaseRecord:
 
 
 def _parse_record_csv(path: Path) -> ThreePhaseRecord:
-    raw = path.read_text(encoding="utf-8").strip().splitlines()
+    raw = path.read_text(encoding="utf-8-sig").strip().splitlines()
     if not raw or not raw[0].startswith("t,"):
         raise DegenerateInputError(f"{path} is not a trace CSV (missing 't,...' header)")
     body = raw[1:]
@@ -170,18 +173,22 @@ def write_tree_csv(path: Path, tree) -> None:
                  np.concatenate([np.arange(size) for size in sizes]), np.concatenate(bands))
 
 
-def write_spectrum_csv(path: Path, spectrum) -> None:
-    """Spectrum dump: `bin_hz,magnitude`."""
-    _write_table(path, "bin_hz,magnitude", f"{FLOAT_FMT},{FLOAT_FMT}",
-                 spectrum.frequencies(), spectrum.magnitudes)
+def write_spectrum_csv(path: Path, trace: Trace) -> None:
+    """Spectrum dump: `bin_hz,magnitude`, the :func:`spectral.dft` of ``trace``."""
+    frequencies = spectral.bin_frequencies(trace.n_samples, trace.sample_rate_hz)
+    _write_table(path, "bin_hz,magnitude", f"{FLOAT_FMT},{FLOAT_FMT}", frequencies,
+                 spectral.dft(trace))
 
 
-def write_spectrogram_csv(path: Path, spectrogram) -> None:
-    """Spectrogram dump: `frame_time_s,bin_hz,magnitude`, frame-major."""
-    frames = spectrogram.frames
+def write_spectrogram_csv(path: Path, trace: Trace) -> None:
+    """Spectrogram dump: `frame_time_s,bin_hz,magnitude`, the :func:`spectral.stft`
+    of ``trace`` frame-major, each frame at its :func:`window_grid` center time."""
+    frames, fs = spectral.stft(trace), trace.sample_rate_hz
+    times_s = window_grid(trace.n_samples, spectral.STFT_WINDOW, spectral.STFT_HOP, fs)[1]
     _write_table(path, "frame_time_s,bin_hz,magnitude", ",".join([FLOAT_FMT] * 3),
-                 np.repeat(spectrogram.frame_times_s, frames.shape[1]),
-                 np.tile(spectrogram.frequencies(), frames.shape[0]), frames.ravel())
+                 np.repeat(times_s, frames.shape[1]),
+                 np.tile(spectral.bin_frequencies(spectral.STFT_WINDOW, fs), frames.shape[0]),
+                 frames.ravel())
 
 
 def write_energy_table_csv(path: Path, rows: list[EnergyRow]) -> None:
@@ -309,10 +316,10 @@ def parse_run_config(obj: dict) -> RunConfig:
 
 
 def _read_json(path: Path):
-    """The parsed document; bytes that are not UTF-8 or not JSON, and an integer
-    beyond the range of a float, are a ConfigError."""
+    """The parsed document, a leading byte-order mark skipped; bytes that are not
+    UTF-8 or not JSON, and an integer beyond the range of a float, are a ConfigError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_float_range_int)
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=_float_range_int)
     except ValueError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 

@@ -67,7 +67,8 @@ class WaveformConfig:
         sample_rate_hz: Sampling rate (default 2 kHz).
         fundamental_hz: System frequency (default 50 Hz).
         amplitude_pu: Peak amplitude in per-unit. Physical ratings (e.g. a
-            230 kV bus) are metadata only; detectors are scale-covariant.
+            230 kV bus) are metadata only: scaling a record keeps each verdict
+            until the detector's arithmetic under- or overflows float64.
         phase_offsets_rad: Per-phase offsets (a, b, c).
     """
 
@@ -229,6 +230,14 @@ def sliding_rows(values: np.ndarray, width: int, hop: int = 1) -> np.ndarray:
                       (hop * step, step))
     rows.setflags(write=False)
     return rows
+
+
+def window_grid(n_samples: int, width: int, hop: int,
+                sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start sample and center time (s) of each row :func:`sliding_rows` cuts ``hop``
+    apart from ``n_samples`` values: the energy windows and the STFT frames."""
+    starts = np.arange(0, n_samples - width + 1, hop)
+    return starts, (starts + width / 2.0) / sample_rate_hz
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Fourier and short-time Fourier transforms with high-band energy indices.
 
+A transform returns magnitudes: :func:`dft` a vector, :func:`stft` a row per
+frame of :func:`~faultwave.signal_model.window_grid`; :func:`bin_frequencies`
+is the frequency of each column.
+
 Normalization: one-sided magnitudes are |FFT(x)| / sqrt(N) (unitary scaling),
 so summing squared magnitudes with weight 2 on interior bins (1 on DC and,
 for even N, the Nyquist bin) reproduces the signal energy sum(x**2) exactly.
@@ -13,8 +17,6 @@ every framing once with :func:`check_framing`, then cuts the frames as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
@@ -27,32 +29,14 @@ STFT_TAPER = np.hanning(STFT_WINDOW)
 STFT_TAPER.flags.writeable = False
 
 
-@dataclass(eq=False)
-class Spectrum:
-    """One-sided magnitude spectrum of a whole trace."""
-
-    bin_hz: float
-    magnitudes: np.ndarray
-    n_samples: int
-
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.magnitudes.shape[0]) * self.bin_hz
+def bin_frequencies(window_len: int, sample_rate_hz: float) -> np.ndarray:
+    """Frequency (Hz) of each one-sided bin of an FFT over ``window_len`` samples."""
+    return np.arange(window_len // 2 + 1) * (sample_rate_hz / window_len)
 
 
-@dataclass(eq=False)
-class Spectrogram:
-    """Hann-windowed magnitude frames, one row per frame; times mark frame centers."""
-
-    frames: np.ndarray
-    frame_times_s: np.ndarray
-    bin_hz: float
-
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.frames.shape[1]) * self.bin_hz
-
-
-def dft(trace: Trace) -> Spectrum:
-    """One-sided discrete Fourier transform under unitary scaling.
+def dft(trace: Trace) -> np.ndarray:
+    """One-sided magnitude spectrum under unitary scaling, at
+    ``bin_frequencies(trace.n_samples, trace.sample_rate_hz)``.
 
     Raises:
         DegenerateInputError: fewer than 2 samples.
@@ -60,11 +44,7 @@ def dft(trace: Trace) -> Spectrum:
     n = trace.n_samples
     if n < 2:
         raise DegenerateInputError(f"need at least 2 samples for a spectrum, got {n}")
-    return Spectrum(
-        bin_hz=trace.sample_rate_hz / n,
-        magnitudes=np.abs(np.fft.rfft(trace.samples) / np.sqrt(n)),
-        n_samples=n,
-    )
+    return np.abs(np.fft.rfft(trace.samples) / np.sqrt(n))
 
 
 def check_framing(n: int, window_len: int, hop: int) -> None:
@@ -100,38 +80,34 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)
 
 
-def stft(trace: Trace) -> Spectrogram:
-    """Short-time Fourier transform over the one STFT frame: :data:`STFT_WINDOW`
-    samples every :data:`STFT_HOP`, tapered by :data:`STFT_TAPER`.
-
-    Frame times mark window centers.
+def stft(trace: Trace) -> np.ndarray:
+    """Short-time Fourier magnitudes over the one STFT frame: :data:`STFT_WINDOW`
+    samples every :data:`STFT_HOP`, tapered by :data:`STFT_TAPER`; the columns
+    are ``bin_frequencies(STFT_WINDOW, trace.sample_rate_hz)``.
 
     Raises:
         ShapeError: the trace is shorter than one frame.
     """
-    frames = frame_magnitudes(trace.samples, STFT_WINDOW, STFT_HOP, STFT_TAPER)
-    starts = np.arange(frames.shape[0]) * STFT_HOP
-    return Spectrogram(
-        frames=frames,
-        frame_times_s=(starts + STFT_WINDOW / 2.0) / trace.sample_rate_hz,
-        bin_hz=trace.sample_rate_hz / STFT_WINDOW,
-    )
+    return frame_magnitudes(trace.samples, STFT_WINDOW, STFT_HOP, STFT_TAPER)
 
 
-def highband_energy_index(spectrum: Spectrum, cutoff_hz: float, span: tuple[int, int]) -> float:
-    """Squared-magnitude sum in bins at or above ``cutoff_hz``, per span sample.
+def highband_energy_index(trace: Trace, cutoff_hz: float, span: tuple[int, int]) -> float:
+    """Squared-magnitude sum of the :func:`dft` of ``trace[start:stop]``, taken in
+    isolation, over its bins at or above ``cutoff_hz``, per span sample.
 
-    ``spectrum`` is expected to be the transform of ``span = (start, stop)``
-    taken in isolation; the sum is divided by the span length in samples.
+    The reference the energy detectors are tested against: it masks its own bins.
 
     Raises:
-        DegenerateInputError: empty span.
+        DegenerateInputError: a span empty or outside the trace, or of fewer
+            than 2 samples.
         ConfigError: cutoff at or above the Nyquist frequency.
     """
     lo, hi = span
-    if hi <= lo:
-        raise DegenerateInputError(f"span {span} is empty")
-    if cutoff_hz >= spectrum.bin_hz * spectrum.n_samples / 2.0:
+    n, fs = trace.n_samples, trace.sample_rate_hz
+    if not 0 <= lo < hi <= n:
+        raise DegenerateInputError(f"span {span} is empty or outside the trace (N={n})")
+    if cutoff_hz >= fs / 2.0:
         raise ConfigError(f"cutoff {cutoff_hz} Hz is at or above the Nyquist frequency")
-    bins = spectrum.frequencies() >= cutoff_hz
-    return float(np.sum(spectrum.magnitudes[bins] ** 2) / (hi - lo))
+    magnitudes = dft(Trace(trace.samples[lo:hi], fs))
+    bins = np.arange(magnitudes.shape[0]) * (fs / (hi - lo)) >= cutoff_hz
+    return float(np.sum(magnitudes[bins] ** 2) / (hi - lo))

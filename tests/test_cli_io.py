@@ -162,20 +162,20 @@ class TestTransformDumps:
         assert len(lines) == 1 + 200 + 100 + 100
 
     def test_spectrum_and_spectrogram_dumps(self, tmp_path):
-        from faultwave import dft, select_channel, stft
+        from faultwave import select_channel, stft
         from faultwave.io import write_spectrogram_csv, write_spectrum_csv
 
         trace = select_channel(make_record("NONE"), "a")
-        write_spectrum_csv(tmp_path / "sp.csv", dft(trace))
+        write_spectrum_csv(tmp_path / "sp.csv", trace)
         sp_lines = (tmp_path / "sp.csv").read_text().strip().splitlines()
         assert sp_lines[0] == "bin_hz,magnitude"
         assert len(sp_lines) == 1 + 201
 
-        gram = stft(trace)
-        write_spectrogram_csv(tmp_path / "sg.csv", gram)
+        frames = stft(trace)
+        write_spectrogram_csv(tmp_path / "sg.csv", trace)
         sg_lines = (tmp_path / "sg.csv").read_text().strip().splitlines()
         assert sg_lines[0] == "frame_time_s,bin_hz,magnitude"
-        assert len(sg_lines) == 1 + gram.frames.shape[0] * gram.frames.shape[1]
+        assert len(sg_lines) == 1 + frames.shape[0] * frames.shape[1]
 
 
 def one_string_table(header: str, row_fmt: str, *columns) -> str:
@@ -812,6 +812,34 @@ class TestCmdDetect:
         )
         assert result.exit_code == 3
         assert "ica detector failed" in result.output
+
+    def test_tiny_amplitude_reports_the_unscaled_onset(self, runner, tmp_path):
+        """At 1e-170 per unit the squared deviations of the calibration details
+        underflow; the threshold still follows the spread, not the mean."""
+        for amplitude in (1.0, 1e-170):
+            config = {"waveform": {"amplitude_pu": amplitude}, "fault": {"fault_type": "AG"}}
+            trace, cfg = self.make_trace(runner, tmp_path, config)
+            out = tmp_path / "r.json"
+            result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("wavelet: detected at 0.064 s ")
+            assert json.loads(out.read_text())["onset_sample"] == 128
+
+    def test_byte_order_marks_are_skipped(self, runner, tmp_path):
+        """A trace, sidecar and config that start with a UTF-8 byte-order mark,
+        as spreadsheet "CSV UTF-8" exports do, report as their plain copies."""
+        trace, cfg = self.make_trace(runner, tmp_path)
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for path in (trace, sidecar_path(trace), cfg):
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for folder in (tmp_path, bom):
+            result = runner.invoke(main, ["detect", "--in", str(folder / trace.name), "--config",
+                                          str(folder / cfg.name), "--out", str(folder / "r.json")])
+            assert result.exit_code == 0, result.output
+        for name in ("r.json", "r.csv"):
+            assert (bom / name).read_bytes() == (tmp_path / name).read_bytes()
 
     OVERFLOWS = {
         "amplitude": {"waveform": {"amplitude_pu": 1e200}, "fault": {"fault_type": "AG"}},

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from faultwave import dft, dwt_decompose, select_channel, stft
+from faultwave import dwt_decompose, select_channel
 from faultwave.cli import main
 from faultwave.io import (
     write_record_csv,
@@ -55,8 +55,8 @@ def write_all(out: Path) -> None:
     write_series_csv(out / "series_special.csv", np.arange(SPECIAL.shape[0]) / 7.0, SPECIAL,
                      "special")
     write_tree_csv(out / "tree.csv", dwt_decompose(trace, 3))
-    write_spectrum_csv(out / "spectrum.csv", dft(trace))
-    write_spectrogram_csv(out / "spectrogram.csv", stft(trace))
+    write_spectrum_csv(out / "spectrum.csv", trace)
+    write_spectrogram_csv(out / "spectrogram.csv", trace)
 
     suite = out / "suite.json"
     suite.write_text(json.dumps(ENERGY_SUITE))

@@ -21,7 +21,6 @@ from faultwave import (
     Trace,
     WaveformConfig,
     calibrate_threshold,
-    dft,
     energy_detect,
     generate_baseline,
     highband_energy_index,
@@ -144,6 +143,14 @@ class TestCalibrateThreshold:
     def test_each_bound_can_win(self, k_sigma, bias, mean_multiple, floor, expected):
         values = np.array([1.0, 3.0])
         assert calibrate_threshold(values, k_sigma, bias, mean_multiple, floor) == expected
+
+    @pytest.mark.parametrize("exponent", [-400, -520, -600, -1000])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        """Under 2**-480 or so the squared deviations underflow; the std is then
+        taken of rescaled deviations, so the threshold still scales exactly."""
+        values = np.random.default_rng(1).standard_normal(100)
+        scale = 2.0**exponent
+        assert calibrate_threshold(scale * values) == scale * calibrate_threshold(values)
 
 
 class TestWaveletDetect:
@@ -383,11 +390,7 @@ class TestEnergyWindowSeries:
         cfg = DetectorConfig(method="energy_ft")
         report = energy_detect(trace, "energy_ft", cfg)
         starts, window = self.starts(report, n)
-        expected = [
-            highband_energy_index(dft(Trace(trace.samples[s : s + window], 2000.0)),
-                                  cfg.cutoff_hz, (s, s + window))
-            for s in starts
-        ]
+        expected = [highband_energy_index(trace, cfg.cutoff_hz, (s, s + window)) for s in starts]
         np.testing.assert_allclose(report.index_series, expected, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", (400, 1024, 4096))
@@ -396,9 +399,8 @@ class TestEnergyWindowSeries:
         report = energy_detect(trace, "energy_stft", DetectorConfig(method="energy_stft"))
         segments = np.lib.stride_tricks.sliding_window_view(trace.samples, STFT_WINDOW)[::STFT_HOP]
         frames = np.abs(np.fft.rfft(segments * np.hanning(STFT_WINDOW), axis=1)) / np.sqrt(STFT_WINDOW)
-        gram = stft(trace)
-        np.testing.assert_array_equal(gram.frames, frames)
-        bins = gram.frequencies() >= 150.0
+        np.testing.assert_array_equal(stft(trace), frames)
+        bins = np.arange(STFT_WINDOW // 2 + 1) * (2000.0 / STFT_WINDOW) >= 150.0
         np.testing.assert_array_equal(report.index_series,
                                       np.sum(frames[:, bins] ** 2, axis=1) / STFT_WINDOW)
 
@@ -501,6 +503,27 @@ class TestAmplitudeScaling:
         base, big = ica_detect(record), ica_detect(scaled)
         assert (big.detected, big.onset_sample) == (base.detected, base.onset_sample)
         assert big.threshold_used == base.threshold_used
+
+    @pytest.mark.parametrize("fault", ["NONE", "AG", "BC"])
+    def test_decimal_scales_keep_the_verdict_or_refuse(self, fault):
+        """Scaled by 10**k from the smallest normal decade up to 10**300, each
+        method reports the unscaled verdict and onset, or refuses the record
+        with DegenerateInputError or NumericalError; it never reads a verdict
+        from an index that underflowed or overflowed."""
+        record = make_record(fault, snr_db=20.0, seed=5)
+        for method in METHODS:
+            cfg = DetectorConfig(method=method)
+            base = run(record, cfg)
+            for k in [-307, *range(-302, 300, 10), 300]:
+                scaled = ThreePhaseRecord(record.sample_rate_hz, 10.0**k * record.samples,
+                                          record.labels)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        report = run(scaled, cfg)
+                except (DegenerateInputError, NumericalError):
+                    continue
+                assert (report.detected, report.onset_sample) == \
+                    (base.detected, base.onset_sample), (method, k)
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(0, 300), fault=st.sampled_from(["AG", "NONE"]))

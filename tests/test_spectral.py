@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import faultwave
 from faultwave import (
     ConfigError,
     DegenerateInputError,
@@ -17,41 +20,58 @@ from faultwave import (
     stft,
 )
 from faultwave import spectral
-from faultwave.spectral import STFT_HOP, STFT_TAPER, STFT_WINDOW, frame_magnitudes
+from faultwave.signal_model import sliding_rows, window_grid
+from faultwave.spectral import (STFT_HOP, STFT_TAPER, STFT_WINDOW, bin_frequencies,
+                                frame_magnitudes)
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, rng_trace
 
 
-def one_sided_energy(spectrum) -> float:
-    """sum(x**2) from the one-sided bins: weight 2 on interior bins, 1 on DC
-    and, for even N, on the Nyquist bin."""
-    weights = np.full(spectrum.magnitudes.shape[0], 2.0)
+def one_sided_energy(magnitudes: np.ndarray, n: int) -> float:
+    """sum(x**2) from the one-sided bins of ``n`` samples: weight 2 on interior
+    bins, 1 on DC and, for even N, on the Nyquist bin."""
+    weights = np.full(magnitudes.shape[0], 2.0)
     weights[0] = 1.0
-    if spectrum.n_samples % 2 == 0:
+    if n % 2 == 0:
         weights[-1] = 1.0
-    return float(np.sum(weights * spectrum.magnitudes**2))
+    return float(np.sum(weights * magnitudes**2))
+
+
+def test_transforms_return_arrays_and_spectral_defines_no_dataclass():
+    trace = Trace(rng_trace(128, seed=3), 2000.0)
+    assert type(dft(trace)) is np.ndarray and dft(trace).shape == (65,)
+    assert type(stft(trace)) is np.ndarray and stft(trace).shape == (5, STFT_WINDOW // 2 + 1)
+    assert not [name for name, value in vars(spectral).items() if dataclasses.is_dataclass(value)
+                and value.__module__ == spectral.__name__]
+    assert not {"Spectrum", "Spectrogram"} & (set(faultwave.__all__) | set(vars(faultwave)))
 
 
 class TestDft:
     def test_single_tone_concentrates_in_one_bin(self, baseline_record):
-        spectrum = dft(select_channel(baseline_record, "a"))
-        peak = int(np.argmax(spectrum.magnitudes))
-        assert spectrum.frequencies()[peak] == pytest.approx(50.0)
-        others = np.delete(spectrum.magnitudes, peak)
-        assert others.max() < 1e-9 * spectrum.magnitudes[peak]
+        magnitudes = dft(select_channel(baseline_record, "a"))
+        peak = int(np.argmax(magnitudes))
+        assert bin_frequencies(400, 2000.0)[peak] == pytest.approx(50.0)
+        others = np.delete(magnitudes, peak)
+        assert others.max() < 1e-9 * magnitudes[peak]
 
     def test_zero_trace_zero_magnitudes(self):
-        spectrum = dft(Trace(np.zeros(64), 2000.0))
-        assert np.all(spectrum.magnitudes == 0)
+        assert np.all(dft(Trace(np.zeros(64), 2000.0)) == 0)
 
     def test_parseval_on_random_trace(self):
         x = rng_trace(1024, seed=11)
-        spectrum = dft(Trace(x, 2000.0))
-        assert abs(one_sided_energy(spectrum) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
+        magnitudes = dft(Trace(x, 2000.0))
+        assert abs(one_sided_energy(magnitudes, 1024) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
 
     def test_parseval_odd_length(self):
         x = rng_trace(401, seed=12)
-        spectrum = dft(Trace(x, 2000.0))
-        assert abs(one_sided_energy(spectrum) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
+        magnitudes = dft(Trace(x, 2000.0))
+        assert abs(one_sided_energy(magnitudes, 401) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
+
+    @pytest.mark.parametrize("n", (2, 3, 400, 401))
+    def test_bins_step_by_the_rate_over_the_length(self, n):
+        frequencies = bin_frequencies(n, 2000.0)
+        assert frequencies.shape == dft(Trace(rng_trace(n), 2000.0)).shape
+        assert frequencies[0] == 0.0 and frequencies[1] == pytest.approx(2000.0 / n)
+        assert frequencies[-1] <= 1000.0
 
     def test_linearity(self):
         x, y = rng_trace(256, 1), rng_trace(256, 2)
@@ -67,20 +87,20 @@ class TestDft:
 
 class TestStft:
     def test_stationary_tone_has_constant_peak_bin(self, baseline_record):
-        gram = stft(select_channel(baseline_record, "a"))
-        peaks = np.argmax(gram.frames, axis=1)
+        frames = stft(select_channel(baseline_record, "a"))
+        peaks = np.argmax(frames, axis=1)
         assert np.all(peaks == peaks[0])
 
     def test_frame_count_matches_contract(self, baseline_record):
-        gram = stft(select_channel(baseline_record, "a"))
-        assert gram.frames.shape[0] == (400 - 64) // 16 + 1
-        assert gram.frames.shape[1] == 64 // 2 + 1
+        frames = stft(select_channel(baseline_record, "a"))
+        assert frames.shape[0] == (400 - 64) // 16 + 1
+        assert frames.shape[1] == 64 // 2 + 1
 
     def test_highband_jumps_in_frame_containing_onset(self, ag_record):
-        gram = stft(select_channel(ag_record, "a"))
-        band = gram.frequencies() >= 150.0
-        energy = np.sum(gram.frames[:, band] ** 2, axis=1)
-        starts = np.arange(gram.frames.shape[0]) * 16
+        frames = stft(select_channel(ag_record, "a"))
+        band = bin_frequencies(STFT_WINDOW, 2000.0) >= 150.0
+        energy = np.sum(frames[:, band] ** 2, axis=1)
+        starts = np.arange(frames.shape[0]) * 16
         quiet = energy[starts + 64 <= FAULT_ONSET_SAMPLE]
         threshold = quiet.mean() + 5.0 * quiet.std() + 1e-12
         first = int(np.flatnonzero(energy > threshold)[0])
@@ -88,15 +108,14 @@ class TestStft:
         assert lo <= FAULT_ONSET_SAMPLE < lo + 64
 
     def test_zero_trace_zero_frames(self):
-        gram = stft(Trace(np.zeros(256), 2000.0))
-        assert np.all(gram.frames == 0)
+        assert np.all(stft(Trace(np.zeros(256), 2000.0)) == 0)
 
     def test_shift_by_hop_multiple_shifts_frames(self):
         x = rng_trace(512, seed=4)
         shifted = np.concatenate([np.zeros(32), x[:-32]])
         a = stft(Trace(x, 2000.0))
         b = stft(Trace(shifted, 2000.0))
-        np.testing.assert_allclose(b.frames[2:], a.frames[: b.frames.shape[0] - 2], atol=1e-12)
+        np.testing.assert_allclose(b[2:], a[: b.shape[0] - 2], atol=1e-12)
 
     def test_trace_shorter_than_one_frame_rejected(self):
         with pytest.raises(ShapeError, match="window_len"):
@@ -134,6 +153,20 @@ def frame_grids(draw):
     n = draw(st.integers(2, 2048))
     window_len = draw(st.integers(2, n))
     return n, window_len, draw(st.integers(1, 2 * window_len))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=frame_grids(), fs=st.floats(1.0, 1e6))
+@example(grid=(400, STFT_WINDOW, STFT_HOP), fs=2000.0)  # the STFT frame of a paper record
+@example(grid=(400, 40, 57), fs=2000.0)  # hop longer than the window
+def test_window_grid_has_one_entry_per_frame(grid, fs):
+    n, width, hop = grid
+    starts, times_s = window_grid(n, width, hop, fs)
+    rows = sliding_rows(np.zeros(n), width, hop).shape[0]
+    assert starts.shape == times_s.shape == (rows,)
+    assert frame_magnitudes(np.zeros(n), width, hop).shape[0] == rows
+    assert_bitwise_equal(starts, np.arange(rows) * hop)
+    assert_bitwise_equal(times_s, (starts + width / 2.0) / fs)
 
 
 class TestFrameMagnitudes:
@@ -186,37 +219,39 @@ class TestFrameMagnitudes:
 class TestHighbandEnergyIndex:
     def test_pure_tone_has_no_highband_content(self, baseline_record):
         trace = select_channel(baseline_record, "a")
-        index = highband_energy_index(dft(trace), 150.0, (0, trace.n_samples))
+        index = highband_energy_index(trace, 150.0, (0, trace.n_samples))
         assert index < 1e-9
 
     def test_quadratic_homogeneity(self):
         x = rng_trace(400, seed=6)
-        base = highband_energy_index(dft(Trace(x, 2000.0)), 150.0, (0, 400))
-        scaled = highband_energy_index(dft(Trace(2.0 * x, 2000.0)), 150.0, (0, 400))
+        base = highband_energy_index(Trace(x, 2000.0), 150.0, (0, 400))
+        scaled = highband_energy_index(Trace(2.0 * x, 2000.0), 150.0, (0, 400))
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
     def test_fault_raises_post_onset_index(self, ag_record):
         # whole-cycle spans so the comparison is not edge-leakage noise
         trace = select_channel(ag_record, "a")
-        pre = Trace(trace.samples[0:120], 2000.0)
-        post = Trace(trace.samples[FAULT_ONSET_SAMPLE : FAULT_ONSET_SAMPLE + 240], 2000.0)
-        pre_idx = highband_energy_index(dft(pre), 150.0, (0, 120))
+        pre_idx = highband_energy_index(trace, 150.0, (0, 120))
         post_idx = highband_energy_index(
-            dft(post), 150.0, (FAULT_ONSET_SAMPLE, FAULT_ONSET_SAMPLE + 240)
+            trace, 150.0, (FAULT_ONSET_SAMPLE, FAULT_ONSET_SAMPLE + 240)
         )
         assert post_idx > pre_idx
 
     def test_monotone_as_cutoff_decreases(self):
         x = rng_trace(400, seed=8)
-        spectrum = dft(Trace(x, 2000.0))
         cutoffs = [800.0, 400.0, 200.0, 100.0, 50.0]
-        values = [highband_energy_index(spectrum, c, (0, 400)) for c in cutoffs]
+        values = [highband_energy_index(Trace(x, 2000.0), c, (0, 400)) for c in cutoffs]
         assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
 
     def test_empty_span_rejected(self):
         with pytest.raises(DegenerateInputError):
-            highband_energy_index(dft(Trace(np.ones(16), 2000.0)), 150.0, (3, 3))
+            highband_energy_index(Trace(np.ones(16), 2000.0), 150.0, (3, 3))
+
+    @pytest.mark.parametrize("span", [(-1, 8), (8, 17)])
+    def test_span_outside_trace_rejected(self, span):
+        with pytest.raises(DegenerateInputError, match="outside the trace"):
+            highband_energy_index(Trace(np.ones(16), 2000.0), 150.0, span)
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(ConfigError, match="Nyquist"):
-            highband_energy_index(dft(Trace(np.ones(16), 2000.0)), 1000.0, (0, 16))
+            highband_energy_index(Trace(np.ones(16), 2000.0), 1000.0, (0, 16))
