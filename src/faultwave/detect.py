@@ -21,14 +21,12 @@ a fixed one, and reports the first run of index values above it inside the
 analysis span. Detectors report onset only; the return to normal after fault
 clearing is deliberately not claimed.
 
-Each detector plans its decision once per geometry (the last
-:data:`~faultwave.ica.PLAN_CACHE_SIZE` kept per detector, the package's one
-cache size), so a call on a known geometry does only sample work: the
-resolved spans and their checks, the calibration and scan rows and the run
-length, all scalars. Energy plans are keyed on the window, not the
-fundamental, and add read-only window starts and times and the cutoff bin or
-wavelet coefficient groups: at most 32 bytes per window, 1.31 MB for 409,600
-samples in 40-sample windows 10 apart.
+Each detector keeps one plan cache of :data:`~faultwave.ica.PLAN_CACHE_SIZE`
+geometries, so a call on a known geometry does only sample work. The ICA plan
+is :func:`ica.index_plan`; the others check the spans and hold the decision
+rows and run length. Energy plans, keyed on the window, not the fundamental,
+add read-only window starts and times and the cutoff bin or wavelet groups: at
+most 32 bytes per window, 1.31 MB for 409,600 samples in windows 10 apart.
 
 On the paper's 400-sample records a call into numpy's Python-level wrappers
 (``np.argmax``, ``ndarray.sum``, ``.max``, ...) costs about as much as the
@@ -51,7 +49,8 @@ from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalErr
 from .ica import PLAN_CACHE_SIZE, IcaConfig, performance_index
 from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, Spans,
                            ThreePhaseRecord, Trace, check_channel, check_count, check_fundamental,
-                           check_number, check_nyquist, cycle_length, select_channel, window_grid)
+                           check_number, check_nyquist, cycle_length, select_channel, unit_scaled,
+                           window_grid)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
@@ -158,10 +157,8 @@ def calibrate_threshold(
     second pass ``std`` makes for its own mean. The scalar steps run on
     Python floats, which round as numpy's float64 scalars do.
 
-    Deviations under about 1e-154 have squares that underflow, so a sum of
-    squares under 2**-960 is summed again over the deviations scaled by the
-    power of two that brings the largest into [0.5, 1), and the std scaled
-    back. That is exact: the std keeps its scale while deviations are normal.
+    A sum of squares under 2**-960 is taken again of :func:`unit_scaled`
+    deviations, so the std keeps its scale while they are normal floats.
 
     Raises:
         DegenerateInputError: no calibration values.
@@ -174,8 +171,7 @@ def calibrate_threshold(
     deviation = values - mean
     squares = float(np.add.reduce(deviation * deviation, None))
     if squares < 2.0 ** -960:
-        exponent = math.frexp(float(np.maximum.reduce(np.abs(deviation), None)))[1]
-        scaled = np.ldexp(deviation, -exponent)
+        scaled, exponent = unit_scaled(deviation)
         std = math.ldexp(math.sqrt(float(np.add.reduce(scaled * scaled, None)) / n), exponent)
     else:
         std = math.sqrt(squares / n)
@@ -198,21 +194,20 @@ def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
     return first if run[first] else None
 
 
-def _plan(spans: Spans, rows: int, width: int, need: int, first: int = 0, hop: int = 1,
-          valid: tuple[int, int] | None = None) -> tuple:
+def _plan(calibration: tuple[int, int], analysis: tuple[int, int], rows: int, width: int,
+          need: int, first: int = 0, hop: int = 1, valid: tuple[int, int] | None = None) -> tuple:
     """Where the decision reads an index of ``rows`` rows, row i covering
     samples ``[first + hop * i, first + hop * i + width)``: the half-open row
-    ranges wholly inside the calibration and the analysis span (and inside
-    the ``valid`` rows, the wavelet's :func:`dwt.artifact_free_range`, if
-    given), then the run length ``need``, ``first`` and ``hop``.
+    ranges wholly inside the ``calibration`` and the ``analysis`` sample range
+    (and inside the ``valid`` rows, the wavelet's :func:`dwt.artifact_free_range`,
+    if given), then the run length ``need``, ``first`` and ``hop``.
 
     Raises:
-        BoundsError: either span holds no such row, or the analysis span
+        BoundsError: either range holds no such row, or the analysis range
             holds fewer than the ``need`` values a run needs.
     """
     ranges = []
-    for name in ("calibration", "analysis"):
-        lo, hi = getattr(spans, name)
+    for name, (lo, hi) in (("calibration", calibration), ("analysis", analysis)):
         start = max(-((first - lo) // hop), 0)  # the first row starting at lo or later
         stop = min((hi - width - first) // hop + 1, rows)  # past the last row ending by hi
         if stop <= start:
@@ -277,7 +272,8 @@ def _wavelet_plan(n_samples: int, level: int, need: int, spans: Spans | None) ->
     :func:`dwt.artifact_free_range` valid; checks the spans, then the level."""
     spans = (spans or Spans()).resolve(n_samples)
     dwt.check_length(n_samples, level)
-    return _plan(spans, n_samples, 1, need, valid=dwt.artifact_free_range(n_samples, level))
+    return _plan(spans.calibration, spans.analysis, n_samples, 1, need,
+                 valid=dwt.artifact_free_range(n_samples, level))
 
 
 def wavelet_detect(
@@ -304,22 +300,6 @@ def wavelet_detect(
 PI_DETECTION_FLOOR = 1e-9
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _ica_plan(n_samples: int, fs: float, fundamental_hz: float, need: int,
-              spans: Spans | None) -> tuple[Spans, float, tuple]:
-    """The ICA detector's resolved spans, threshold bias and plan: one row per
-    analysis sample, scanned from the first full trailing cycle on."""
-    spans = (spans or Spans()).resolve(n_samples)
-    (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
-    if p_lo != a_lo:
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
-                          f"spans.analysis=({a_lo}, {a_hi}) starts for the ica detector")
-    period = ica.index_plan(n_samples, fs, fundamental_hz, spans)[1]
-    cycles = (p_hi - p_lo) / period
-    scan = replace(spans, analysis=(a_lo + period - 1, a_hi))
-    return spans, (cycles + 1) / (cycles - 1), _plan(scan, a_hi - a_lo, 1, need, first=a_lo)
-
-
 def ica_detect(
     record: ThreePhaseRecord,
     cfg: DetectorConfig = DetectorConfig(method="ica"),
@@ -329,10 +309,9 @@ def ica_detect(
     """Onset detection from the ICA performance index.
 
     The normal template is built from ``spans.calibration``, the same
-    fault-free span the threshold calibrates on. The index only exists on
-    the analysis span, so the calibration span must start where the analysis
-    span starts and end before it does, and cover at least two fundamental
-    cycles; the default span of :meth:`Spans.resolve` does.
+    fault-free span the threshold calibrates on. The spans keep the span rule
+    of :func:`ica.index_plan`, whose spans and period build the decision rows
+    (one :func:`_plan` call) before the index call finds that plan built.
 
     Because the template is averaged from the calibration cycles, index
     values inside that span run systematically lower than fresh data under
@@ -344,19 +323,22 @@ def ica_detect(
     (calibration keeps those values).
 
     Raises:
-        BoundsError: a span does not fit the record or the rules above.
+        BoundsError: a span does not fit the record or that rule.
         DegenerateInputError: the calibration span is all zero.
         NumericalError: the record, the index or the threshold overflows.
     """
     fs = record.sample_rate_hz
-    spans, bias, plan = _ica_plan(record.n_samples, fs, ica_cfg.fundamental_hz,
-                                  cfg.min_consecutive, spans)
+    resolved, period = ica.index_plan(record.n_samples, fs, ica_cfg.fundamental_hz, spans)[:2]
+    calibration, (lo, hi) = resolved.calibration, resolved.analysis
+    plan = _plan(calibration, (lo + period - 1, hi), hi - lo, 1, cfg.min_consecutive, first=lo)
+    cycles = (calibration[1] - calibration[0]) / period
+    # The caller's own spans, so the index finds the plan looked up above.
     pi = performance_index(record, spans, ica_cfg)
     eigenvalues = pi.whitening_eigenvalues
-    return _decide("ica", pi.values, np.arange(*spans.analysis) / fs, plan, cfg, fs,
+    return _decide("ica", pi.values, np.arange(lo, hi) / fs, plan, cfg, fs,
                    {"components_kept": len(eigenvalues),
                     "whitening_eigenvalues": eigenvalues.tolist()},
-                   rule=(bias, 2.5, PI_DETECTION_FLOOR))
+                   rule=((cycles + 1) / (cycles - 1), 2.5, PI_DETECTION_FLOOR))
 
 
 # Detection thresholds never drop below this fraction of the trace's mean
@@ -391,7 +373,8 @@ def _window_plan(n_samples: int, window: int, hop: int, fs: float, cutoff_hz: fl
         spectral.check_framing(n_samples, window, hop)
         transform = int(np.count_nonzero(spectral.bin_frequencies(window, fs) < cutoff_hz))
     starts.flags.writeable = times_s.flags.writeable = False
-    return starts, transform, times_s, _plan(spans, starts.size, window, 1, hop=hop)
+    return starts, transform, times_s, _plan(spans.calibration, spans.analysis, starts.size,
+                                             window, 1, hop=hop)
 
 
 def energy_detect(

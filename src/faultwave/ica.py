@@ -10,13 +10,11 @@ stays near zero while the record matches its healthy pattern and jumps at
 fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
 after whitening, so it needs no FastICA fit.
 
-The index is planned once per geometry: :func:`index_plan` resolves the
-:class:`~faultwave.signal_model.Spans` and checks the ICA span rules, derives
-the template period and caches read-only phase slots (16 bytes per sample
-from calibration start to analysis end) and the template deposits of the
-calibration samples (64 bytes each) for the last :data:`PLAN_CACHE_SIZE`
-geometries: 14.4 MB at 409,600 samples, default spans. A call on a known
-geometry does only sample work.
+The index and the ICA detector share one plan per geometry, :func:`index_plan`:
+the resolved spans, the template period, read-only phase slots (16 bytes per
+analysis sample) and template deposits (64 bytes per calibration sample), for
+the last :data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600 samples,
+default spans. A call on a known geometry does only sample work.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundsError, ConfigError, DegenerateInputError, NumericalError
-from .signal_model import Spans, ThreePhaseRecord, check_fundamental, cycle_length, is_integer
+from .signal_model import (Spans, ThreePhaseRecord, check_fundamental, cycle_length, is_integer,
+                           unit_scaled)
 
 # Eigenvalues below this fraction of the largest are treated as rank loss.
 RANK_TOLERANCE = 1e-12
@@ -94,7 +93,9 @@ def whiten(centered: np.ndarray, retain: int | None = None) -> tuple[np.ndarray,
 
     Components are ordered by descending eigenvalue; eigenvalues below
     ``RANK_TOLERANCE`` times the largest are dropped. ``retain`` further caps
-    the kept components at that count (at least 1).
+    the kept components at that count (at least 1). A covariance under 2**-960
+    is formed of :func:`unit_scaled` data and the map scaled back, so whitening
+    holds down to normal floats (about 1e-307); eigenvalues may underflow.
 
     Args:
         centered: m x N matrix with zero row means.
@@ -103,7 +104,7 @@ def whiten(centered: np.ndarray, retain: int | None = None) -> tuple[np.ndarray,
     Raises:
         ConfigError: ``retain`` is not an integer.
         DegenerateInputError: all-zero input.
-        NumericalError: the covariance overflows.
+        NumericalError: the covariance overflows, or the map of subnormal data.
     """
     model = _whitening_model(centered, retain)
     return model.projection @ centered, model
@@ -116,6 +117,10 @@ def _whitening_model(centered: np.ndarray, retain: int | None = None) -> Whiteni
     cov = centered @ centered.T / centered.shape[1]
     if not np.logical_and.reduce(np.isfinite(cov), None):
         raise NumericalError("the channel covariance overflows float64")
+    exponent = 0
+    if np.maximum.reduce(np.abs(cov), None) < 2.0 ** -960:
+        scaled, exponent = unit_scaled(centered)
+        cov = scaled @ scaled.T / centered.shape[1]
     # eigh's eigenvalues ascend, so reversing is the descending sort.
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
@@ -130,6 +135,10 @@ def _whitening_model(centered: np.ndarray, retain: int | None = None) -> Whiteni
     eigvals = eigvals[:r]
     # Row-major, the layout ``projection @ x`` has always multiplied in.
     projection = np.multiply((1.0 / np.sqrt(eigvals))[:, None], eigvecs[:, :r].T, order="C")
+    if exponent:  # the map scaled back to the data, as long as it stays finite
+        if np.maximum.reduce(np.abs(projection), None) >= 2.0 ** (1024 + exponent):
+            raise NumericalError("the whitening map of this subnormal data overflows float64")
+        projection, eigvals = np.ldexp(projection, -exponent), np.ldexp(eigvals, 2 * exponent)
     return WhiteningModel(projection, eigvals)
 
 
@@ -236,25 +245,24 @@ def _phase_slots(
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def index_plan(n_samples: int, fs: float, fundamental_hz: float, spans: Spans | None) -> tuple:
-    """The geometry of :func:`performance_index`, once its spans pass the rules it
-    documents (same errors, in that order): the ``spans`` resolved against the
-    record (:meth:`Spans.resolve`); the :func:`cycle_length` ``period`` its
-    template tiles with; read-only :func:`_phase_slots` ``slots`` and ``frac``
-    of the analysis samples; and the ``deposits`` of the calibration samples:
-    ``bins`` their slot and the next one up (row r of three offset by
-    ``r * period``), ``weights`` those bins' shares ``1 - frac`` and ``frac``,
-    ``slot_weight`` the total each slot receives: at least 1, since the
-    calibration span holds two cycles."""
+    """The geometry of :func:`performance_index` and the ICA detector, with the
+    one ICA span rule (these errors, in this order): the ``spans`` resolved
+    (:meth:`Spans.resolve`), calibration starting with analysis and ending before
+    it; the :func:`cycle_length` ``period``, two of which calibration covers;
+    read-only :func:`_phase_slots` ``slots`` and ``frac`` of the analysis samples;
+    the ``deposits`` of the calibration samples, which lead them: ``bins`` their
+    slot and the next (row r offset by ``r * period``), ``weights`` those bins'
+    shares ``1 - frac`` and ``frac``, ``slot_weight`` each slot's total, at least 1."""
     spans = (spans or Spans()).resolve(n_samples)
     (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
-    if p_lo > a_lo or p_hi >= a_hi:
-        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}), spans.analysis=({a_lo}, {a_hi}): "
-                          "the calibration span must precede the analysis span")
+    if p_lo != a_lo or p_hi >= a_hi:
+        raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) must start where "
+                          f"spans.analysis=({a_lo}, {a_hi}) starts and end before it ends")
     period = cycle_length(fs, fundamental_hz, n_samples)
     if p_hi - p_lo < 2 * period:
         raise BoundsError(f"spans.calibration=({p_lo}, {p_hi}) covers fewer than two "
                           f"fundamental cycles ({2 * period} samples)")
-    slots, frac = _phase_slots(p_lo, a_hi, p_hi, fs, fundamental_hz, period)
+    slots, frac = _phase_slots(a_lo, a_hi, p_hi, fs, fundamental_hz, period)
     calibration = slice(0, p_hi - p_lo)
     neighbors = np.stack((slots[calibration], (slots[calibration] + 1) % period))
     weights = np.stack((1.0 - frac[calibration], frac[calibration]))
@@ -263,7 +271,7 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float, spans: Spans | 
     bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
     for array in (slots, frac, bins, weights, slot_weight):
         array.flags.writeable = False
-    return spans, period, slots[a_lo - p_lo:], frac[a_lo - p_lo:], (bins, weights, slot_weight)
+    return spans, period, slots, frac, (bins, weights, slot_weight)
 
 
 def _build_template(samples: np.ndarray, calibration: tuple[int, int],
@@ -329,30 +337,25 @@ def performance_index(
     the index at sample k is the squared norm of the whitened difference
     between the template and the record, aggregated over a trailing
     one-cycle window. Near zero while the record is healthy, it jumps at
-    fault onset. FastICA's unmixing is orthogonal on whitened data, so
-    unmixing both would leave the index as it is.
+    fault onset.
 
-    The resolved spans, the period and the phase geometry come from the cached
-    :func:`index_plan`: the analysis slots and the calibration deposits, so
-    building the template takes two ``np.bincount`` calls on the data. The
-    whitening map is fitted without whitening the analysis data itself,
-    which the index never reads.
+    The spans, period and phase geometry come from the cached :func:`index_plan`,
+    so the template takes two ``np.bincount`` calls on the data; the whitening
+    map is fitted without whitening the data, which the index never reads.
 
     Args:
         record: Record under analysis.
-        spans: ``calibration`` is known to be fault-free; it must start no
-            later than ``analysis``, the range the index is computed on, end
-            before it does, and cover at least two fundamental cycles. ``None``
-            takes the defaults of :meth:`Spans.resolve`.
+        spans: the fault-free ``calibration`` and the ``analysis`` range the
+            index is on, kept to the span rule of :func:`index_plan`; ``None``
+            takes the defaults of :meth:`Spans.resolve`, which keep it.
         config: The fundamental used for phase locking.
 
     Raises:
-        BoundsError: spans outside the record, out of order, or a calibration
-            span shorter than two cycles.
+        BoundsError: spans outside the record or breaking that rule.
         ConfigError: a fundamental at or above Nyquist (:func:`cycle_length`).
         DegenerateInputError: a record no longer than one cycle, or all zero
             on the calibration span.
-        NumericalError: the record overflows the whitening covariance.
+        NumericalError: the record overflows the whitening covariance or map.
     """
     spans, period, slots, frac, deposits = index_plan(
         record.n_samples, record.sample_rate_hz, config.fundamental_hz, spans)

@@ -220,6 +220,13 @@ def cycle_length(sample_rate_hz: float, fundamental_hz: float, n_samples: int) -
     return int(round(samples_per_cycle))
 
 
+def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` times ``2**-e``, which brings their largest magnitude into [0.5, 1), and
+    ``e``: exact for normal floats, so sums of squares that underflow are taken of these."""
+    exponent = math.frexp(float(np.maximum.reduce(np.abs(values), None)))[1]
+    return np.ldexp(values, -exponent), exponent
+
+
 def sliding_rows(values: np.ndarray, width: int, hop: int = 1) -> np.ndarray:
     """Read-only view whose row i is ``values[i*hop : i*hop + width]``, for every row
     that fits in the 1-D contiguous ``values``. The rows hold an index gather's values in
@@ -423,8 +430,10 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
     """Add per-row white Gaussian noise at the requested SNR.
 
     Noise variance per row is ``row_power / 10**(snr_db/10)`` where row power
-    is the mean square of the row. Deterministic given ``noise.seed``; an
-    absent ``snr_db`` returns the input unchanged.
+    is the mean square of the row, taken of :func:`unit_scaled` samples where
+    every row's is under 2**-960, so the noise keeps its scale down to normal
+    floats. Deterministic given ``noise.seed``; an absent ``snr_db`` returns
+    the input unchanged.
 
     Raises:
         ConfigError: a row's mean square overflows float64, so no SNR can be
@@ -438,9 +447,13 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
         row_power = np.mean(record.samples**2, axis=1)
         if not np.isfinite(row_power).all():
             raise ConfigError("the record's mean square overflows float64, so no SNR can be set")
+        exponent = 0
+        if np.maximum.reduce(row_power) < 2.0 ** -960:
+            scaled, exponent = unit_scaled(record.samples)
+            row_power = np.mean(scaled**2, axis=1)
         if np.all(row_power == 0.0):
             raise DegenerateInputError("cannot set an SNR on a zero-power record")
-        noise_std = np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0))
+        noise_std = np.ldexp(np.sqrt(row_power / 10.0 ** (noise.snr_db / 10.0)), exponent)
         # noise * std + samples in place: IEEE addition commutes, so this is
         # bitwise samples + noise * std
         samples = np.random.default_rng(noise.seed).standard_normal(record.samples.shape)

@@ -984,7 +984,7 @@ class TestCmdDetect:
                                       "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
         assert result.stderr == ("faultwave: error: spans.calibration=(0, 120) must start where "
-                                 "spans.analysis=(50, 400) starts for the ica detector\n")
+                                 "spans.analysis=(50, 400) starts and end before it ends\n")
 
     @pytest.mark.parametrize(
         "config, code",

@@ -185,14 +185,15 @@ class TestDecide:
         need = min_consecutive or cfg.min_consecutive
         assert_same_outcome(
             lambda: _decide("m", values, starts / 2000.0,
-                            _plan(spans, starts.size, width, need, first, hop, valid),
+                            _plan(spans.calibration, spans.analysis, starts.size, width, need,
+                                  first, hop, valid),
                             cfg, 2000.0, {}, rule),
             lambda: mask_decide("m", starts, values, width, valid, cfg, spans, 2000.0, rule,
                                 min_consecutive))
 
     def test_empty_valid_range_names_the_calibration_span(self):
         with pytest.raises(BoundsError) as got:
-            _plan(Spans((0, 30), (0, 100)), 100, 1, 3, valid=(60, 60))
+            _plan((0, 30), (0, 100), 100, 1, 3, valid=(60, 60))
         assert str(got.value) == ("spans.calibration=(0, 30) holds no sample of "
                                   "dwt.artifact_free_range=(60, 60)")
 

@@ -525,6 +525,25 @@ class TestAmplitudeScaling:
                 assert (report.detected, report.onset_sample) == \
                     (base.detected, base.onset_sample), (method, k)
 
+    @pytest.mark.parametrize("fault, seeds", [("NONE", (0, 5)), ("AG", (5, 16, 29)),
+                                              ("BC", (0, 1, 11, 15, 25))],
+                             ids=["NONE", "AG", "BC"])
+    def test_ica_keeps_the_verdict_from_the_smallest_normal_decade(self, fault, seeds):
+        """Scaled by 10**k from 10**-307 to 10**150, ica reports the unscaled
+        verdict and onset and never refuses: its whitening rescales a
+        covariance that would underflow. AG seeds 16 and 29 and the BC seeds
+        once moved their onset a sample early at 10**-161."""
+        for seed in seeds:
+            record = make_record(fault, snr_db=20.0, seed=seed)
+            base = ica_detect(record)
+            for k in [-307, -305, -300, -290, -250, -200, -170, -162, -161,
+                      *range(-150, 151, 25)]:
+                scaled = ThreePhaseRecord(record.sample_rate_hz, 10.0**k * record.samples,
+                                          record.labels)
+                report = ica_detect(scaled)
+                assert (report.detected, report.onset_sample) == \
+                    (base.detected, base.onset_sample), (seed, k)
+
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(0, 300), fault=st.sampled_from(["AG", "NONE"]))
     @example(k=0, fault="AG")  # every detector returns

@@ -75,8 +75,8 @@ def digest(report) -> tuple:
 
 
 def test_every_cache_is_a_bounded_plan_cache():
-    assert sorted(CACHES) == ["faultwave.detect._ica_plan", "faultwave.detect._wavelet_plan",
-                              "faultwave.detect._window_plan", "faultwave.ica.index_plan"]
+    assert sorted(CACHES) == ["faultwave.detect._wavelet_plan", "faultwave.detect._window_plan",
+                              "faultwave.ica.index_plan"]
     assert sorted(plans()) == sorted(CACHES)  # cached_arrays() reads every cache
     for name, cache in CACHES.items():
         module = next(m for m in MODULES if name.startswith(m.__name__ + "."))
@@ -131,7 +131,6 @@ def test_paper_grid_fundamentals_keep_every_plan_warm():
 def plans() -> dict:
     """One plan from each cache, by cache name (both kinds of energy plan)."""
     return {
-        "faultwave.detect._ica_plan": detect._ica_plan(400, 2000.0, 50.0, 3, None),
         "faultwave.detect._wavelet_plan": detect._wavelet_plan(400, 2, 3, None),
         "faultwave.detect._window_plan": (
             detect._window_plan(400, 40, 10, 2000.0, None, 2, None),
@@ -156,9 +155,8 @@ def cached_arrays() -> list[np.ndarray]:
     return arrays_in(list(plans().values()))
 
 
-def test_wavelet_and_ica_plans_hold_no_array():
+def test_the_wavelet_plan_holds_no_array():
     assert arrays_in(plans()["faultwave.detect._wavelet_plan"]) == []
-    assert arrays_in(plans()["faultwave.detect._ica_plan"]) == []
 
 
 def test_cached_arrays_are_read_only():
@@ -254,13 +252,6 @@ class TestInputErrorsOnWarmCaches:
             raises_twice(BoundsError, message, lambda: ica_detect(
                 rec, dataclasses.replace(cfg, method="ica"), spans))
 
-    def test_ica_calibration_not_at_the_analysis_start(self):
-        rec = record(400, 50.0)
-        for spans in (Spans((10, 130), (0, 400)), Spans(analysis=(10, 400))):
-            raises_twice(BoundsError, r"^spans\.calibration=\(\d+, \d+\) must start where "
-                                      r"spans\.analysis=\(\d+, 400\) starts for the ica detector$",
-                         lambda: ica_detect(rec, spans=spans))
-
     @pytest.mark.parametrize("spans", [None, SPANS[400]])
     def test_all_zero_calibration_span(self, spans):
         rec = record(400, 50.0)
@@ -305,23 +296,18 @@ def test_list_spans_share_the_tuple_plan():
 @pytest.mark.parametrize("calibration, analysis, f0, error, message", [
     ((0, 120), (0, 401), 50.0, BoundsError,
      "spans.analysis=(0, 401) lies outside the record (N=400)"),
-    ((10, 130), (0, 400), 50.0, BoundsError,
-     "spans.calibration=(10, 130), spans.analysis=(0, 400): the calibration span must "
-     "precede the analysis span"),
-    ((0, 400), (0, 400), 50.0, BoundsError,
-     "spans.calibration=(0, 400), spans.analysis=(0, 400): the calibration span must "
-     "precede the analysis span"),
     ((0, 120), (0, 400), 1500.0, ConfigError,
      "sample_rate_hz=2000.0 violates Nyquist for fundamental_hz=1500.0"),
     ((0, 120), (0, 400), 4.0, DegenerateInputError,
      "one 4.0 Hz cycle is longer than the record (400 samples)"),
     ((0, 79), (0, 400), 50.0, BoundsError,
      "spans.calibration=(0, 79) covers fewer than two fundamental cycles (80 samples)"),
-], ids=["outside", "starts-late", "ends-late", "short-cycle", "long-cycle", "under-two-cycles"])
+], ids=["outside", "short-cycle", "long-cycle", "under-two-cycles"])
 def test_each_index_rule_raises_alike_on_cold_and_warm_caches(calibration, analysis, f0, error,
                                                                message):
     """The rules of the index plan, called through the index itself, in the
-    order they are checked; a plan is only cached once they pass."""
+    order they are checked (the span rule, checked between the first two, has
+    its own test); a plan is only cached once they pass."""
     rec, config = record(400, 50.0), IcaConfig(fundamental_hz=f0)
     clear_caches()
     for _ in range(2):
@@ -329,3 +315,27 @@ def test_each_index_rule_raises_alike_on_cold_and_warm_caches(calibration, analy
             performance_index(rec, Spans(calibration, analysis), config)
         assert str(raised.value) == message
         performance_index(rec, Spans((0, 120), (0, 400)), IcaConfig(fundamental_hz=50.0))
+
+
+@pytest.mark.parametrize("spans, message", [
+    (Spans((10, 130), (0, 400)), "spans.calibration=(10, 130) must start where "
+                                 "spans.analysis=(0, 400) starts and end before it ends"),
+    (Spans((10, 130), (50, 400)), "spans.calibration=(10, 130) must start where "
+                                  "spans.analysis=(50, 400) starts and end before it ends"),
+    (Spans((0, 400), (0, 400)), "spans.calibration=(0, 400) must start where "
+                                "spans.analysis=(0, 400) starts and end before it ends"),
+    (Spans(analysis=(10, 400)), "spans.calibration=(0, 120) must start where "
+                                "spans.analysis=(10, 400) starts and end before it ends"),
+], ids=["starts-late", "starts-early", "ends-late", "default-calibration"])
+def test_one_ica_span_rule(spans, message):
+    """The index and the ICA detector keep one span rule, with one message,
+    on a cold cache and on one that holds the plans of their geometry."""
+    rec = record(400, 50.0)
+    clear_caches()
+    for _ in range(2):
+        for call in (lambda: performance_index(rec, spans), lambda: ica_detect(rec, spans=spans)):
+            with pytest.raises(BoundsError) as raised:
+                call()
+            assert str(raised.value) == message
+        ica_detect(rec)
+        ica_detect(rec, spans=Spans((0, 120), (0, 400)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from faultwave import (
     BoundsError,
@@ -253,6 +253,20 @@ class TestAddNoise:
             assert_bitwise_equal(add_noise(record, noise).samples,
                                  out_of_place_noisy(before, noise))
             assert_bitwise_equal(record.samples, before)  # the input is left as it was
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-1000, 0), fault=st.sampled_from(["NONE", "AG", "BC"]),
+           seed=st.integers(0, 2**16))
+    @example(k=-540, fault="AG", seed=1)  # every square underflows: once refused as zero power
+    @example(k=-1000, fault="BC", seed=1)
+    def test_commutes_with_power_of_two_scales_bitwise(self, k, fault, seed):
+        """Scaling is exact, and the row powers are rescaled where they would
+        underflow, so noise on a record scaled by 2**k is the noise of the
+        record, scaled."""
+        record, noise = make_record(fault), NoiseSpec(snr_db=20.0, seed=seed)
+        scaled = ThreePhaseRecord(record.sample_rate_hz, 2.0**k * record.samples, record.labels)
+        assert_bitwise_equal(add_noise(scaled, noise).samples,
+                             2.0**k * add_noise(record, noise).samples)
 
     def test_absent_snr_is_identity(self, baseline_record):
         assert add_noise(baseline_record, NoiseSpec()) is baseline_record
