@@ -49,5 +49,5 @@ print(f"detected: {report.detected}, onset {report.onset_time_s:.4f} s "
 
 write_record_csv(out_dir / "wavelet_voltage.csv", record)
 series = detail_series(tree, 1)
-write_series_csv(out_dir / "wavelet_detail.csv", trace.time_axis(), series, "detail_abs")
+write_series_csv(out_dir / "wavelet_detail.csv", record.time_axis(), series, "detail_abs")
 print(f"wrote {out_dir}/wavelet_voltage.csv and wavelet_detail.csv")

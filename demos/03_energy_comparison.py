@@ -26,8 +26,8 @@ table = [energy_row(fault.fault_type.value,
 
 print(f"{'scenario':10s} {'e_ft':>12s} {'e_stft':>12s} {'e_wt':>12s}   detected(ft/stft/wt)")
 for row in table:
-    flags = f"{row.detected_ft}/{row.detected_stft}/{row.detected_wt}"
-    print(f"{row.scenario_name:10s} {row.e_ft:>12.4e} {row.e_stft:>12.4e} {row.e_wt:>12.4e}   {flags}")
+    energies = " ".join(f"{e:>12.4e}" for e in row.energies)
+    print(f"{row.scenario_name:10s} {energies}   {'/'.join(map(str, row.detected))}")
 
 print("\nseverity sweep (AG fault, wavelet detail index):")
 print(f"{'retained voltage':>18s} {'index':>12s} {'detected':>9s}")

@@ -147,7 +147,7 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
                 rows.append(energy_row(name, record, config.detector, config.spans,
                                        config.waveform.fundamental_hz))
         except FaultwaveError as exc:
-            rows.append(EnergyRow.failed(name, exc))
+            rows.append(EnergyRow(name, error=f"{type(exc).__name__}: {exc}"))
 
     write_energy_table_csv(Path(out_path), rows)
 
@@ -165,13 +165,9 @@ def _echo_table(rows: list[EnergyRow]) -> None:
         if row.error is not None:
             click.echo(f"{name:<12} {'error':>12} {'':>12} {'':>12}  {row.error}")
         else:
-            flags = "/".join(
-                "y" if f else "n"
-                for f in (row.detected_ft, row.detected_stft, row.detected_wt)
-            )
-            click.echo(
-                f"{name:<12} {row.e_ft:>12.5g} {row.e_stft:>12.5g} {row.e_wt:>12.5g}  {flags}"
-            )
+            energies = " ".join(f"{e:>12.5g}" for e in row.energies)
+            flags = "/".join("y" if f else "n" for f in row.detected)
+            click.echo(f"{name:<12} {energies}  {flags}")
 
 
 @main.command("plot-data")

@@ -123,20 +123,14 @@ class DetectionReport:
 
 @dataclass(frozen=True)
 class EnergyRow:
-    scenario_name: str
-    e_ft: float
-    e_stft: float
-    e_wt: float
-    detected_ft: bool
-    detected_stft: bool
-    detected_wt: bool
-    error: str | None = None
+    """One scenario of the energy table: ``energies`` and ``detected`` hold
+    one entry per method of :data:`ENERGY_METHODS`, in that order. A failed
+    scenario holds only its ``error``, and no energy or verdict."""
 
-    @classmethod
-    def failed(cls, scenario_name: str, exc: Exception) -> EnergyRow:
-        nan = float("nan")
-        return cls(scenario_name, nan, nan, nan, False, False, False,
-                   error=f"{type(exc).__name__}: {exc}")
+    scenario_name: str
+    energies: tuple[float, ...] = ()
+    detected: tuple[bool, ...] = ()
+    error: str | None = None
 
 
 def calibrate_threshold(
@@ -195,12 +189,14 @@ def _first_run_start(above: np.ndarray, min_consecutive: int) -> int | None:
 
 
 def _plan(calibration: tuple[int, int], analysis: tuple[int, int], rows: int, width: int,
-          need: int, first: int = 0, hop: int = 1, valid: tuple[int, int] | None = None) -> tuple:
+          need: int, first: int = 0, hop: int = 1, valid: tuple[int, int] | None = None,
+          skip: int = 0) -> tuple:
     """Where the decision reads an index of ``rows`` rows, row i covering
     samples ``[first + hop * i, first + hop * i + width)``: the half-open row
     ranges wholly inside the ``calibration`` and the ``analysis`` sample range
     (and inside the ``valid`` rows, the wavelet's :func:`dwt.artifact_free_range`,
-    if given), then the run length ``need``, ``first`` and ``hop``.
+    if given), then the run length ``need``, ``first`` and ``hop``. The scan
+    starts at analysis row ``skip`` or later.
 
     Raises:
         BoundsError: either range holds no such row, or the analysis range
@@ -218,10 +214,11 @@ def _plan(calibration: tuple[int, int], analysis: tuple[int, int], rows: int, wi
                 raise BoundsError(f"spans.{name}=({lo}, {hi}) holds no sample of "
                                   f"dwt.artifact_free_range={valid}")
         ranges.append((start, stop))
-    if stop - start < need:  # the analysis rows, found last
+    start = max(start, skip)  # the analysis rows, found last
+    if stop - start < need:
         raise BoundsError(f"spans.analysis=({lo}, {hi}) holds {stop - start} index values to "
                           f"scan, fewer than min_consecutive={need}")
-    return ranges[0], ranges[1], need, first, hop
+    return ranges[0], (start, stop), need, first, hop
 
 
 def _decide(method: str, values: np.ndarray, times_s: np.ndarray, plan: tuple,
@@ -318,9 +315,9 @@ def ica_detect(
     noise (template noise partially cancels its own contribution). Adaptive
     thresholds are therefore scaled by the bias factor (m+1)/(m-1) for m
     calibration cycles, floored at 2.5x the calibration mean and at
-    :data:`PI_DETECTION_FLOOR`. The scan skips the first cycle but its last
-    value: a trailing mean there spans less than a cycle and runs noisier
-    (calibration keeps those values).
+    :data:`PI_DETECTION_FLOOR`. The scan skips the first ``period - 1`` values
+    of the analysis span (the :func:`_plan` ``skip``): a trailing mean there
+    spans less than a cycle and runs noisier (calibration keeps those values).
 
     Raises:
         BoundsError: a span does not fit the record or that rule.
@@ -330,7 +327,8 @@ def ica_detect(
     fs = record.sample_rate_hz
     resolved, period = ica.index_plan(record.n_samples, fs, ica_cfg.fundamental_hz, spans)[:2]
     calibration, (lo, hi) = resolved.calibration, resolved.analysis
-    plan = _plan(calibration, (lo + period - 1, hi), hi - lo, 1, cfg.min_consecutive, first=lo)
+    plan = _plan(calibration, (lo, hi), hi - lo, 1, cfg.min_consecutive, first=lo,
+                 skip=period - 1)
     cycles = (calibration[1] - calibration[0]) / period
     # The caller's own spans, so the index finds the plan looked up above.
     pi = performance_index(record, spans, ica_cfg)
@@ -484,7 +482,7 @@ def energy_row(
     spans: Spans | None = None,
     fundamental_hz: float = 50.0,
 ) -> EnergyRow:
-    """All three energy indices of one record.
+    """All three energy indices of one record, in :data:`ENERGY_METHODS` order.
 
     Every phase channel is analyzed and the row reports the largest index
     per method (detected if any phase crosses its threshold), since
@@ -496,4 +494,4 @@ def energy_row(
         reports = [run(record, method_cfg, spans, phase, fundamental_hz) for phase in PHASES]
         peaks.append(max(report.metadata["analysis_index"] for report in reports))
         hits.append(any(report.detected for report in reports))
-    return EnergyRow(name, *peaks, *hits)
+    return EnergyRow(name, tuple(peaks), tuple(hits))

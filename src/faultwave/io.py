@@ -196,8 +196,7 @@ def write_energy_table_csv(path: Path, rows: list[EnergyRow]) -> None:
     values = ",".join([FLOAT_FMT] * 3) + ",%s,%s,%s,"
     lines = [
         f"{row.scenario_name},,,,,,,{_csv_field(row.error)}" if row.error is not None
-        else f"{row.scenario_name}," + values % (row.e_ft, row.e_stft, row.e_wt, row.detected_ft,
-                                                 row.detected_stft, row.detected_wt)
+        else f"{row.scenario_name}," + values % (*row.energies, *row.detected)
         for row in rows
     ]
     _write_table(path, "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error", "%s", lines)

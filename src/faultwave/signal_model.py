@@ -309,9 +309,6 @@ class Trace:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def time_axis(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True, eq=False)
 class ThreePhaseRecord:
@@ -339,10 +336,6 @@ class ThreePhaseRecord:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
     def time_axis(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate_hz
@@ -397,15 +390,14 @@ def inject_fault(record: ThreePhaseRecord, fault: FaultSpec) -> ThreePhaseRecord
     n = record.n_samples
     onset_idx = int(round(min(fault.onset_s * fs, n)))  # min: inf cannot become an int
     if onset_idx >= n:
-        raise BoundsError(
-            f"fault onset {fault.onset_s} s is beyond the record end ({record.duration_s} s)")
+        raise BoundsError(f"fault onset {fault.onset_s} s is beyond the record end ({n / fs} s)")
     if fault.clear_s is None:
         clear_idx = n
     else:
         clear_idx = int(round(min(fault.clear_s * fs, n + 1)))
         if clear_idx > n:
             raise BoundsError(f"fault clearing {fault.clear_s} s is beyond the record end "
-                              f"({record.duration_s} s)")
+                              f"({n / fs} s)")
 
     t_rel = (np.arange(onset_idx, clear_idx) - onset_idx) / fs
     samples = record.samples.copy()

@@ -954,6 +954,21 @@ class TestCmdDetect:
         assert result.stderr.startswith("faultwave: error: spans.analysis=(")
         assert result.stderr.endswith(" index values to scan, fewer than min_consecutive=1000\n")
 
+    @pytest.mark.parametrize("spans", [None, {"calibration": [0, 120], "analysis": [0, 400]}],
+                             ids=["default", "given"])
+    def test_ica_scan_message_names_the_analysis_span(self, runner, tmp_path, spans):
+        """The message names the configured analysis span, not the part the ICA scan reads."""
+        trace, _ = self.make_trace(runner, tmp_path)
+        config = {"detector": {"method": "ica", "min_consecutive": 100000}}
+        if spans is not None:
+            config["spans"] = spans
+        cfg = write_json(tmp_path / "detect.json", config)
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("faultwave: error: spans.analysis=(0, 400) holds 361 index "
+                                 "values to scan, fewer than min_consecutive=100000\n")
+
     @pytest.mark.parametrize("method, cutoff_hz", [("energy_ft", 0), ("energy_stft", -1),
                                                    ("energy_wt", -0.0)])
     def test_cutoff_that_is_not_positive_exits_2(self, runner, tmp_path, method, cutoff_hz):
@@ -1109,6 +1124,22 @@ class TestCmdEnergyTable:
         assert lines[-1].startswith("broken,,,,,,,")
         assert "BoundsError" in lines[-1]
 
+    def test_failed_row_holds_only_its_error(self, runner, tmp_path, monkeypatch):
+        """A failed scenario carries no energy and no "not detected" flag."""
+        rows = []
+        monkeypatch.setattr(faultwave.cli, "write_energy_table_csv",
+                            lambda path, table: rows.extend(table))
+        suite = write_json(tmp_path / "suite.json", self.suite(with_bad=True))
+        result = runner.invoke(main, ["energy-table", "--config", str(suite),
+                                      "--out", str(tmp_path / "table.csv")])
+        assert result.exit_code == 0, result.output
+        assert [field.name for field in dataclasses.fields(EnergyRow)] == [
+            "scenario_name", "energies", "detected", "error"]
+        assert all(len(row.energies) == len(row.detected) == 3 for row in rows[:-1])
+        assert rows[-1] == EnergyRow("broken", error="BoundsError: fault onset 0.9 s is beyond "
+                                                     "the record end (0.2 s)")
+        assert rows[-1].energies == rows[-1].detected == ()
+
     def test_zero_amplitude_scenario_becomes_an_error_row(self, runner, tmp_path):
         doc = {"base": {}, "scenarios": [{"name": "AG", "fault": {"fault_type": "AG"}},
                                          {"name": "dead", "waveform": {"amplitude_pu": 0}}]}
@@ -1262,15 +1293,15 @@ class TestCmdEnergyTable:
                              ids=["plain", "comma", "quote", "newline", "crlf", "all_three"])
     def test_error_field_reads_back_as_one_field(self, tmp_path, message):
         path = tmp_path / "t.csv"
-        write_energy_table_csv(path, [EnergyRow.failed("s", BoundsError(message))])
+        write_energy_table_csv(path, [EnergyRow("s", error=f"BoundsError: {message}")])
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[1:] == [["s", "", "", "", "", "", "", f"BoundsError: {message}"]]
 
     def test_error_field_is_quoted_only_when_it_must_be(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_energy_table_csv(path, [EnergyRow.failed("p", BoundsError("no comma")),
-                                      EnergyRow.failed("q", BoundsError('(0, 1) "x"'))])
+        write_energy_table_csv(path, [EnergyRow("p", error="BoundsError: no comma"),
+                                      EnergyRow("q", error='BoundsError: (0, 1) "x"')])
         assert path.read_text().splitlines()[1:] == [
             "p,,,,,,,BoundsError: no comma", 'q,,,,,,,"BoundsError: (0, 1) ""x"""']
 

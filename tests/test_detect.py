@@ -12,14 +12,17 @@ from faultwave import (
     DegenerateInputError,
     DetectorConfig,
     FaultSpec,
+    FaultType,
     FaultwaveError,
     FixedThreshold,
     IcaConfig,
+    NoiseSpec,
     NumericalError,
     Spans,
     ThreePhaseRecord,
     Trace,
     WaveformConfig,
+    add_noise,
     calibrate_threshold,
     energy_detect,
     generate_baseline,
@@ -35,7 +38,7 @@ from faultwave import (
 from faultwave.detect import (ENERGY_DETECTION_FLOOR, ENERGY_METHODS, METHODS, EnergyRow,
                               energy_row, run)
 from faultwave.ica import index_plan
-from faultwave.signal_model import PHASES
+from faultwave.signal_model import PHASES, cycle_length
 from faultwave.spectral import STFT_HOP, STFT_WINDOW
 from conftest import FAULT_ONSET_SAMPLE, assert_bitwise_equal, make_record, rng_trace
 
@@ -266,6 +269,31 @@ class TestIcaDetect:
         assert not report.detected
         head = report.index_series[: 40 - 1]
         assert head.max() > report.threshold_used > report.metadata["analysis_index"]
+
+    @pytest.mark.parametrize("spans", [None, SPANS])
+    def test_scan_too_short_names_the_callers_analysis_span(self, spans):
+        """The scan skips the head of the span; the message names the span itself."""
+        with pytest.raises(BoundsError, match=r"^spans\.analysis=\(0, 400\) holds 361 index "
+                                              "values to scan, fewer than min_consecutive=1000$"):
+            ica_detect(make_record("AG"), DetectorConfig(method="ica", min_consecutive=1000), spans)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fault=st.sampled_from([fault for fault in FaultType if fault is not FaultType.NONE]),
+           n=st.sampled_from([400, 4096]), f0=st.sampled_from([49.5, 50.0, 50.5]),
+           snr_db=st.sampled_from([None, 30.0, 20.0]), seed=st.integers(0, 2**31 - 1),
+           data=st.data())
+    def test_onset_never_before_the_fault(self, fault, n, f0, snr_db, seed, data):
+        """The index is a trailing one-cycle mean, so it never looks ahead."""
+        fs = 2000.0
+        calibration_end = Spans().resolve(n).calibration[1]
+        onset_s = data.draw(st.integers(calibration_end, n - 2 * cycle_length(fs, f0, n))) / fs
+        baseline = generate_baseline(WaveformConfig(duration_s=n / fs, fundamental_hz=f0))
+        record = inject_fault(baseline, FaultSpec(fault, onset_s=onset_s))
+        if snr_db is not None:
+            record = add_noise(record, NoiseSpec(snr_db=snr_db, seed=seed))
+        report = run(record, DetectorConfig(method="ica"), fundamental_hz=f0)
+        assert report.detected
+        assert report.onset_sample >= round(onset_s * fs)
 
     def test_metadata_names_kept_whitening_components(self):
         report = ica_detect(make_record("AG", snr_db=20.0, seed=0), spans=SPANS)
@@ -588,7 +616,7 @@ def per_trace_energy_row(name, record, cfg, spans, fundamental_hz):
         reports = [energy_detect(trace, method, cfg, spans, fundamental_hz) for trace in traces]
         peaks.append(max(report.metadata["analysis_index"] for report in reports))
         hits.append(any(report.detected for report in reports))
-    return EnergyRow(name, *peaks, *hits)
+    return EnergyRow(name, tuple(peaks), tuple(hits))
 
 
 def fields(report):

@@ -318,7 +318,7 @@ class TestAddNoise:
 class TestSelectChannel:
     def test_phase_a_is_zero_offset_sinusoid(self, baseline_record):
         trace = select_channel(baseline_record, "a")
-        t = trace.time_axis()
+        t = baseline_record.time_axis()
         np.testing.assert_allclose(trace.samples, np.sin(2 * np.pi * 50 * t), atol=1e-12)
 
     def test_unfaulted_phase_matches_baseline(self, baseline_record, ag_record):
