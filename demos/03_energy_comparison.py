@@ -14,7 +14,7 @@ from faultwave import (
     inject_fault,
     run,
 )
-from faultwave.detect import energy_row
+from faultwave.detect import ENERGY_LABELS, energy_row
 
 scenarios = [
     FaultSpec(fault_type=FaultType(name), onset_s=0.065)
@@ -24,7 +24,8 @@ table = [energy_row(fault.fault_type.value,
                     inject_fault(generate_baseline(WaveformConfig(duration_s=0.2)), fault))
          for fault in scenarios]
 
-print(f"{'scenario':10s} {'e_ft':>12s} {'e_stft':>12s} {'e_wt':>12s}   detected(ft/stft/wt)")
+energy_columns = " ".join(f"{'e_' + label:>12s}" for label in ENERGY_LABELS)
+print(f"{'scenario':10s} {energy_columns}   detected({'/'.join(ENERGY_LABELS)})")
 for row in table:
     energies = " ".join(f"{e:>12.4e}" for e in row.energies)
     print(f"{row.scenario_name:10s} {energies}   {'/'.join(map(str, row.detected))}")

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, dwt
-from .detect import DetectionReport, EnergyRow, energy_row, run
+from .detect import ENERGY_LABELS, DetectionReport, EnergyRow, energy_row, run
 from .errors import ConfigError, DegenerateInputError, FaultwaveError, NumericalError
 from .io import (
     RunConfig,
@@ -157,17 +157,18 @@ def cmd_energy_table(suite_path: str, out_path: str) -> None:
 
 
 def _echo_table(rows: list[EnergyRow]) -> None:
-    header = f"{'scenario':<12} {'e_ft':>12} {'e_stft':>12} {'e_wt':>12}  detected"
+    row_fmt = "{:<12} " + " ".join(["{:>12}"] * len(ENERGY_LABELS)) + "  {}"
+    header = row_fmt.format("scenario", *[f"e_{label}" for label in ENERGY_LABELS], "detected")
     click.echo(header)
     click.echo("-" * len(header))
     for row in rows:
-        name = row.scenario_name
         if row.error is not None:
-            click.echo(f"{name:<12} {'error':>12} {'':>12} {'':>12}  {row.error}")
+            blank = [""] * (len(ENERGY_LABELS) - 1)
+            click.echo(row_fmt.format(row.scenario_name, "error", *blank, row.error))
         else:
-            energies = " ".join(f"{e:>12.5g}" for e in row.energies)
+            energies = [f"{e:.5g}" for e in row.energies]
             flags = "/".join("y" if f else "n" for f in row.detected)
-            click.echo(f"{name:<12} {energies}  {flags}")
+            click.echo(row_fmt.format(row.scenario_name, *energies, flags))
 
 
 @main.command("plot-data")

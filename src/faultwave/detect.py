@@ -53,6 +53,7 @@ from .signal_model import (NONNEGATIVE, PHASES, POSITIVE, FaultSpec, FaultType, 
                            window_grid)
 
 ENERGY_METHODS = ("energy_ft", "energy_stft", "energy_wt")
+ENERGY_LABELS = tuple(method.removeprefix("energy_") for method in ENERGY_METHODS)
 METHODS = ("wavelet", "ica") + ENERGY_METHODS
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral
-from .detect import AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold
+from .detect import ENERGY_LABELS, AdaptiveThreshold, DetectorConfig, EnergyRow, FixedThreshold
 from .errors import ConfigError, DegenerateInputError, FaultwaveError
 from .signal_model import (
     POSITIVE,
@@ -193,13 +193,15 @@ def write_spectrogram_csv(path: Path, trace: Trace) -> None:
 
 def write_energy_table_csv(path: Path, rows: list[EnergyRow]) -> None:
     """Energy table: one row per scenario; a failed scenario carries only its error."""
-    values = ",".join([FLOAT_FMT] * 3) + ",%s,%s,%s,"
+    n = len(ENERGY_LABELS)
+    values = ",".join([FLOAT_FMT] * n + ["%s"] * n) + ","
     lines = [
-        f"{row.scenario_name},,,,,,,{_csv_field(row.error)}" if row.error is not None
+        f"{row.scenario_name}," + "," * 2 * n + _csv_field(row.error) if row.error is not None
         else f"{row.scenario_name}," + values % (*row.energies, *row.detected)
         for row in rows
     ]
-    _write_table(path, "scenario,e_ft,e_stft,e_wt,det_ft,det_stft,det_wt,error", "%s", lines)
+    columns = [f"{kind}_{label}" for kind in ("e", "det") for label in ENERGY_LABELS]
+    _write_table(path, ",".join(["scenario", *columns, "error"]), "%s", lines)
 
 
 def _csv_field(text: str) -> str:

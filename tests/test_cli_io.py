@@ -1105,6 +1105,38 @@ class TestCmdEnergyTable:
         assert all(",True,True,True," in line for line in lines[1:])
         assert "AG" in result.output  # aligned text table on stdout
 
+    def test_stdout_table_bytes(self, runner, tmp_path):
+        suite = write_json(tmp_path / "suite.json", self.suite(with_bad=True))
+        result = runner.invoke(main, ["energy-table", "--config", str(suite),
+                                      "--out", str(tmp_path / "table.csv")])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (
+            "scenario             e_ft       e_stft         e_wt  detected\n"
+            + "-" * 61 + "\n"
+            "AG               0.015586    0.0057332     0.018988  y/y/y\n"
+            "BG               0.016245    0.0049298     0.018834  y/y/y\n"
+            "CG               0.017026    0.0044773     0.017996  y/y/y\n"
+            "AB               0.016245    0.0057332     0.018988  y/y/y\n"
+            "BC               0.017026    0.0049298     0.018834  y/y/y\n"
+            "ABC              0.017026    0.0057332     0.018988  y/y/y\n"
+            "broken              error                            "
+            "BoundsError: fault onset 0.9 s is beyond the record end (0.2 s)\n")
+
+    def test_layout_follows_the_method_list(self, tmp_path, monkeypatch, capsys):
+        """Two methods give two energy and two flag columns in the CSV and on stdout."""
+        for module in (faultwave.io, faultwave.cli):
+            monkeypatch.setattr(module, "ENERGY_LABELS", ("x", "y"), raising=False)
+        rows = [EnergyRow("s", (0.5, 0.25), (True, False)), EnergyRow("bad", error="Boom: x")]
+        path = tmp_path / "table.csv"
+        write_energy_table_csv(path, rows)
+        assert path.read_text().splitlines() == [
+            "scenario,e_x,e_y,det_x,det_y,error", "s,0.5,0.25,True,False,", "bad,,,,,Boom: x"]
+        faultwave.cli._echo_table(rows)
+        header, _, measured, failed = capsys.readouterr().out.splitlines()
+        assert header.split() == ["scenario", "e_x", "e_y", "detected"]
+        assert measured.split() == ["s", "0.5", "0.25", "y/n"]
+        assert failed == f"{'bad':<12} {'error':>12} {'':>12}  Boom: x"
+
     def test_empty_suite_header_only(self, runner, tmp_path):
         suite = write_json(tmp_path / "suite.json", {"base": {}, "scenarios": []})
         out = tmp_path / "table.csv"
