@@ -21,8 +21,8 @@ from faultwave import (
     dwt_decompose,
     generate_baseline,
     inject_fault,
+    run,
     select_channel,
-    wavelet_detect,
 )
 from faultwave.io import write_record_csv, write_series_csv
 
@@ -41,7 +41,7 @@ for j, detail in enumerate(tree.details, start=1):
     print(f"  level {j}: {detail.shape[0]} coefficients, band {band[0]:.0f}-{band[1]:.0f} Hz, "
           f"peak |d{j}| = {np.abs(detail).max():.3f}")
 
-report = wavelet_detect(trace)
+report = run(record)
 truth = fault.onset_s
 print(f"detected: {report.detected}, onset {report.onset_time_s:.4f} s "
       f"(truth {truth} s, error {1000 * (report.onset_time_s - truth):+.1f} ms), "

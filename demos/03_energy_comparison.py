@@ -30,7 +30,7 @@ for row in table:
     energies = " ".join(f"{e:>12.4e}" for e in row.energies)
     print(f"{row.scenario_name:10s} {energies}   {'/'.join(map(str, row.detected))}")
 
-print("\nseverity sweep (AG fault, wavelet detail index):")
+print("\nseverity sweep (AG fault, energy_wt analysis_index of phase a):")
 print(f"{'retained voltage':>18s} {'index':>12s} {'detected':>9s}")
 for retained in (0.9, 0.7, 0.5, 0.3, 0.1):
     record = inject_fault(

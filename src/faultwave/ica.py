@@ -2,7 +2,7 @@
 
 The ICA step: remove the row means of a channel matrix, whiten by PCA
 (dropping near-zero principal components), then run the symmetric
-fixed-point iteration with the ``tanh`` or cube contrast.
+fixed-point iteration with the log-cosh contrast, ``g = tanh``.
 
 The fault performance index is the whitened residual between the record and
 a periodic "normal" template built from the fault-free calibration span: it
@@ -142,14 +142,6 @@ def _whitening_model(centered: np.ndarray, retain: int | None = None) -> Whiteni
     return WhiteningModel(projection, eigvals)
 
 
-def _contrast_funcs(contrast: str):
-    if contrast == "tanh":
-        return np.tanh, lambda u: 1.0 - np.tanh(u) ** 2
-    if contrast == "cube":
-        return lambda u: u**3, lambda u: 3.0 * u**2
-    raise ConfigError(f"unknown contrast {contrast!r}")
-
-
 def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     """W <- (W W^T)^(-1/2) W, making the rows orthonormal up to round-off.
 
@@ -164,14 +156,14 @@ def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
 
 def fastica(
     z: np.ndarray,
-    contrast: str = "tanh",
     max_iter: int = 500,
     tol: float = 1e-6,
     seed: int = 0,
 ) -> IcaModel:
     """Symmetric fixed-point iteration on whitened data.
 
-    Every sweep updates each row as ``w <- E[z g(w.z)] - E[g'(w.z)] w`` and
+    Every sweep updates each row as ``w <- E[z g(w.z)] - E[g'(w.z)] w``, with
+    the log-cosh contrast ``g = tanh`` and ``g' = 1 - tanh**2``, and
     re-orthonormalizes all rows symmetrically; convergence is declared when
     ``max_k |1 - |<w_new, w_old>||`` drops below ``tol``. Initialization is a
     seeded random orthonormal matrix, so results are reproducible.
@@ -180,15 +172,14 @@ def fastica(
     exception; NaN in the update raises :class:`NumericalError`.
     """
     r, n_cols = z.shape
-    g, g_prime = _contrast_funcs(contrast)
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelation(rng.standard_normal((r, r)))
 
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        projected = w @ z
-        w_new = (g(projected) @ z.T) / n_cols - g_prime(projected).mean(axis=1)[:, None] * w
+        g = np.tanh(w @ z)
+        w_new = (g @ z.T) / n_cols - (1.0 - g**2).mean(axis=1)[:, None] * w
         if not np.all(np.isfinite(w_new)):
             raise NumericalError("fixed-point update produced non-finite values")
         w_new = _symmetric_decorrelation(w_new)
@@ -209,7 +200,6 @@ def fastica(
 def fit_ica(
     matrix: np.ndarray,
     retain: int | None = None,
-    contrast: str = "tanh",
     max_iter: int = 500,
     tol: float = 1e-6,
     seed: int = 0,
@@ -219,7 +209,7 @@ def fit_ica(
     Returns the fitted :class:`IcaModel` plus the whitening model.
     """
     z, whitening = whiten(center(matrix)[0], retain=retain)
-    return fastica(z, contrast=contrast, max_iter=max_iter, tol=tol, seed=seed), whitening
+    return fastica(z, max_iter=max_iter, tol=tol, seed=seed), whitening
 
 
 def _phase_slots(

@@ -179,6 +179,8 @@ class TestReconstruct:
         tree.details[0] = tree.details[0][:-1]
         with pytest.raises(ShapeError):
             dwt_reconstruct(tree)
+        with pytest.raises(ShapeError, match="^level-2 detail has 3 entries, expected 4$"):
+            dwt_reconstruct(DecompositionTree([np.zeros(8), np.zeros(3)], np.zeros(4)))
 
     def test_approximation_of_the_wrong_size_rejected(self):
         tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 2)

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module, and the CLI
+"""Every name a library module or a demo imports is used in that file, and the CLI
 loads no package beyond its runtime dependencies, numpy and click.
 
 A deletion can leave an import behind that nothing reads any more. The
@@ -16,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "faultwave"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("0*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +39,7 @@ def test_unused_import_is_found():
         "line 1: os", "line 2: pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=[path.name for path in MODULES + DEMOS])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
