@@ -4,7 +4,8 @@ Exit codes: 0 = ran to completion (detection outcome is report data, not
 status), 3 = a detector found no usable signal (`DegenerateInputError` or
 `NumericalError` while it runs), 2 = any other bad input: a config, suite,
 trace or span the package rejects, an output that would land on the input
-config, trace or sidecar, or a file it cannot read or write.
+config, trace or sidecar or on an existing path that is not a regular file,
+or a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -196,9 +198,10 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
 
 def _check_outputs(config_path: str, in_path: str | None, *outputs: Path) -> None:
     """Raise ConfigError if an output would land on the input config or, given
-    ``in_path``, on the input trace or its sidecar. Paths compare resolved:
-    ``os.path.realpath`` is what ``Path.resolve`` does, without its
-    RuntimeError on a symlink loop."""
+    ``in_path``, on the input trace or its sidecar, or if it exists and is not a
+    regular file: the rename that writes an output would replace a device, a
+    FIFO or a socket. Paths compare resolved: ``os.path.realpath`` is what
+    ``Path.resolve`` does, without its RuntimeError on a symlink loop."""
     named = [("config", Path(config_path))]
     if in_path is not None:
         named += [("trace", Path(in_path)), ("sidecar", sidecar_path(Path(in_path)))]
@@ -207,6 +210,12 @@ def _check_outputs(config_path: str, in_path: str | None, *outputs: Path) -> Non
         overwritten = inputs.get(os.path.realpath(out))
         if overwritten is not None:
             raise ConfigError(f"writing {out} would overwrite the input {overwritten}")
+        try:
+            mode = os.stat(out).st_mode
+        except OSError:  # a new path, or one the write itself will report
+            continue
+        if not stat.S_ISREG(mode):
+            raise ConfigError(f"output {out} exists and is not a regular file")
 
 
 def _write_index_csv(path: Path, report: DetectionReport) -> None:

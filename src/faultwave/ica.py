@@ -11,10 +11,13 @@ fault onset. It is a squared norm, blind to the orthogonal rotation ICA adds
 after whitening, so it needs no FastICA fit.
 
 The index and the ICA detector share one plan per geometry, :func:`index_plan`:
-the resolved spans, the template period, read-only phase slots (16 bytes per
-analysis sample) and template deposits (64 bytes per calibration sample), for
-the last :data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600 samples,
-default spans. A call on a known geometry does only sample work.
+the resolved spans, the template period, read-only phase slots and fractions
+(16 bytes per analysis sample) and template deposits (64 bytes per calibration
+sample), for the last :data:`PLAN_CACHE_SIZE` geometries: 14.4 MB at 409,600
+samples, default spans. Where every fraction is exactly 0 (a fundamental that
+divides the sample rate, as 50 Hz at 2 kHz), the plan keeps whole slots only
+(8 and 24 bytes: 6.2 MB there), the template takes one deposit of the raw
+samples and is read by lookup. A call on a known geometry does only sample work.
 """
 
 from __future__ import annotations
@@ -242,7 +245,9 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float, spans: Spans | 
     read-only :func:`_phase_slots` ``slots`` and ``frac`` of the analysis samples;
     the ``deposits`` of the calibration samples, which lead them: ``bins`` their
     slot and the next (row r offset by ``r * period``), ``weights`` those bins'
-    shares ``1 - frac`` and ``frac``, ``slot_weight`` each slot's total, at least 1."""
+    shares ``1 - frac`` and ``frac``, ``slot_weight`` each slot's total, at least 1.
+    Where every fraction is exactly 0, ``frac`` and ``weights`` are ``None`` and
+    ``bins`` is one row: each sample's own slot, with weight 1."""
     spans = (spans or Spans()).resolve(n_samples)
     (p_lo, p_hi), (a_lo, a_hi) = spans.calibration, spans.analysis
     if p_lo != a_lo or p_hi >= a_hi:
@@ -254,13 +259,20 @@ def index_plan(n_samples: int, fs: float, fundamental_hz: float, spans: Spans | 
                           f"fundamental cycles ({2 * period} samples)")
     slots, frac = _phase_slots(a_lo, a_hi, p_hi, fs, fundamental_hz, period)
     calibration = slice(0, p_hi - p_lo)
-    neighbors = np.stack((slots[calibration], (slots[calibration] + 1) % period))
-    weights = np.stack((1.0 - frac[calibration], frac[calibration]))
-    slot_weight = (np.bincount(neighbors[0], weights[0], period)
-                   + np.bincount(neighbors[1], weights[1], period))
-    bins = (neighbors[:, None, :] + period * np.arange(3)[:, None]).reshape(2, -1)
+    if np.logical_or.reduce(frac, None):
+        neighbors = np.stack((slots[calibration], (slots[calibration] + 1) % period))
+        weights = np.stack((1.0 - frac[calibration], frac[calibration]))
+        slot_weight = (np.bincount(neighbors[0], weights[0], period)
+                       + np.bincount(neighbors[1], weights[1], period))
+    else:  # whole slots: each sample lands on its own slot, with weight 1
+        frac = weights = None
+        neighbors = slots[calibration]
+        slot_weight = np.bincount(neighbors, None, period).astype(float)
+    bins = neighbors[..., None, :] + period * np.arange(3)[:, None]  # row r offset by r * period
+    bins = bins.reshape(*neighbors.shape[:-1], -1)
     for array in (slots, frac, bins, weights, slot_weight):
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
     return spans, period, slots, frac, (bins, weights, slot_weight)
 
 
@@ -272,6 +284,10 @@ def _build_template(samples: np.ndarray, calibration: tuple[int, int],
     slot averages stay centered even when the fundamental does not divide the
     sample rate (at an integer ratio, an exact per-slot average). One
     ``np.bincount`` per neighbor adds each row's deposits in per-row order.
+
+    Deposits without ``weights`` (whole slots) take one ``np.bincount`` of the
+    raw samples. That is bitwise the two-neighbor sum at fraction 0: the
+    second deposit adds only +0, and the first adds each sample times 1.
     """
     lo, hi = calibration
     segment = samples[:, lo:hi]
@@ -280,16 +296,24 @@ def _build_template(samples: np.ndarray, calibration: tuple[int, int],
             f"the record is identically zero on spans.calibration=({lo}, {hi})")
     bins, weights, slot_weight = deposits
     size = 3 * slot_weight.size
-    template = np.bincount(bins[0], weights=(weights[0] * segment).ravel(), minlength=size)
-    template += np.bincount(bins[1], weights=(weights[1] * segment).ravel(), minlength=size)
+    if weights is None:
+        template = np.bincount(bins, weights=segment.ravel(), minlength=size)
+    else:
+        template = np.bincount(bins[0], weights=(weights[0] * segment).ravel(), minlength=size)
+        template += np.bincount(bins[1], weights=(weights[1] * segment).ravel(), minlength=size)
     return template.reshape(3, -1) / slot_weight
 
 
-def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) -> np.ndarray:
+def _read_template(template: np.ndarray, slots: np.ndarray,
+                   frac: np.ndarray | None) -> np.ndarray:
     """Tile the cycle template over samples at :func:`_phase_slots` ``slots`` and ``frac``.
 
     Catmull-Rom interpolation between phase slots; at integer slot positions
     (fundamental dividing the sample rate) it degenerates to exact lookup.
+    With ``frac`` of ``None`` (a whole-slot :func:`index_plan`) it is that
+    lookup, ``template.take``: bitwise the same, since at fraction 0 the cubic
+    only adds +-0 terms to ``p1`` and a :func:`_build_template` entry is never -0
+    (a ``np.bincount`` sum starts at +0). An explicit zero ``frac`` keeps the cubic.
 
     The cubic's coefficients depend only on the slot, so they are tabulated
     once per slot (``p1``, ``0.5(p2-p0)``, ``0.5(2p0-5p1+4p2-p3)``,
@@ -299,6 +323,8 @@ def _read_template(template: np.ndarray, slots: np.ndarray, frac: np.ndarray) ->
     ``p1 + 0.5f(p2-p0 + f(... + f(...)))`` with the factor 0.5 moved onto each
     coefficient; scaling by 0.5 is exact, so the result is bitwise the same.
     """
+    if frac is None:
+        return template.take(slots, axis=1)
     rows, period = template.shape
     wrapped = np.concatenate((template[:, -1:], template, template[:, :2]), axis=1)
     p0, p1, p2, p3 = (wrapped[:, i:i + period] for i in range(4))
@@ -330,8 +356,8 @@ def performance_index(
     fault onset.
 
     The spans, period and phase geometry come from the cached :func:`index_plan`,
-    so the template takes two ``np.bincount`` calls on the data; the whitening
-    map is fitted without whitening the data, which the index never reads.
+    so the template takes one or two ``np.bincount`` calls on the data; the
+    whitening map is fitted without whitening the data, which the index never reads.
 
     Args:
         record: Record under analysis.

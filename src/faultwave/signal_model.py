@@ -459,9 +459,13 @@ def add_noise(record: ThreePhaseRecord, noise: NoiseSpec) -> ThreePhaseRecord:
 
 def select_channel(record: ThreePhaseRecord, phase: str) -> Trace:
     """Extract one phase as a single-channel trace (same sample rate); a phase
-    other than 'a', 'b' or 'c' is rejected by :func:`check_channel`."""
+    other than 'a', 'b' or 'c' is rejected by :func:`check_channel`.
+
+    The trace holds a copy of the record's row. It relies on the checks the
+    record made of its samples and rate, and does not run :class:`Trace`'s again.
+    """
     check_channel(phase)
-    return Trace(
-        samples=record.samples[PHASES.index(phase)].copy(),
-        sample_rate_hz=record.sample_rate_hz,
-    )
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "samples", record.samples[PHASES.index(phase)].copy())
+    object.__setattr__(trace, "sample_rate_hz", record.sample_rate_hz)
+    return trace

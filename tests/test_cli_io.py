@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -1522,6 +1523,45 @@ class TestOutputOnTheConfig:
         assert result.stderr == (f"faultwave: error: writing {tmp_path / written} would "
                                  f"overwrite the input config {cfg}\n")
         assert TestOutputOnTheInput.files(tmp_path) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestOutputNotARegularFile:
+    """Every subcommand exits 2 and writes nothing when an output exists and is
+    not a regular file: writing renames a new file onto the output, which would
+    replace a FIFO (or a device) with a regular file."""
+
+    @pytest.mark.parametrize("command, fifo, out", [
+        ("generate", "g.csv", "g.csv"),
+        ("generate", "g.meta.json", "g.csv"),
+        ("detect", "r.json", "r.json"),
+        ("detect", "r.csv", "r.json"),
+        ("plot-data", "p/index.csv", "p"),
+        ("plot-data", "p/coefficients.csv", "p"),
+        ("plot-data", "p/voltage.csv", "p"),
+        ("energy-table", "t.csv", "t.csv"),
+    ], ids=["generate-trace", "generate-sidecar", "detect-report", "detect-index",
+            "plot-data-index", "plot-data-dump", "plot-data-voltage", "energy-table"])
+    def test_output_on_a_fifo_exits_2_writing_nothing(self, runner, tmp_path, command, fifo,
+                                                       out):
+        trace = tmp_path / "trace.csv"
+        cfg = write_json(tmp_path / "run.json", AG_CONFIG)
+        assert runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(trace)]).exit_code == 0
+        if command == "energy-table":
+            cfg = write_json(tmp_path / "suite.json", TestCmdEnergyTable().suite())
+        fifo = tmp_path / fifo
+        fifo.parent.mkdir(exist_ok=True)
+        os.mkfifo(fifo)
+        args = [] if command in ("generate", "energy-table") else ["--in", str(trace)]
+        before = TestOutputOnTheInput.files(tmp_path)
+        result = runner.invoke(main, [command, *args, "--config", str(cfg),
+                                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.stderr == f"faultwave: error: output {fifo} exists and is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert TestOutputOnTheInput.files(tmp_path) == before
+        assert sorted(fifo.parent.iterdir()) == sorted(
+            [fifo] + [path for path in before if path.parent == fifo.parent])
 
 
 class TestErrorBoundary:

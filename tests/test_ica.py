@@ -475,6 +475,66 @@ class TestIndexPlan:
         assert slot_weight.min() >= 1.0
 
 
+class TestWholeSlotPlan:
+    """A plan whose phase fractions are all exactly 0 keeps none of them: the
+    template is one deposit of the raw calibration samples, read back by lookup,
+    bit for bit what the interpolating path gives at fraction 0."""
+
+    WHOLE = [(2000.0, 50.0), (4000.0, 50.0), (8000.0, 50.0), (2000.0, 40.0)]
+    FRACTIONAL = [(2000.0, 49.5), (2000.0, 50.5), (2000.0, 49.9987)]
+
+    @staticmethod
+    def plan(fs, f0, n=4096):
+        return index_plan(n, fs, f0, None)
+
+    @pytest.mark.parametrize("fs, f0", WHOLE + FRACTIONAL)
+    def test_fractions_dropped_exactly_when_all_are_zero(self, fs, f0):
+        spans, period, slots, frac, (bins, weights, slot_weight) = self.plan(fs, f0)
+        (a_lo, a_hi), p_hi = spans.analysis, spans.calibration[1]
+        expected_slots, expected_frac = _phase_slots(a_lo, a_hi, p_hi, fs, f0, period)
+        assert_bitwise_equal(slots, expected_slots)
+        whole = not np.logical_or.reduce(expected_frac, None)
+        assert whole == ((fs, f0) in self.WHOLE)
+        if whole:
+            assert frac is None and weights is None
+            assert bins.shape == (3 * p_hi,)
+        else:
+            assert_bitwise_equal(frac, expected_frac)
+            assert bins.shape == (2, 3 * p_hi) and weights.shape == (2, p_hi)
+
+    @pytest.mark.parametrize("fs, f0", WHOLE)
+    def test_lookup_equals_interpolation_at_zero_fraction_bitwise(self, fs, f0):
+        """One slot is deposited only negative zeros: its sum starts at +0 and
+        stays +0, so no template entry is -0 and the lookup equals the cubic,
+        which adds +-0 terms to each entry."""
+        spans, period, slots, frac, deposits = self.plan(fs, f0)
+        calibration = spans.calibration
+        samples = rng_trace(3 * 4096, 7).reshape(3, 4096)
+        samples[:, ::period] = -0.0
+        template = _build_template(samples, calibration, deposits)
+        zero_slot = slots[0]
+        assert not np.signbit(template[:, zero_slot]).any()
+        assert not template[:, zero_slot].any()
+        zeros = np.zeros(slots.shape)
+        assert_bitwise_equal(template, loop_build_template(
+            samples, calibration, slots[:calibration[1]], zeros[:calibration[1]], period))
+        assert_bitwise_equal(_read_template(template, slots, frac),
+                             _read_template(template, slots, zeros))
+
+    @pytest.mark.parametrize("f0, per_analysis, per_calibration", [
+        (50.0, 8, 24), (49.5, 16, 64)])
+    def test_plan_bytes_at_409600_samples(self, f0, per_analysis, per_calibration):
+        """A whole-slot plan keeps a slot per analysis sample and three bins per
+        calibration sample; an interpolating one also keeps fractions and weights."""
+        n = 409_600
+        spans, period, *arrays = index_plan(n, 2000.0, f0, None)
+        held = [a for a in (*arrays[:2], *arrays[2]) if a is not None]
+        size = sum(a.nbytes for a in held)
+        assert size == per_analysis * n + per_calibration * spans.calibration[1] + 8 * period
+        if f0 == 50.0:
+            assert size <= 6.3e6
+
+
 def argsort_whitening_model(centered, retain=None):
     """Reference: the eigenpairs put in descending order by ``np.argsort``;
     returns (projection, eigenvalues)."""

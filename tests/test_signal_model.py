@@ -330,6 +330,17 @@ class TestSelectChannel:
         assert trace.n_samples == baseline_record.n_samples
         assert trace.sample_rate_hz == baseline_record.sample_rate_hz
 
+    @pytest.mark.parametrize("row, phase", enumerate("abc"))
+    def test_row_copied_bitwise_at_the_record_rate(self, row, phase):
+        record = make_record("ABCG", snr_db=20.0, seed=4)
+        trace = select_channel(record, phase)
+        assert isinstance(trace, Trace)
+        assert_bitwise_equal(trace.samples, record.samples[row])
+        assert trace.samples.flags.c_contiguous
+        assert not np.shares_memory(trace.samples, record.samples)
+        assert trace.sample_rate_hz == record.sample_rate_hz
+        assert type(trace.sample_rate_hz) is type(record.sample_rate_hz)
+
     def test_unknown_phase_rejected(self, baseline_record):
         with pytest.raises(ConfigError, match=r"^channel must be 'a', 'b' or 'c', got 'd'$"):
             select_channel(baseline_record, "d")
