@@ -16,10 +16,17 @@ Each detector only builds an index series; one decision core thresholds it:
   wavelet) or the one :func:`~faultwave.spectral.stft` frame.
 
 The core calibrates the threshold with :func:`calibrate_threshold` on a span
-assumed fault-free (default mean + 5 sigma, with per-method floors), or takes
-a fixed one, and reports the first run of index values above it inside the
-analysis span. Detectors report onset only; the return to normal after fault
-clearing is deliberately not claimed.
+assumed fault-free, or takes a fixed one, and reports the first run of index
+values above it inside the analysis span. A calibrated threshold is the
+largest of mean + k_sigma * std and each method's floors, and which term
+decides depends on the method. On every record measured (400 and 4,096
+samples, noiseless to 10 dB), ``wavelet`` takes mean + k_sigma * std, its only
+term; ``ica`` takes 2.5 times the mean (times its calibration bias) at the
+nominal fundamental, or :data:`PI_DETECTION_FLOOR` on noiseless records; the
+energy methods take :data:`ENERGY_FLOOR_FACTOR` times the mean, or the
+:data:`ENERGY_DETECTION_FLOOR` term on noiseless ``energy_ft`` records, so
+``k_sigma`` moves no energy threshold. Detectors report onset only; the return
+to normal after fault clearing is deliberately not claimed.
 
 Each detector keeps one plan cache of :data:`~faultwave.ica.PLAN_CACHE_SIZE`
 geometries, so a call on a known geometry does only sample work. The ICA plan
@@ -70,7 +77,9 @@ class FixedThreshold:
 @dataclass(frozen=True)
 class AdaptiveThreshold:
     """mean + k_sigma * stddev over ``Spans.calibration``, which callers must
-    keep fault-free (by default the first 30% of the record)."""
+    keep fault-free (by default the first 30% of the record), before each
+    detector's floors; the floors decide for ``ica`` and the energy methods
+    (see the module docstring)."""
 
     k_sigma: float = 5.0
 
@@ -398,7 +407,10 @@ def energy_detect(
     (``min_consecutive`` does not apply). The threshold is
     mean + k_sigma * stddev over the calibration windows, floored at
     :data:`ENERGY_FLOOR_FACTOR` times their mean and at
-    :data:`ENERGY_DETECTION_FLOOR` times the trace mean square. A fundamental
+    :data:`ENERGY_DETECTION_FLOOR` times the trace mean square. The floors
+    decide: on every record measured the factor term wins, or the mean-square
+    term on noiseless ``energy_ft`` records, and on 20 dB records a k_sigma of
+    0, 3, 5 or 8 gives the same threshold bit for bit. A fundamental
     that is not finite and positive raises ConfigError, as in IcaConfig; for
     FT/wavelet so does one at or above Nyquist (:func:`cycle_length`).
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import filecmp
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -39,6 +41,7 @@ from faultwave.io import (
 )
 from conftest import assert_bitwise_equal, make_record
 from test_csv_golden import SPECIAL
+from test_readme import BLOCKS as README_BLOCKS
 
 
 AG_CONFIG = {
@@ -48,6 +51,9 @@ AG_CONFIG = {
 }
 
 BIG_INT = 10**400  # a JSON integer beyond the range of a float
+
+README_RUN = README_BLOCKS[0]  # the example run.json
+README_SUITE = next(block for block in README_BLOCKS if "scenarios" in block)
 
 
 @pytest.fixture
@@ -414,6 +420,7 @@ class TestCmdGenerate:
         cfg = write_json(tmp_path / "bad.json", config)
         result = runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [result.stderr.strip()]
         assert name in result.output
         if request.node.callspec.id.startswith("bool_"):
             assert "must not be a boolean" in result.output
@@ -755,6 +762,43 @@ class TestCmdDetect:
         assert again.read_bytes() == out.read_bytes()
         assert again.with_suffix(".csv").read_bytes() == out.with_suffix(".csv").read_bytes()
 
+    # The README run config under every method and on phases b and c, and an
+    # ica run at 49.5 Hz, whose template is interpolated between phase slots.
+    ECHOES = ([pytest.param(README_RUN, method, "a", id=method) for method in METHODS]
+              + [pytest.param(README_RUN, method, channel, id=f"{method}-{channel}")
+                 for method in ("wavelet", "energy_ft") for channel in "bc"]
+              + [pytest.param({"waveform": {"fundamental_hz": 49.5}, "fault": {"fault_type": "AG"},
+                               "noise": {"snr_db": 20, "seed": 1}}, "ica", "a", id="ica-49.5Hz")])
+
+    @pytest.mark.parametrize("config, method, channel", ECHOES)
+    def test_echo_reproduces_the_report_and_plot_data_writes_it_again(self, runner, tmp_path,
+                                                                      config, method, channel):
+        config = dict(config, detector={**config.get("detector", {}), "method": method},
+                      channel=channel)
+        trace, cfg = self.make_trace(runner, tmp_path, config)
+        out, again, plots = tmp_path / "r.json", tmp_path / "again.json", tmp_path / "plots"
+        for command, out_path in (("detect", out), ("plot-data", plots)):
+            result = runner.invoke(main, [command, "--in", str(trace), "--config", str(cfg),
+                                          "--out", str(out_path)])
+            assert result.exit_code == 0, result.output
+        echo = json.loads(out.read_text())["config"]
+        assert echo["channel"] == channel
+        result = runner.invoke(main, ["detect", "--in", str(trace), "--config",
+                                      str(write_json(tmp_path / "echo.json", echo)),
+                                      "--out", str(again)])
+        assert result.exit_code == 0, result.output
+        index = out.with_suffix(".csv").read_bytes()
+        assert again.read_bytes() == out.read_bytes()
+        assert again.with_suffix(".csv").read_bytes() == index
+        # the plot pair is the report's index and the input record, byte for byte
+        assert (plots / "index.csv").read_bytes() == index
+        assert (plots / "voltage.csv").read_bytes() == trace.read_bytes()
+        assert (plots / "voltage.meta.json").read_bytes() == sidecar_path(trace).read_bytes()
+        if method == "energy_stft":  # the spectrogram's frames are the index windows
+            frames = np.loadtxt(plots / "spectrogram.csv", delimiter=",", skiprows=1)[:, 0]
+            times = np.loadtxt(plots / "index.csv", delimiter=",", skiprows=1)[:, 0]
+            assert frames[np.r_[True, frames[1:] != frames[:-1]]].tolist() == times.tolist()
+
     def test_missing_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)
         result = runner.invoke(
@@ -814,18 +858,26 @@ class TestCmdDetect:
         assert result.exit_code == 3
         assert "ica detector failed" in result.output
 
-    def test_tiny_amplitude_reports_the_unscaled_onset(self, runner, tmp_path):
+    @pytest.mark.parametrize("amplitude, config, verdict, onset", [
+        (1e-170, {"fault": {"fault_type": "AG"}}, "wavelet: detected at 0.064 s ", 128),
+        (1e-165, {"fault": {"fault_type": "AG", "transient_gain": 0},
+                  "noise": {"snr_db": 20, "seed": 1}, "detector": {"method": "ica"}},
+         "ica: detected at 0.0665 s ", 133)], ids=["wavelet", "ica-20dB"])
+    def test_tiny_amplitude_reports_the_unscaled_onset(self, runner, tmp_path, amplitude, config,
+                                                       verdict, onset):
         """At 1e-170 per unit the squared deviations of the calibration details
-        underflow; the threshold still follows the spread, not the mean."""
-        for amplitude in (1.0, 1e-170):
-            config = {"waveform": {"amplitude_pu": amplitude}, "fault": {"fault_type": "AG"}}
-            trace, cfg = self.make_trace(runner, tmp_path, config)
+        underflow; the wavelet threshold still follows the spread, not the mean.
+        At 1e-165 ``generate`` still sets the SNR. Both onsets lie past the
+        calibration span (0, 120)."""
+        for scale in (1.0, amplitude):
+            trace, cfg = self.make_trace(runner, tmp_path,
+                                         dict(config, waveform={"amplitude_pu": scale}))
             out = tmp_path / "r.json"
             result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg),
                                           "--out", str(out)])
             assert result.exit_code == 0, result.output
-            assert result.output.startswith("wavelet: detected at 0.064 s ")
-            assert json.loads(out.read_text())["onset_sample"] == 128
+            assert result.output.startswith(verdict)
+            assert json.loads(out.read_text())["onset_sample"] == onset
 
     def test_byte_order_marks_are_skipped(self, runner, tmp_path):
         """A trace, sidecar and config that start with a UTF-8 byte-order mark,
@@ -925,7 +977,8 @@ class TestCmdDetect:
             main, [command, "--in", str(trace), "--config", str(cfg), "--out", str(tmp_path / out)]
         )
         assert result.exit_code == 2, result.output
-        assert message in result.output
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert message in result.stderr
 
     @pytest.mark.parametrize("method", ["ica", "energy_ft", "energy_wt"])
     def test_record_within_one_cycle_exits_3_alike(self, runner, tmp_path, method):
@@ -1156,6 +1209,20 @@ class TestCmdEnergyTable:
         assert len(lines) == 8
         assert lines[-1].startswith("broken,,,,,,,")
         assert "BoundsError" in lines[-1]
+
+    def test_readme_suite_with_a_late_scenario(self, runner, tmp_path):
+        """The late scenario holds only its error, in the CSV and on stdout."""
+        late = {"name": "late", "fault": {"fault_type": "AG", "onset_s": 0.9}}
+        suite = write_json(tmp_path / "suite.json",
+                           dict(README_SUITE, scenarios=[*README_SUITE["scenarios"], late]))
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, ["energy-table", "--config", str(suite), "--out", str(out)])
+        assert result.exit_code == 0, (result.output, result.exception)
+        *measured, failed = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in measured] == ["AG", "AB"]
+        assert all(row.endswith(",") for row in measured)
+        assert failed == "late,,,,,,,BoundsError: fault onset 0.9 s is beyond the record end (0.2 s)"
+        assert re.search(r"^late +error ", result.stdout, re.M)
 
     def test_failed_row_holds_only_its_error(self, runner, tmp_path, monkeypatch):
         """A failed scenario carries no energy and no "not detected" flag."""
@@ -1633,22 +1700,82 @@ class TestErrorBoundary:
         assert "does not fit a float" in result.output
 
 
+def child_env() -> dict[str, str]:
+    """This environment with the imported faultwave first on ``PYTHONPATH``, so
+    a child process runs the package under test, installed or not."""
+    src = str(Path(faultwave.__file__).parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# Starts the children of the 409,600-sample test and reads their peak memory.
+# A child's ru_maxrss starts at its parent's peak resident size, so the parent
+# is this bare script, not the test process. Its own ru_maxrss carries the test
+# process's peak the same way, so it reports its own peak as /proc's VmHWM.
+PEAK_HELPER = """
+import json, os, subprocess, sys
+
+def start(*args):
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+
+def peak_mb(child):
+    _, status, usage = os.wait4(child.pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit(f"{child.args} failed")
+    return usage.ru_maxrss / 1024
+
+config = sys.argv[1]
+imports = start("-c", "import faultwave.cli, numpy.random")
+generate = start("-m", "faultwave", "generate", "--config", config, "--out", "trace.csv")
+peaks = {"imports": peak_mb(imports), "generate": [peak_mb(generate)]}
+plot = start("-m", "faultwave", "plot-data", "--in", "trace.csv", "--config", config,
+             "--out", "plots")
+again = start("-m", "faultwave", "generate", "--config", config, "--out", "again.csv")
+peaks["generate"].append(peak_mb(again))
+peak_mb(plot)
+with open("/proc/self/status") as status:
+    peaks["helper"] = next(int(line.split()[1]) for line in status
+                           if line.startswith("VmHWM:")) / 1024
+print(json.dumps(peaks))
+"""
+
+
 class TestOutputFiles:
     def test_ascii_locale_writes_a_utf8_table(self, tmp_path):
         """Outputs are UTF-8 whatever the locale: the suite was read as UTF-8."""
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"scenarios": [{"name": "\u03a9fault",
                                                     "fault": AG_CONFIG["fault"]}]}))
-        src = str(Path(faultwave.__file__).parents[1])
-        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
-        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        env = {k: v for k, v in child_env().items() if not k.startswith(("LC_", "PYTHONIO"))}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         proc = subprocess.run([sys.executable, "-m", "faultwave", "energy-table", "--config",
                                str(suite), "--out", str(tmp_path / "table.csv")],
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         rows = (tmp_path / "table.csv").read_bytes().splitlines()
         assert rows[1].startswith("\u03a9fault,".encode("utf-8"))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB and /proc")
+    def test_long_record_comes_back_byte_for_byte_and_generate_memory_stays_flat(self,
+                                                                               tmp_path):
+        """``generate`` twice and ``plot-data`` once on the README config at
+        409,600 samples. ``generate`` writes the CSV row by row, so its peak
+        stays within 32 MB of the imports alone. ``plot-data`` runs
+        ``energy_wt``, whose index has a row per window, not per sample, and
+        which writes no transform dump."""
+        config = dict(README_RUN, waveform=dict(README_RUN["waveform"], duration_s=204.8),
+                      fault=dict(README_RUN["fault"], onset_s=102.4),
+                      detector=dict(README_RUN["detector"], method="energy_wt"))
+        write_json(tmp_path / "long.json", config)
+        proc = subprocess.run([sys.executable, "-c", PEAK_HELPER, "long.json"], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout)
+        assert peaks["helper"] < peaks["imports"], peaks
+        assert max(peaks["generate"]) <= peaks["imports"] + 32, peaks
+        trace = tmp_path / "trace.csv"
+        assert filecmp.cmp(tmp_path / "plots" / "voltage.csv", trace, shallow=False)
+        assert filecmp.cmp(tmp_path / "again.csv", trace, shallow=False)
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                              ids=["umask022", "umask027"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from faultwave import (
+    AdaptiveThreshold,
     BoundsError,
     ConfigError,
     DegenerateInputError,
@@ -498,6 +499,32 @@ class TestEnergyFloor:
         samples = 10.0**exponent * rng_trace(n, seed)
         samples[:int(0.3 * n)] = 0.0
         self.assert_floor_equals_mean_reference(samples, method, 50.0)
+
+
+class TestDecidingTerm:
+    """Which term of :func:`calibrate_threshold` decides on 20 dB records: the
+    energy methods take :data:`ENERGY_FLOOR_FACTOR` times the calibration mean,
+    which mean + k_sigma * std stays under for every k_sigma up to 8, and
+    ``wavelet`` takes mean + k_sigma * std."""
+
+    @pytest.mark.parametrize("n", [400, 4096])
+    def test_k_sigma_moves_the_wavelet_threshold_and_no_energy_threshold(self, n):
+        duration_s = n / 2000.0
+        for fault_type in ("NONE", "AG", "BC"):
+            for seed in range(20):
+                record = generate_baseline(WaveformConfig(duration_s=duration_s))
+                if fault_type != "NONE":
+                    record = inject_fault(record, FaultSpec(FaultType(fault_type),
+                                                            onset_s=0.6 * duration_s))
+                record = add_noise(record, NoiseSpec(snr_db=20.0, seed=seed))
+                for method in ("wavelet", *ENERGY_METHODS):
+                    thresholds = [run(record, DetectorConfig(method=method,
+                                                             threshold=AdaptiveThreshold(k)))
+                                  .threshold_used for k in (0.0, 3.0, 5.0, 8.0)]
+                    if method == "wavelet":
+                        assert thresholds == sorted(set(thresholds)), (fault_type, seed)
+                    else:
+                        assert_bitwise_equal(np.array(thresholds), np.full(4, thresholds[0]))
 
 
 class TestAmplitudeScaling:
