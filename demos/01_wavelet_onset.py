@@ -22,7 +22,6 @@ from faultwave import (
     generate_baseline,
     inject_fault,
     run,
-    select_channel,
 )
 from faultwave.io import write_record_csv, write_series_csv
 
@@ -34,8 +33,7 @@ record = add_noise(inject_fault(generate_baseline(config), fault), NoiseSpec(snr
 print(f"record: {record.n_samples} samples at {record.sample_rate_hz:.0f} Hz, "
       f"{fault.fault_type.value} fault at {fault.onset_s} s, 20 dB noise")
 
-trace = select_channel(record, "a")
-tree = dwt_decompose(trace, levels=3)
+tree = dwt_decompose(record.samples[0], levels=3)
 for j, detail in enumerate(tree.details, start=1):
     band = record.sample_rate_hz / 2 ** (j + 1), record.sample_rate_hz / 2**j
     print(f"  level {j}: {detail.shape[0]} coefficients, band {band[0]:.0f}-{band[1]:.0f} Hz, "

@@ -42,18 +42,18 @@ from .io import (
     write_spectrum_csv,
     write_tree_csv,
 )
-from .signal_model import ThreePhaseRecord, select_channel
+from .signal_model import PHASES, ThreePhaseRecord
 
 _SERIES_HEADER = {"wavelet": "detail_abs", "ica": "pi"}
 
 # plot-data's transform dump by method (ica and energy_wt write none): its file
-# name and a writer of the channel trace's transform at the detector level
+# name and a writer of the channel row's transform at its rate and the detector level
 _DUMPS = {
-    "wavelet": ("coefficients.csv", lambda path, trace, level:
-                write_tree_csv(path, dwt.dwt_decompose(trace, level))),
-    "energy_ft": ("spectrum.csv", lambda path, trace, level: write_spectrum_csv(path, trace)),
-    "energy_stft": ("spectrogram.csv", lambda path, trace, level:
-                    write_spectrogram_csv(path, trace)),
+    "wavelet": ("coefficients.csv", lambda path, row, fs, level:
+                write_tree_csv(path, dwt.dwt_decompose(row, level))),
+    "energy_ft": ("spectrum.csv", lambda path, row, fs, level: write_spectrum_csv(path, row, fs)),
+    "energy_stft": ("spectrogram.csv", lambda path, row, fs, level:
+                    write_spectrogram_csv(path, row, fs)),
 }
 
 
@@ -192,7 +192,8 @@ def cmd_plot_data(in_path: str, config_path: str, out_dir: str) -> None:
     _write_index_csv(out / "index.csv", report)
     if dump:
         name, write = dump
-        write(out / name, select_channel(record, config.channel), config.detector.level)
+        write(out / name, record.samples[PHASES.index(config.channel)], record.sample_rate_hz,
+              config.detector.level)
     click.echo(f"wrote voltage.csv, {', '.join(names)} to {out_dir}")
 
 

@@ -297,7 +297,7 @@ def wavelet_detect(
     """
     n, fs = trace.n_samples, trace.sample_rate_hz
     plan = _wavelet_plan(n, cfg.level, cfg.min_consecutive, spans)
-    series = dwt.detail_series(dwt.dwt_decompose(trace, cfg.level), cfg.level)
+    series = dwt.detail_series(dwt.dwt_decompose(trace.samples, cfg.level), cfg.level)
     return _decide("wavelet", series, np.arange(n) / fs, plan, cfg, fs, {})
 
 
@@ -428,10 +428,10 @@ def energy_detect(
     cutoff_hz, level = (None, cfg.level) if method == "energy_wt" else (cfg.cutoff_hz, None)
     starts, transform, times_s, plan = _window_plan(n, window, hop, fs, cutoff_hz, level, spans)
     if method == "energy_wt":
-        tree = dwt.dwt_decompose(trace, cfg.level)
+        tree = dwt.dwt_decompose(trace.samples, cfg.level)
         values = dwt.window_energies(tree, cfg.level, starts, window, transform)
     else:
-        frames = (spectral.stft(trace) if method == "energy_stft"
+        frames = (spectral.stft(trace.samples) if method == "energy_stft"
                   else spectral.frame_magnitudes(trace.samples, window, hop))
         # Column-major, each row sums its bins one by one from the lowest, as
         # the high band always was; row-major rows would be summed pairwise.

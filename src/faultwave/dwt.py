@@ -11,8 +11,8 @@ orthogonal, so energy is conserved and reconstruction is exact up to
 round-off. Record lengths must be divisible by 2**levels. The analysis block
 and the energy windows are rows of :func:`~faultwave.signal_model.sliding_rows`.
 
-A checked :class:`~faultwave.signal_model.Trace` enters at :func:`dwt_decompose`,
-and arrays come out: a :class:`DecompositionTree` is its coefficients alone.
+One channel's 1-D samples enter at :func:`dwt_decompose`, and arrays come
+out: a :class:`DecompositionTree` is its coefficients alone.
 
 :func:`window_groups` is the part of the windowed energy that depends only
 on the geometry (16 bytes per window); the energy detector plans it once per
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .signal_model import Trace, sliding_rows
+from .signal_model import one_dimensional, sliding_rows
 
 # 8-tap orthonormal lowpass with four vanishing moments, transcribed from the
 # standard table; tests re-derive it by spectral factorization and check the
@@ -107,19 +107,19 @@ def check_length(n: int, levels: int) -> None:
         raise ShapeError(f"trace length {n} is not divisible by 2**{levels}")
 
 
-def dwt_decompose(trace: Trace, levels: int) -> DecompositionTree:
-    """Decompose a trace into ``levels`` detail bands plus one approximation.
+def dwt_decompose(samples: np.ndarray, levels: int) -> DecompositionTree:
+    """Decompose one channel into ``levels`` detail bands plus one approximation.
 
     Args:
-        trace: Input channel; its length must be divisible by 2**levels and
+        samples: 1-D input; its length must be divisible by 2**levels and
             at least the filter length.
         levels: Number of pyramid stages (>= 1).
 
     Raises:
-        ShapeError: see :func:`check_length`.
+        ShapeError: ``samples`` not 1-D; see :func:`check_length`.
     """
-    check_length(trace.n_samples, levels)
-    approx = np.asarray(trace.samples, dtype=float)
+    approx = one_dimensional(samples)
+    check_length(approx.shape[0], levels)
     details: list[np.ndarray] = []
     for _ in range(levels):
         approx, detail = _analyze_level(approx)
@@ -263,16 +263,16 @@ def window_energies(
     return sums / width
 
 
-def wavelet_energy_index(trace: Trace, level: int, span: tuple[int, int]) -> float:
-    """:func:`window_energies` of one half-open ``span = (start, stop)`` of ``trace``.
+def wavelet_energy_index(samples: np.ndarray, level: int, span: tuple[int, int]) -> float:
+    """:func:`window_energies` of one half-open ``span = (start, stop)`` of ``samples``.
 
     Raises:
         DegenerateInputError: empty span.
-        ShapeError: propagated from decomposition.
+        ShapeError: ``samples`` not 1-D; propagated from decomposition.
     """
     lo, hi = span
-    n = trace.n_samples
+    n = one_dimensional(samples).shape[0]
     if not 0 <= lo < hi <= n:
         raise DegenerateInputError(f"span {span} is empty or outside the trace (N={n})")
-    tree = dwt_decompose(trace, level)
+    tree = dwt_decompose(samples, level)
     return float(window_energies(tree, level, np.array([lo]), hi - lo)[0])

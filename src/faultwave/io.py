@@ -1,6 +1,6 @@
 """File formats and run configuration.
 
-Trace records travel as CSV (`t,va,vb,vc`, time in seconds with 12
+Records travel as CSV (`t,va,vb,vc`, time in seconds with 12
 significant digits) plus a JSON sidecar holding the sample rate and the
 ground-truth fault, if any. Reports are JSON; index series, spectra, and
 coefficient dumps are CSVs. Every file is UTF-8 (an input may start with a
@@ -38,7 +38,6 @@ from .signal_model import (
     NoiseSpec,
     Spans,
     ThreePhaseRecord,
-    Trace,
     WaveformConfig,
     add_noise,
     check_channel,
@@ -173,21 +172,21 @@ def write_tree_csv(path: Path, tree) -> None:
                  np.concatenate([np.arange(size) for size in sizes]), np.concatenate(bands))
 
 
-def write_spectrum_csv(path: Path, trace: Trace) -> None:
-    """Spectrum dump: `bin_hz,magnitude`, the :func:`spectral.dft` of ``trace``."""
-    frequencies = spectral.bin_frequencies(trace.n_samples, trace.sample_rate_hz)
-    _write_table(path, "bin_hz,magnitude", f"{FLOAT_FMT},{FLOAT_FMT}", frequencies,
-                 spectral.dft(trace))
+def write_spectrum_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> None:
+    """Spectrum dump: `bin_hz,magnitude`, the :func:`spectral.dft` of one channel's ``samples``."""
+    magnitudes = spectral.dft(samples)
+    _write_table(path, "bin_hz,magnitude", f"{FLOAT_FMT},{FLOAT_FMT}",
+                 spectral.bin_frequencies(len(samples), sample_rate_hz), magnitudes)
 
 
-def write_spectrogram_csv(path: Path, trace: Trace) -> None:
-    """Spectrogram dump: `frame_time_s,bin_hz,magnitude`, the :func:`spectral.stft`
-    of ``trace`` frame-major, each frame at its :func:`window_grid` center time."""
-    frames, fs = spectral.stft(trace), trace.sample_rate_hz
-    times_s = window_grid(trace.n_samples, spectral.STFT_WINDOW, spectral.STFT_HOP, fs)[1]
+def write_spectrogram_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> None:
+    """Spectrogram dump: `frame_time_s,bin_hz,magnitude`, the :func:`spectral.stft` of one
+    channel's ``samples`` frame-major, each frame at its :func:`window_grid` center time."""
+    frames, fs = spectral.stft(samples), sample_rate_hz
+    bins = spectral.bin_frequencies(spectral.STFT_WINDOW, fs)
+    times_s = window_grid(len(samples), spectral.STFT_WINDOW, spectral.STFT_HOP, fs)[1]
     _write_table(path, "frame_time_s,bin_hz,magnitude", ",".join([FLOAT_FMT] * 3),
-                 np.repeat(times_s, frames.shape[1]),
-                 np.tile(spectral.bin_frequencies(spectral.STFT_WINDOW, fs), frames.shape[0]),
+                 np.repeat(times_s, frames.shape[1]), np.tile(bins, frames.shape[0]),
                  frames.ravel())
 
 

@@ -21,7 +21,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, DegenerateInputError
+from .errors import BoundsError, ConfigError, DegenerateInputError, ShapeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,6 +225,14 @@ def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     ``e``: exact for normal floats, so sums of squares that underflow are taken of these."""
     exponent = math.frexp(float(np.maximum.reduce(np.abs(values), None)))[1]
     return np.ldexp(values, -exponent), exponent
+
+
+def one_dimensional(samples) -> np.ndarray:
+    """``samples`` as a float array; ShapeError unless 1-D. Each transform checks its input here."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
+    return samples
 
 
 def sliding_rows(values: np.ndarray, width: int, hop: int = 1) -> np.ndarray:

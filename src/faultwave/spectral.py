@@ -1,8 +1,8 @@
 """Fourier and short-time Fourier transforms with high-band energy indices.
 
-A transform returns magnitudes: :func:`dft` a vector, :func:`stft` a row per
-frame of :func:`~faultwave.signal_model.window_grid`; :func:`bin_frequencies`
-is the frequency of each column.
+A transform takes a 1-D array and returns magnitudes: :func:`dft` a vector,
+:func:`stft` a row per frame of :func:`~faultwave.signal_model.window_grid`;
+:func:`bin_frequencies` is the frequency of each column.
 
 Normalization: one-sided magnitudes are |FFT(x)| / sqrt(N) (unitary scaling),
 so summing squared magnitudes with weight 2 on interior bins (1 on DC and,
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .signal_model import Trace, is_integer, sliding_rows
+from .signal_model import POSITIVE, check_number, is_integer, one_dimensional, sliding_rows
 
 # Frame length and hop of the STFT, in samples: a 10 ms-scale burst at 2 kHz.
 STFT_WINDOW = 64
@@ -30,21 +30,25 @@ STFT_TAPER.flags.writeable = False
 
 
 def bin_frequencies(window_len: int, sample_rate_hz: float) -> np.ndarray:
-    """Frequency (Hz) of each one-sided bin of an FFT over ``window_len`` samples."""
+    """Frequency (Hz) of each one-sided bin of an FFT over ``window_len`` samples; a
+    ConfigError unless ``sample_rate_hz`` is finite and positive."""
+    check_number("sample_rate_hz", sample_rate_hz, *POSITIVE)
     return np.arange(window_len // 2 + 1) * (sample_rate_hz / window_len)
 
 
-def dft(trace: Trace) -> np.ndarray:
+def dft(samples: np.ndarray) -> np.ndarray:
     """One-sided magnitude spectrum under unitary scaling, at
-    ``bin_frequencies(trace.n_samples, trace.sample_rate_hz)``.
+    ``bin_frequencies(len(samples), fs)`` for ``samples`` taken at ``fs``.
 
     Raises:
+        ShapeError: ``samples`` not 1-D.
         DegenerateInputError: fewer than 2 samples.
     """
-    n = trace.n_samples
+    samples = one_dimensional(samples)
+    n = samples.shape[0]
     if n < 2:
         raise DegenerateInputError(f"need at least 2 samples for a spectrum, got {n}")
-    return np.abs(np.fft.rfft(trace.samples) / np.sqrt(n))
+    return np.abs(np.fft.rfft(samples) / np.sqrt(n))
 
 
 def check_framing(n: int, window_len: int, hop: int) -> None:
@@ -71,8 +75,7 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
         ShapeError: ``samples`` not 1-D; window or hop not an integer, window
             outside 2..len(samples), or hop < 1.
     """
-    if samples.ndim != 1:
-        raise ShapeError(f"samples must be 1-D, got shape {samples.shape}")
+    samples = one_dimensional(samples)
     check_framing(samples.shape[0], window_len, hop)
     segments = sliding_rows(np.ascontiguousarray(samples), window_len, int(hop))
     if taper is not None:
@@ -80,34 +83,36 @@ def frame_magnitudes(samples: np.ndarray, window_len: int, hop: int,
     return np.abs(np.fft.rfft(segments, axis=1)) / np.sqrt(window_len)
 
 
-def stft(trace: Trace) -> np.ndarray:
+def stft(samples: np.ndarray) -> np.ndarray:
     """Short-time Fourier magnitudes over the one STFT frame: :data:`STFT_WINDOW`
-    samples every :data:`STFT_HOP`, tapered by :data:`STFT_TAPER`; the columns
-    are ``bin_frequencies(STFT_WINDOW, trace.sample_rate_hz)``.
+    samples every :data:`STFT_HOP`, tapered by :data:`STFT_TAPER`; the columns are
+    ``bin_frequencies(STFT_WINDOW, fs)`` for ``samples`` taken at ``fs``.
 
     Raises:
-        ShapeError: the trace is shorter than one frame.
+        ShapeError: ``samples`` not 1-D or shorter than one frame.
     """
-    return frame_magnitudes(trace.samples, STFT_WINDOW, STFT_HOP, STFT_TAPER)
+    return frame_magnitudes(samples, STFT_WINDOW, STFT_HOP, STFT_TAPER)
 
 
-def highband_energy_index(trace: Trace, cutoff_hz: float, span: tuple[int, int]) -> float:
-    """Squared-magnitude sum of the :func:`dft` of ``trace[start:stop]``, taken in
+def highband_energy_index(samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float,
+                          span: tuple[int, int]) -> float:
+    """Squared-magnitude sum of the :func:`dft` of ``samples[start:stop]``, taken in
     isolation, over its bins at or above ``cutoff_hz``, per span sample.
 
     The reference the energy detectors are tested against: it masks its own bins.
 
     Raises:
+        ShapeError: ``samples`` not 1-D.
         DegenerateInputError: a span empty or outside the trace, or of fewer
             than 2 samples.
-        ConfigError: cutoff at or above the Nyquist frequency.
+        ConfigError: cutoff at or above the Nyquist frequency, or a rate not finite and positive.
     """
     lo, hi = span
-    n, fs = trace.n_samples, trace.sample_rate_hz
+    n = one_dimensional(samples).shape[0]
     if not 0 <= lo < hi <= n:
         raise DegenerateInputError(f"span {span} is empty or outside the trace (N={n})")
-    if cutoff_hz >= fs / 2.0:
+    if cutoff_hz >= sample_rate_hz / 2.0:
         raise ConfigError(f"cutoff {cutoff_hz} Hz is at or above the Nyquist frequency")
-    magnitudes = dft(Trace(trace.samples[lo:hi], fs))
-    bins = np.arange(magnitudes.shape[0]) * (fs / (hi - lo)) >= cutoff_hz
+    magnitudes = dft(samples[lo:hi])
+    bins = bin_frequencies(hi - lo, sample_rate_hz) >= cutoff_hz
     return float(np.sum(magnitudes[bins] ** 2) / (hi - lo))

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import faultwave
 from faultwave import (DetectorConfig, FaultSpec, FaultType, IcaConfig, NoiseSpec,
                        ThreePhaseRecord, WaveformConfig, calibrate_threshold, detail_series,
-                       dwt_decompose, ica_detect, select_channel)
+                       dwt_decompose, ica_detect)
 from faultwave.detect import METHODS, EnergyRow, check_onset
 from faultwave.dwt import boundary_artifact_mask
 from faultwave.cli import main
@@ -156,10 +156,10 @@ class TestRecordCsvRoundTrip:
 
 class TestTransformDumps:
     def test_coefficient_dump_layout(self, tmp_path):
-        from faultwave import dwt_decompose, select_channel
+        from faultwave import dwt_decompose
         from faultwave.io import write_tree_csv
 
-        trace = select_channel(make_record("NONE"), "a")
+        trace = make_record("NONE").samples[0]
         path = tmp_path / "tree.csv"
         write_tree_csv(path, dwt_decompose(trace, 2))
         lines = path.read_text().strip().splitlines()
@@ -169,17 +169,17 @@ class TestTransformDumps:
         assert len(lines) == 1 + 200 + 100 + 100
 
     def test_spectrum_and_spectrogram_dumps(self, tmp_path):
-        from faultwave import select_channel, stft
+        from faultwave import stft
         from faultwave.io import write_spectrogram_csv, write_spectrum_csv
 
-        trace = select_channel(make_record("NONE"), "a")
-        write_spectrum_csv(tmp_path / "sp.csv", trace)
+        trace = make_record("NONE").samples[0]
+        write_spectrum_csv(tmp_path / "sp.csv", trace, 2000.0)
         sp_lines = (tmp_path / "sp.csv").read_text().strip().splitlines()
         assert sp_lines[0] == "bin_hz,magnitude"
         assert len(sp_lines) == 1 + 201
 
         frames = stft(trace)
-        write_spectrogram_csv(tmp_path / "sg.csv", trace)
+        write_spectrogram_csv(tmp_path / "sg.csv", trace, 2000.0)
         sg_lines = (tmp_path / "sg.csv").read_text().strip().splitlines()
         assert sg_lines[0] == "frame_time_s,bin_hz,magnitude"
         assert len(sg_lines) == 1 + frames.shape[0] * frames.shape[1]
@@ -567,7 +567,7 @@ class TestCmdDetect:
         result = runner.invoke(main, ["detect", "--in", str(trace), "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 0, result.output
         report = json.loads(out.read_text())
-        series = detail_series(dwt_decompose(select_channel(read_record_csv(trace), "a"), 1), 1)
+        series = detail_series(dwt_decompose(read_record_csv(trace).samples[0], 1), 1)
         valid = ~boundary_artifact_mask(400, 1)
         expected = calibrate_threshold(series[150:400][valid[150:400]])
         assert report["detected"] is False
@@ -1470,6 +1470,41 @@ class TestCmdPlotData:
         assert result.exit_code == 0, result.output
         assert (outdir / "voltage.csv").exists()
         assert (outdir / "index.csv").read_text().splitlines()[0] == "t,pi"
+
+    def test_dump_of_the_strided_record_row_equals_that_of_its_contiguous_copy(
+            self, runner, tmp_path):
+        """``read_record_csv`` returns F-ordered samples, so the channel row that
+        ``plot-data`` hands its dump is strided; transforms and dumps read it as
+        they read its contiguous copy, bit for bit."""
+        from faultwave import dft, stft
+        from faultwave.io import write_spectrogram_csv, write_spectrum_csv, write_tree_csv
+
+        cfg = write_json(tmp_path / "run.json", {**AG_CONFIG, "channel": "b"})
+        trace = tmp_path / "trace.csv"
+        assert runner.invoke(main, ["generate", "--config", str(cfg), "--out", str(trace)]).exit_code == 0
+        row = read_record_csv(trace).samples[1]
+        copy = np.ascontiguousarray(row)
+        assert not row.flags.c_contiguous and np.array_equal(row, copy)
+        tree, copy_tree = dwt_decompose(row, 3), dwt_decompose(copy, 3)
+        for got, expected in zip([*tree.details, tree.approx], [*copy_tree.details, copy_tree.approx]):
+            assert_bitwise_equal(got, expected)
+        assert_bitwise_equal(dft(row), dft(copy))
+        assert_bitwise_equal(stft(row), stft(copy))
+
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        write_tree_csv(expected / "coefficients.csv", dwt_decompose(copy, 3))
+        write_spectrum_csv(expected / "spectrum.csv", copy, 2000.0)
+        write_spectrogram_csv(expected / "spectrogram.csv", copy, 2000.0)
+        for method, dump in (("wavelet", "coefficients.csv"), ("energy_ft", "spectrum.csv"),
+                             ("energy_stft", "spectrogram.csv")):
+            config = {**AG_CONFIG, "channel": "b", "detector": {"method": method, "level": 3}}
+            cfg = write_json(tmp_path / f"{method}.json", config)
+            outdir = tmp_path / method
+            result = runner.invoke(
+                main, ["plot-data", "--in", str(trace), "--config", str(cfg), "--out", str(outdir)])
+            assert result.exit_code == 0, result.output
+            assert (outdir / dump).read_bytes() == (expected / dump).read_bytes()
 
     def test_empty_trace_exits_2(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", AG_CONFIG)

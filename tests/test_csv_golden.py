@@ -54,9 +54,9 @@ def write_all(out: Path) -> None:
     write_series_csv(out / "series.csv", faulty.time_axis(), trace.samples, "va")
     write_series_csv(out / "series_special.csv", np.arange(SPECIAL.shape[0]) / 7.0, SPECIAL,
                      "special")
-    write_tree_csv(out / "tree.csv", dwt_decompose(trace, 3))
-    write_spectrum_csv(out / "spectrum.csv", trace)
-    write_spectrogram_csv(out / "spectrogram.csv", trace)
+    write_tree_csv(out / "tree.csv", dwt_decompose(trace.samples, 3))
+    write_spectrum_csv(out / "spectrum.csv", trace.samples, trace.sample_rate_hz)
+    write_spectrogram_csv(out / "spectrogram.csv", trace.samples, trace.sample_rate_hz)
 
     suite = out / "suite.json"
     suite.write_text(json.dumps(ENERGY_SUITE))

@@ -226,7 +226,7 @@ class TestWaveletBoundaryRule:
     def test_empty_range_raises_the_mask_reference_error(self, n, level):
         trace = Trace(rng_trace(n, seed=n), 2000.0)
         cfg = DetectorConfig(level=level)
-        series = detail_series(dwt_decompose(trace, level), level)
+        series = detail_series(dwt_decompose(trace.samples, level), level)
         spans = Spans().resolve(n)
         with pytest.raises(BoundsError) as expected:
             mask_decide("wavelet", np.arange(n), series, 1, artifact_free_range(n, level),
@@ -243,7 +243,7 @@ class TestWaveletBoundaryRule:
         samples[n // 2:] += 3.0 * np.sin(np.arange(n - n // 2))
         trace = Trace(samples, 2000.0)
         cfg = DetectorConfig(level=level)
-        series = detail_series(dwt_decompose(trace, level), level)
+        series = detail_series(dwt_decompose(trace.samples, level), level)
         assert_same_outcome(
             lambda: wavelet_detect(trace, cfg),
             lambda: mask_decide("wavelet", np.arange(n), series, 1,

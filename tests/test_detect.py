@@ -410,7 +410,7 @@ class TestEnergyWindowSeries:
         trace = self.trace(n)
         report = energy_detect(trace, "energy_wt", DetectorConfig(method="energy_wt", level=level))
         starts, window = self.starts(report, n)
-        expected = [wavelet_energy_index(trace, level, (s, s + window)) for s in starts]
+        expected = [wavelet_energy_index(trace.samples, level, (s, s + window)) for s in starts]
         np.testing.assert_array_equal(report.index_series, expected)
 
     @pytest.mark.parametrize("n", (400, 1024, 4096))
@@ -419,7 +419,8 @@ class TestEnergyWindowSeries:
         cfg = DetectorConfig(method="energy_ft")
         report = energy_detect(trace, "energy_ft", cfg)
         starts, window = self.starts(report, n)
-        expected = [highband_energy_index(trace, cfg.cutoff_hz, (s, s + window)) for s in starts]
+        expected = [highband_energy_index(trace.samples, trace.sample_rate_hz, cfg.cutoff_hz,
+                                          (s, s + window)) for s in starts]
         np.testing.assert_allclose(report.index_series, expected, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", (400, 1024, 4096))
@@ -428,7 +429,7 @@ class TestEnergyWindowSeries:
         report = energy_detect(trace, "energy_stft", DetectorConfig(method="energy_stft"))
         segments = np.lib.stride_tricks.sliding_window_view(trace.samples, STFT_WINDOW)[::STFT_HOP]
         frames = np.abs(np.fft.rfft(segments * np.hanning(STFT_WINDOW), axis=1)) / np.sqrt(STFT_WINDOW)
-        np.testing.assert_array_equal(stft(trace), frames)
+        np.testing.assert_array_equal(stft(trace.samples), frames)
         bins = np.arange(STFT_WINDOW // 2 + 1) * (2000.0 / STFT_WINDOW) >= 150.0
         np.testing.assert_array_equal(report.index_series,
                                       np.sum(frames[:, bins] ** 2, axis=1) / STFT_WINDOW)

@@ -18,7 +18,6 @@ from faultwave import (
     DecompositionTree,
     DegenerateInputError,
     ShapeError,
-    Trace,
     detail_series,
     dwt_decompose,
     dwt_reconstruct,
@@ -85,35 +84,35 @@ class TestFilterPair:
 
 class TestDecompose:
     def test_zero_trace_gives_zero_coefficients(self):
-        tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 3)
+        tree = dwt_decompose(np.zeros(64), 3)
         assert all(np.all(d == 0) for d in tree.details)
         assert np.all(tree.approx == 0)
 
     def test_constant_trace_level_one(self):
         c = 2.5
-        tree = dwt_decompose(Trace(np.full(64, c), 2000.0), 1)
+        tree = dwt_decompose(np.full(64, c), 1)
         np.testing.assert_allclose(tree.details[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(tree.approx, c * sqrt(2.0), atol=1e-12)
 
     def test_energy_conservation_random_trace(self):
         x = rng_trace(64, seed=3)
-        tree = dwt_decompose(Trace(x, 2000.0), 3)
+        tree = dwt_decompose(x, 3)
         total = sum(float(np.sum(d**2)) for d in tree.details) + float(
             np.sum(tree.approx**2)
         )
         assert abs(total - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
 
     def test_coefficient_counts_are_nonredundant(self):
-        tree = dwt_decompose(Trace(rng_trace(256), 2000.0), 4)
+        tree = dwt_decompose(rng_trace(256), 4)
         count = sum(d.shape[0] for d in tree.details) + tree.approx.shape[0]
         assert count == 256
 
     def test_linearity(self):
         x, y = rng_trace(128, 1), rng_trace(128, 2)
         a, b = 1.7, -0.4
-        combined = dwt_decompose(Trace(a * x + b * y, 2000.0), 2)
-        tx = dwt_decompose(Trace(x, 2000.0), 2)
-        ty = dwt_decompose(Trace(y, 2000.0), 2)
+        combined = dwt_decompose(a * x + b * y, 2)
+        tx = dwt_decompose(x, 2)
+        ty = dwt_decompose(y, 2)
         for d_c, d_x, d_y in zip(combined.details, tx.details, ty.details):
             np.testing.assert_allclose(d_c, a * d_x + b * d_y, atol=1e-10)
         np.testing.assert_allclose(combined.approx, a * tx.approx + b * ty.approx, atol=1e-10)
@@ -121,13 +120,13 @@ class TestDecompose:
     def test_shift_by_two_covariance_level_one(self):
         x = rng_trace(128, 5)
         shifted = np.roll(x, 2)
-        d_orig = dwt_decompose(Trace(x, 2000.0), 1).details[0]
-        d_shift = dwt_decompose(Trace(shifted, 2000.0), 1).details[0]
+        d_orig = dwt_decompose(x, 1).details[0]
+        d_shift = dwt_decompose(shifted, 1).details[0]
         np.testing.assert_allclose(d_shift, np.roll(d_orig, 1), atol=1e-12)
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
-            dwt_decompose(Trace(np.zeros(100), 2000.0), 3)
+            dwt_decompose(np.zeros(100), 3)
 
     def test_level_beyond_the_length_rejected_without_computing_2_to_the_level(self):
         with pytest.raises(ShapeError, match="divisible"):
@@ -135,11 +134,11 @@ class TestDecompose:
 
     def test_too_short_rejected(self):
         with pytest.raises(ShapeError, match="shorter"):
-            dwt_decompose(Trace(np.zeros(4), 2000.0), 1)
+            dwt_decompose(np.zeros(4), 1)
 
     def test_zero_levels_rejected(self):
         with pytest.raises(ShapeError, match="^levels must be >= 1, got 0$"):
-            dwt_decompose(Trace(np.zeros(64), 2000.0), 0)
+            dwt_decompose(np.zeros(64), 0)
 
 
 class TestTree:
@@ -148,7 +147,7 @@ class TestTree:
 
     def test_detail_series_and_reconstruction_are_arrays_on_the_record_axis(self):
         x = rng_trace(64)
-        tree = dwt_decompose(Trace(x, 2000.0), 3)
+        tree = dwt_decompose(x, 3)
         for level in (1, 2, 3):
             series = detail_series(tree, level)
             assert type(series) is np.ndarray and series.shape == x.shape
@@ -160,22 +159,22 @@ class TestReconstruct:
     def test_round_trip_random_traces(self):
         for seed in range(5):
             x = rng_trace(2048, seed)
-            tree = dwt_decompose(Trace(x, 2000.0), 5)
+            tree = dwt_decompose(x, 5)
             back = dwt_reconstruct(tree)
             assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_zero_tree_reconstructs_zero(self):
-        tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 2)
+        tree = dwt_decompose(np.zeros(64), 2)
         assert np.all(dwt_reconstruct(tree) == 0)
 
     def test_single_detail_coefficient_has_unit_energy(self):
-        tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 1)
+        tree = dwt_decompose(np.zeros(64), 1)
         tree.details[0][10] = 1.0
         energy = np.sum(dwt_reconstruct(tree) ** 2)
         assert abs(energy - 1.0) < 1e-10
 
     def test_inconsistent_lengths_rejected(self):
-        tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 2)
+        tree = dwt_decompose(rng_trace(64), 2)
         tree.details[0] = tree.details[0][:-1]
         with pytest.raises(ShapeError):
             dwt_reconstruct(tree)
@@ -183,7 +182,7 @@ class TestReconstruct:
             dwt_reconstruct(DecompositionTree([np.zeros(8), np.zeros(3)], np.zeros(4)))
 
     def test_approximation_of_the_wrong_size_rejected(self):
-        tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 2)
+        tree = dwt_decompose(rng_trace(64), 2)
         tree.approx = tree.approx[:-1]
         with pytest.raises(ShapeError, match="^approximation has 15 entries, expected 16$"):
             dwt_reconstruct(tree)
@@ -192,23 +191,23 @@ class TestReconstruct:
 class TestDetailSeries:
     def test_clean_sinusoid_has_tiny_level_one_detail(self, baseline_record):
         trace = select_channel(baseline_record, "a")
-        series = detail_series(dwt_decompose(trace, 1), 1)
+        series = detail_series(dwt_decompose(trace.samples, 1), 1)
         assert series.shape == (trace.n_samples,)
         assert series.max() < 1e-3
 
     def test_fault_spike_lands_near_onset(self, ag_record):
         trace = select_channel(ag_record, "a")
-        series = detail_series(dwt_decompose(trace, 1), 1)
+        series = detail_series(dwt_decompose(trace.samples, 1), 1)
         usable = ~boundary_artifact_mask(trace.n_samples, 1)
         peak = int(np.argmax(np.where(usable, series, 0.0)))
         assert abs(peak - FAULT_ONSET_SAMPLE) <= 10
 
     def test_zero_input_zero_series(self):
-        series = detail_series(dwt_decompose(Trace(np.zeros(64), 2000.0), 2), 2)
+        series = detail_series(dwt_decompose(np.zeros(64), 2), 2)
         assert np.all(series == 0)
 
     def test_level_out_of_range(self):
-        tree = dwt_decompose(Trace(np.zeros(64), 2000.0), 2)
+        tree = dwt_decompose(np.zeros(64), 2)
         with pytest.raises(ShapeError, match="level"):
             detail_series(tree, 3)
 
@@ -218,14 +217,14 @@ class TestDetailSeries:
         trace = select_channel(make_record("AG", snr_db=20.0, fundamental_hz=f0, seed=2,
                                            duration_s=n / 2000.0), "a")
         for level in range(1, (n & -n).bit_length()):
-            tree = dwt_decompose(trace, level)
+            tree = dwt_decompose(trace.samples, level)
             assert_bitwise_equal(detail_series(tree, level),
                                  roll_detail_series(tree, level))
 
     @pytest.mark.parametrize("n, level", [(8, 1), (8, 2), (8, 3), (16, 3), (64, 5), (32, 4)])
     def test_shift_past_the_record_equals_roll_reference_bitwise(self, n, level):
         """Half a support can exceed the record; np.roll wraps the shift."""
-        tree = dwt_decompose(Trace(rng_trace(n, level), 2000.0), level)
+        tree = dwt_decompose(rng_trace(n, level), level)
         assert_bitwise_equal(detail_series(tree, level), roll_detail_series(tree, level))
 
 
@@ -237,23 +236,23 @@ def roll_detail_series(tree, level: int) -> np.ndarray:
 
 class TestEnergyIndex:
     def test_zero_trace(self):
-        assert wavelet_energy_index(Trace(np.zeros(64), 2000.0), 1, (0, 64)) == 0.0
+        assert wavelet_energy_index(np.zeros(64), 1, (0, 64)) == 0.0
 
     def test_quadratic_homogeneity(self):
         x = rng_trace(128, 9)
-        base = wavelet_energy_index(Trace(x, 2000.0), 1, (20, 100))
-        scaled = wavelet_energy_index(Trace(3.0 * x, 2000.0), 1, (20, 100))
+        base = wavelet_energy_index(x, 1, (20, 100))
+        scaled = wavelet_energy_index(3.0 * x, 1, (20, 100))
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_fault_contrast_exceeds_ten_fold(self, ag_record):
         trace = select_channel(ag_record, "a")
-        pre = wavelet_energy_index(trace, 1, (0, 120))
-        post = wavelet_energy_index(trace, 1, (FAULT_ONSET_SAMPLE, 400))
+        pre = wavelet_energy_index(trace.samples, 1, (0, 120))
+        post = wavelet_energy_index(trace.samples, 1, (FAULT_ONSET_SAMPLE, 400))
         assert post > 10.0 * pre
 
     def test_empty_span_rejected(self):
         with pytest.raises(DegenerateInputError, match="span"):
-            wavelet_energy_index(Trace(np.zeros(64), 2000.0), 1, (10, 10))
+            wavelet_energy_index(np.zeros(64), 1, (10, 10))
 
 
 class TestProperties:
@@ -266,7 +265,7 @@ class TestProperties:
         n = blocks << level
         assume(n >= FILTER_LEN)
         x = scale * rng_trace(n, seed)
-        tree = dwt_decompose(Trace(x, 2000.0), level)
+        tree = dwt_decompose(x, level)
         back = dwt_reconstruct(tree)
         assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
         energy = sum(float(np.sum(band**2)) for band in [*tree.details, tree.approx])
@@ -287,7 +286,7 @@ class TestAnalyzeLevel:
 
     @staticmethod
     def assert_pyramids_equal(x: np.ndarray, levels: int):
-        tree = dwt_decompose(Trace(x, 2000.0), levels)
+        tree = dwt_decompose(x, levels)
         approx = x
         for detail in tree.details:
             approx, expected = index_analyze_level(approx, DB4_LOWPASS, DB4_HIGHPASS)
@@ -353,7 +352,7 @@ class TestWindowEnergies:
 
     @staticmethod
     def both(level, n, width, hop, from_end, seed=0):
-        tree = dwt_decompose(Trace(rng_trace(n, seed), 2000.0), level)
+        tree = dwt_decompose(rng_trace(n, seed), level)
         starts = np.arange(0, n - width + 1, hop)
         if from_end:  # end the last window at the record end, past the last unwrapped coefficient
             starts += (n - width) - starts[-1]
@@ -373,7 +372,7 @@ class TestWindowEnergies:
         np.testing.assert_array_equal(got, expected)
 
     def test_no_windows(self):
-        tree = dwt_decompose(Trace(rng_trace(64), 2000.0), 1)
+        tree = dwt_decompose(rng_trace(64), 1)
         got = window_energies(tree, 1, np.arange(0), 8)
         assert got.shape == (0,) and got.dtype == np.float64
 
@@ -384,7 +383,7 @@ class TestPlannedWindowEnergies:
 
     @staticmethod
     def both(level, n, width, hop, seed=0):
-        tree = dwt_decompose(Trace(rng_trace(n, seed), 2000.0), level)
+        tree = dwt_decompose(rng_trace(n, seed), level)
         starts = np.arange(0, n - width + 1, hop)
         groups = window_groups(n, level, starts, width)
         return window_energies(tree, level, starts, width, groups), loop_window_energies(

@@ -13,7 +13,6 @@ from faultwave import (
     ConfigError,
     DegenerateInputError,
     ShapeError,
-    Trace,
     dft,
     highband_energy_index,
     select_channel,
@@ -37,7 +36,7 @@ def one_sided_energy(magnitudes: np.ndarray, n: int) -> float:
 
 
 def test_transforms_return_arrays_and_spectral_defines_no_dataclass():
-    trace = Trace(rng_trace(128, seed=3), 2000.0)
+    trace = rng_trace(128, seed=3)
     assert type(dft(trace)) is np.ndarray and dft(trace).shape == (65,)
     assert type(stft(trace)) is np.ndarray and stft(trace).shape == (5, STFT_WINDOW // 2 + 1)
     assert not [name for name, value in vars(spectral).items() if dataclasses.is_dataclass(value)
@@ -47,29 +46,29 @@ def test_transforms_return_arrays_and_spectral_defines_no_dataclass():
 
 class TestDft:
     def test_single_tone_concentrates_in_one_bin(self, baseline_record):
-        magnitudes = dft(select_channel(baseline_record, "a"))
+        magnitudes = dft(baseline_record.samples[0])
         peak = int(np.argmax(magnitudes))
         assert bin_frequencies(400, 2000.0)[peak] == pytest.approx(50.0)
         others = np.delete(magnitudes, peak)
         assert others.max() < 1e-9 * magnitudes[peak]
 
     def test_zero_trace_zero_magnitudes(self):
-        assert np.all(dft(Trace(np.zeros(64), 2000.0)) == 0)
+        assert np.all(dft(np.zeros(64)) == 0)
 
     def test_parseval_on_random_trace(self):
         x = rng_trace(1024, seed=11)
-        magnitudes = dft(Trace(x, 2000.0))
+        magnitudes = dft(x)
         assert abs(one_sided_energy(magnitudes, 1024) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
 
     def test_parseval_odd_length(self):
         x = rng_trace(401, seed=12)
-        magnitudes = dft(Trace(x, 2000.0))
+        magnitudes = dft(x)
         assert abs(one_sided_energy(magnitudes, 401) - np.sum(x**2)) <= 1e-9 * np.sum(x**2)
 
     @pytest.mark.parametrize("n", (2, 3, 400, 401))
     def test_bins_step_by_the_rate_over_the_length(self, n):
         frequencies = bin_frequencies(n, 2000.0)
-        assert frequencies.shape == dft(Trace(rng_trace(n), 2000.0)).shape
+        assert frequencies.shape == dft(rng_trace(n)).shape
         assert frequencies[0] == 0.0 and frequencies[1] == pytest.approx(2000.0 / n)
         assert frequencies[-1] <= 1000.0
 
@@ -82,22 +81,22 @@ class TestDft:
 
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateInputError):
-            dft(Trace(np.ones(1), 2000.0))
+            dft(np.ones(1))
 
 
 class TestStft:
     def test_stationary_tone_has_constant_peak_bin(self, baseline_record):
-        frames = stft(select_channel(baseline_record, "a"))
+        frames = stft(baseline_record.samples[0])
         peaks = np.argmax(frames, axis=1)
         assert np.all(peaks == peaks[0])
 
     def test_frame_count_matches_contract(self, baseline_record):
-        frames = stft(select_channel(baseline_record, "a"))
+        frames = stft(baseline_record.samples[0])
         assert frames.shape[0] == (400 - 64) // 16 + 1
         assert frames.shape[1] == 64 // 2 + 1
 
     def test_highband_jumps_in_frame_containing_onset(self, ag_record):
-        frames = stft(select_channel(ag_record, "a"))
+        frames = stft(ag_record.samples[0])
         band = bin_frequencies(STFT_WINDOW, 2000.0) >= 150.0
         energy = np.sum(frames[:, band] ** 2, axis=1)
         starts = np.arange(frames.shape[0]) * 16
@@ -108,24 +107,24 @@ class TestStft:
         assert lo <= FAULT_ONSET_SAMPLE < lo + 64
 
     def test_zero_trace_zero_frames(self):
-        assert np.all(stft(Trace(np.zeros(256), 2000.0)) == 0)
+        assert np.all(stft(np.zeros(256)) == 0)
 
     def test_shift_by_hop_multiple_shifts_frames(self):
         x = rng_trace(512, seed=4)
         shifted = np.concatenate([np.zeros(32), x[:-32]])
-        a = stft(Trace(x, 2000.0))
-        b = stft(Trace(shifted, 2000.0))
+        a = stft(x)
+        b = stft(shifted)
         np.testing.assert_allclose(b[2:], a[: b.shape[0] - 2], atol=1e-12)
 
     def test_trace_shorter_than_one_frame_rejected(self):
         with pytest.raises(ShapeError, match="window_len"):
-            stft(Trace(np.zeros(32), 2000.0))
+            stft(np.zeros(32))
 
     def test_checks_its_frame_once(self, monkeypatch):
         calls = []
         check = spectral.check_framing
         monkeypatch.setattr(spectral, "check_framing", lambda *a: calls.append(a) or check(*a))
-        stft(Trace(np.zeros(128), 2000.0))
+        stft(np.zeros(128))
         assert calls == [(128, STFT_WINDOW, STFT_HOP)]
 
     def test_taper_is_a_read_only_hann_constant(self):
@@ -219,39 +218,39 @@ class TestFrameMagnitudes:
 class TestHighbandEnergyIndex:
     def test_pure_tone_has_no_highband_content(self, baseline_record):
         trace = select_channel(baseline_record, "a")
-        index = highband_energy_index(trace, 150.0, (0, trace.n_samples))
+        index = highband_energy_index(trace.samples, 2000.0, 150.0, (0, trace.n_samples))
         assert index < 1e-9
 
     def test_quadratic_homogeneity(self):
         x = rng_trace(400, seed=6)
-        base = highband_energy_index(Trace(x, 2000.0), 150.0, (0, 400))
-        scaled = highband_energy_index(Trace(2.0 * x, 2000.0), 150.0, (0, 400))
+        base = highband_energy_index(x, 2000.0, 150.0, (0, 400))
+        scaled = highband_energy_index(2.0 * x, 2000.0, 150.0, (0, 400))
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
     def test_fault_raises_post_onset_index(self, ag_record):
         # whole-cycle spans so the comparison is not edge-leakage noise
         trace = select_channel(ag_record, "a")
-        pre_idx = highband_energy_index(trace, 150.0, (0, 120))
+        pre_idx = highband_energy_index(trace.samples, 2000.0, 150.0, (0, 120))
         post_idx = highband_energy_index(
-            trace, 150.0, (FAULT_ONSET_SAMPLE, FAULT_ONSET_SAMPLE + 240)
+            trace.samples, 2000.0, 150.0, (FAULT_ONSET_SAMPLE, FAULT_ONSET_SAMPLE + 240)
         )
         assert post_idx > pre_idx
 
     def test_monotone_as_cutoff_decreases(self):
         x = rng_trace(400, seed=8)
         cutoffs = [800.0, 400.0, 200.0, 100.0, 50.0]
-        values = [highband_energy_index(Trace(x, 2000.0), c, (0, 400)) for c in cutoffs]
+        values = [highband_energy_index(x, 2000.0, c, (0, 400)) for c in cutoffs]
         assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
 
     def test_empty_span_rejected(self):
         with pytest.raises(DegenerateInputError):
-            highband_energy_index(Trace(np.ones(16), 2000.0), 150.0, (3, 3))
+            highband_energy_index(np.ones(16), 2000.0, 150.0, (3, 3))
 
     @pytest.mark.parametrize("span", [(-1, 8), (8, 17)])
     def test_span_outside_trace_rejected(self, span):
         with pytest.raises(DegenerateInputError, match="outside the trace"):
-            highband_energy_index(Trace(np.ones(16), 2000.0), 150.0, span)
+            highband_energy_index(np.ones(16), 2000.0, 150.0, span)
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(ConfigError, match="Nyquist"):
-            highband_energy_index(Trace(np.ones(16), 2000.0), 1000.0, (0, 16))
+            highband_energy_index(np.ones(16), 2000.0, 1000.0, (0, 16))
